@@ -83,6 +83,19 @@ ProtocolOracle::dumpTrace() const
 // ---------------------------------------------------------------------
 
 void
+ProtocolOracle::expectLatest(GPage gp, std::uint32_t li, const LineShadow &s,
+                             std::uint64_t have, const char *what,
+                             NodeId node)
+{
+    if (continuous() && have != s.seq) {
+        report(gp, li,
+               fmt("%s %u is stale (value %llu, latest %llu)", what, node,
+                   static_cast<unsigned long long>(have),
+                   static_cast<unsigned long long>(s.seq)));
+    }
+}
+
+void
 ProtocolOracle::onAccessCommit(NodeId node, ProcId proc, FrameNum frame,
                                std::uint64_t paddr, bool write)
 {
@@ -92,13 +105,8 @@ ProtocolOracle::onAccessCommit(NodeId node, ProcId proc, FrameNum frame,
     const GPage gp = e->gpage;
     const std::uint32_t li = geo_.lineIndex(paddr);
     LineShadow &s = shadow(geo_.lineOf(gp, li));
-    if (continuous() && s.view[node] != s.seq) {
-        report(gp, li,
-               fmt("node %u %s commit observes value %llu, latest is %llu",
-                   node, write ? "write" : "read",
-                   static_cast<unsigned long long>(s.view[node]),
-                   static_cast<unsigned long long>(s.seq)));
-    }
+    expectLatest(gp, li, s, s.view[node],
+                 write ? "write commit at node" : "read commit at node", node);
     if (write) {
         ++s.seq;
         s.view[node] = s.seq;
@@ -110,52 +118,54 @@ ProtocolOracle::onAccessCommit(NodeId node, ProcId proc, FrameNum frame,
 }
 
 void
-ProtocolOracle::onHomeGrantFromMemory(NodeId home, GPage gp,
-                                      std::uint32_t li, NodeId req)
+ProtocolOracle::onHomeTransition(HomeHook hook, NodeId home, GPage gp,
+                                 std::uint32_t li, NodeId node, bool dirty)
 {
+    if (hook == HomeHook::None ||
+        (hook == HomeHook::LateWriteback && !dirty))
+        return; // a clean late release hands nothing on
     LineShadow &s = shadow(geo_.lineOf(gp, li));
-    if (continuous() && s.memSeq != s.seq) {
-        report(gp, li,
-               fmt("home %u grants stale memory (mem=%llu latest=%llu) "
-                   "to node %u",
-                   home, static_cast<unsigned long long>(s.memSeq),
-                   static_cast<unsigned long long>(s.seq), req));
+    switch (hook) {
+      case HomeHook::None:
+        return;
+      case HomeHook::GrantFromMemory:
+        expectLatest(gp, li, s, s.memSeq, "memory granted to node", node);
+        s.view[node] = s.memSeq;
+        return;
+      case HomeHook::UpgradeGrant:
+        expectLatest(gp, li, s, s.view[node], "copy upgraded at node", node);
+        return;
+      case HomeHook::ServeSelfOwned:
+        expectLatest(gp, li, s, s.view[home], "home copy served to node",
+                     node);
+        // The home frame is the page's memory: the served value is
+        // what memory now holds, and the requester's copy reflects it.
+        s.memSeq = s.view[home];
+        s.view[node] = s.view[home];
+        return;
+      case HomeHook::WritebackAccepted:
+      case HomeHook::LateWriteback:
+        expectLatest(gp, li, s, s.view[node], "writeback accepted from node",
+                     node);
+        if (dirty) {
+            s.memSeq = s.view[node];
+        } else if (continuous() && s.memSeq != s.view[node]) {
+            // Clean replacement: memory must already hold the owner's
+            // value, otherwise the line's last writes are lost.
+            report(gp, li,
+                   fmt("clean replacement by owner %u loses data "
+                       "(mem=%llu owner=%llu)",
+                       node, static_cast<unsigned long long>(s.memSeq),
+                       static_cast<unsigned long long>(s.view[node])));
+        }
+        return;
+      case HomeHook::MigrateFlush:
+        expectLatest(gp, li, s, s.view[node],
+                     "owner copy flushed into memory by home", node);
+        // The flushed copy becomes the (new) home memory contents.
+        s.memSeq = s.view[node];
+        return;
     }
-    s.view[req] = s.memSeq;
-}
-
-void
-ProtocolOracle::onHomeUpgradeGrant(NodeId home, GPage gp, std::uint32_t li,
-                                   NodeId req)
-{
-    LineShadow &s = shadow(geo_.lineOf(gp, li));
-    if (continuous() && s.view[req] != s.seq) {
-        report(gp, li,
-               fmt("home %u upgrades node %u whose copy is stale "
-                   "(view=%llu latest=%llu)",
-                   home, req, static_cast<unsigned long long>(s.view[req]),
-                   static_cast<unsigned long long>(s.seq)));
-    }
-}
-
-void
-ProtocolOracle::onHomeServeSelfOwned(NodeId home, GPage gp,
-                                     std::uint32_t li, NodeId req,
-                                     bool for_write)
-{
-    (void)for_write;
-    LineShadow &s = shadow(geo_.lineOf(gp, li));
-    if (continuous() && s.view[home] != s.seq) {
-        report(gp, li,
-               fmt("home %u serves from its own copy which is stale "
-                   "(view=%llu latest=%llu)",
-                   home, static_cast<unsigned long long>(s.view[home]),
-                   static_cast<unsigned long long>(s.seq)));
-    }
-    // The home frame is the page's memory: the served value is what
-    // memory now holds, and the requester's copy reflects it.
-    s.memSeq = s.view[home];
-    s.view[req] = s.view[home];
 }
 
 void
@@ -163,13 +173,8 @@ ProtocolOracle::onOwnerServe(NodeId owner, GPage gp, std::uint32_t li,
                              NodeId req, bool for_write)
 {
     LineShadow &s = shadow(geo_.lineOf(gp, li));
-    if (continuous() && s.view[owner] != s.seq) {
-        report(gp, li,
-               fmt("owner %u forwards a stale copy (view=%llu latest=%llu) "
-                   "to node %u",
-                   owner, static_cast<unsigned long long>(s.view[owner]),
-                   static_cast<unsigned long long>(s.seq), req));
-    }
+    expectLatest(gp, li, s, s.view[owner], "owner copy forwarded by node",
+                 owner);
     s.view[req] = s.view[owner];
     if (!for_write) {
         // Read downgrade: the XferNotice carries the data home.
@@ -178,37 +183,8 @@ ProtocolOracle::onOwnerServe(NodeId owner, GPage gp, std::uint32_t li,
 }
 
 void
-ProtocolOracle::onWritebackAccepted(NodeId home, GPage gp, std::uint32_t li,
-                                    NodeId owner, bool dirty,
-                                    bool keep_shared)
+ProtocolOracle::onInvalidate(GPage gp, std::uint32_t li)
 {
-    (void)keep_shared;
-    LineShadow &s = shadow(geo_.lineOf(gp, li));
-    if (continuous() && s.view[owner] != s.seq) {
-        report(gp, li,
-               fmt("home %u accepts a writeback from owner %u whose copy "
-                   "is stale (view=%llu latest=%llu)",
-                   home, owner,
-                   static_cast<unsigned long long>(s.view[owner]),
-                   static_cast<unsigned long long>(s.seq)));
-    }
-    if (dirty) {
-        s.memSeq = s.view[owner];
-    } else if (continuous() && s.memSeq != s.view[owner]) {
-        // Clean replacement: memory must already hold the owner's value,
-        // otherwise the line's last writes are lost.
-        report(gp, li,
-               fmt("clean replacement by owner %u loses data "
-                   "(mem=%llu owner=%llu)",
-                   owner, static_cast<unsigned long long>(s.memSeq),
-                   static_cast<unsigned long long>(s.view[owner])));
-    }
-}
-
-void
-ProtocolOracle::onInvalidate(NodeId node, GPage gp, std::uint32_t li)
-{
-    (void)node;
     if (continuous())
         checkLine(gp, li);
 }
@@ -218,30 +194,9 @@ ProtocolOracle::onHomeInstall(NodeId home, GPage gp)
 {
     for (std::uint32_t li = 0; li < geo_.linesPerPage(); ++li) {
         LineShadow &s = shadow(geo_.lineOf(gp, li));
-        if (continuous() && s.memSeq != s.seq) {
-            report(gp, li,
-                   fmt("home %u maps a page in whose memory is stale "
-                       "(mem=%llu latest=%llu)",
-                       home, static_cast<unsigned long long>(s.memSeq),
-                       static_cast<unsigned long long>(s.seq)));
-        }
+        expectLatest(gp, li, s, s.memSeq, "memory paged in at home", home);
         s.view[home] = s.memSeq;
     }
-}
-
-void
-ProtocolOracle::onMigrateFlush(NodeId node, GPage gp, std::uint32_t li)
-{
-    LineShadow &s = shadow(geo_.lineOf(gp, li));
-    if (continuous() && s.view[node] != s.seq) {
-        report(gp, li,
-               fmt("migrating home %u flushes a stale owner copy "
-                   "(view=%llu latest=%llu)",
-                   node, static_cast<unsigned long long>(s.view[node]),
-                   static_cast<unsigned long long>(s.seq)));
-    }
-    // The flushed copy becomes the (new) home memory contents.
-    s.memSeq = s.view[node];
 }
 
 // ---------------------------------------------------------------------

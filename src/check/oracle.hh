@@ -44,6 +44,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "coherence/home_protocol.hh"
 #include "core/config.hh"
 #include "mem/addr.hh"
 #include "sim/trace.hh"
@@ -80,48 +81,29 @@ class ProtocolOracle
     void onAccessCommit(NodeId node, ProcId proc, FrameNum frame,
                         std::uint64_t paddr, bool write);
 
-    /** Home granted a line out of its own memory (Uncached/Shared). */
-    void onHomeGrantFromMemory(NodeId home, GPage gp, std::uint32_t li,
-                               NodeId req);
-
-    /** Home granted an Upgrade (requester keeps its own data). */
-    void onHomeUpgradeGrant(NodeId home, GPage gp, std::uint32_t li,
-                            NodeId req);
-
-    /** Home served a request from its own (owner) copy (2-party). */
-    void onHomeServeSelfOwned(NodeId home, GPage gp, std::uint32_t li,
-                              NodeId req, bool for_write);
+    /**
+     * The home protocol reported a transition (home_protocol.hh):
+     * @p hook names the shadow rule, @p node is the event's sender
+     * (requester, writeback owner or flushing home) and @p dirty says
+     * whether a writeback carried data.  Grants check that the value
+     * handed on is the latest, accepted writebacks and migration
+     * flushes make the sender's value the new memory.
+     */
+    void onHomeTransition(HomeHook hook, NodeId home, GPage gp,
+                          std::uint32_t li, NodeId node, bool dirty);
 
     /** A remote owner served a Fetch with DataFwd (3-party). */
     void onOwnerServe(NodeId owner, GPage gp, std::uint32_t li,
                       NodeId req, bool for_write);
 
-    /** Home accepted a writeback / replacement hint from the owner. */
-    void onWritebackAccepted(NodeId home, GPage gp, std::uint32_t li,
-                             NodeId owner, bool dirty, bool keep_shared);
-
     /** A client (or the home itself) invalidated its copy of a line. */
-    void onInvalidate(NodeId node, GPage gp, std::uint32_t li);
+    void onInvalidate(GPage gp, std::uint32_t li);
 
     /** Home mapped @p gp in (page-in): memory must hold the latest. */
     void onHomeInstall(NodeId home, GPage gp);
 
-    /**
-     * A migrating home flushed its own owner copy of a line into the
-     * page payload (the line leaves as Uncached-with-current-memory).
-     */
-    void onMigrateFlush(NodeId node, GPage gp, std::uint32_t li);
-
     /** Record a network message into the violation-dump trace ring. */
-    void
-    traceMsg(Tick t, NodeId src, NodeId dst, std::uint16_t type,
-             GPage gp, std::uint32_t li)
-    {
-        trace_.push(TraceEvent{t, gp, li,
-                               type,
-                               static_cast<std::uint16_t>(src),
-                               static_cast<std::uint16_t>(dst)});
-    }
+    void traceMsg(const TraceEvent &e) { trace_.push(e); }
 
     // --- Quiescent sweep -------------------------------------------------
 
@@ -165,6 +147,14 @@ class ProtocolOracle
     };
 
     LineShadow &shadow(GLine gl);
+
+    /**
+     * Continuous mode: report that the copy @p what node @p node
+     * hands on or commits is stale unless @p have is the latest value
+     * of the line.
+     */
+    void expectLatest(GPage gp, std::uint32_t li, const LineShadow &s,
+                      std::uint64_t have, const char *what, NodeId node);
 
     /** In-flight structural re-check of one line (continuous mode). */
     void checkLine(GPage gp, std::uint32_t li);

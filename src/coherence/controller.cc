@@ -83,6 +83,74 @@ CoherenceController::forward(Msg &&m)
     send(std::move(m));
 }
 
+void
+CoherenceController::releaseLine(const PitEntry &e, std::uint32_t line_idx,
+                                 bool dirty, bool keep_shared)
+{
+    TRC(e.gpage, line_idx, "n%u release dirty=%d keepS=%d t=%llu", self_,
+        (int)dirty, (int)keep_shared, (unsigned long long)eq_.now());
+    Msg m(dirty || keep_shared ? MsgType::Writeback : MsgType::ReplaceHint,
+          e.dynHome, e.gpage, line_idx);
+    m.dstFrameHint = e.homeFrameHint;
+    m.dirty = dirty;
+    m.keepShared = keep_shared;
+    m.requester = self_;
+    ++(m.type == MsgType::Writeback ? stats_.writebacksSent
+                                    : stats_.replaceHintsSent);
+    send(std::move(m));
+}
+
+void
+CoherenceController::replyToRequester(const Msg &m, MsgType type,
+                                      FrameNum home_frame, NodeId dyn_home,
+                                      bool exclusive, std::uint32_t acks)
+{
+    Msg r(type, m.requester, m.gpage, m.lineIdx);
+    r.requester = m.requester;
+    r.dstFrameHint = m.requesterFrame;
+    r.homeFrame = home_frame;
+    r.dynHome = dyn_home;
+    r.exclusive = exclusive;
+    r.ackCount = acks;
+    send(std::move(r));
+}
+
+CoTask
+CoherenceController::collectFrame(FrameNum frame)
+{
+    for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
+        auto r = host_.intervene(frame, i, true, eq_.now());
+        co_await until(r.done);
+        if (r.dirty)
+            dram_.access(eq_.now());
+    }
+}
+
+CoTask
+CoherenceController::invalidateLocal(GPage gpage, std::uint32_t line_idx,
+                                     FrameNum frame, Cycles lookup)
+{
+    const GLine gl = geo_.lineOf(gpage, line_idx);
+    auto pt = pending_.find(gl);
+    if (pt != pending_.end())
+        pt->second->invalidatedMidFlight = true;
+    auto ft = fillPending_.find(gl);
+    if (ft != fillPending_.end())
+        ft->second.invalidated = true;
+    co_await delay(lookup);
+    // Re-validate: the mapping may have been paged out (and the frame
+    // even reused) during the lookup delay.
+    PitEntry *e = frame == kInvalidFrame ? nullptr : pit_.entry(frame);
+    if (!e || e->gpage != gpage)
+        co_return;
+    auto r = host_.intervene(frame, line_idx, true, eq_.now());
+    if (e->tags && e->tags->get(line_idx) != FgTag::Transit)
+        e->tags->set(line_idx, FgTag::Invalid);
+    if (oracle_)
+        oracle_->onInvalidate(gpage, line_idx);
+    co_await until(r.done);
+}
+
 CoMutex &
 CoherenceController::lineLock(GPage gpage, std::uint32_t line_idx)
 {
@@ -138,108 +206,60 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
     }
     e->lastAccess = eq_.now();
     e->accessed->set(line_idx);
-
-    switch (e->mode) {
-      case PageMode::Local: {
-        // The controller takes no action; local memory services the
-        // line under the bus protocol.
+    prism_assert(e->mode != PageMode::Command,
+                 "serviceMiss on a command-mode frame");
+    const bool scoma = e->mode == PageMode::Scoma;
+    if (scoma || e->mode == PageMode::LaNuma)
+        co_await delay(pit_.forwardCycles()); // consult mode (+ tags)
+    const FgTag tag = scoma ? e->tags->get(line_idx) : FgTag::Invalid;
+    if (e->mode == PageMode::Local || tag == FgTag::Exclusive ||
+        (tag == FgTag::Shared && !for_write)) {
+        // Local memory, or the page cache, supplies the line; the
+        // controller takes no protocol action.
+        TRC(e->gpage, line_idx, "n%u localmem w=%d tag=%s t=%llu", self_,
+            (int)for_write, fgTagName(tag), (unsigned long long)eq_.now());
         co_await dramAccess();
         ++stats_.localMemHits;
         out->source = MissSource::LocalMem;
-        out->exclusive = true;
+        out->exclusive = tag != FgTag::Shared;
         co_return;
-      }
-      case PageMode::Scoma: {
-        co_await delay(pit_.forwardCycles()); // consult mode + tags
-        FgTag tag = e->tags->get(line_idx);
-        if (tag == FgTag::Transit) {
-            ++stats_.retries;
-            out->source = MissSource::Retry;
-            co_return;
-        }
-        if (tag == FgTag::Exclusive ||
-            (tag == FgTag::Shared && !for_write)) {
-            TRC(e->gpage, line_idx, "n%u localmem w=%d tag=%s t=%llu",
-                self_, (int)for_write, fgTagName(tag),
-                (unsigned long long)eq_.now());
-            // Page cache supplies the line locally.
-            co_await dramAccess();
-            ++stats_.localMemHits;
-            out->source = MissSource::LocalMem;
-            out->exclusive = (tag == FgTag::Exclusive);
-            co_return;
-        }
-        GLine gl = geo_.lineOf(e->gpage, line_idx);
-        if (pending_.count(gl)) {
-            ++stats_.retries;
-            out->source = MissSource::Retry;
-            co_return;
-        }
-        // Shared+write upgrades (data already local); Invalid fetches.
-        MsgType mt = for_write
-                         ? (tag == FgTag::Shared ? MsgType::Upgrade
-                                                 : MsgType::ReqX)
-                         : MsgType::ReqS;
-        TRC(e->gpage, line_idx, "n%u scoma txn %s tag=%s t=%llu", self_,
-            msgTypeName(mt), fgTagName(tag),
-            (unsigned long long)eq_.now());
-        e->tags->set(line_idx, FgTag::Transit);
-        bool poisoned = false;
-        co_await runClientTxn(mt, *e, frame, line_idx, out, &poisoned);
-        if (poisoned) {
-            TRC(e->gpage, line_idx, "n%u scoma txn poisoned t=%llu", self_,
-                (unsigned long long)eq_.now());
-            // A racing invalidation voided the shared grant.
-            e->tags->set(line_idx, FgTag::Invalid);
-            ++stats_.retries;
-            out->source = MissSource::Retry;
-            co_return;
-        }
-        TRC(e->gpage, line_idx, "n%u scoma txn done excl=%d t=%llu", self_,
-            (int)out->exclusive, (unsigned long long)eq_.now());
-        e->tags->set(line_idx,
-                     out->exclusive ? FgTag::Exclusive : FgTag::Shared);
-        co_return;
-      }
-      case PageMode::LaNuma:
-      case PageMode::CcNuma: {
-        if (e->mode == PageMode::LaNuma)
-            co_await delay(pit_.forwardCycles());
-        const GPage gpage = e->gpage; // e may be stale after the txn
-        GLine gl = geo_.lineOf(gpage, line_idx);
-        if (pending_.count(gl)) {
-            ++stats_.retries;
-            out->source = MissSource::Retry;
-            co_return;
-        }
-        if (fillPending_.count(gl)) {
-            // Granted to another local processor; its fill is still in
-            // flight on the bus.
-            ++stats_.retries;
-            out->source = MissSource::Retry;
-            co_return;
-        }
-        MsgType mt = for_write ? (local_copy ? MsgType::Upgrade
-                                             : MsgType::ReqX)
-                               : MsgType::ReqS;
-        TRC(gpage, line_idx, "n%u lanuma txn %s t=%llu", self_,
-            msgTypeName(mt), (unsigned long long)eq_.now());
-        bool poisoned = false;
-        co_await runClientTxn(mt, *e, frame, line_idx, out, &poisoned);
-        if (poisoned) {
-            ++stats_.retries;
-            out->source = MissSource::Retry;
-            co_return;
-        }
-        // Hold a fill token until the bus fill completes so no second
-        // transaction (or stale fill) can slip into the window.
-        if (fillPending_.emplace(gl, FillToken{}).second)
-            pendingPageAdd(gpage);
-        co_return;
-      }
-      case PageMode::Command:
-        panic("serviceMiss on a command-mode frame");
     }
+    const GPage gpage = e->gpage; // e may be stale after the txn
+    const GLine gl = geo_.lineOf(gpage, line_idx);
+    // A line in Transit or with a transaction outstanding retries, as
+    // does a LA-NUMA line granted to another local processor whose
+    // fill is still in flight on the bus.
+    if (tag == FgTag::Transit || pending_.count(gl) ||
+        (!scoma && fillPending_.count(gl))) {
+        ++stats_.retries;
+        out->source = MissSource::Retry;
+        co_return;
+    }
+    // A write to a locally valid copy upgrades (S-COMA: the Shared
+    // tag; LA-NUMA: a processor or peer S copy); otherwise fetch.
+    const bool have_data = scoma ? tag == FgTag::Shared : local_copy;
+    const MsgType mt = !for_write ? MsgType::ReqS
+                       : have_data ? MsgType::Upgrade
+                                   : MsgType::ReqX;
+    if (scoma)
+        e->tags->set(line_idx, FgTag::Transit);
+    bool poisoned = false;
+    co_await runClientTxn(mt, *e, frame, line_idx, out, &poisoned);
+    if (scoma) {
+        e->tags->set(line_idx, poisoned          ? FgTag::Invalid
+                               : out->exclusive ? FgTag::Exclusive
+                                                : FgTag::Shared);
+    }
+    if (poisoned) {
+        // A racing invalidation voided the shared grant.
+        ++stats_.retries;
+        out->source = MissSource::Retry;
+        co_return;
+    }
+    // LA-NUMA: hold a fill token until the bus fill completes so no
+    // second transaction (or stale fill) can slip into the window.
+    if (!scoma && fillPending_.emplace(gl, FillToken{}).second)
+        pendingPageAdd(gpage);
 }
 
 CoTask
@@ -248,6 +268,9 @@ CoherenceController::runClientTxn(MsgType mt, PitEntry &e, FrameNum frame,
                                   bool *poisoned)
 {
     GLine gl = geo_.lineOf(e.gpage, line_idx);
+    TRC(e.gpage, line_idx, "n%u %s txn %s t=%llu", self_,
+        pageModeName(e.mode), msgTypeName(mt),
+        (unsigned long long)eq_.now());
     ClientTxn txn(eq_);
     pending_[gl] = &txn;
     pendingPageAdd(e.gpage);
@@ -255,11 +278,7 @@ CoherenceController::runClientTxn(MsgType mt, PitEntry &e, FrameNum frame,
     const Tick t0 = eq_.now();
     co_await occupy(cfg_.ctrlOverhead); // compose request, dispatch
 
-    Msg m;
-    m.type = mt;
-    m.dst = e.dynHome;
-    m.gpage = e.gpage;
-    m.lineIdx = line_idx;
+    Msg m(mt, e.dynHome, e.gpage, line_idx);
     m.requester = self_;
     m.requesterFrame = frame;
     m.dstFrameHint = e.homeFrameHint;
@@ -313,6 +332,9 @@ CoherenceController::runClientTxn(MsgType mt, PitEntry &e, FrameNum frame,
     // An exclusive grant supersedes any invalidation of the old copy;
     // a shared grant raced by an invalidation is void.
     *poisoned = txn.invalidatedMidFlight && !txn.exclusive;
+    TRC(gpage, line_idx, "n%u txn %s done excl=%d poisoned=%d t=%llu",
+        self_, msgTypeName(mt), (int)txn.exclusive, (int)*poisoned,
+        (unsigned long long)eq_.now());
 }
 
 bool
@@ -366,35 +388,15 @@ CoherenceController::evictLine(FrameNum frame, std::uint32_t line_idx,
         return;
       case PageMode::LaNuma:
       case PageMode::CcNuma:
-        TRC(e->gpage, line_idx, "n%u evict %s t=%llu", self_,
-            mesiName(victim_state), (unsigned long long)eq_.now());
-        if (dirtyLine(victim_state)) {
-            Msg wb;
-            wb.type = MsgType::Writeback;
-            wb.dst = e->dynHome;
-            wb.gpage = e->gpage;
-            wb.lineIdx = line_idx;
-            wb.dstFrameHint = e->homeFrameHint;
-            wb.dirty = true;
-            // An evicted Owned line may leave peer Shared copies
-            // behind on this node's bus: the node stays a sharer.
-            wb.keepShared = victim_state == Mesi::Owned &&
-                            host_.lineCached(frame, line_idx);
-            wb.requester = self_;
-            ++stats_.writebacksSent;
-            send(std::move(wb));
-        } else if (victim_state == Mesi::Exclusive) {
-            // A silent clean-exclusive drop would leave the full-map
-            // directory believing we still own the line.
-            Msg h;
-            h.type = MsgType::ReplaceHint;
-            h.dst = e->dynHome;
-            h.gpage = e->gpage;
-            h.lineIdx = line_idx;
-            h.dstFrameHint = e->homeFrameHint;
-            h.requester = self_;
-            ++stats_.replaceHintsSent;
-            send(std::move(h));
+        // Dirty victims are written back; a clean-exclusive one sends
+        // a hint, since a silent drop would leave the full-map
+        // directory believing we still own the line.  An evicted Owned
+        // line may leave peer Shared copies behind on this node's bus:
+        // the node stays a sharer.
+        if (dirtyLine(victim_state) || victim_state == Mesi::Exclusive) {
+            releaseLine(*e, line_idx, dirtyLine(victim_state),
+                        victim_state == Mesi::Owned &&
+                            host_.lineCached(frame, line_idx));
         }
         return;
     }
@@ -408,19 +410,7 @@ CoherenceController::reflectDowngrade(FrameNum frame, std::uint32_t line_idx,
     if (!e)
         return;
     if (e->mode == PageMode::LaNuma || e->mode == PageMode::CcNuma) {
-        TRC(e->gpage, line_idx, "n%u reflectDowngrade dirty=%d t=%llu",
-            self_, (int)dirty, (unsigned long long)eq_.now());
-        Msg wb;
-        wb.type = MsgType::Writeback;
-        wb.dst = e->dynHome;
-        wb.gpage = e->gpage;
-        wb.lineIdx = line_idx;
-        wb.dstFrameHint = e->homeFrameHint;
-        wb.dirty = dirty;
-        wb.keepShared = true;
-        wb.requester = self_;
-        ++stats_.writebacksSent;
-        send(std::move(wb));
+        releaseLine(*e, line_idx, dirty, true);
     } else if (dirty) {
         dram_.access(eq_.now()); // reflect into local memory
     }
@@ -450,26 +440,29 @@ CoherenceController::installClientMapping(FrameNum frame, GPage gpage,
 }
 
 void
+CoherenceController::becomeHome(GPage gpage, FrameNum home_frame)
+{
+    lineLock(gpage, 0); // materialize the lock vector
+    homeMeta_[gpage] =
+        HomeMeta{home_frame, std::vector<std::uint32_t>(cfg_.numNodes, 0)};
+    movedTo_.erase(gpage);
+}
+
+void
 CoherenceController::installHomeMapping(FrameNum frame, GPage gpage)
 {
     pit_.install(frame, gpage, staticHomeOf_(gpage), self_, frame,
                  PageMode::Scoma, geo_.linesPerPage(), FgTag::Exclusive);
     dir_.createPage(gpage, DirState::Owned, self_);
-    lineLock(gpage, 0); // materialize the lock vector
-    HomeMeta &hm = homeMeta_[gpage];
-    hm.homeFrame = frame;
-    hm.accessesByNode.assign(cfg_.numNodes, 0);
-    hm.totalAccesses = 0;
-    hm.migrating = false;
+    becomeHome(gpage, frame);
     if (staticHomeOf_(gpage) == self_)
         registry_[gpage] = self_;
-    movedTo_.erase(gpage);
     if (oracle_)
         oracle_->onHomeInstall(self_, gpage);
 }
 
 CoTask
-CoherenceController::flushClientPage(FrameNum frame, std::uint64_t *wb_lines)
+CoherenceController::flushClientPage(FrameNum frame)
 {
     PitEntry *e = pit_.entry(frame);
     prism_assert(e && e->gpage != kInvalidGPage,
@@ -488,67 +481,29 @@ CoherenceController::flushClientPage(FrameNum frame, std::uint64_t *wb_lines)
         co_await delay(cfg_.retryDelay);
     }
 
-    std::uint64_t wrote = 0;
     for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
         if (e->mode == PageMode::Scoma) {
             FgTag tag = e->tags->get(i);
-            TRC(e->gpage, i, "n%u flush line tag=%s t=%llu", self_,
-                fgTagName(tag), (unsigned long long)eq_.now());
             if (tag == FgTag::Invalid)
                 continue;
             auto r = host_.intervene(frame, i, true, eq_.now());
             e->tags->set(i, FgTag::Invalid);
-            if (r.done > eq_.now())
-                co_await DelayAwaiter(eq_, r.done - eq_.now());
+            co_await until(r.done);
             if (r.dirty)
                 dram_.access(eq_.now()); // collect into the page cache
             if (tag == FgTag::Exclusive) {
                 co_await dramAccess(); // read the line for writeback
-                Msg wb;
-                wb.type = MsgType::Writeback;
-                wb.dst = e->dynHome;
-                wb.gpage = e->gpage;
-                wb.lineIdx = i;
-                wb.dstFrameHint = e->homeFrameHint;
-                wb.dirty = true;
-                wb.requester = self_;
-                ++stats_.writebacksSent;
-                ++wrote;
-                send(std::move(wb));
+                releaseLine(*e, i, true, false);
             }
         } else {
             auto r = host_.intervene(frame, i, true, eq_.now());
-            if (r.done > eq_.now())
-                co_await DelayAwaiter(eq_, r.done - eq_.now());
-            if (!r.found)
-                continue;
-            if (r.dirty) {
-                Msg wb;
-                wb.type = MsgType::Writeback;
-                wb.dst = e->dynHome;
-                wb.gpage = e->gpage;
-                wb.lineIdx = i;
-                wb.dstFrameHint = e->homeFrameHint;
-                wb.dirty = true;
-                wb.requester = self_;
-                ++stats_.writebacksSent;
-                ++wrote;
-                send(std::move(wb));
-            } else if (r.exclusive) {
-                Msg h;
-                h.type = MsgType::ReplaceHint;
-                h.dst = e->dynHome;
-                h.gpage = e->gpage;
-                h.lineIdx = i;
-                h.dstFrameHint = e->homeFrameHint;
-                h.requester = self_;
-                ++stats_.replaceHintsSent;
-                send(std::move(h));
-            }
+            co_await until(r.done);
+            // A dirty copy is written back; a clean exclusive one is
+            // released with a hint.
+            if (r.found && (r.dirty || r.exclusive))
+                releaseLine(*e, i, r.dirty, false);
         }
     }
-    if (wb_lines)
-        *wb_lines = wrote;
 }
 
 void
@@ -573,56 +528,24 @@ CoherenceController::clientPageQuiescent(FrameNum frame) const
 Cycles
 CoherenceController::homeRemoveClient(GPage gpage, NodeId client)
 {
-    auto pg = dir_.page(gpage);
-    prism_assert(pg, "homeRemoveClient on absent page");
-    Cycles c = 0;
-    for (std::uint32_t i = 0; i < pg.size(); ++i) {
-        auto d = pg.line(i);
-        c += cfg_.dirCacheHit; // sequential page walk mostly hits
-        if (d.state() == DirState::Shared) {
-            d.removeSharer(client);
-            if (d.noSharers()) {
-                d.setState(DirState::Uncached);
-            }
-        }
-        // Owned(client) lines are left alone: the client's page-out
-        // flush put a Writeback (or ReplaceHint) in flight before the
-        // PageOutNotice, and pairwise-FIFO delivery means it is
-        // already in our pipeline — it performs the Owned->Uncached
-        // transition and carries the data.  Resetting the line here
-        // instead would let a racing request read stale home memory
-        // while the writeback is still paying its occupancy delays
-        // (silent loss of the owner's last writes).  Until the
-        // writeback lands, requests take the 3-party path and retry
-        // on FetchNack.
-    }
-    return c;
+    homeApplyPage(HomeEvent::ClientGone, gpage, client);
+    // Sequential page walk: mostly directory-cache hits.
+    return geo_.linesPerPage() * cfg_.dirCacheHit;
 }
 
 void
 CoherenceController::removeHomeMapping(FrameNum frame, GPage gpage)
 {
-    prism_assert(dir_.hasPage(gpage), "removeHomeMapping without dir page");
-    if (oracle_) {
-        // The kernel has flushed processor copies into the frame, so
-        // lines we owned leave with the frame (= memory) current.
-        auto pg = dir_.page(gpage);
-        for (std::uint32_t i = 0; i < pg.size(); ++i) {
-            auto d = pg.line(i);
-            if (d.state() == DirState::Owned && d.owner() == self_)
-                oracle_->onMigrateFlush(self_, gpage, i);
-        }
-    }
+    // The kernel has flushed processor copies into the frame, so lines
+    // we owned leave with the frame (= memory) current.
+    homeApplyPage(HomeEvent::MigrateFlush, gpage, self_);
     dir_.removePage(gpage);
     homeMeta_.erase(gpage);
     pit_.remove(frame);
     if (staticHomeOf_(gpage) == self_) {
         registry_.erase(gpage);
     } else {
-        Msg m;
-        m.type = MsgType::MigrateDone;
-        m.dst = staticHomeOf_(gpage);
-        m.gpage = gpage;
+        Msg m(MsgType::MigrateDone, staticHomeOf_(gpage), gpage);
         m.aux = 1; // erase-registry sentinel
         send(std::move(m));
     }
@@ -699,10 +622,7 @@ CoherenceController::onMessage(Msg m)
         NodeId target = static_cast<NodeId>(m.aux);
         if (it->second == target)
             return;
-        Msg prep;
-        prep.type = MsgType::MigratePrep;
-        prep.dst = it->second;
-        prep.gpage = m.gpage;
+        Msg prep(MsgType::MigratePrep, it->second, m.gpage);
         prep.aux = m.aux;
         send(std::move(prep));
         return;
@@ -725,6 +645,45 @@ CoherenceController::onMessage(Msg m)
     }
 }
 
+const HomeTransition &
+CoherenceController::homeCell(HomeEvent ev, Directory::LineRef d,
+                              GPage gpage, std::uint32_t li, NodeId sender)
+{
+    const HomeView v = homeView(d, sender, self_);
+    const HomeTransition &t = HomeProtocol::get().on(v, ev);
+    TRC(gpage, li, "home%u %s %s from n%u -> %s actions=%#x owner=%u sh=%s "
+        "t=%llu", self_, homeViewName(v), homeEventName(ev), sender,
+        homeNextName(t.next), t.actions, d.owner(),
+        d.sharers().toString().c_str(), (unsigned long long)eq_.now());
+    return t;
+}
+
+void
+CoherenceController::homeCommit(const HomeTransition &t,
+                                Directory::LineRef d, GPage gpage,
+                                std::uint32_t li, NodeId sender,
+                                NodeId prev_owner, bool dirty)
+{
+    applyHomeNext(d, t.next, sender, prev_owner);
+    if ((t.actions & kHomeCollectDirty) && dirty)
+        dram_.access(eq_.now());
+    if (oracle_)
+        oracle_->onHomeTransition(t.hook, self_, gpage, li, sender, dirty);
+}
+
+void
+CoherenceController::homeApplyPage(HomeEvent ev, GPage gpage, NodeId sender)
+{
+    auto pg = dir_.page(gpage);
+    prism_assert(pg, "home %s on a page not homed here",
+                 homeEventName(ev));
+    for (std::uint32_t i = 0; i < pg.size(); ++i) {
+        auto d = pg.line(i);
+        homeCommit(homeCell(ev, d, gpage, i, sender), d, gpage, i, sender,
+                   kInvalidNode, false);
+    }
+}
+
 FireAndForget
 CoherenceController::handleHomeRequest(Msg m)
 {
@@ -734,24 +693,12 @@ CoherenceController::handleHomeRequest(Msg m)
         co_return;
     }
     ++stats_.homeRequests;
-    noteHomeAccess(m.gpage, m.requester);
-    if (cfg_.dirClientFrameHints &&
-        m.requesterFrame != kInvalidFrame) {
-        auto hm = homeMeta_.find(m.gpage);
-        if (hm != homeMeta_.end()) {
-            if (hm->second.clientFrames.empty()) {
-                hm->second.clientFrames.assign(cfg_.numNodes,
-                                               kInvalidFrame);
-            }
-            hm->second.clientFrames[m.requester] = m.requesterFrame;
-        }
-    }
+    noteHomeAccess(m);
 
     bool hash = false;
     FrameNum hf = pit_.reverse(m.gpage, m.dstFrameHint, hash);
     prism_assert(hf != kInvalidFrame, "home has dir page but no PIT entry");
     co_await delay(pit_.reverseCycles(hash));
-    PitEntry *he = nullptr;
 
     const std::uint32_t li = m.lineIdx;
     const GLine gl = geo_.lineOf(m.gpage, li);
@@ -768,7 +715,7 @@ CoherenceController::handleHomeRequest(Msg m)
     // may have moved it.
     hf = pit_.frameOf(m.gpage);
     prism_assert(hf != kInvalidFrame, "home page lost its frame");
-    he = pit_.entry(hf);
+    PitEntry *he = pit_.entry(hf);
     // Remote requests touch the home frame's data: count the line as
     // accessed for the utilization statistics (Table 3).
     if (he->accessed)
@@ -777,81 +724,22 @@ CoherenceController::handleHomeRequest(Msg m)
     co_await delay(dir_.access(gl));
     auto d = dir_.line(m.gpage, li);
     const NodeId req = m.requester;
-    const bool for_write = (m.type != MsgType::ReqS);
-    TRC(m.gpage, li, "home%u req %s from n%u state=%s owner=%u sh=%s t=%llu",
-        self_, msgTypeName(m.type), req, dirStateName(d.state()), d.owner(),
-        d.sharers().toString().c_str(), (unsigned long long)eq_.now());
-
+    const HomeEvent ev = m.type == MsgType::ReqS   ? HomeEvent::ReqS
+                         : m.type == MsgType::ReqX ? HomeEvent::ReqX
+                                                   : HomeEvent::Upgrade;
     for (;;) {
-        if (d.state() == DirState::Uncached) {
-            co_await dramAccess();
-            Msg r;
-            r.type = MsgType::Data;
-            r.dst = req;
-            r.gpage = m.gpage;
-            r.lineIdx = li;
-            r.requester = req;
-            r.dstFrameHint = m.requesterFrame;
-            r.homeFrame = hf;
-            r.dynHome = self_;
-            r.exclusive = true;
-            d.setState(DirState::Owned);
-            d.setOwner(req);
-            d.clearSharers();
-            if (oracle_)
-                oracle_->onHomeGrantFromMemory(self_, m.gpage, li, req);
-            send(std::move(r));
-            break;
-        }
-        if (d.state() == DirState::Shared) {
-            if (!for_write) {
-                co_await dramAccess();
-                Msg r;
-                r.type = MsgType::Data;
-                r.dst = req;
-                r.gpage = m.gpage;
-                r.lineIdx = li;
-                r.requester = req;
-                r.dstFrameHint = m.requesterFrame;
-                r.homeFrame = hf;
-                r.dynHome = self_;
-                r.exclusive = false;
-                d.addSharer(req);
-                if (oracle_)
-                    oracle_->onHomeGrantFromMemory(self_, m.gpage, li,
-                                                   req);
-                send(std::move(r));
-                break;
-            }
-            // Write to a shared line: invalidate the other sharers.
-            const bool req_was_sharer = d.isSharer(req);
+        const HomeTransition &t = homeCell(ev, d, m.gpage, li, req);
+        const bool excl = t.next == HomeNext::SenderOwns;
+        const NodeId prev_owner = d.owner();
+        std::uint32_t acks = 0;
+        if (t.actions & kHomeInvalSharers) {
             if (d.isSharer(self_) && self_ != req) {
-                // Home's own copy is invalidated inline; mirror
-                // handleClientInv and poison any racing local
-                // transaction or pending fill for the line.
-                auto pt = pending_.find(gl);
-                if (pt != pending_.end())
-                    pt->second->invalidatedMidFlight = true;
-                auto ft = fillPending_.find(gl);
-                if (ft != fillPending_.end())
-                    ft->second.invalidated = true;
-                // State changes are synchronous with the snoop; only
-                // the timing is awaited afterwards.
-                auto r = host_.intervene(hf, li, true, eq_.now());
-                if (he->tags &&
-                    he->tags->get(li) != FgTag::Transit) {
-                    he->tags->set(li, FgTag::Invalid);
-                }
-                d.removeSharer(self_);
-                if (oracle_)
-                    oracle_->onInvalidate(self_, m.gpage, li);
-                if (r.done > eq_.now())
-                    co_await DelayAwaiter(eq_, r.done - eq_.now());
+                applyHomeNext(d, HomeNext::RemoveSender, self_,
+                              kInvalidNode);
+                co_await invalidateLocal(m.gpage, li, hf, 0);
             }
-            std::uint32_t acks = 0;
             // Snapshot the fan-out targets before the first suspension
-            // point; members are visited in ascending node order, as
-            // the old bitmask probe loop did.
+            // point; members are visited in ascending node order.
             SharerSet rest = SharerSet::fromRef(d.sharers());
             rest.remove(req);
             rest.remove(self_);
@@ -868,11 +756,7 @@ CoherenceController::handleHomeRequest(Msg m)
                 // Serialized sends: the controller occupancy per
                 // invalidation yields the paper's +80n latency slope.
                 co_await occupy(cfg_.ctrlOverhead);
-                Msg inv;
-                inv.type = MsgType::Inv;
-                inv.dst = n;
-                inv.gpage = m.gpage;
-                inv.lineIdx = li;
+                Msg inv(MsgType::Inv, n, m.gpage, li);
                 inv.requester = req;
                 if (cfg_.dirClientFrameHints) {
                     auto hm = homeMeta_.find(m.gpage);
@@ -886,54 +770,8 @@ CoherenceController::handleHomeRequest(Msg m)
                 eq_.snapNote(SnapKind::InvalSent);
                 send(std::move(inv));
             }
-            if (m.type == MsgType::Upgrade && req_was_sharer) {
-                Msg r;
-                r.type = MsgType::UpgAck;
-                r.dst = req;
-                r.gpage = m.gpage;
-                r.lineIdx = li;
-                r.requester = req;
-                r.homeFrame = hf;
-                r.dynHome = self_;
-                r.exclusive = true;
-                r.ackCount = acks;
-                if (oracle_)
-                    oracle_->onHomeUpgradeGrant(self_, m.gpage, li, req);
-                send(std::move(r));
-            } else {
-                co_await dramAccess();
-                Msg r;
-                r.type = MsgType::Data;
-                r.dst = req;
-                r.gpage = m.gpage;
-                r.lineIdx = li;
-                r.requester = req;
-                r.dstFrameHint = m.requesterFrame;
-                r.homeFrame = hf;
-                r.dynHome = self_;
-                r.exclusive = true;
-                r.ackCount = acks;
-                if (oracle_)
-                    oracle_->onHomeGrantFromMemory(self_, m.gpage, li,
-                                                   req);
-                send(std::move(r));
-            }
-            d.setState(DirState::Owned);
-            d.setOwner(req);
-            d.clearSharers();
-            break;
         }
-        // Owned.
-        if (d.owner() == req) {
-            warn("owner==req: msg=%s req=%u home=%u gpage=%llx li=%u "
-                 "sharers=%s",
-                 msgTypeName(m.type), req, self_,
-                 static_cast<unsigned long long>(m.gpage), li,
-                 d.sharers().toString().c_str());
-        }
-        prism_assert(d.owner() != req,
-                     "owner node re-requesting a line it owns");
-        if (d.owner() == self_) {
+        if (t.actions & kHomeRecallSelf) {
             // If our own exclusive grant for this line is still in
             // flight (loopback reply not yet consumed), wait for it to
             // land — the remote-owner equivalent is the FetchNack
@@ -941,85 +779,46 @@ CoherenceController::handleHomeRequest(Msg m)
             // waiting here cannot deadlock.
             while (pending_.count(gl) || fillPending_.count(gl))
                 co_await delay(cfg_.retryDelay);
-            TRC(m.gpage, li, "home%u self-own intervene w=%d tag=%s t=%llu",
-                self_, (int)for_write,
-                he->tags ? fgTagName(he->tags->get(li)) : "-",
-                (unsigned long long)eq_.now());
-            // 2-party transaction with the home's own copy.  Tag and
-            // directory changes are synchronous with the snoop.
-            auto r = host_.intervene(hf, li, for_write, eq_.now());
-            if (he->tags && he->tags->get(li) != FgTag::Transit) {
-                he->tags->set(li,
-                              for_write ? FgTag::Invalid : FgTag::Shared);
-            }
-            if (r.done > eq_.now())
-                co_await DelayAwaiter(eq_, r.done - eq_.now());
+            // 2-party transaction with the home's own copy.  Tag
+            // changes are synchronous with the snoop.
+            auto r = host_.intervene(hf, li, excl, eq_.now());
+            if (he->tags && he->tags->get(li) != FgTag::Transit)
+                he->tags->set(li, excl ? FgTag::Invalid : FgTag::Shared);
+            co_await until(r.done);
             if (r.dirty)
                 dram_.access(eq_.now()); // collect into memory
-            co_await dramAccess(); // read for the reply
-            Msg rep;
-            rep.type = MsgType::Data;
-            rep.dst = req;
-            rep.gpage = m.gpage;
-            rep.lineIdx = li;
-            rep.requester = req;
-            rep.dstFrameHint = m.requesterFrame;
-            rep.homeFrame = hf;
-            rep.dynHome = self_;
-            rep.exclusive = for_write;
-            if (for_write) {
-                d.setState(DirState::Owned);
-                d.setOwner(req);
-                d.clearSharers();
-            } else {
-                d.setState(DirState::Shared);
-                d.clearSharers();
-                d.addSharer(self_);
-                d.addSharer(req);
-                d.setOwner(kInvalidNode);
+        }
+        if (t.actions & kHomeFetchOwner) {
+            // 3-party transaction: intervene at the remote owner.
+            HomeWait wait(eq_);
+            homeWaits_[gl] = &wait;
+            Msg f(MsgType::Fetch, prev_owner, m.gpage, li);
+            f.requester = req;
+            f.requesterFrame = m.requesterFrame;
+            f.forWrite = excl;
+            f.homeFrame = hf;
+            f.dynHome = self_;
+            send(std::move(f));
+            co_await wait.event.wait();
+            homeWaits_.erase(gl);
+            if (wait.nacked) {
+                // The owner's writeback or replacement hint arrived
+                // before the nack (FIFO links) and already updated the
+                // directory; re-dispatch against the fresh state.
+                co_await delay(dir_.access(gl));
+                continue;
             }
-            if (oracle_)
-                oracle_->onHomeServeSelfOwned(self_, m.gpage, li, req,
-                                              for_write);
-            send(std::move(rep));
-            break;
+            if (wait.dirty)
+                dram_.access(eq_.now()); // sharing writeback into memory
         }
-        // 3-party transaction: intervene at the remote owner.
-        const NodeId owner = d.owner();
-        HomeWait wait(eq_);
-        homeWaits_[gl] = &wait;
-        Msg f;
-        f.type = MsgType::Fetch;
-        f.dst = owner;
-        f.gpage = m.gpage;
-        f.lineIdx = li;
-        f.requester = req;
-        f.requesterFrame = m.requesterFrame;
-        f.forWrite = for_write;
-        f.homeFrame = hf;
-        f.dynHome = self_;
-        send(std::move(f));
-        co_await wait.event.wait();
-        homeWaits_.erase(gl);
-        if (wait.nacked) {
-            // The owner's writeback or replacement hint arrived before
-            // the nack (FIFO links) and already updated the directory;
-            // re-dispatch against the fresh state.
-            co_await delay(dir_.access(gl));
-            continue;
-        }
-        if (wait.dirty)
-            dram_.access(eq_.now()); // sharing writeback into memory
-        if (for_write) {
-            d.setState(DirState::Owned);
-            d.setOwner(req);
-            d.clearSharers();
-        } else {
-            d.setState(DirState::Shared);
-            d.clearSharers();
-            d.addSharer(owner);
-            d.addSharer(req);
-            d.setOwner(kInvalidNode);
+        if (t.actions & kHomeReplyData)
+            co_await dramAccess();
+        homeCommit(t, d, m.gpage, li, req, prev_owner, false);
+        if (t.actions & (kHomeReplyData | kHomeReplyUpgAck)) {
+            replyToRequester(m,
+                             t.actions & kHomeReplyData ? MsgType::Data
+                                                        : MsgType::UpgAck,
+                             hf, self_, excl, acks);
         }
         break;
     }
@@ -1057,41 +856,10 @@ CoherenceController::handleWriteback(Msg m)
         co_return;
     }
     auto d = dir_.line(m.gpage, m.lineIdx);
-    TRC(m.gpage, m.lineIdx, "home%u wb from n%u keepS=%d state=%s owner=%u t=%llu",
-        self_, m.src, (int)m.keepShared, dirStateName(d.state()), d.owner(),
-        (unsigned long long)eq_.now());
-    if (d.state() == DirState::Owned && d.owner() == owner_id) {
-        if (m.keepShared) {
-            d.setState(DirState::Shared);
-            d.clearSharers();
-            d.addSharer(owner_id);
-            d.setOwner(kInvalidNode);
-        } else {
-            d.setState(DirState::Uncached);
-            d.setOwner(kInvalidNode);
-            d.clearSharers();
-        }
-        if (m.dirty)
-            dram_.access(eq_.now());
-        if (oracle_)
-            oracle_->onWritebackAccepted(self_, m.gpage, m.lineIdx,
-                                         owner_id, m.dirty, m.keepShared);
-    } else if (d.state() == DirState::Uncached && m.dirty) {
-        // The owner's page-out flush races its own PageOutNotice: the
-        // writeback is delivered first (pairwise FIFO) but pays the
-        // controller occupancy and PIT-reverse delays before reading
-        // the directory, while the kernel's homeRemoveClient runs at
-        // notice delivery and has already reset the line to Uncached.
-        // The data is still the latest value — collect it.  (A truly
-        // stale writeback finds the line re-Owned by the next owner
-        // and is dropped below: ownership can only move through this
-        // serialized controller.)
-        dram_.access(eq_.now());
-        if (oracle_)
-            oracle_->onWritebackAccepted(self_, m.gpage, m.lineIdx,
-                                         owner_id, true, false);
-    }
-    // Otherwise the writeback is stale (ownership already moved); drop.
+    const HomeEvent ev =
+        m.keepShared ? HomeEvent::WbKeepShared : HomeEvent::WbRelease;
+    homeCommit(homeCell(ev, d, m.gpage, m.lineIdx, owner_id), d, m.gpage,
+               m.lineIdx, owner_id, kInvalidNode, m.dirty);
     latency_.writeback.sample(eq_.now() - t0);
     if (trace_) {
         trace_->span("writeback", "coherence",
@@ -1107,43 +875,17 @@ CoherenceController::handleClientInv(Msg m)
     ++stats_.invalsReceived;
     TRC(m.gpage, m.lineIdx, "n%u inv t=%llu", self_,
         (unsigned long long)eq_.now());
-    // Poison any racing client transaction / pending fill for this
-    // line: a shared grant in flight must not install a stale copy.
-    {
-        GLine gl = geo_.lineOf(m.gpage, m.lineIdx);
-        auto pit_txn = pending_.find(gl);
-        if (pit_txn != pending_.end())
-            pit_txn->second->invalidatedMidFlight = true;
-        auto fit = fillPending_.find(gl);
-        if (fit != fillPending_.end())
-            fit->second.invalidated = true;
-    }
     // In the paper's evaluated configuration the directory does not
     // cache client frame numbers (Section 4.1), so invalidations
     // reverse-translate via the hash path; with the Section 4.3
-    // dirClientFrameHints option the message carries a hint.
+    // dirClientFrameHints option the message carries a hint.  Racing
+    // transactions are poisoned before the lookup: a shared grant in
+    // flight must not install a stale copy.
     bool hash = false;
     FrameNum f = pit_.reverse(m.gpage, m.dstFrameHint, hash);
-    co_await delay(pit_.reverseCycles(hash));
-    // Re-validate: the mapping may have been paged out (and the frame
-    // even reused) during the lookup delay.
-    PitEntry *e = (f == kInvalidFrame) ? nullptr : pit_.entry(f);
-    if (e && e->gpage == m.gpage) {
-        auto r = host_.intervene(f, m.lineIdx, true, eq_.now());
-        if (e->tags && e->tags->get(m.lineIdx) != FgTag::Transit)
-            e->tags->set(m.lineIdx, FgTag::Invalid);
-        if (oracle_)
-            oracle_->onInvalidate(self_, m.gpage, m.lineIdx);
-        if (r.done > eq_.now())
-            co_await DelayAwaiter(eq_, r.done - eq_.now());
-    }
-    Msg ack;
-    ack.type = MsgType::InvAck;
-    ack.dst = m.requester;
-    ack.gpage = m.gpage;
-    ack.lineIdx = m.lineIdx;
-    ack.requester = m.requester;
-    send(std::move(ack));
+    co_await invalidateLocal(m.gpage, m.lineIdx, f,
+                             pit_.reverseCycles(hash));
+    replyToRequester(m, MsgType::InvAck, kInvalidFrame, kInvalidNode, false);
 }
 
 FireAndForget
@@ -1163,16 +905,13 @@ CoherenceController::handleClientFetch(Msg m)
     if (e) {
         if (e->mode == PageMode::Scoma) {
             FgTag tag = e->tags->get(m.lineIdx);
-            TRC(m.gpage, m.lineIdx, "n%u fetch-scoma tag=%s t=%llu", self_,
-                fgTagName(tag), (unsigned long long)eq_.now());
             if (tag == FgTag::Exclusive) {
                 have = true;
                 auto r = host_.intervene(f, m.lineIdx, m.forWrite,
                                          eq_.now());
                 e->tags->set(m.lineIdx,
                              m.forWrite ? FgTag::Invalid : FgTag::Shared);
-                if (r.done > eq_.now())
-                    co_await DelayAwaiter(eq_, r.done - eq_.now());
+                co_await until(r.done);
                 if (r.dirty)
                     dram_.access(eq_.now()); // into the page cache
                 co_await dramAccess(); // read line for forwarding
@@ -1188,8 +927,7 @@ CoherenceController::handleClientFetch(Msg m)
             // home retry against fresh state.
             if (r.found && r.exclusive) {
                 have = true;
-                if (r.done > eq_.now())
-                    co_await DelayAwaiter(eq_, r.done - eq_.now());
+                co_await until(r.done);
                 dirty_to_home = !m.forWrite && r.dirty;
             }
         }
@@ -1199,36 +937,17 @@ CoherenceController::handleClientFetch(Msg m)
         (int)m.forWrite, (int)have, (unsigned long long)eq_.now());
     if (!have) {
         ++stats_.nacksSent;
-        Msg n;
-        n.type = MsgType::FetchNack;
-        n.dst = home;
-        n.gpage = m.gpage;
-        n.lineIdx = m.lineIdx;
-        send(std::move(n));
+        send(Msg(MsgType::FetchNack, home, m.gpage, m.lineIdx));
         co_return;
     }
 
     ++stats_.fetchesServed;
-    Msg dmsg;
-    dmsg.type = MsgType::DataFwd;
-    dmsg.dst = m.requester;
-    dmsg.gpage = m.gpage;
-    dmsg.lineIdx = m.lineIdx;
-    dmsg.requester = m.requester;
-    dmsg.dstFrameHint = m.requesterFrame;
-    dmsg.homeFrame = m.homeFrame;
-    dmsg.dynHome = m.dynHome;
-    dmsg.exclusive = m.forWrite;
     if (oracle_)
         oracle_->onOwnerServe(self_, m.gpage, m.lineIdx, m.requester,
                               m.forWrite);
-    send(std::move(dmsg));
+    replyToRequester(m, MsgType::DataFwd, m.homeFrame, m.dynHome, m.forWrite);
 
-    Msg x;
-    x.type = MsgType::XferNotice;
-    x.dst = home;
-    x.gpage = m.gpage;
-    x.lineIdx = m.lineIdx;
+    Msg x(MsgType::XferNotice, home, m.gpage, m.lineIdx);
     x.dirty = dirty_to_home;
     x.keepShared = !m.forWrite;
     send(std::move(x));
@@ -1237,18 +956,16 @@ CoherenceController::handleClientFetch(Msg m)
 FireAndForget
 CoherenceController::handleClientReply(Msg m)
 {
+    // Acks are counted at delivery; grants pay the controller first.
+    if (m.type != MsgType::InvAck)
+        co_await occupy(cfg_.ctrlOverhead);
+    auto it = pending_.find(geo_.lineOf(m.gpage, m.lineIdx));
+    prism_assert(it != pending_.end(), "%s without a transaction",
+                 msgTypeName(m.type));
     if (m.type == MsgType::InvAck) {
-        GLine gl = geo_.lineOf(m.gpage, m.lineIdx);
-        auto it = pending_.find(gl);
-        prism_assert(it != pending_.end(), "InvAck without a transaction");
         it->second->latch.arrive();
         co_return;
     }
-    co_await occupy(cfg_.ctrlOverhead);
-    GLine gl = geo_.lineOf(m.gpage, m.lineIdx);
-    auto it = pending_.find(gl);
-    prism_assert(it != pending_.end(), "%s reply without a transaction",
-                 msgTypeName(m.type));
     ClientTxn *t = it->second;
     t->exclusive = m.exclusive;
     t->dataFetched = (m.type != MsgType::UpgAck) && (m.src != self_);
@@ -1268,22 +985,25 @@ CoherenceController::handleClientReply(Msg m)
 void
 CoherenceController::requestMigration(GPage gpage, NodeId new_home)
 {
-    Msg m;
-    m.type = MsgType::MigrateReq;
-    m.dst = staticHomeOf_(gpage);
-    m.gpage = gpage;
+    Msg m(MsgType::MigrateReq, staticHomeOf_(gpage), gpage);
     m.aux = new_home;
     send(std::move(m));
 }
 
 void
-CoherenceController::noteHomeAccess(GPage gpage, NodeId requester)
+CoherenceController::noteHomeAccess(const Msg &m)
 {
-    auto it = homeMeta_.find(gpage);
+    auto it = homeMeta_.find(m.gpage);
     if (it == homeMeta_.end())
         return;
-    ++it->second.accessesByNode[requester];
-    ++it->second.totalAccesses;
+    HomeMeta &hm = it->second;
+    ++hm.accessesByNode[m.requester];
+    ++hm.totalAccesses;
+    if (cfg_.dirClientFrameHints && m.requesterFrame != kInvalidFrame) {
+        if (hm.clientFrames.empty())
+            hm.clientFrames.assign(cfg_.numNodes, kInvalidFrame);
+        hm.clientFrames[m.requester] = m.requesterFrame;
+    }
 }
 
 void
@@ -1338,39 +1058,18 @@ CoherenceController::handleMigratePrep(Msg m)
     // flush local processor copies into the home frame's memory.
     while (host_.anyBusPending(hf))
         co_await delay(cfg_.retryDelay);
-    for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
-        auto r = host_.intervene(hf, i, true, eq_.now());
-        if (r.done > eq_.now())
-            co_await DelayAwaiter(eq_, r.done - eq_.now());
-        if (r.dirty)
-            dram_.access(eq_.now());
-    }
+    co_await collectFrame(hf);
 
+    // Flushed above into the departing frame: the payload carries the
+    // latest value of the lines we owned as the new memory.
+    homeApplyPage(HomeEvent::MigrateFlush, gp, self_);
     auto payload = std::make_shared<MigrationPayload>();
     payload->dir = dir_.releasePage(gp);
-    for (std::uint32_t i = 0; i < payload->dir.size(); ++i) {
-        DirEntry &d = payload->dir[i];
-        if (d.state == DirState::Shared) {
-            d.removeSharer(self_);
-            if (d.sharers.empty())
-                d.state = DirState::Uncached;
-        } else if (d.state == DirState::Owned && d.owner == self_) {
-            d.state = DirState::Uncached;
-            d.owner = kInvalidNode;
-            // Flushed above into the departing frame: the payload
-            // carries the line's latest value as the new memory.
-            if (oracle_)
-                oracle_->onMigrateFlush(self_, gp, i);
-        }
-    }
     payload->kernelClients = host_.homeKernelClients(gp);
     payload->kernelClients.remove(self_);
     payload->kernelClients.remove(new_home);
 
-    Msg data;
-    data.type = MsgType::MigrateData;
-    data.dst = new_home;
-    data.gpage = gp;
+    Msg data(MsgType::MigrateData, new_home, gp);
     data.payload = payload;
     send(std::move(data));
 
@@ -1401,93 +1100,60 @@ CoherenceController::handleMigrateData(Msg m)
     prism_assert(!dir_.hasPage(gp), "migration target already home");
 
     bool hash = false;
-    FrameNum existing = pit_.reverse(gp, kInvalidFrame, hash);
-    FrameNum hf = kInvalidFrame;
-
-    if (existing != kInvalidFrame) {
-        PitEntry *e = pit_.entry(existing);
-        if (e->mode == PageMode::Scoma) {
-            // Promote the client page-cache frame to the home frame;
-            // its fine-grain tags already describe this node's rights.
-            hf = existing;
-            e->dynHome = self_;
-            e->homeFrameHint = existing;
-            if (oracle_) {
-                // Lines we own stay Owned(self) in the adopted
-                // directory, but the promoted frame is now the home
-                // memory and it holds our (latest) data.
-                for (std::uint32_t i = 0; i < payload->dir.size(); ++i) {
-                    const DirEntry &d = payload->dir[i];
-                    if (d.state == DirState::Owned && d.owner == self_)
-                        oracle_->onMigrateFlush(self_, gp, i);
-                }
-            }
-        } else {
-            // LA-NUMA client mapping: collect processor copies into
-            // memory, then retire the imaginary frame.
-            for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
-                auto r = host_.intervene(existing, i, true, eq_.now());
-                if (r.done > eq_.now())
-                    co_await DelayAwaiter(eq_, r.done - eq_.now());
-                if (r.dirty)
-                    dram_.access(eq_.now());
-            }
-            for (std::uint32_t i = 0; i < payload->dir.size(); ++i) {
-                DirEntry &d = payload->dir[i];
-                if (d.state == DirState::Shared) {
-                    d.removeSharer(self_);
-                    if (d.sharers.empty())
-                        d.state = DirState::Uncached;
-                } else if (d.state == DirState::Owned &&
-                           d.owner == self_) {
-                    d.state = DirState::Uncached;
-                    d.owner = kInvalidNode;
-                    // Collected above into what is now home memory.
-                    if (oracle_)
-                        oracle_->onMigrateFlush(self_, gp, i);
-                }
-            }
-            pit_.remove(existing);
-            host_.migrationFreeFrame(existing, gp);
-        }
+    const FrameNum existing = pit_.reverse(gp, kInvalidFrame, hash);
+    // A client S-COMA frame is promoted to the home frame: its
+    // fine-grain tags already describe this node's rights.
+    const bool promote = existing != kInvalidFrame &&
+                         pit_.entry(existing)->mode == PageMode::Scoma;
+    if (existing != kInvalidFrame && !promote) {
+        // LA-NUMA client mapping: collect processor copies into
+        // memory, then retire the imaginary frame.
+        co_await collectFrame(existing);
+        pit_.remove(existing);
+        host_.migrationFreeFrame(existing, gp);
     }
 
-    if (hf == kInvalidFrame) {
+    dir_.adoptPage(gp, payload->dir);
+    auto pg = dir_.page(gp);
+    FrameNum hf = existing;
+    if (promote) {
+        PitEntry *e = pit_.entry(hf);
+        e->dynHome = self_;
+        e->homeFrameHint = hf;
+        // Lines we own stay Owned(self), but the promoted frame is now
+        // the home memory and it holds our (latest) data.
+        for (std::uint32_t i = 0; oracle_ && i < pg.size(); ++i) {
+            if (homeView(pg.line(i), self_, self_) == HomeView::OwnedSender)
+                oracle_->onHomeTransition(HomeHook::MigrateFlush, self_, gp,
+                                          i, self_, false);
+        }
+    } else {
+        // Copies collected above are now home memory.
+        if (existing != kInvalidFrame)
+            homeApplyPage(HomeEvent::MigrateFlush, gp, self_);
         hf = host_.migrationAllocFrame(gp);
         prism_assert(hf != kInvalidFrame, "migration frame alloc failed");
         PitEntry &e = pit_.install(hf, gp, staticHomeOf_(gp), self_, hf,
                                    PageMode::Scoma, geo_.linesPerPage(),
                                    FgTag::Invalid);
-        // Derive this node's tags from the transferred directory.
-        for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
-            const DirEntry &d = payload->dir[i];
-            if (d.state == DirState::Owned && d.owner == self_)
+        // Derive this node's tags from its view of the directory.
+        for (std::uint32_t i = 0; i < pg.size(); ++i) {
+            const HomeView v = homeView(pg.line(i), self_, self_);
+            if (v == HomeView::OwnedSender)
                 e.tags->set(i, FgTag::Exclusive);
-            else if (d.state == DirState::Shared && d.isSharer(self_))
+            else if (v == HomeView::SharedSender)
                 e.tags->set(i, FgTag::Shared);
         }
     }
-
-    dir_.adoptPage(gp, std::move(payload->dir));
-    lineLock(gp, 0); // materialize locks
-    HomeMeta &hm = homeMeta_[gp];
-    hm.homeFrame = hf;
-    hm.accessesByNode.assign(cfg_.numNodes, 0);
-    hm.totalAccesses = 0;
-    hm.migrating = false;
+    becomeHome(gp, hf);
     host_.homeKernelAdopt(gp, payload->kernelClients);
-    movedTo_.erase(gp);
     ++stats_.migrationsIn;
 
     // Charge receipt of the page-sized payload into memory.
     for (int i = 0; i < 8; ++i)
         dram_.access(eq_.now());
 
-    Msg done;
-    done.type = MsgType::MigrateDone;
-    done.dst = staticHomeOf_(gp);
-    done.gpage = gp;
-    send(std::move(done));
+    send(Msg(MsgType::MigrateDone, staticHomeOf_(gp), gp));
 }
 
 void

@@ -13,7 +13,9 @@
  * client side (misses, upgrades, writebacks, incoming invalidations and
  * interventions) and the home side (full-map directory, per-line
  * request serialization, 2-party and 3-party transactions, serialized
- * invalidation fan-out), plus lazy page migration (Section 3.5).
+ * invalidation fan-out), plus lazy page migration (Section 3.5).  The
+ * home side interprets the transition table of home_protocol.hh: every
+ * directory write goes through it.
  *
  * Protocol handlers run as coroutines on the deterministic event
  * queue; controller occupancy, PIT, directory-cache, memory and
@@ -24,14 +26,13 @@
 #define PRISM_COHERENCE_CONTROLLER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "coherence/directory.hh"
+#include "coherence/home_protocol.hh"
 #include "coherence/msg.hh"
 #include "coherence/pit.hh"
 #include "core/config.hh"
@@ -242,10 +243,9 @@ class CoherenceController
     /**
      * Flush a client page for page-out: wait for Transit lines to
      * settle, invalidate local processor copies, write dirty lines
-     * back to the home.  @p wb_lines (optional) receives the number of
-     * lines written back.
+     * back to the home.
      */
-    CoTask flushClientPage(FrameNum frame, std::uint64_t *wb_lines);
+    CoTask flushClientPage(FrameNum frame);
 
     /** Remove a client PIT entry after flushing. */
     void removeClientMapping(FrameNum frame);
@@ -311,9 +311,6 @@ class CoherenceController
     /** Deliver a protocol message to this controller. */
     void onMessage(Msg m);
 
-    /** Outstanding client transactions (draining / test support). */
-    std::size_t pendingTransactions() const { return pending_.size(); }
-
     /** Attach the protocol oracle (Machine construction). */
     void setOracle(ProtocolOracle *o) { oracle_ = o; }
 
@@ -356,12 +353,53 @@ class CoherenceController
 
     // Timing helpers.
     DelayAwaiter delay(Cycles c) { return DelayAwaiter(eq_, c); }
+
+    /** Wait until tick @p t (no suspension if it has passed). */
+    DelayAwaiter
+    until(Tick t)
+    {
+        return delay(t > eq_.now() ? t - eq_.now() : 0);
+    }
+
     DelayAwaiter occupy(Cycles c);
     DelayAwaiter dramAccess();
 
     // Messaging helpers.
     void send(Msg &&m);
     void forward(Msg &&m);
+
+    /**
+     * Give a line (or its ownership) back to the home: a Writeback
+     * carrying @p dirty data, or a ReplaceHint for a clean release.
+     */
+    void releaseLine(const PitEntry &e, std::uint32_t line_idx, bool dirty,
+                     bool keep_shared);
+
+    /**
+     * Send the requester of @p m (a request, Fetch or Inv) its reply:
+     * the home's Data/UpgAck grant, the owner's DataFwd or an InvAck.
+     */
+    void replyToRequester(const Msg &m, MsgType type, FrameNum home_frame,
+                          NodeId dyn_home, bool exclusive,
+                          std::uint32_t acks = 0);
+
+    /**
+     * Snoop every line of @p frame out of the processor caches,
+     * collecting dirty data into memory.
+     */
+    CoTask collectFrame(FrameNum frame);
+
+    /**
+     * Invalidate this node's copy of a line inline: poison any racing
+     * client transaction or pending fill, wait @p lookup cycles (the
+     * PIT reverse translation that found @p frame), then snoop the
+     * processor caches, drop the fine-grain tag and tell the oracle.
+     * State changes are synchronous with the snoop; only its timing is
+     * awaited.  The snoop is skipped if @p frame no longer maps
+     * @p gpage by then.
+     */
+    CoTask invalidateLocal(GPage gpage, std::uint32_t line_idx,
+                           FrameNum frame, Cycles lookup);
 
     CoMutex &lineLock(GPage gpage, std::uint32_t line_idx);
 
@@ -380,8 +418,24 @@ class CoherenceController
     FireAndForget handleMigratePrep(Msg m);
     FireAndForget handleMigrateData(Msg m);
 
-    // Home-side helpers.
-    void noteHomeAccess(GPage gpage, NodeId requester);
+    // Home-protocol interpreter (home_protocol.hh).  homeCell looks up
+    // the cell for @p sender's view of @p d and traces it; homeCommit
+    // collects dirty writeback data, writes the next state and calls
+    // the oracle hook; homeApplyPage runs a synchronous event over
+    // every line of a page.
+    const HomeTransition &homeCell(HomeEvent ev, Directory::LineRef d,
+                                   GPage gpage, std::uint32_t li,
+                                   NodeId sender);
+    void homeCommit(const HomeTransition &t, Directory::LineRef d,
+                    GPage gpage, std::uint32_t li, NodeId sender,
+                    NodeId prev_owner, bool dirty);
+    void homeApplyPage(HomeEvent ev, GPage gpage, NodeId sender);
+
+    // Home-side helpers.  becomeHome sets up the per-page home state
+    // of a page mapped in or migrated here; noteHomeAccess counts a request toward the
+    // migration policy and caches the requester's frame hint.
+    void becomeHome(GPage gpage, FrameNum home_frame);
+    void noteHomeAccess(const Msg &m);
     void maybeTriggerMigration(GPage gpage);
 
     NodeId self_;

@@ -16,10 +16,11 @@
  * peerReadFill(), ...) what state to install — the Invalid row is
  * therefore entirely illegal by design.
  *
- * The inter-node directory protocol (coherence/controller) is
- * unchanged and protocol-agnostic: it tracks node-level Owned/Shared,
- * and every scheme here maps owner-class processor states onto
- * node-level ownership the same way (see ownerClass() in mem/cache).
+ * The inter-node directory protocol is the other table-driven level:
+ * the home table of coherence/home_protocol.hh.  It is the same under
+ * every scheme here — it tracks node-level Owned/Shared, and every
+ * scheme maps owner-class processor states onto node-level ownership
+ * the same way (see ownerClass() in mem/cache).
  */
 
 #ifndef PRISM_COHERENCE_LINE_PROTOCOL_HH

@@ -66,6 +66,14 @@ bool isKernelMsg(MsgType t);
 
 /** A protocol message. */
 struct Msg {
+    Msg() = default;
+
+    /** A @p t message to @p to about line @p line_idx of @p gp. */
+    Msg(MsgType t, NodeId to, GPage gp, std::uint32_t line_idx = 0)
+        : type(t), dst(to), gpage(gp), lineIdx(line_idx)
+    {
+    }
+
     MsgType type{};
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;

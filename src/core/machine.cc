@@ -191,17 +191,15 @@ Machine::route(Msg &&m)
     static_assert(sizeof(deliver) <= EventQueue::Callback::kCapacity,
                   "route() delivery capture outgrew the event-callback "
                   "inline buffer; bump kEventCallbackBytes");
-    if (oracle_) {
-        oracle_->traceMsg(ssh.eq.now(), boxed->src, boxed->dst,
-                          static_cast<std::uint16_t>(boxed->type),
-                          boxed->gpage, boxed->lineIdx);
-    }
-    // Always-on last-N message history: a few plain stores per message.
-    ssh.msgRing.push(TraceEvent{ssh.eq.now(), boxed->gpage,
-                                boxed->lineIdx,
-                                static_cast<std::uint16_t>(boxed->type),
-                                static_cast<std::uint8_t>(boxed->src),
-                                static_cast<std::uint8_t>(boxed->dst)});
+    // Always-on last-N message history (a few plain stores per
+    // message), and the oracle's own copy for its violation dumps.
+    const TraceEvent ev{ssh.eq.now(), boxed->gpage, boxed->lineIdx,
+                        static_cast<std::uint16_t>(boxed->type),
+                        static_cast<std::uint16_t>(boxed->src),
+                        static_cast<std::uint16_t>(boxed->dst)};
+    ssh.msgRing.push(ev);
+    if (oracle_)
+        oracle_->traceMsg(ev);
     if (trace_) {
         trace_->instant(msgTypeName(boxed->type), "msg",
                         static_cast<std::int32_t>(boxed->dst),

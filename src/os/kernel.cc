@@ -153,12 +153,10 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
         const Tick pi0 = eq_.now();
         PageInWait w(eq_);
         pendingPageIn_[gp] = &w;
-        Msg m;
-        m.type = MsgType::PageInReq;
-        m.dst = dyn_home_hint != kInvalidNode ? dyn_home_hint
-                                              : staticHomeOf_(gp);
-        m.gpage = gp;
-        send(std::move(m));
+        send(Msg(MsgType::PageInReq,
+                 dyn_home_hint != kInvalidNode ? dyn_home_hint
+                                               : staticHomeOf_(gp),
+                 gp));
         co_await w.ev.wait();
         pendingPageIn_.erase(gp);
         ch = CachedHome{w.dynHome, w.homeFrame};
@@ -271,7 +269,7 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
     // the same event — after that, late accesses bounce (BadFrame)
     // and re-fault.
     for (;;) {
-        co_await ctrl_->flushClientPage(f, nullptr);
+        co_await ctrl_->flushClientPage(f);
         if (ctrl_->isDynHome(gp)) {
             // A migration promoted our frame to home mid-flush; the
             // flush's writebacks were absorbed by our own (adopted)
@@ -291,11 +289,7 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
     // Tell the home we no longer cache the page.
     NoticeWait w(eq_);
     pendingNoticeAck_[gp] = &w;
-    Msg m;
-    m.type = MsgType::PageOutNotice;
-    m.dst = dyn_home;
-    m.gpage = gp;
-    send(std::move(m));
+    send(Msg(MsgType::PageOutNotice, dyn_home, gp));
     co_await w.ev.wait();
     pendingNoticeAck_.erase(gp);
 
@@ -340,11 +334,7 @@ Kernel::pageOutHome(GPage gp)
     std::uint32_t n = 0;
     for (NodeId c = clients.first(); c != kInvalidNode;
          c = clients.next(c)) {
-        Msg m;
-        m.type = MsgType::HomePageOutReq;
-        m.dst = c;
-        m.gpage = gp;
-        send(std::move(m));
+        send(Msg(MsgType::HomePageOutReq, c, gp));
         ++n;
     }
     latch.expect(n);
@@ -577,10 +567,7 @@ Kernel::onPageInReq(Msg m)
     co_await delay(cfg_.homePageInService);
     ++stats_.pageInRequestsServed;
 
-    Msg r;
-    r.type = MsgType::PageInRep;
-    r.dst = client;
-    r.gpage = gp;
+    Msg r(MsgType::PageInRep, client, gp);
     r.homeFrame = ctrl_->pit().frameOf(gp);
     r.dynHome = self_;
     send(std::move(r));
@@ -613,11 +600,7 @@ Kernel::onPageOutNotice(Msg m)
     Cycles c = ctrl_->homeRemoveClient(gp, client);
     co_await delay(c);
 
-    Msg r;
-    r.type = MsgType::PageOutNoticeAck;
-    r.dst = client;
-    r.gpage = gp;
-    send(std::move(r));
+    send(Msg(MsgType::PageOutNoticeAck, client, gp));
 }
 
 FireAndForget
@@ -632,11 +615,7 @@ Kernel::onHomePageOutReq(Msg m)
     }
     // If the page is mid-fault or mid-pageout locally, the in-flight
     // operation resolves the copy (its own notice covers us).
-    Msg r;
-    r.type = MsgType::HomePageOutAck;
-    r.dst = m.src;
-    r.gpage = gp;
-    send(std::move(r));
+    send(Msg(MsgType::HomePageOutAck, m.src, gp));
 }
 
 // ---------------------------------------------------------------------

@@ -109,42 +109,64 @@ TEST(FuzzProtocolSweep, CleanUnderJitterAndPageFlips)
     if (const char *env = std::getenv("PRISM_PROPERTY_SEED"))
         seed = std::strtoull(env, nullptr, 10);
 
+    // The default 4x2 machine, then 65x1 and 130x1: past 64 nodes the
+    // home's Inv fan-out walks a spilled SharerSet.  The wide machines
+    // get 4,000 ops so each processor still issues tens of operations.
+    struct Width {
+        std::uint32_t nodes, procsPerNode, ops;
+    };
     for (ProtocolScheme scheme : schemes) {
-        FuzzOptions opt;
-        opt.seed = seed;
-        opt.protocol = scheme;
-        opt.totalOps = 400;
-        // Vary the policy and frame cap with the seed so the sweep
-        // also crosses page-mode machinery per scheme.
-        opt.policy = seed % 2 ? PolicyKind::Scoma : PolicyKind::DynLru;
-        opt.clientFrameCap = seed % 2 ? 0 : 2;
-        FuzzResult r = runFuzzCase(opt, opt.totalOps);
-        EXPECT_FALSE(r.failed)
-            << protocolName(scheme) << " seed " << seed << ": "
-            << r.firstViolation;
-        EXPECT_GT(r.checksRun, 0u);
+        for (Width w : {Width{4, 2, 400}, Width{65, 1, 4000},
+                        Width{130, 1, 4000}}) {
+            FuzzOptions opt;
+            opt.seed = seed;
+            opt.protocol = scheme;
+            opt.numNodes = w.nodes;
+            opt.procsPerNode = w.procsPerNode;
+            opt.totalOps = w.ops;
+            // Vary the policy and frame cap with the seed so the sweep
+            // also crosses page-mode machinery per scheme.
+            opt.policy = seed % 2 ? PolicyKind::Scoma : PolicyKind::DynLru;
+            opt.clientFrameCap = seed % 2 ? 0 : 2;
+            FuzzResult r = runFuzzCase(opt, opt.totalOps);
+            EXPECT_FALSE(r.failed)
+                << protocolName(scheme) << " seed " << seed << " at "
+                << w.nodes << "x" << w.procsPerNode << ": "
+                << r.firstViolation;
+            EXPECT_GT(r.checksRun, 0u);
+        }
     }
 }
 
-/** The fault injection stays observable under every scheme. */
+/**
+ * The fault injection stays observable under every scheme, on the
+ * default 4x2 machine and on a 130x1 one whose fan-out spills.
+ */
 TEST(FuzzProtocolSweep, MutationCaughtUnderEveryScheme)
 {
     for (ProtocolScheme scheme :
          {ProtocolScheme::Msi, ProtocolScheme::Mesi,
           ProtocolScheme::Moesi, ProtocolScheme::Mesif}) {
-        FuzzOptions opt;
-        opt.protocol = scheme;
-        opt.totalOps = 600;
-        opt.mutationSkipInvals = 1;
-        bool caught = false;
-        for (std::uint64_t seed = 1; seed <= 10 && !caught; ++seed) {
-            opt.seed = seed;
-            if (runFuzzCase(opt, opt.totalOps).failed)
-                caught = true;
+        for (bool wide : {false, true}) {
+            FuzzOptions opt;
+            opt.protocol = scheme;
+            opt.totalOps = wide ? 4000 : 600;
+            if (wide) {
+                opt.numNodes = 130;
+                opt.procsPerNode = 1;
+            }
+            opt.mutationSkipInvals = 1;
+            bool caught = false;
+            for (std::uint64_t seed = 1; seed <= 10 && !caught; ++seed) {
+                opt.seed = seed;
+                if (runFuzzCase(opt, opt.totalOps).failed)
+                    caught = true;
+            }
+            EXPECT_TRUE(caught)
+                << protocolName(scheme) << " at " << opt.numNodes << "x"
+                << opt.procsPerNode
+                << ": no seed in 1..10 exposed the skipped invalidation";
         }
-        EXPECT_TRUE(caught)
-            << protocolName(scheme)
-            << ": no seed in 1..10 exposed the skipped invalidation";
     }
 }
 

@@ -405,6 +405,29 @@ TEST(Report, MessageRingRecordsRecentTraffic)
     const TraceRing &ring = m.messageRing();
     EXPECT_GT(ring.recorded(), 0u);
     EXPECT_GT(ring.size(), 0u);
+
+    // Past 255 nodes the ring keeps whole node ids: the highest nodes
+    // read a shared page, so their requests and replies name them.
+    MachineConfig cfg = testCfg();
+    cfg.numNodes = 260;
+    Machine wide(cfg);
+    wide.shmatAll(kSharedVsid, wide.shmget(kKey, 4 * kPageBytes));
+    wide.run([&](Proc &p) -> CoTask {
+        return [](Proc &pp) -> CoTask {
+            if (pp.id() >= 250)
+                co_await pp.read(makeVAddr(kSharedVsid, 0, 0));
+        }(p);
+    });
+    const TraceRing &wring = wide.messageRing();
+    ASSERT_GT(wring.size(), 0u);
+    bool high = false;
+    for (std::size_t i = 0; i < wring.size(); ++i) {
+        const TraceEvent &e = wring.recent(i);
+        EXPECT_LT(e.src, cfg.numNodes);
+        EXPECT_LT(e.dst, cfg.numNodes);
+        high = high || e.src >= 256 || e.dst >= 256;
+    }
+    EXPECT_TRUE(high) << "no node id >= 256 in the message ring";
 }
 
 } // namespace
