@@ -141,7 +141,9 @@ BENCHMARK(BM_TlbLookup);
 void
 BM_PitReverseHinted(benchmark::State &state)
 {
-    Pit pit(2, 18);
+    EventQueue eq;
+    PageRecords pages(eq, 64);
+    Pit pit(pages, 2, 18);
     for (FrameNum f = 0; f < 1024; ++f)
         pit.install(f, 0x1000 + f, 0, 0, f, PageMode::Scoma, 64,
                     FgTag::Invalid);
@@ -158,7 +160,9 @@ BENCHMARK(BM_PitReverseHinted);
 void
 BM_PitReverseHash(benchmark::State &state)
 {
-    Pit pit(2, 18);
+    EventQueue eq;
+    PageRecords pages(eq, 64);
+    Pit pit(pages, 2, 18);
     for (FrameNum f = 0; f < 1024; ++f)
         pit.install(f, 0x1000 + f, 0, 0, f, PageMode::Scoma, 64,
                     FgTag::Invalid);

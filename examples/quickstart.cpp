@@ -107,7 +107,7 @@ main()
             std::printf("  node %u: not mapped\n", n);
             continue;
         }
-        const PitEntry *e = pit.entry(f);
+        const Pit::Ref e = pit.entry(f);
         std::printf("  node %u: frame %llu, mode %s, %u/%u lines "
                     "valid\n",
                     n, (unsigned long long)f, pageModeName(e->mode),

@@ -99,7 +99,7 @@ void
 ProtocolOracle::onAccessCommit(NodeId node, ProcId proc, FrameNum frame,
                                std::uint64_t paddr, bool write)
 {
-    const PitEntry *e = m_.node(node).controller().pit().entry(frame);
+    const Pit::Ref e = m_.node(node).controller().pit().entry(frame);
     if (!e || e->gpage == kInvalidGPage)
         return; // private memory: no protocol state to check
     const GPage gp = e->gpage;
@@ -216,7 +216,7 @@ ProtocolOracle::checkLine(GPage gp, std::uint32_t li)
         const FrameNum f = pit.frameOf(gp);
         if (f == kInvalidFrame)
             continue;
-        const PitEntry *e = pit.entry(f);
+        const Pit::Ref e = pit.entry(f);
         const FgTag tag = e->tags ? e->tags->get(li) : FgTag::Invalid;
         const std::uint64_t paddr =
             (f << kPageShift) |
@@ -277,7 +277,7 @@ ProtocolOracle::sweepQuiescent()
     for (NodeId n = 0; n < nodes; ++n) {
         auto &ctrl = m_.node(n).controller();
         for (FrameNum f : ctrl.pit().globalFrames()) {
-            const PitEntry *e = ctrl.pit().entry(f);
+            const Pit::Ref e = ctrl.pit().entry(f);
             if (!ctrl.directory().hasPage(e->gpage))
                 continue;
             auto [it, fresh] = dir_home.emplace(e->gpage, n);
@@ -301,7 +301,7 @@ ProtocolOracle::sweepQuiescent()
         const Pit &pit = node.controller().pit();
         std::map<FrameNum, GPage> frame2page;
         for (FrameNum f : pit.globalFrames()) {
-            const PitEntry *e = pit.entry(f);
+            const PitEntry *e = &*pit.entry(f);
             views[n].mapped[e->gpage] = e;
             frame2page[f] = e->gpage;
         }

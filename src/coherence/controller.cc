@@ -33,7 +33,8 @@ CoherenceController::CoherenceController(
     : self_(self), cfg_(cfg), eq_(eq), dram_(dram), host_(host),
       staticHomeOf_(std::move(static_home_of)), sendFn_(std::move(send)),
       geo_(cfg.lineBytes),
-      pit_(cfg.pitLatency, cfg.pitHashExtra),
+      pages_(eq, geo_.linesPerPage()),
+      pit_(pages_, cfg.pitLatency, cfg.pitHashExtra),
       dir_(cfg.dirCacheEntries, cfg.dirCacheHit, cfg.dirCacheMiss,
            geo_.linesPerPage(), cfg.numNodes),
       mutationBudget_(cfg.mutationSkipInvals)
@@ -66,14 +67,13 @@ CoherenceController::forward(Msg &&m)
 {
     ++stats_.forwards;
     NodeId target;
-    auto moved = movedTo_.find(m.gpage);
-    if (moved != movedTo_.end()) {
-        target = moved->second;
+    auto rec = pages_.find(m.gpage);
+    if (rec && rec->movedTo != kInvalidNode) {
+        target = rec->movedTo;
     } else if (staticHomeOf_(m.gpage) == self_) {
-        auto r = registry_.find(m.gpage);
-        prism_assert(r != registry_.end(),
+        prism_assert(rec && rec->registry != kInvalidNode,
                      "static home has no registry entry for forwarded msg");
-        target = r->second;
+        target = rec->registry;
         prism_assert(target != self_, "registry points at a node "
                      "without the directory page");
     } else {
@@ -140,7 +140,7 @@ CoherenceController::invalidateLocal(GPage gpage, std::uint32_t line_idx,
     co_await delay(lookup);
     // Re-validate: the mapping may have been paged out (and the frame
     // even reused) during the lookup delay.
-    PitEntry *e = frame == kInvalidFrame ? nullptr : pit_.entry(frame);
+    auto e = pit_.entry(frame);
     if (!e || e->gpage != gpage)
         co_return;
     auto r = host_.intervene(frame, line_idx, true, eq_.now());
@@ -151,25 +151,12 @@ CoherenceController::invalidateLocal(GPage gpage, std::uint32_t line_idx,
     co_await until(r.done);
 }
 
-CoMutex &
-CoherenceController::lineLock(GPage gpage, std::uint32_t line_idx)
-{
-    auto &v = locks_[gpage];
-    if (v.empty()) {
-        v.reserve(geo_.linesPerPage());
-        for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i)
-            v.push_back(std::make_unique<CoMutex>(eq_));
-    }
-    return *v[line_idx];
-}
-
 bool
 CoherenceController::homePageQuiescent(GPage gpage) const
 {
-    auto it = locks_.find(gpage);
-    if (it != locks_.end()) {
-        for (const auto &l : it->second) {
-            if (l->held())
+    if (auto rec = pages_.find(gpage)) {
+        for (const CoMutex &l : rec->lineLocks) {
+            if (l.held())
                 return false;
         }
     }
@@ -183,8 +170,8 @@ CoherenceController::homePageQuiescent(GPage gpage) const
 NodeId
 CoherenceController::registryLookup(GPage gpage) const
 {
-    auto it = registry_.find(gpage);
-    return it == registry_.end() ? kInvalidNode : it->second;
+    auto rec = pages_.find(gpage);
+    return rec ? rec->registry : kInvalidNode;
 }
 
 // ---------------------------------------------------------------------
@@ -196,7 +183,7 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
                                  bool for_write, bool local_copy,
                                  MissResult *out)
 {
-    PitEntry *e = pit_.entry(frame);
+    const Pit::Ref e = pit_.entry(frame);
     if (!e) {
         // The mapping was paged out between the requester's address
         // translation and this point; bounce so it re-translates
@@ -204,7 +191,7 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
         out->source = MissSource::BadFrame;
         co_return;
     }
-    e->lastAccess = eq_.now();
+    pit_.touch(e, eq_.now());
     e->accessed->set(line_idx);
     prism_assert(e->mode != PageMode::Command,
                  "serviceMiss on a command-mode frame");
@@ -244,7 +231,7 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
     if (scoma)
         e->tags->set(line_idx, FgTag::Transit);
     bool poisoned = false;
-    co_await runClientTxn(mt, *e, frame, line_idx, out, &poisoned);
+    co_await runClientTxn(mt, e, frame, line_idx, out, &poisoned);
     if (scoma) {
         e->tags->set(line_idx, poisoned          ? FgTag::Invalid
                                : out->exclusive ? FgTag::Exclusive
@@ -259,44 +246,46 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
     // LA-NUMA: hold a fill token until the bus fill completes so no
     // second transaction (or stale fill) can slip into the window.
     if (!scoma && fillPending_.emplace(gl, FillToken{}).second)
-        pendingPageAdd(gpage);
+        pendingPageAdd(pages_.get(gpage));
 }
 
 CoTask
-CoherenceController::runClientTxn(MsgType mt, PitEntry &e, FrameNum frame,
+CoherenceController::runClientTxn(MsgType mt, Pit::Ref e, FrameNum frame,
                                   std::uint32_t line_idx, MissResult *out,
                                   bool *poisoned)
 {
-    GLine gl = geo_.lineOf(e.gpage, line_idx);
-    TRC(e.gpage, line_idx, "n%u %s txn %s t=%llu", self_,
-        pageModeName(e.mode), msgTypeName(mt),
+    const GPage gpage = e->gpage;
+    GLine gl = geo_.lineOf(gpage, line_idx);
+    TRC(gpage, line_idx, "n%u %s txn %s t=%llu", self_,
+        pageModeName(e->mode), msgTypeName(mt),
         (unsigned long long)eq_.now());
     ClientTxn txn(eq_);
     pending_[gl] = &txn;
-    pendingPageAdd(e.gpage);
+    // The pending line keeps the record live until the txn ends.
+    const PageRecords::Ref rec = e->page;
+    pendingPageAdd(rec);
 
     const Tick t0 = eq_.now();
     co_await occupy(cfg_.ctrlOverhead); // compose request, dispatch
 
-    Msg m(mt, e.dynHome, e.gpage, line_idx);
+    Msg m(mt, e->dynHome, gpage, line_idx);
     m.requester = self_;
     m.requesterFrame = frame;
-    m.dstFrameHint = e.homeFrameHint;
+    m.dstFrameHint = e->homeFrameHint;
     send(std::move(m));
 
-    const GPage gpage = e.gpage;
     co_await txn.latch.wait();
     pending_.erase(gl);
-    pendingPageRemove(gpage);
+    pendingPageRemove(rec);
 
     // `e` may be stale: while the transaction was in flight the page
     // can migrate TO this node, and adopting a LA-NUMA mapping retires
     // its imaginary frame (handleMigrateData removes the PIT entry).
     // Re-translate and only update hints if the same mapping is still
     // installed; the hints are advisory, so skipping them is safe.
-    PitEntry *cur = pit_.entry(frame);
+    Pit::Ref cur = pit_.entry(frame);
     if (cur && cur->gpage != gpage)
-        cur = nullptr;
+        cur = Pit::Ref();
     if (cur) {
         if (txn.dynHome != kInvalidNode)
             cur->dynHome = txn.dynHome;
@@ -341,7 +330,7 @@ bool
 CoherenceController::finishFill(FrameNum frame, std::uint32_t line_idx,
                                 Mesi intended)
 {
-    PitEntry *e = pit_.entry(frame);
+    const Pit::Ref e = pit_.entry(frame);
     if (!e)
         return false;
     switch (e->mode) {
@@ -365,7 +354,7 @@ CoherenceController::finishFill(FrameNum frame, std::uint32_t line_idx,
             return true; // peer-supplied fill; validated by the caller
         const bool ok = !it->second.invalidated;
         fillPending_.erase(it);
-        pendingPageRemove(e->gpage);
+        pendingPageRemove(e->page);
         return ok;
       }
     }
@@ -376,7 +365,7 @@ void
 CoherenceController::evictLine(FrameNum frame, std::uint32_t line_idx,
                                Mesi victim_state)
 {
-    PitEntry *e = pit_.entry(frame);
+    const Pit::Ref e = pit_.entry(frame);
     if (!e)
         return; // frame being torn down
     switch (e->mode) {
@@ -406,7 +395,7 @@ void
 CoherenceController::reflectDowngrade(FrameNum frame, std::uint32_t line_idx,
                                       bool dirty)
 {
-    PitEntry *e = pit_.entry(frame);
+    const Pit::Ref e = pit_.entry(frame);
     if (!e)
         return;
     if (e->mode == PageMode::LaNuma || e->mode == PageMode::CcNuma) {
@@ -437,26 +426,31 @@ CoherenceController::installClientMapping(FrameNum frame, GPage gpage,
                  "client mapping must be a global mode");
     pit_.install(frame, gpage, static_home, dyn_home, home_frame, mode,
                  geo_.linesPerPage(), FgTag::Invalid);
+    // A client S-COMA frame is a page-cache frame: the kernel pages
+    // these out in LRU order.
+    if (mode == PageMode::Scoma)
+        pit_.lruInsert(frame);
 }
 
 void
-CoherenceController::becomeHome(GPage gpage, FrameNum home_frame)
+CoherenceController::becomeHome(PageRecords::Ref rec, FrameNum home_frame)
 {
-    lineLock(gpage, 0); // materialize the lock vector
-    homeMeta_[gpage] =
-        HomeMeta{home_frame, std::vector<std::uint32_t>(cfg_.numNodes, 0)};
-    movedTo_.erase(gpage);
+    rec->home = HomeMeta{};
+    rec->home.homeFrame = home_frame;
+    rec->home.accessesByNode.assign(cfg_.numNodes, 0);
+    rec->movedTo = kInvalidNode;
 }
 
 void
 CoherenceController::installHomeMapping(FrameNum frame, GPage gpage)
 {
-    pit_.install(frame, gpage, staticHomeOf_(gpage), self_, frame,
-                 PageMode::Scoma, geo_.linesPerPage(), FgTag::Exclusive);
+    const Pit::Ref e =
+        pit_.install(frame, gpage, staticHomeOf_(gpage), self_, frame,
+                     PageMode::Scoma, geo_.linesPerPage(), FgTag::Exclusive);
     dir_.createPage(gpage, DirState::Owned, self_);
-    becomeHome(gpage, frame);
+    becomeHome(e->page, frame);
     if (staticHomeOf_(gpage) == self_)
-        registry_[gpage] = self_;
+        e->page->registry = self_;
     if (oracle_)
         oracle_->onHomeInstall(self_, gpage);
 }
@@ -464,7 +458,7 @@ CoherenceController::installHomeMapping(FrameNum frame, GPage gpage)
 CoTask
 CoherenceController::flushClientPage(FrameNum frame)
 {
-    PitEntry *e = pit_.entry(frame);
+    const Pit::Ref e = pit_.entry(frame);
     prism_assert(e && e->gpage != kInvalidGPage,
                  "flushing a frame that maps no global page");
 
@@ -475,7 +469,7 @@ CoherenceController::flushClientPage(FrameNum frame)
     for (;;) {
         const bool busy = (e->tags && e->tags->anyTransit()) ||
                           host_.anyBusPending(frame) ||
-                          pendingByPage_.count(e->gpage) != 0;
+                          e->page->pendingLines != 0;
         if (!busy)
             break;
         co_await delay(cfg_.retryDelay);
@@ -515,14 +509,14 @@ CoherenceController::removeClientMapping(FrameNum frame)
 bool
 CoherenceController::clientPageQuiescent(FrameNum frame) const
 {
-    const PitEntry *e = pit_.entry(frame);
+    const Pit::Ref e = pit_.entry(frame);
     if (!e)
         return true;
     if (host_.anyBusPending(frame) || host_.anyCachedCopy(frame))
         return false;
     if (e->tags && (e->tags->count(FgTag::Invalid) != e->tags->lines()))
         return false;
-    return pendingByPage_.count(e->gpage) == 0;
+    return e->page->pendingLines == 0;
 }
 
 Cycles
@@ -540,10 +534,12 @@ CoherenceController::removeHomeMapping(FrameNum frame, GPage gpage)
     // we owned leave with the frame (= memory) current.
     homeApplyPage(HomeEvent::MigrateFlush, gpage, self_);
     dir_.removePage(gpage);
-    homeMeta_.erase(gpage);
+    const PageRecords::Ref rec = pages_.find(gpage);
+    rec->home = HomeMeta{};
     pit_.remove(frame);
     if (staticHomeOf_(gpage) == self_) {
-        registry_.erase(gpage);
+        rec->registry = kInvalidNode;
+        pages_.settle(rec);
     } else {
         Msg m(MsgType::MigrateDone, staticHomeOf_(gpage), gpage);
         m.aux = 1; // erase-registry sentinel
@@ -558,7 +554,7 @@ CoherenceController::mostInvalidFrame(
     FrameNum best = kInvalidFrame;
     std::uint32_t best_count = 0;
     for (FrameNum f : candidates) {
-        const PitEntry *e = pit_.entry(f);
+        const Pit::Ref e = pit_.entry(f);
         if (!e || !e->tags || e->mode != PageMode::Scoma)
             continue;
         if (e->tags->anyTransit())
@@ -616,13 +612,13 @@ CoherenceController::onMessage(Msg m)
         handleClientFetch(std::move(m));
         return;
       case MsgType::MigrateReq: {
-        auto it = registry_.find(m.gpage);
-        if (it == registry_.end())
+        const NodeId home = registryLookup(m.gpage);
+        if (home == kInvalidNode)
             return; // page gone; drop
         NodeId target = static_cast<NodeId>(m.aux);
-        if (it->second == target)
+        if (home == target)
             return;
-        Msg prep(MsgType::MigratePrep, it->second, m.gpage);
+        Msg prep(MsgType::MigratePrep, home, m.gpage);
         prep.aux = m.aux;
         send(std::move(prep));
         return;
@@ -634,10 +630,14 @@ CoherenceController::onMessage(Msg m)
         handleMigrateData(std::move(m));
         return;
       case MsgType::MigrateDone:
-        if (m.aux == 1)
-            registry_.erase(m.gpage);
-        else
-            registry_[m.gpage] = m.src;
+        if (m.aux == 1) {
+            if (auto rec = pages_.find(m.gpage)) {
+                rec->registry = kInvalidNode;
+                pages_.settle(rec);
+            }
+        } else {
+            pages_.get(m.gpage)->registry = m.src;
+        }
         return;
       default:
         panic("kernel message %s delivered to controller",
@@ -693,7 +693,7 @@ CoherenceController::handleHomeRequest(Msg m)
         co_return;
     }
     ++stats_.homeRequests;
-    noteHomeAccess(m);
+    noteHomeAccess(*pages_.find(m.gpage), m);
 
     bool hash = false;
     FrameNum hf = pit_.reverse(m.gpage, m.dstFrameHint, hash);
@@ -702,20 +702,23 @@ CoherenceController::handleHomeRequest(Msg m)
 
     const std::uint32_t li = m.lineIdx;
     const GLine gl = geo_.lineOf(m.gpage, li);
-    CoMutex &lk = lineLock(m.gpage, li);
+    // Queuing on (or holding) the line lock keeps the record live.
+    const PageRecords::Ref rec = pages_.get(m.gpage);
+    CoMutex &lk = pages_.lineLocks(rec)[li];
     co_await lk.acquire();
 
     // The page may have migrated away while we queued on the lock.
     if (!dir_.hasPage(m.gpage)) {
         lk.release();
+        pages_.settle(rec);
         forward(std::move(m));
         co_return;
     }
     // Refresh the home-frame entry: paging activity while we queued
     // may have moved it.
-    hf = pit_.frameOf(m.gpage);
+    hf = rec->frame;
     prism_assert(hf != kInvalidFrame, "home page lost its frame");
-    PitEntry *he = pit_.entry(hf);
+    const Pit::Ref he = pit_.entry(hf);
     // Remote requests touch the home frame's data: count the line as
     // accessed for the utilization statistics (Table 3).
     if (he->accessed)
@@ -758,12 +761,9 @@ CoherenceController::handleHomeRequest(Msg m)
                 co_await occupy(cfg_.ctrlOverhead);
                 Msg inv(MsgType::Inv, n, m.gpage, li);
                 inv.requester = req;
-                if (cfg_.dirClientFrameHints) {
-                    auto hm = homeMeta_.find(m.gpage);
-                    if (hm != homeMeta_.end() &&
-                        !hm->second.clientFrames.empty()) {
-                        inv.dstFrameHint = hm->second.clientFrames[n];
-                    }
+                if (cfg_.dirClientFrameHints &&
+                    !rec->home.clientFrames.empty()) {
+                    inv.dstFrameHint = rec->home.clientFrames[n];
                 }
                 ++acks;
                 ++stats_.invalsSent;
@@ -823,7 +823,8 @@ CoherenceController::handleHomeRequest(Msg m)
         break;
     }
     lk.release();
-    maybeTriggerMigration(m.gpage);
+    // Still homed here, so the record stays live.
+    maybeTriggerMigration(*rec);
 }
 
 FireAndForget
@@ -899,9 +900,9 @@ CoherenceController::handleClientFetch(Msg m)
 
     bool have = false;
     bool dirty_to_home = false;
-    PitEntry *e = (f == kInvalidFrame) ? nullptr : pit_.entry(f);
+    Pit::Ref e = pit_.entry(f);
     if (e && e->gpage != m.gpage)
-        e = nullptr; // frame was recycled during the lookup delay
+        e = Pit::Ref(); // frame was recycled during the lookup delay
     if (e) {
         if (e->mode == PageMode::Scoma) {
             FgTag tag = e->tags->get(m.lineIdx);
@@ -991,12 +992,11 @@ CoherenceController::requestMigration(GPage gpage, NodeId new_home)
 }
 
 void
-CoherenceController::noteHomeAccess(const Msg &m)
+CoherenceController::noteHomeAccess(PageRecord &rec, const Msg &m)
 {
-    auto it = homeMeta_.find(m.gpage);
-    if (it == homeMeta_.end())
+    HomeMeta &hm = rec.home;
+    if (hm.homeFrame == kInvalidFrame)
         return;
-    HomeMeta &hm = it->second;
     ++hm.accessesByNode[m.requester];
     ++hm.totalAccesses;
     if (cfg_.dirClientFrameHints && m.requesterFrame != kInvalidFrame) {
@@ -1007,14 +1007,13 @@ CoherenceController::noteHomeAccess(const Msg &m)
 }
 
 void
-CoherenceController::maybeTriggerMigration(GPage gpage)
+CoherenceController::maybeTriggerMigration(PageRecord &rec)
 {
     if (!cfg_.migrationEnabled)
         return;
-    auto it = homeMeta_.find(gpage);
-    if (it == homeMeta_.end() || it->second.migrating)
+    HomeMeta &hm = rec.home;
+    if (hm.homeFrame == kInvalidFrame || hm.migrating)
         return;
-    HomeMeta &hm = it->second;
     if (hm.totalAccesses < cfg_.migrationThreshold)
         return;
     NodeId best = self_;
@@ -1030,7 +1029,7 @@ CoherenceController::maybeTriggerMigration(GPage gpage)
     hm.accessesByNode.assign(cfg_.numNodes, 0);
     hm.totalAccesses = 0;
     if (dominant)
-        requestMigration(gpage, best);
+        requestMigration(rec.gpage, best);
 }
 
 FireAndForget
@@ -1042,17 +1041,19 @@ CoherenceController::handleMigratePrep(Msg m)
     const NodeId new_home = static_cast<NodeId>(m.aux);
     if (!dir_.hasPage(gp) || new_home == self_)
         co_return;
-    auto meta_it = homeMeta_.find(gp);
-    prism_assert(meta_it != homeMeta_.end(), "dir page without home meta");
-    if (meta_it->second.migrating)
+    // The home metadata, then the line locks, keep the record live.
+    const PageRecords::Ref rec = pages_.find(gp);
+    prism_assert(rec && rec->home.homeFrame != kInvalidFrame,
+                 "dir page without home meta");
+    if (rec->home.migrating)
         co_return;
-    meta_it->second.migrating = true;
-    const FrameNum hf = meta_it->second.homeFrame;
+    rec->home.migrating = true;
+    const FrameNum hf = rec->home.homeFrame;
 
     // Quiesce: acquire every line lock so no transaction is in flight.
-    auto &lks = locks_[gp];
-    for (auto &l : lks)
-        co_await l->acquire();
+    std::vector<CoMutex> &lks = pages_.lineLocks(rec);
+    for (CoMutex &l : lks)
+        co_await l.acquire();
 
     // Wait for local bus-level activity on the frame to drain, then
     // flush local processor copies into the home frame's memory.
@@ -1073,8 +1074,8 @@ CoherenceController::handleMigratePrep(Msg m)
     data.payload = payload;
     send(std::move(data));
 
-    movedTo_[gp] = new_home;
-    homeMeta_.erase(gp);
+    rec->movedTo = new_home;
+    rec->home = HomeMeta{};
     host_.homeKernelDepart(gp);
     host_.migrationFreeFrame(hf, gp);
     pit_.remove(hf);
@@ -1086,9 +1087,9 @@ CoherenceController::handleMigratePrep(Msg m)
     }
 
     // Release the locks; queued handlers will find the page gone and
-    // forward toward the new home.
-    for (auto &l : lks)
-        l->release();
+    // forward toward the new home.  The tombstone keeps the record.
+    for (CoMutex &l : lks)
+        l.release();
 }
 
 FireAndForget
@@ -1117,7 +1118,7 @@ CoherenceController::handleMigrateData(Msg m)
     auto pg = dir_.page(gp);
     FrameNum hf = existing;
     if (promote) {
-        PitEntry *e = pit_.entry(hf);
+        const Pit::Ref e = pit_.entry(hf);
         e->dynHome = self_;
         e->homeFrameHint = hf;
         // Lines we own stay Owned(self), but the promoted frame is now
@@ -1133,19 +1134,20 @@ CoherenceController::handleMigrateData(Msg m)
             homeApplyPage(HomeEvent::MigrateFlush, gp, self_);
         hf = host_.migrationAllocFrame(gp);
         prism_assert(hf != kInvalidFrame, "migration frame alloc failed");
-        PitEntry &e = pit_.install(hf, gp, staticHomeOf_(gp), self_, hf,
-                                   PageMode::Scoma, geo_.linesPerPage(),
-                                   FgTag::Invalid);
+        const Pit::Ref e =
+            pit_.install(hf, gp, staticHomeOf_(gp), self_, hf,
+                         PageMode::Scoma, geo_.linesPerPage(),
+                         FgTag::Invalid);
         // Derive this node's tags from its view of the directory.
         for (std::uint32_t i = 0; i < pg.size(); ++i) {
             const HomeView v = homeView(pg.line(i), self_, self_);
             if (v == HomeView::OwnedSender)
-                e.tags->set(i, FgTag::Exclusive);
+                e->tags->set(i, FgTag::Exclusive);
             else if (v == HomeView::SharedSender)
-                e.tags->set(i, FgTag::Shared);
+                e->tags->set(i, FgTag::Shared);
         }
     }
-    becomeHome(gp, hf);
+    becomeHome(pages_.find(gp), hf);
     host_.homeKernelAdopt(gp, payload->kernelClients);
     ++stats_.migrationsIn;
 
@@ -1226,8 +1228,8 @@ CoherenceController::tagBytesModeled() const
 {
     std::uint64_t bytes = 0;
     for (FrameNum f : pit_.allFrames()) {
-        const PitEntry *e = pit_.entry(f);
-        if (e && e->tags)
+        const Pit::Ref e = pit_.entry(f);
+        if (e->tags)
             bytes += (e->tags->lines() + 3) / 4;
     }
     return static_cast<double>(bytes);

@@ -34,6 +34,7 @@
 #include "coherence/directory.hh"
 #include "coherence/home_protocol.hh"
 #include "coherence/msg.hh"
+#include "coherence/page_record.hh"
 #include "coherence/pit.hh"
 #include "core/config.hh"
 #include "mem/addr.hh"
@@ -174,6 +175,9 @@ class CoherenceController
     NodeId self() const { return self_; }
     Pit &pit() { return pit_; }
     const Pit &pit() const { return pit_; }
+    /** The node's per-page records (shared with the kernel). */
+    PageRecords &pages() { return pages_; }
+    const PageRecords &pages() const { return pages_; }
     Directory &directory() { return dir_; }
     const ControllerStats &stats() const { return stats_; }
     const LineGeometry &geometry() const { return geo_; }
@@ -335,16 +339,6 @@ class CoherenceController
         bool dirty = false;
     };
 
-    /** Per-home-page migration/traffic metadata. */
-    struct HomeMeta {
-        FrameNum homeFrame = kInvalidFrame;
-        std::vector<std::uint32_t> accessesByNode;
-        std::uint64_t totalAccesses = 0;
-        bool migrating = false;
-        /** Cached client frame numbers (dirClientFrameHints option). */
-        std::vector<FrameNum> clientFrames;
-    };
-
     /** Payload attached to a MigrateData message. */
     struct MigrationPayload {
         std::vector<DirEntry> dir;
@@ -401,11 +395,9 @@ class CoherenceController
     CoTask invalidateLocal(GPage gpage, std::uint32_t line_idx,
                            FrameNum frame, Cycles lookup);
 
-    CoMutex &lineLock(GPage gpage, std::uint32_t line_idx);
-
     // Client-side pieces.  @p poisoned reports a racing invalidation
     // that voided a non-exclusive grant.
-    CoTask runClientTxn(MsgType mt, PitEntry &e, FrameNum frame,
+    CoTask runClientTxn(MsgType mt, Pit::Ref e, FrameNum frame,
                         std::uint32_t line_idx, MissResult *out,
                         bool *poisoned);
 
@@ -432,11 +424,12 @@ class CoherenceController
     void homeApplyPage(HomeEvent ev, GPage gpage, NodeId sender);
 
     // Home-side helpers.  becomeHome sets up the per-page home state
-    // of a page mapped in or migrated here; noteHomeAccess counts a request toward the
-    // migration policy and caches the requester's frame hint.
-    void becomeHome(GPage gpage, FrameNum home_frame);
-    void noteHomeAccess(const Msg &m);
-    void maybeTriggerMigration(GPage gpage);
+    // of a page mapped in or migrated here; noteHomeAccess counts a
+    // request toward the migration policy and caches the requester's
+    // frame hint.
+    void becomeHome(PageRecords::Ref rec, FrameNum home_frame);
+    void noteHomeAccess(PageRecord &rec, const Msg &m);
+    void maybeTriggerMigration(PageRecord &rec);
 
     NodeId self_;
     const MachineConfig &cfg_;
@@ -447,6 +440,7 @@ class CoherenceController
     std::function<void(Msg &&)> sendFn_;
     LineGeometry geo_;
 
+    PageRecords pages_;
     Pit pit_;
     Directory dir_;
     FcfsResource ctrlRes_; //!< protocol-engine occupancy
@@ -456,32 +450,26 @@ class CoherenceController
         bool invalidated = false;
     };
 
+    // Per-line transaction state: entries live for one transaction,
+    // so they are keyed by line rather than kept in the page record.
     std::unordered_map<GLine, ClientTxn *> pending_;
     std::unordered_map<GLine, FillToken> fillPending_;
-    /**
-     * Lines of each page with an outstanding client transaction or
-     * fill token, so the page-flush drain checks probe one counter
-     * instead of walking every line of the page.
-     */
-    std::unordered_map<GPage, std::uint32_t> pendingByPage_;
+    std::unordered_map<GLine, HomeWait *> homeWaits_;
 
-    void pendingPageAdd(GPage gp) { ++pendingByPage_[gp]; }
+    /**
+     * A line of @p rec's page gained or lost an outstanding client
+     * transaction or fill token (PageRecord::pendingLines), so the
+     * page-flush drain checks probe one counter instead of walking
+     * every line of the page.
+     */
+    void pendingPageAdd(PageRecords::Ref rec) { ++rec->pendingLines; }
 
     void
-    pendingPageRemove(GPage gp)
+    pendingPageRemove(PageRecords::Ref rec)
     {
-        auto it = pendingByPage_.find(gp);
-        if (--it->second == 0)
-            pendingByPage_.erase(it);
+        --rec->pendingLines;
+        pages_.settle(rec);
     }
-
-    std::unordered_map<GLine, HomeWait *> homeWaits_;
-    std::unordered_map<GPage, std::vector<std::unique_ptr<CoMutex>>> locks_;
-    std::unordered_map<GPage, HomeMeta> homeMeta_;
-    /** Static-home registry: current dynamic home of pages I anchor. */
-    std::unordered_map<GPage, NodeId> registry_;
-    /** Tombstones for pages that migrated away from this node. */
-    std::unordered_map<GPage, NodeId> movedTo_;
 
     ProtocolOracle *oracle_ = nullptr;
     TraceSink *trace_ = nullptr;

@@ -1,0 +1,91 @@
+#include "coherence/page_record.hh"
+
+#include "sim/logging.hh"
+
+namespace prism {
+
+bool
+PageRecord::live() const
+{
+    if (frame != kInvalidFrame || pendingLines != 0 ||
+        registry != kInvalidNode || movedTo != kInvalidNode ||
+        home.homeFrame != kInvalidFrame || pageLock.held() ||
+        cachedHome.dynHome != kInvalidNode || !homeClients.empty() ||
+        modeOverride != PageMode::Scoma || onDisk || dying || pageIn ||
+        noticeAck || homePageOut || !deferredPageIn.empty()) {
+        return true;
+    }
+    // A mutex with queued waiters is held, so held() covers both.
+    for (const CoMutex &l : lineLocks) {
+        if (l.held())
+            return true;
+    }
+    return false;
+}
+
+PageRecords::PageRecords(EventQueue &eq, std::uint32_t lines_per_page)
+    : eq_(eq), linesPerPage_(lines_per_page),
+      arena_([&eq] { return PageRecord(eq); })
+{
+}
+
+PageRecords::Ref
+PageRecords::find(GPage gp) const
+{
+    auto it = slots_.find(gp);
+    return it == slots_.end() ? Ref() : arena_.ref(it->second);
+}
+
+PageRecords::Ref
+PageRecords::get(GPage gp)
+{
+    auto [it, fresh] = slots_.try_emplace(gp, 0);
+    if (!fresh)
+        return arena_.ref(it->second);
+    if (free_.empty()) {
+        const auto base = static_cast<std::uint32_t>(arena_.capacity());
+        arena_.cover(base);
+        // LIFO freelist: hand out low slots first.
+        for (std::uint32_t i = SlotArena<PageRecord>::kChunk; i-- > 0;)
+            free_.push_back(base + i);
+    }
+    it->second = free_.back();
+    free_.pop_back();
+    arena_[it->second].gpage = gp;
+    return arena_.ref(it->second);
+}
+
+std::vector<CoMutex> &
+PageRecords::lineLocks(Ref r)
+{
+    std::vector<CoMutex> &v = r->lineLocks;
+    if (v.empty()) {
+        v.reserve(linesPerPage_);
+        for (std::uint32_t i = 0; i < linesPerPage_; ++i)
+            v.emplace_back(eq_);
+    }
+    return v;
+}
+
+void
+PageRecords::release(Ref r)
+{
+    PageRecord &p = *r;
+    const auto gp = static_cast<unsigned long long>(p.gpage);
+    for (const CoMutex &l : p.lineLocks) {
+        prism_assert(!l.held(),
+                     "page record of gpage %#llx released while one of "
+                     "its line locks is held or queued", gp);
+    }
+    prism_assert(!p.pageLock.held(),
+                 "page record of gpage %#llx released while its page "
+                 "lock is held or queued", gp);
+    prism_assert(!p.live(),
+                 "page record of gpage %#llx released while in use", gp);
+    slots_.erase(p.gpage);
+    p.gpage = kInvalidGPage;
+    arena_.retire(r.index());
+    free_.push_back(r.index());
+}
+
+} // namespace prism

@@ -1,0 +1,143 @@
+/**
+ * @file
+ * Per-node page records: everything one node keeps about one global
+ * page, behind a single GPage lookup.
+ *
+ * A record gathers the PIT's reverse translation (the frame mapping
+ * the page), the coherence controller's per-page state (home line
+ * locks, pending-line count, static-home registry, migration
+ * tombstone, home metadata) and the kernel's (fault/page-out lock,
+ * home-page-status flag, home client set, mode override, disk and
+ * dying flags, and the waiters of in-flight page-ins, page-out
+ * notices and home page-outs).  Records live in a generation-checked
+ * SlotArena (sim/slot_arena.hh): a Ref held across a co_await after
+ * its record was freed panics by name.
+ *
+ * Lifetime: get() creates a record on first use; settle() frees it
+ * once no field holds state and none of its locks is held or queued.
+ * The owner of a field calls settle() after clearing it where the
+ * record could otherwise become empty.  A record is never freed under
+ * a coroutine that still waits on one of its locks: release() panics.
+ */
+
+#ifndef PRISM_COHERENCE_PAGE_RECORD_HH
+#define PRISM_COHERENCE_PAGE_RECORD_HH
+
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
+#include "coherence/msg.hh"
+#include "coherence/page_mode.hh"
+#include "coherence/sharer_set.hh"
+#include "mem/addr.hh"
+#include "sim/coro_sync.hh"
+#include "sim/slot_arena.hh"
+
+namespace prism {
+
+/** Migration and traffic metadata of a page homed at this node. */
+struct HomeMeta {
+    FrameNum homeFrame = kInvalidFrame; //!< kInvalidFrame: not homed here
+    std::vector<std::uint32_t> accessesByNode;
+    std::uint64_t totalAccesses = 0;
+    bool migrating = false;
+    /** Cached client frame numbers (dirClientFrameHints option). */
+    std::vector<FrameNum> clientFrames;
+};
+
+/** Home-page-status flag: where a client last found the page's home. */
+struct CachedHome {
+    NodeId dynHome = kInvalidNode; //!< kInvalidNode: flag clear
+    FrameNum homeFrame = kInvalidFrame;
+};
+
+/** A client fault waiting for the home's page-in reply. */
+struct PageInWait {
+    explicit PageInWait(EventQueue &eq) : ev(eq) {}
+    CoEvent ev;
+    NodeId dynHome = kInvalidNode;
+    FrameNum homeFrame = kInvalidFrame;
+};
+
+/** All the state one node keeps about one global page. */
+struct PageRecord {
+    static constexpr const char *kHandleKind = "page record";
+
+    explicit PageRecord(EventQueue &eq) : pageLock(eq) {}
+
+    GPage gpage = kInvalidGPage;
+
+    // --- PIT reverse translation ---------------------------------------
+    FrameNum frame = kInvalidFrame; //!< local frame mapping the page
+
+    // --- Coherence controller ----------------------------------------
+    /** Home line locks; built on first use, kept across slot reuse. */
+    std::vector<CoMutex> lineLocks;
+    /** Lines with an outstanding client transaction or fill token. */
+    std::uint32_t pendingLines = 0;
+    /** Static home only: the page's current dynamic home. */
+    NodeId registry = kInvalidNode;
+    /** Tombstone: where the page migrated to from this node. */
+    NodeId movedTo = kInvalidNode;
+    HomeMeta home;
+
+    // --- Kernel ----------------------------------------------------------
+    /** Serializes faults and page-outs of the page at this node. */
+    CoMutex pageLock;
+    CachedHome cachedHome;
+    /** Home only: client nodes that mapped the page. */
+    SharerSet homeClients;
+    /** Page-mode override set by adaptive policies. */
+    PageMode modeOverride = PageMode::Scoma;
+    bool onDisk = false; //!< paged out at home; the next map-in reads disk
+    bool dying = false;  //!< home page-out in progress
+    PageInWait *pageIn = nullptr;      //!< client fault awaiting PageInRep
+    CoEvent *noticeAck = nullptr;      //!< page-out awaiting its ack
+    CoLatch *homePageOut = nullptr;    //!< home page-out awaiting clients
+    /** Page-in requests deferred while a home page-out runs. */
+    std::vector<Msg> deferredPageIn;
+
+    /** True while any field holds state or any lock is held. */
+    bool live() const;
+};
+
+/** The page records of one node. */
+class PageRecords
+{
+  public:
+    using Ref = SlotArena<PageRecord>::Ref;
+
+    PageRecords(EventQueue &eq, std::uint32_t lines_per_page);
+
+    /** The record of @p gp, or an empty handle. */
+    Ref find(GPage gp) const;
+
+    /** The record of @p gp, created empty if absent. */
+    Ref get(GPage gp);
+
+    /** @p r's page's line locks, built on first use. */
+    std::vector<CoMutex> &lineLocks(Ref r);
+
+    /** Free @p r's record if nothing in it is live any more. */
+    void
+    settle(Ref r)
+    {
+        if (!r->live())
+            release(r);
+    }
+
+    /** Free @p r's record; panics while any field or lock is live. */
+    void release(Ref r);
+
+  private:
+    EventQueue &eq_;
+    std::uint32_t linesPerPage_;
+    SlotArena<PageRecord> arena_;
+    std::vector<std::uint32_t> free_;
+    std::unordered_map<GPage, std::uint32_t> slots_;
+};
+
+} // namespace prism
+
+#endif // PRISM_COHERENCE_PAGE_RECORD_HH

@@ -4,12 +4,31 @@
  *
  * The PIT translates between node-private physical frames and global
  * pages.  Forward translation (frame -> global page) is a direct
- * indexed lookup; reverse translation (global page -> frame) first
+ * indexed lookup: real frames count up from 0 and imaginary (LA-NUMA)
+ * frames from kImaginaryFrameBase, and each range indexes its own
+ * chunked SlotArena.  Reverse translation (global page -> frame) first
  * tries the frame-number hint piggybacked on coherence messages and
- * falls back to a hash search.  Each entry also records the page's
- * static and (cached) dynamic home, the cached home frame number, the
- * frame's mode, the fine-grain tags for S-COMA frames, and an optional
- * capability list implementing the inter-node memory firewall.
+ * falls back to a hash search, which is the node's one GPage lookup:
+ * the page's record (page_record.hh) holds the frame.  Each entry
+ * also records the page's static and (cached) dynamic home, the
+ * cached home frame number, the frame's mode, the fine-grain tags for
+ * S-COMA frames, and an optional capability list implementing the
+ * inter-node memory firewall.
+ *
+ * Client S-COMA entries also form the page cache's LRU list (paper
+ * Sections 3.3-3.4), threaded through the entries as two intrusive
+ * lists: frames never touched since install, in install order, then
+ * touched frames in order of their last touch.  Victim rule: the
+ * page-out victim is the eligible frame (its page not locked by the
+ * kernel, none of its lines in Transit) with the least lastAccess,
+ * where a never-touched frame counts as older than any touched one,
+ * and a tie goes to the frame that was installed or touched first.
+ * Walking the two lists in order finds it, visiting only the frames
+ * it skips.
+ *
+ * Entries are reached through Pit::Ref, a generation-checked handle:
+ * one held across a co_await after Pit::remove (or after its frame
+ * was reused) panics instead of reading the reset slot.
  */
 
 #ifndef PRISM_COHERENCE_PIT_HH
@@ -17,13 +36,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/fine_grain_tags.hh"
 #include "coherence/page_mode.hh"
+#include "coherence/page_record.hh"
 #include "coherence/sharer_set.hh"
 #include "mem/addr.hh"
+#include "sim/slot_arena.hh"
 #include "sim/types.hh"
 
 namespace prism {
@@ -64,6 +84,8 @@ class LineMask
 
 /** One PIT entry: the translation state of one local page frame. */
 struct PitEntry {
+    static constexpr const char *kHandleKind = "PIT entry";
+
     GPage gpage = kInvalidGPage;    //!< global page backed by this frame
     NodeId staticHome = kInvalidNode;
     NodeId dynHome = kInvalidNode;  //!< cached dynamic home (may be stale)
@@ -82,41 +104,52 @@ struct PitEntry {
     /** Lines of this frame ever accessed (Table 3 utilization). */
     std::unique_ptr<LineMask> accessed;
 
-    /** Last tick the controller touched this frame (page LRU approx). */
+    /** Last tick the controller touched this frame (page LRU). */
     Tick lastAccess = 0;
 
     /** Remote fetches for this page since mapping (policy input). */
     std::uint64_t remoteFetches = 0;
+
+    // --- PIT bookkeeping -------------------------------------------------
+    FrameNum frame = kInvalidFrame; //!< this entry's frame
+    /** The page's record (global pages only); live while mapped. */
+    PageRecords::Ref page;
+    /** Which LRU list holds the entry, and its neighbours there. */
+    std::uint8_t lruList = 0;
+    FrameNum lruPrev = kInvalidFrame;
+    FrameNum lruNext = kInvalidFrame;
+    bool live = false;
 };
 
 /** The Page Information Table of one node's coherence controller. */
 class Pit
 {
   public:
+    using Ref = SlotArena<PitEntry>::Ref;
+
     /**
+     * @param pages           the node's page records (reverse map)
      * @param pit_cycles      SRAM lookup time (2) or DRAM (10)
      * @param hash_extra      additional cycles for a hash reverse search
      */
-    Pit(Cycles pit_cycles, Cycles hash_extra)
-        : pitCycles_(pit_cycles), hashExtra_(hash_extra)
+    Pit(PageRecords &pages, Cycles pit_cycles, Cycles hash_extra)
+        : pages_(pages), pitCycles_(pit_cycles), hashExtra_(hash_extra)
     {
     }
 
     /** Install a translation for @p frame. @return the new entry. */
-    PitEntry &install(FrameNum frame, GPage gpage, NodeId static_home,
-                      NodeId dyn_home, FrameNum home_frame_hint,
-                      PageMode mode, std::uint32_t lines_per_page,
-                      FgTag init_tag);
+    Ref install(FrameNum frame, GPage gpage, NodeId static_home,
+                NodeId dyn_home, FrameNum home_frame_hint, PageMode mode,
+                std::uint32_t lines_per_page, FgTag init_tag);
 
     /** Install a Local-mode entry (private memory, no global page). */
-    PitEntry &installLocal(FrameNum frame, std::uint32_t lines_per_page);
+    Ref installLocal(FrameNum frame, std::uint32_t lines_per_page);
 
-    /** Remove the entry for @p frame (page-out). */
+    /** Remove the entry for @p frame (page-out); leaves the LRU too. */
     void remove(FrameNum frame);
 
-    /** Entry for @p frame, or nullptr. */
-    PitEntry *entry(FrameNum frame);
-    const PitEntry *entry(FrameNum frame) const;
+    /** Entry for @p frame, or an empty handle. */
+    Ref entry(FrameNum frame) const;
 
     /**
      * Zero-cost structural query: frame currently mapping @p gpage,
@@ -125,8 +158,8 @@ class Pit
     FrameNum
     frameOf(GPage gpage) const
     {
-        auto it = byPage_.find(gpage);
-        return it == byPage_.end() ? kInvalidFrame : it->second;
+        auto r = pages_.find(gpage);
+        return r ? r->frame : kInvalidFrame;
     }
 
     /**
@@ -160,19 +193,88 @@ class Pit
     void noteRejectedWrite() { ++rejectedWrites_; }
 
     /** Number of live entries. */
-    std::size_t size() const { return byFrame_.size(); }
+    std::size_t size() const { return live_; }
 
-    /** All live frames mapping global pages (policy scans). */
+    /** All live frames mapping global pages, ascending (policy scans). */
     std::vector<FrameNum> globalFrames() const;
 
-    /** All live frames, local-mode included (accounting scans). */
+    /** All live frames, local-mode included, ascending. */
     std::vector<FrameNum> allFrames() const;
 
+    // --- Client page LRU (paper Sections 3.3-3.4) ------------------------
+
+    /** Link client S-COMA frame @p frame as never touched. */
+    void lruInsert(FrameNum frame);
+
+    /** Unlink @p frame from the LRU. @return whether it was linked. */
+    bool lruErase(FrameNum frame);
+
+    /**
+     * The controller touched @p e at @p now: set its lastAccess and,
+     * for a frame on the LRU, make it the warmest.
+     */
+    void touch(const Ref &e, Tick now);
+
+    /**
+     * The coldest client S-COMA entry whose page is neither locked by
+     * the kernel nor has a line in Transit (the victim rule above);
+     * empty if every frame is busy.  Walks only the frames it skips.
+     */
+    Ref lruVictim() const;
+
+    /** Client S-COMA frames on the LRU, ascending. */
+    std::vector<FrameNum> lruFrames() const;
+
   private:
+    enum : std::uint8_t { kOffLru = 0, kFresh = 1, kTouched = 2 };
+
+    struct LruList {
+        FrameNum head = kInvalidFrame;
+        FrameNum tail = kInvalidFrame;
+    };
+
+    /** Arena and index holding @p frame's slot. */
+    SlotArena<PitEntry> &
+    arenaOf(FrameNum frame)
+    {
+        return frame >= kImaginaryFrameBase ? imag_ : real_;
+    }
+
+    const SlotArena<PitEntry> &
+    arenaOf(FrameNum frame) const
+    {
+        return frame >= kImaginaryFrameBase ? imag_ : real_;
+    }
+
+    static std::size_t
+    indexOf(FrameNum frame)
+    {
+        return frame >= kImaginaryFrameBase ? frame - kImaginaryFrameBase
+                                            : frame;
+    }
+
+    /** Live entry of @p frame, or nullptr (no generation check). */
+    PitEntry *slot(FrameNum frame) const;
+
+    LruList &
+    listOf(std::uint8_t which)
+    {
+        return which == kFresh ? fresh_ : touched_;
+    }
+
+    void lruLink(PitEntry &e, std::uint8_t which);
+    void lruUnlink(PitEntry &e);
+
+    template <typename F> void forEachLive(F f) const;
+
+    PageRecords &pages_;
     Cycles pitCycles_;
     Cycles hashExtra_;
-    std::unordered_map<FrameNum, PitEntry> byFrame_;
-    std::unordered_map<GPage, FrameNum> byPage_;
+    SlotArena<PitEntry> real_;
+    SlotArena<PitEntry> imag_;
+    std::size_t live_ = 0;
+    LruList fresh_;
+    LruList touched_;
     std::uint64_t rejectedWrites_ = 0;
 };
 

@@ -42,6 +42,12 @@ using GLine = std::uint64_t;
 /** Sentinel global page. */
 constexpr GPage kInvalidGPage = ~0ULL;
 
+/**
+ * First frame number of the imaginary (LA-NUMA) range.  Real frames
+ * are numbered from 0 below it; imaginary frames back no memory.
+ */
+constexpr FrameNum kImaginaryFrameBase = 1ULL << 24;
+
 /** A virtual address: (VSID, page number, offset). */
 struct VAddr {
     std::uint64_t raw = 0;

@@ -14,13 +14,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "mem/addr.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace prism {
-
-/** First frame number of the imaginary (LA-NUMA) range. */
-constexpr FrameNum kImaginaryFrameBase = 1ULL << 24;
 
 /** A frame allocator over a contiguous range of frame numbers. */
 class FramePool

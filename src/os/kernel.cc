@@ -1,7 +1,5 @@
 #include "os/kernel.hh"
 
-#include <algorithm>
-
 #include "obs/trace_sink.hh"
 #include "policy/page_policy.hh"
 #include "sim/stats.hh"
@@ -23,29 +21,24 @@ Kernel::send(Msg &&m)
     sendFn_(std::move(m));
 }
 
-CoMutex &
-Kernel::globalLock(GPage gp)
+void
+Kernel::unlockPage(PageRecords::Ref rec)
 {
-    auto &p = gLocks_[gp];
-    if (!p)
-        p = std::make_unique<CoMutex>(eq_);
-    return *p;
+    rec->pageLock.release();
+    pages().settle(rec);
 }
 
 CoMutex &
 Kernel::privateLock(VPage vp)
 {
-    auto &p = pLocks_[vp];
-    if (!p)
-        p = std::make_unique<CoMutex>(eq_);
-    return *p;
+    return pLocks_.try_emplace(vp, eq_).first->second;
 }
 
 bool
 Kernel::pageBusy(GPage gp) const
 {
-    auto it = gLocks_.find(gp);
-    return it != gLocks_.end() && it->second->held();
+    auto rec = pages().find(gp);
+    return rec && rec->pageLock.held();
 }
 
 // ---------------------------------------------------------------------
@@ -96,12 +89,19 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
     GPage gp = kInvalidGPage;
     const bool global = globalPageOf(vp, &gp);
 
-    CoMutex &lk = global ? globalLock(gp) : privateLock(vp);
+    // Holding (or queuing on) a global page's lock keeps its record
+    // live.
+    const PageRecords::Ref rec = global ? pages().get(gp)
+                                        : PageRecords::Ref();
+    CoMutex &lk = global ? rec->pageLock : privateLock(vp);
     co_await lk.acquire();
     // Another local processor may have completed the fault meanwhile.
     if (const Pte *pte = pt_.lookup(vp)) {
         *out_frame = pte->frame;
-        lk.release();
+        if (global)
+            unlockPage(rec);
+        else
+            lk.release();
         co_return;
     }
 
@@ -131,36 +131,34 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
     }
 
     if (home_path) {
-        co_await homeMapIn(gp);
-        FrameNum hf = ctrl_->pit().frameOf(gp);
+        co_await homeMapIn(rec);
+        FrameNum hf = rec->frame;
         prism_assert(hf != kInvalidFrame, "home map-in left no frame");
         co_await delay(cfg_.pitCommandCycles);
         pt_.map(vp, hf, PageMode::Scoma);
         *out_frame = hf;
         ++stats_.faultsHome;
-        lk.release();
+        unlockPage(rec);
         co_return;
     }
 
     // ----- Client fault -------------------------------------------------
-    // NOTE: copy the cached-home record by value; iterators into
-    // cachedHome_ must not be held across suspension points (another
-    // fault's insert may rehash the table).
-    CachedHome ch{kInvalidNode, kInvalidFrame};
-    auto ch_it = cachedHome_.find(gp);
-    if (ch_it == cachedHome_.end()) {
+    // Copy the home-page-status flag: a home page-out request may
+    // clear it while this fault is suspended.
+    CachedHome ch = rec->cachedHome;
+    if (ch.dynHome == kInvalidNode) {
         // Ensure the page is paged-in at home and learn the home frame.
         const Tick pi0 = eq_.now();
         PageInWait w(eq_);
-        pendingPageIn_[gp] = &w;
+        rec->pageIn = &w;
         send(Msg(MsgType::PageInReq,
                  dyn_home_hint != kInvalidNode ? dyn_home_hint
                                                : staticHomeOf_(gp),
                  gp));
         co_await w.ev.wait();
-        pendingPageIn_.erase(gp);
+        rec->pageIn = nullptr;
         ch = CachedHome{w.dynHome, w.homeFrame};
-        cachedHome_.emplace(gp, ch);
+        rec->cachedHome = ch;
         latency_.pageIn.sample(eq_.now() - pi0);
         if (trace_) {
             trace_->span("pageIn", "paging",
@@ -169,7 +167,6 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
         }
     } else {
         // Home-page-status flag is set: no page-in request needed.
-        ch = ch_it->second;
         ++stats_.faultsCachedHome;
     }
 
@@ -181,38 +178,35 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
     if (mode == PageMode::Scoma) {
         f = realPool_.alloc();
         prism_assert(f != kInvalidFrame, "out of real frames");
-        clientScomaFrames_.insert(f);
-        frameToPage_[f] = gp;
-        if (clientScomaFrames_.size() > clientScomaPeak_)
-            clientScomaPeak_ = clientScomaFrames_.size();
+        if (++clientScoma_ > clientScomaPeak_)
+            clientScomaPeak_ = clientScoma_;
     } else {
         f = imagPool_.alloc();
-        frameToPage_[f] = gp;
         laNumaMapped_.push_back(gp);
     }
 
+    // Links an S-COMA frame onto the PIT's page-cache LRU.
     ctrl_->installClientMapping(f, gp, staticHomeOf_(gp), ch.dynHome,
                                 ch.homeFrame, mode);
     co_await delay(cfg_.pitCommandCycles);
     pt_.map(vp, f, mode);
     *out_frame = f;
     ++stats_.faultsClient;
-    lk.release();
+    unlockPage(rec);
 }
 
 CoTask
-Kernel::homeMapIn(GPage gp)
+Kernel::homeMapIn(PageRecords::Ref rec)
 {
-    if (ctrl_->isDynHome(gp))
+    if (ctrl_->isDynHome(rec->gpage))
         co_return;
     FrameNum f = realPool_.alloc();
     prism_assert(f != kInvalidFrame, "out of frames for home page");
-    if (diskPages_.count(gp)) {
+    if (rec->onDisk) {
         co_await delay(cfg_.diskLatency);
-        diskPages_.erase(gp);
+        rec->onDisk = false;
     }
-    ctrl_->installHomeMapping(f, gp);
-    homeClients_.emplace(gp, SharerSet());
+    ctrl_->installHomeMapping(f, rec->gpage);
 }
 
 // ---------------------------------------------------------------------
@@ -224,7 +218,7 @@ Kernel::archiveUtilization(FrameNum f)
 {
     if (f >= kImaginaryFrameBase)
         return; // imaginary frames consume no memory
-    const PitEntry *e = ctrl_->pit().entry(f);
+    const Pit::Ref e = ctrl_->pit().entry(f);
     if (!e || !e->accessed)
         return;
     utilArchivedLines_ += e->accessed->popcount();
@@ -235,22 +229,22 @@ CoTask
 Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
 {
     const Tick t0 = eq_.now();
-    CoMutex &lk = globalLock(gp);
-    co_await lk.acquire();
+    const PageRecords::Ref rec = pages().get(gp);
+    co_await rec->pageLock.acquire();
 
-    FrameNum f = ctrl_->pit().frameOf(gp);
+    FrameNum f = rec->frame;
     if (f == kInvalidFrame) {
-        lk.release();
+        unlockPage(rec);
         co_return; // already paged out
     }
     if (ctrl_->isDynHome(gp)) {
         // The page migrated TO us while it was being selected as a
         // victim: our client frame was promoted to the home frame.
         // Home frames are never client-paged-out.
-        lk.release();
+        unlockPage(rec);
         co_return;
     }
-    PitEntry *e = ctrl_->pit().entry(f);
+    const Pit::Ref e = ctrl_->pit().entry(f);
     prism_assert(e->mode != PageMode::Local, "pageOutClient on local page");
     const PageMode mode = e->mode;
     const NodeId dyn_home = e->dynHome;
@@ -275,7 +269,7 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
             // flush's writebacks were absorbed by our own (adopted)
             // directory.  Abandon the page-out; local processors
             // refault and remap the home frame.
-            lk.release();
+            unlockPage(rec);
             co_return;
         }
         if (ctrl_->clientPageQuiescent(f))
@@ -284,25 +278,24 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
     }
     archiveUtilization(f);
     ctrl_->removeClientMapping(f);
-    frameToPage_.erase(f);
 
     // Tell the home we no longer cache the page.
-    NoticeWait w(eq_);
-    pendingNoticeAck_[gp] = &w;
+    CoEvent ack(eq_);
+    rec->noticeAck = &ack;
     send(Msg(MsgType::PageOutNotice, dyn_home, gp));
-    co_await w.ev.wait();
-    pendingNoticeAck_.erase(gp);
+    co_await ack.wait();
+    rec->noticeAck = nullptr;
 
     // Only recycle the frame number once the home has acknowledged.
     if (mode == PageMode::Scoma) {
-        clientScomaFrames_.erase(f);
+        --clientScoma_;
         realPool_.release(f);
     } else {
         imagPool_.release(f);
     }
 
     if (convert_to_lanuma) {
-        modeOverride_[gp] = PageMode::LaNuma;
+        rec->modeOverride = PageMode::LaNuma;
         ++stats_.conversionsToLaNuma;
     }
     ++stats_.clientPageOuts;
@@ -313,24 +306,24 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
         trace_->span("pageOut", "paging",
                      static_cast<std::int32_t>(self_), 0, t0, eq_.now());
     }
-    lk.release();
+    unlockPage(rec);
 }
 
 CoTask
 Kernel::pageOutHome(GPage gp)
 {
     const Tick t0 = eq_.now();
-    CoMutex &lk = globalLock(gp);
-    co_await lk.acquire();
+    const PageRecords::Ref rec = pages().get(gp);
+    co_await rec->pageLock.acquire();
     if (!ctrl_->isDynHome(gp)) {
-        lk.release();
+        unlockPage(rec);
         co_return;
     }
-    dyingPages_.insert(gp);
+    rec->dying = true;
 
-    const SharerSet clients = homeClients_[gp];
+    const SharerSet clients = rec->homeClients;
     CoLatch latch(eq_);
-    pendingHomePageOut_[gp] = &latch;
+    rec->homePageOut = &latch;
     std::uint32_t n = 0;
     for (NodeId c = clients.first(); c != kInvalidNode;
          c = clients.next(c)) {
@@ -340,13 +333,13 @@ Kernel::pageOutHome(GPage gp)
     latch.expect(n);
     latch.arm();
     co_await latch.wait();
-    pendingHomePageOut_.erase(gp);
+    rec->homePageOut = nullptr;
 
     // Wait until no protocol handler is mid-transaction on the page's
     // lines, then collect local processor copies and write to disk.
     while (!ctrl_->homePageQuiescent(gp))
         co_await delay(cfg_.retryDelay);
-    FrameNum hf = ctrl_->pit().frameOf(gp);
+    FrameNum hf = rec->frame;
     prism_assert(hf != kInvalidFrame, "home page without frame");
     if (cacheFlush_)
         cacheFlush_(hf);
@@ -362,25 +355,22 @@ Kernel::pageOutHome(GPage gp)
     archiveUtilization(hf);
     ctrl_->removeHomeMapping(hf, gp);
     realPool_.release(hf);
-    homeClients_.erase(gp);
-    diskPages_.insert(gp);
-    dyingPages_.erase(gp);
+    rec->homeClients = SharerSet();
+    rec->onDisk = true;
+    rec->dying = false;
     ++stats_.homePageOuts;
     latency_.pageOut.sample(eq_.now() - t0);
     if (trace_) {
         trace_->span("homePageOut", "paging",
                      static_cast<std::int32_t>(self_), 0, t0, eq_.now());
     }
-    lk.release();
+    std::vector<Msg> deferred = std::move(rec->deferredPageIn);
+    rec->deferredPageIn.clear();
+    unlockPage(rec);
 
     // Serve page-in requests that arrived while the page was dying.
-    auto it = deferredPageIn_.find(gp);
-    if (it != deferredPageIn_.end()) {
-        std::vector<Msg> q = std::move(it->second);
-        deferredPageIn_.erase(it);
-        for (auto &dm : q)
-            receive(std::move(dm));
-    }
+    for (auto &dm : deferred)
+        receive(std::move(dm));
 }
 
 // ---------------------------------------------------------------------
@@ -399,59 +389,42 @@ bool
 Kernel::clientCacheFull() const
 {
     const std::uint64_t cap = clientCap();
-    return cap != 0 && clientScomaFrames_.size() >= cap;
+    return cap != 0 && clientScoma_ >= cap;
 }
 
 GPage
 Kernel::lruClientPage() const
 {
-    GPage best = kInvalidGPage;
-    Tick best_t = 0;
-    const Pit &pit = ctrl_->pit();
-    for (FrameNum f : clientScomaFrames_) {
-        const PitEntry *e = pit.entry(f);
-        if (!e)
-            continue;
-        if (pageBusy(e->gpage))
-            continue; // page mid-fault/mid-pageout; skip
-        if (e->tags && e->tags->anyTransit())
-            continue;
-        if (best == kInvalidGPage || e->lastAccess < best_t) {
-            best = e->gpage;
-            best_t = e->lastAccess;
-        }
-    }
-    return best;
+    const Pit::Ref e = ctrl_->pit().lruVictim();
+    return e ? e->gpage : kInvalidGPage;
 }
 
 std::vector<FrameNum>
 Kernel::clientScomaFrameList() const
 {
-    std::vector<FrameNum> out(clientScomaFrames_.begin(),
-                              clientScomaFrames_.end());
-    // Deterministic order for reproducible policy decisions.
-    std::sort(out.begin(), out.end());
-    return out;
+    return ctrl_->pit().lruFrames();
 }
 
 GPage
 Kernel::pageOfClientFrame(FrameNum f) const
 {
-    auto it = frameToPage_.find(f);
-    return it == frameToPage_.end() ? kInvalidGPage : it->second;
+    const Pit::Ref e = ctrl_->pit().entry(f);
+    return e ? e->gpage : kInvalidGPage;
 }
 
 void
 Kernel::setModeOverride(GPage gp, PageMode m)
 {
-    modeOverride_[gp] = m;
+    const PageRecords::Ref rec = pages().get(gp);
+    rec->modeOverride = m;
+    pages().settle(rec);
 }
 
 PageMode
 Kernel::modeOverride(GPage gp) const
 {
-    auto it = modeOverride_.find(gp);
-    return it == modeOverride_.end() ? PageMode::Scoma : it->second;
+    auto rec = pages().find(gp);
+    return rec ? rec->modeOverride : PageMode::Scoma;
 }
 
 CoTask
@@ -464,9 +437,7 @@ Kernel::reconsiderLaNumaPages(std::uint64_t threshold,
         if (reconsiderCursor_ >= laNumaMapped_.size())
             reconsiderCursor_ = 0;
         GPage gp = laNumaMapped_[reconsiderCursor_];
-        FrameNum f = pit.frameOf(gp);
-        const PitEntry *e =
-            (f == kInvalidFrame) ? nullptr : pit.entry(f);
+        const Pit::Ref e = pit.entry(pit.frameOf(gp));
         if (!e || e->mode == PageMode::Scoma) {
             // Stale entry (paged out or converted); drop from the list.
             laNumaMapped_[reconsiderCursor_] = laNumaMapped_.back();
@@ -477,7 +448,7 @@ Kernel::reconsiderLaNumaPages(std::uint64_t threshold,
         if (e->remoteFetches >= threshold && !pageBusy(gp)) {
             laNumaMapped_[reconsiderCursor_] = laNumaMapped_.back();
             laNumaMapped_.pop_back();
-            modeOverride_[gp] = PageMode::Scoma;
+            setModeOverride(gp, PageMode::Scoma);
             ++stats_.conversionsToScoma;
             co_await pageOutClient(gp, false);
         } else {
@@ -499,32 +470,32 @@ Kernel::receive(Msg m)
         onPageInReq(std::move(m));
         return;
       case MsgType::PageInRep: {
-        auto it = pendingPageIn_.find(m.gpage);
-        prism_assert(it != pendingPageIn_.end(),
+        auto rec = pages().find(m.gpage);
+        prism_assert(rec && rec->pageIn,
                      "PageInRep without a waiting fault");
-        it->second->dynHome = m.dynHome;
-        it->second->homeFrame = m.homeFrame;
-        it->second->ev.signal();
+        rec->pageIn->dynHome = m.dynHome;
+        rec->pageIn->homeFrame = m.homeFrame;
+        rec->pageIn->ev.signal();
         return;
       }
       case MsgType::PageOutNotice:
         onPageOutNotice(std::move(m));
         return;
       case MsgType::PageOutNoticeAck: {
-        auto it = pendingNoticeAck_.find(m.gpage);
-        prism_assert(it != pendingNoticeAck_.end(),
+        auto rec = pages().find(m.gpage);
+        prism_assert(rec && rec->noticeAck,
                      "PageOutNoticeAck without a waiter");
-        it->second->ev.signal();
+        rec->noticeAck->signal();
         return;
       }
       case MsgType::HomePageOutReq:
         onHomePageOutReq(std::move(m));
         return;
       case MsgType::HomePageOutAck: {
-        auto it = pendingHomePageOut_.find(m.gpage);
-        prism_assert(it != pendingHomePageOut_.end(),
+        auto rec = pages().find(m.gpage);
+        prism_assert(rec && rec->homePageOut,
                      "HomePageOutAck without a waiter");
-        it->second->arrive();
+        rec->homePageOut->arrive();
         return;
       }
       default:
@@ -556,22 +527,22 @@ Kernel::onPageInReq(Msg m)
             co_return;
         }
     }
-    if (dyingPages_.count(gp)) {
-        deferredPageIn_[gp].push_back(std::move(m));
+    const PageRecords::Ref rec = pages().get(gp);
+    if (rec->dying) {
+        rec->deferredPageIn.push_back(std::move(m));
         co_return;
     }
-    CoMutex &lk = globalLock(gp);
-    co_await lk.acquire();
-    co_await homeMapIn(gp);
-    homeClients_[gp].add(client);
+    co_await rec->pageLock.acquire();
+    co_await homeMapIn(rec);
+    rec->homeClients.add(client);
     co_await delay(cfg_.homePageInService);
     ++stats_.pageInRequestsServed;
 
     Msg r(MsgType::PageInRep, client, gp);
-    r.homeFrame = ctrl_->pit().frameOf(gp);
+    r.homeFrame = rec->frame;
     r.dynHome = self_;
     send(std::move(r));
-    lk.release();
+    unlockPage(rec);
 }
 
 FireAndForget
@@ -594,9 +565,8 @@ Kernel::onPageOutNotice(Msg m)
         send(std::move(m));
         co_return;
     }
-    auto it = homeClients_.find(gp);
-    if (it != homeClients_.end())
-        it->second.remove(client);
+    // Homed here, so the record is live.
+    pages().find(gp)->homeClients.remove(client);
     Cycles c = ctrl_->homeRemoveClient(gp, client);
     co_await delay(c);
 
@@ -607,11 +577,15 @@ FireAndForget
 Kernel::onHomePageOutReq(Msg m)
 {
     const GPage gp = m.gpage;
-    // Reset the home-page-status flag (paper Section 3.3).
-    cachedHome_.erase(gp);
-    if (!pageBusy(gp) && ctrl_->pit().frameOf(gp) != kInvalidFrame &&
-        !ctrl_->isDynHome(gp)) {
-        co_await pageOutClient(gp, false);
+    if (auto rec = pages().find(gp)) {
+        // Reset the home-page-status flag (paper Section 3.3).
+        rec->cachedHome = CachedHome{};
+        if (!rec->pageLock.held() && rec->frame != kInvalidFrame &&
+            !ctrl_->isDynHome(gp)) {
+            co_await pageOutClient(gp, false);
+        } else {
+            pages().settle(rec);
+        }
     }
     // If the page is mid-fault or mid-pageout locally, the in-flight
     // operation resolves the copy (its own notice covers us).
@@ -641,11 +615,11 @@ Kernel::migrationFreeFrame(FrameNum f, GPage gp)
     if (cacheFlush_)
         cacheFlush_(f);
     archiveUtilization(f);
-    frameToPage_.erase(f);
     if (f >= kImaginaryFrameBase) {
         imagPool_.release(f);
     } else {
-        clientScomaFrames_.erase(f);
+        if (ctrl_->pit().lruErase(f))
+            --clientScoma_;
         realPool_.release(f);
     }
 }
@@ -653,26 +627,28 @@ Kernel::migrationFreeFrame(FrameNum f, GPage gp)
 SharerSet
 Kernel::homeClients(GPage gp) const
 {
-    auto it = homeClients_.find(gp);
-    return it == homeClients_.end() ? SharerSet() : it->second;
+    auto rec = pages().find(gp);
+    return rec ? rec->homeClients : SharerSet();
 }
 
 void
 Kernel::adoptHomePage(GPage gp, const SharerSet &clients)
 {
-    homeClients_[gp] = clients;
-    cachedHome_.erase(gp); // we are the home now
+    // The controller made this node the home, so the record is live.
+    const PageRecords::Ref rec = pages().find(gp);
+    rec->homeClients = clients;
+    rec->cachedHome = CachedHome{}; // we are the home now
     // If we had a client S-COMA frame it was promoted to the home
     // frame: it no longer counts against the client page cache.
-    FrameNum f = ctrl_->pit().frameOf(gp);
-    if (f != kInvalidFrame && clientScomaFrames_.erase(f))
-        frameToPage_.erase(f);
+    if (rec->frame != kInvalidFrame && ctrl_->pit().lruErase(rec->frame))
+        --clientScoma_;
 }
 
 void
 Kernel::departHomePage(GPage gp)
 {
-    homeClients_.erase(gp);
+    // The controller left a migration tombstone: the record stays.
+    pages().find(gp)->homeClients = SharerSet();
 }
 
 // ---------------------------------------------------------------------
@@ -689,8 +665,8 @@ Kernel::averageUtilization() const
     for (FrameNum f : pit.allFrames()) {
         if (f >= kImaginaryFrameBase)
             continue;
-        const PitEntry *e = pit.entry(f);
-        if (!e || !e->accessed)
+        const Pit::Ref e = pit.entry(f);
+        if (!e->accessed)
             continue;
         lines += e->accessed->popcount();
         lines_per_page = e->accessed->lines();

@@ -16,12 +16,8 @@
 #define PRISM_OS_KERNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "coherence/controller.hh"
@@ -136,22 +132,25 @@ class Kernel
     /** Per-node cap on client S-COMA frames (0 = unlimited). */
     std::uint64_t clientCap() const;
 
-    /** Live client S-COMA frames. */
-    std::uint64_t clientScomaCount() const
-    {
-        return clientScomaFrames_.size();
-    }
+    /**
+     * Live client S-COMA frames, counting those whose page-out is
+     * still awaiting the home's acknowledgement.
+     */
+    std::uint64_t clientScomaCount() const { return clientScoma_; }
 
     /** True if the page cache has reached its cap. */
     bool clientCacheFull() const;
 
-    /** Least-recently-used client S-COMA page (kInvalidGPage if none). */
+    /**
+     * Least-recently-used client S-COMA page that is not busy
+     * (kInvalidGPage if none): the PIT's victim rule (pit.hh).
+     */
     GPage lruClientPage() const;
 
-    /** All client S-COMA frames (candidates for Dyn-Util). */
+    /** Mapped client S-COMA frames, ascending (Dyn-Util candidates). */
     std::vector<FrameNum> clientScomaFrameList() const;
 
-    /** Global page mapped by a client frame. */
+    /** Global page mapped by frame @p f (kInvalidGPage if none). */
     GPage pageOfClientFrame(FrameNum f) const;
 
     /** Per-page mode override set by adaptive policies. */
@@ -215,30 +214,19 @@ class Kernel
     void setTraceSink(TraceSink *t) { trace_ = t; }
 
   private:
-    struct PageInWait {
-        explicit PageInWait(EventQueue &eq) : ev(eq) {}
-        CoEvent ev;
-        NodeId dynHome = kInvalidNode;
-        FrameNum homeFrame = kInvalidFrame;
-    };
+    /** The node's page records (owned by the controller). */
+    PageRecords &pages() { return ctrl_->pages(); }
+    const PageRecords &pages() const { return ctrl_->pages(); }
 
-    struct NoticeWait {
-        explicit NoticeWait(EventQueue &eq) : ev(eq) {}
-        CoEvent ev;
-    };
+    /** Release @p rec's page lock and free the record if now unused. */
+    void unlockPage(PageRecords::Ref rec);
 
-    struct CachedHome {
-        NodeId dynHome;
-        FrameNum homeFrame;
-    };
-
-    CoMutex &globalLock(GPage gp);
     CoMutex &privateLock(VPage vp);
     DelayAwaiter delay(Cycles c) { return DelayAwaiter(eq_, c); }
     void send(Msg &&m);
 
-    /** Map @p gp in at this (home) node if not already (lock held). */
-    CoTask homeMapIn(GPage gp);
+    /** Map @p rec's page in at this (home) node if not already. */
+    CoTask homeMapIn(PageRecords::Ref rec);
 
     /** Archive a departing frame's utilization before PIT removal. */
     void archiveUtilization(FrameNum f);
@@ -265,22 +253,11 @@ class Kernel
     std::unordered_map<std::uint64_t, std::uint64_t> vsidToGsid_;
     std::unordered_map<std::uint64_t, std::uint64_t> gsidToVsid_;
 
-    std::unordered_map<GPage, std::unique_ptr<CoMutex>> gLocks_;
-    std::unordered_map<VPage, std::unique_ptr<CoMutex>> pLocks_;
+    /** Fault locks of private (unbound) pages. */
+    std::unordered_map<VPage, CoMutex> pLocks_;
 
-    std::unordered_map<GPage, CachedHome> cachedHome_;
-    std::unordered_map<GPage, PageInWait *> pendingPageIn_;
-    std::unordered_map<GPage, NoticeWait *> pendingNoticeAck_;
-    std::unordered_map<GPage, CoLatch *> pendingHomePageOut_;
-    std::unordered_map<GPage, std::vector<Msg>> deferredPageIn_;
-    std::unordered_set<GPage> dyingPages_;
-
-    std::unordered_map<GPage, SharerSet> homeClients_;
-    std::unordered_set<GPage> diskPages_;
-
-    std::unordered_set<FrameNum> clientScomaFrames_;
-    std::unordered_map<FrameNum, GPage> frameToPage_;
-    std::unordered_map<GPage, PageMode> modeOverride_;
+    /** Live client S-COMA frames (see clientScomaCount). */
+    std::uint64_t clientScoma_ = 0;
     std::uint64_t clientScomaPeak_ = 0;
 
     /** Mapped LA-NUMA client pages (Dyn-Both reconsideration). */

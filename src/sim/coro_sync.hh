@@ -13,25 +13,48 @@
 #define PRISM_SIM_CORO_SYNC_HH
 
 #include <coroutine>
-#include <deque>
+#include <cstddef>
+#include <cstdint>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
 namespace prism {
 
-/** FIFO mutex for coroutines. */
+/**
+ * FIFO mutex for coroutines.  The wait queue is intrusive: each
+ * waiter's link lives in its own awaiter, which sits in the suspended
+ * coroutine's frame, so neither an idle nor a contended mutex ever
+ * allocates.
+ */
 class CoMutex
 {
+    struct Waiter {
+        std::coroutine_handle<> h = {};
+        Waiter *next = nullptr;
+    };
+
   public:
-    explicit CoMutex(EventQueue &eq) : eq_(eq) {}
+    explicit CoMutex(EventQueue &eq) : eq_(&eq) {}
+
+    /** Movable while idle only, so that mutexes can fill a vector. */
+    CoMutex(CoMutex &&o) noexcept : eq_(o.eq_)
+    {
+        prism_assert(!o.held_ && !o.head_, "moving a busy CoMutex");
+    }
+
+    CoMutex(const CoMutex &) = delete;
+    CoMutex &operator=(const CoMutex &) = delete;
+    CoMutex &operator=(CoMutex &&) = delete;
 
     /** Awaitable acquire; resumes in FIFO order. */
     auto
     acquire()
     {
-        struct Awaiter {
+        struct Awaiter : Waiter {
             CoMutex &m;
+
+            explicit Awaiter(CoMutex &mm) : m(mm) {}
 
             bool
             await_ready()
@@ -44,9 +67,15 @@ class CoMutex
             }
 
             void
-            await_suspend(std::coroutine_handle<> h)
+            await_suspend(std::coroutine_handle<> handle)
             {
-                m.waiters_.push_back(h);
+                h = handle;
+                if (m.tail_)
+                    m.tail_->next = this;
+                else
+                    m.head_ = this;
+                m.tail_ = this;
+                ++m.queued_;
             }
 
             void await_resume() {}
@@ -59,23 +88,29 @@ class CoMutex
     release()
     {
         prism_assert(held_, "releasing an unheld CoMutex");
-        if (waiters_.empty()) {
+        Waiter *w = head_;
+        if (!w) {
             held_ = false;
             return;
         }
-        auto h = waiters_.front();
-        waiters_.pop_front();
+        head_ = w->next;
+        if (!head_)
+            tail_ = nullptr;
+        --queued_;
         // Ownership transfers directly to the next waiter.
-        eq_.scheduleIn(0, [h] { h.resume(); });
+        auto h = w->h;
+        eq_->scheduleIn(0, [h] { h.resume(); });
     }
 
     bool held() const { return held_; }
-    std::size_t queued() const { return waiters_.size(); }
+    std::size_t queued() const { return queued_; }
 
   private:
-    EventQueue &eq_;
+    EventQueue *eq_;
+    Waiter *head_ = nullptr;
+    Waiter *tail_ = nullptr;
+    std::uint32_t queued_ = 0;
     bool held_ = false;
-    std::deque<std::coroutine_handle<>> waiters_;
 };
 
 /** Single-shot event: one waiter, one signal. */

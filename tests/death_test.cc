@@ -12,7 +12,9 @@
 #include "core/machine.hh"
 #include "core/sync.hh"
 #include "os/frame_pool.hh"
+#include "sim/coro_sync.hh"
 #include "sim/event_queue.hh"
+#include "sim/task.hh"
 #include "workload/workload.hh"
 
 namespace prism {
@@ -81,7 +83,9 @@ TEST(Death, PitDoubleInstallPanics)
 {
     EXPECT_DEATH(
         {
-            Pit pit(1, 1);
+            EventQueue eq;
+            PageRecords pages(eq, 64);
+            Pit pit(pages, 1, 1);
             pit.installLocal(3, 64);
             pit.installLocal(3, 64); // frame 3 is already mapped
         },
@@ -92,10 +96,85 @@ TEST(Death, PitAbsentRemovePanics)
 {
     EXPECT_DEATH(
         {
-            Pit pit(1, 1);
+            EventQueue eq;
+            PageRecords pages(eq, 64);
+            Pit pit(pages, 1, 1);
             pit.remove(7); // never installed
         },
         "removing absent PIT entry");
+}
+
+TEST(Death, PitHandleUsedAfterRemovePanics)
+{
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            PageRecords pages(eq, 64);
+            Pit pit(pages, 1, 1);
+            Pit::Ref e = pit.install(5, 0x100, 0, 0, 5, PageMode::Scoma,
+                                     64, FgTag::Invalid);
+            pit.remove(5);
+            (void)e->gpage; // the slot was reset under the handle
+        },
+        "stale PIT entry handle");
+}
+
+TEST(Death, PitHandleUsedAfterFrameReusePanics)
+{
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            PageRecords pages(eq, 64);
+            Pit pit(pages, 1, 1);
+            Pit::Ref e = pit.install(5, 0x100, 0, 0, 5, PageMode::Scoma,
+                                     64, FgTag::Invalid);
+            pit.remove(5);
+            pit.install(5, 0x200, 0, 0, 5, PageMode::Scoma, 64,
+                        FgTag::Invalid); // frame 5 now maps another page
+            e->tags->set(0, FgTag::Exclusive);
+        },
+        "stale PIT entry handle");
+}
+
+FireAndForget
+lockAndWait(CoMutex &m, CoEvent &done)
+{
+    co_await m.acquire();
+    co_await done.wait();
+    m.release();
+}
+
+TEST(Death, PageRecordReleasedWithLineLockWaiterPanics)
+{
+    // A home handler queued on a line lock pins the page's record: it
+    // must not be freed under the waiter (which would resume into a
+    // recycled slot).
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            PageRecords pages(eq, 64);
+            PageRecords::Ref rec = pages.get(0x42);
+            CoMutex &lk = pages.lineLocks(rec)[3];
+            CoEvent done(eq);
+            lockAndWait(lk, done); // holds the lock
+            lockAndWait(lk, done); // queues behind it
+            pages.release(rec);
+        },
+        "released while one of its line locks is held or queued");
+}
+
+TEST(Death, PageRecordHandleUsedAfterReleasePanics)
+{
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            PageRecords pages(eq, 64);
+            PageRecords::Ref rec = pages.get(0x42);
+            pages.settle(rec); // nothing live: freed
+            pages.get(0x43);   // reuses the slot
+            (void)rec->registry;
+        },
+        "stale page record handle");
 }
 
 TEST(Death, DirectoryAdoptPresentPagePanics)

@@ -4,7 +4,9 @@
  * the InlineCallback rewrite exists precisely so that scheduling and
  * dispatching events never calls operator new, for every capture size
  * used in src/ (the largest is Machine::route's 16-byte delivery
- * closure; tests and benches go up to 40 bytes).
+ * closure; tests and benches go up to 40 bytes).  The same holds for
+ * CoMutex, whose wait queue is threaded through the waiters' own
+ * awaiters: a page record keeps one mutex per line of every home page.
  *
  * Global operator new/delete are replaced with counting versions, and
  * the hot loops are run after the queue's up-front reserve so vector
@@ -18,7 +20,9 @@
 #include <cstdlib>
 #include <new>
 
+#include "sim/coro_sync.hh"
 #include "sim/event_queue.hh"
+#include "sim/task.hh"
 
 namespace {
 
@@ -129,6 +133,47 @@ TEST(EventQueueAlloc, StandingPopulationWithinReserveAllocatesNothing)
     EXPECT_EQ(g_news.load(), before);
     eq.runAll();
     EXPECT_EQ(eq.pending(), 0u);
+}
+
+FireAndForget
+lockRounds(EventQueue &eq, CoMutex &m, int rounds, Cycles hold,
+           std::uint64_t &sink)
+{
+    co_await DelayAwaiter(eq, 1); // park until the measurement starts
+    for (int i = 0; i < rounds; ++i) {
+        co_await m.acquire();
+        if (hold)
+            co_await DelayAwaiter(eq, hold);
+        ++sink;
+        m.release();
+    }
+}
+
+TEST(EventQueueAlloc, CoMutexAllocatesNothing)
+{
+    EventQueue eq;
+    std::uint64_t before = g_news.load();
+    CoMutex m(eq);
+    EXPECT_EQ(g_news.load(), before) << "constructing a CoMutex allocated";
+
+    // Coroutine frames are allocated when each coroutine is created;
+    // everything after that (acquire, queueing, handoff, release)
+    // must not touch the heap.
+    std::uint64_t sink = 0;
+    lockRounds(eq, m, 1000, 0, sink); // uncontended: never waits
+    before = g_news.load();
+    eq.runAll();
+    EXPECT_EQ(g_news.load(), before) << "uncontended acquire/release";
+    EXPECT_EQ(sink, 1000u);
+
+    constexpr int kContenders = 8;
+    for (int i = 0; i < kContenders; ++i)
+        lockRounds(eq, m, 200, 3, sink); // holds across a suspension
+    before = g_news.load();
+    eq.runAll();
+    EXPECT_EQ(g_news.load(), before) << "contended acquire/release";
+    EXPECT_EQ(sink, 1000u + kContenders * 200u);
+    EXPECT_FALSE(m.held());
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/machine.hh"
 #include "workload/workload.hh"
 
@@ -118,6 +120,114 @@ TEST(Policy, Scoma70PagesOutLruWithoutConversion)
     EXPECT_EQ(rig.clientMode(6), PageMode::Scoma);
     EXPECT_EQ(rig.clientMode(8), PageMode::Scoma);
     EXPECT_EQ(rig.clientMode(10), PageMode::Scoma);
+}
+
+// ---------------------------------------------------------------------
+// Victim selection: Kernel::lruClientPage and the PIT's LRU (pit.hh)
+// ---------------------------------------------------------------------
+
+/** Take @p m now (it must be free) and keep it, as a fault would. */
+FireAndForget
+hold(CoMutex &m)
+{
+    co_await m.acquire();
+}
+
+/** Node 1 touches even pages 0, 2, 4 in that order (no cap). */
+struct LruRig : Rig {
+    LruRig() : Rig(PolicyKind::Scoma, 0) { touchEvenPages(3); }
+
+    Kernel &kernel() { return m.node(1).kernel(); }
+    CoherenceController &ctrl() { return m.node(1).controller(); }
+    Pit &pit() { return ctrl().pit(); }
+    FrameNum frame(std::uint64_t pnum) { return pit().frameOf(gp(pnum)); }
+    Pit::Ref entry(std::uint64_t pnum) { return pit().entry(frame(pnum)); }
+
+    /** True if frame @p f is a page-out candidate (on the LRU). */
+    bool
+    onLru(FrameNum f)
+    {
+        const std::vector<FrameNum> v = kernel().clientScomaFrameList();
+        return std::find(v.begin(), v.end(), f) != v.end();
+    }
+};
+
+TEST(LruVictim, ColdestPageIsTheFirstTouched)
+{
+    LruRig rig;
+    EXPECT_EQ(rig.kernel().clientScomaCount(), 3u);
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(0));
+    EXPECT_EQ(rig.kernel().clientScomaFrameList().size(), 3u);
+}
+
+TEST(LruVictim, SkipsPageWhoseKernelLockIsHeld)
+{
+    LruRig rig;
+    CoMutex &lk = rig.ctrl().pages().find(rig.gp(0))->pageLock;
+    hold(lk);
+    EXPECT_TRUE(rig.kernel().pageBusy(rig.gp(0)));
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(2));
+    lk.release();
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(0));
+}
+
+TEST(LruVictim, SkipsFrameWithATransitLine)
+{
+    LruRig rig;
+    rig.entry(0)->tags->set(1, FgTag::Transit);
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(2));
+    rig.entry(0)->tags->set(1, FgTag::Invalid);
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(0));
+}
+
+TEST(LruVictim, NeverTouchedFrameIsColderThanAnyTouchedOne)
+{
+    LruRig rig;
+    constexpr FrameNum kSpare = 500; // outside the kernel's pool use
+    rig.ctrl().installClientMapping(kSpare, rig.gp(6), 0, 0, kInvalidFrame,
+                                    PageMode::Scoma);
+    EXPECT_EQ(rig.pit().entry(kSpare)->lastAccess, 0u);
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(6));
+    rig.ctrl().removeClientMapping(kSpare);
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(0));
+}
+
+TEST(LruVictim, LastAccessTieGoesToTheFrameTouchedFirst)
+{
+    LruRig rig;
+    const Tick t = rig.m.eventQueue().now();
+    rig.pit().touch(rig.entry(4), t);
+    rig.pit().touch(rig.entry(0), t);
+    rig.pit().touch(rig.entry(2), t);
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(4));
+    rig.pit().touch(rig.entry(4), t);
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(0));
+}
+
+TEST(LruVictim, FramePromotedToHomeLeavesTheList)
+{
+    LruRig rig;
+    const FrameNum f = rig.frame(0);
+    ASSERT_TRUE(rig.onLru(f));
+    // Page 0 (homed at node 0) migrates to node 1, whose client
+    // S-COMA frame becomes the home frame (Kernel::adoptHomePage).
+    rig.m.node(0).controller().requestMigration(rig.gp(0), 1);
+    rig.m.eventQueue().runAll();
+    ASSERT_TRUE(rig.ctrl().isDynHome(rig.gp(0)));
+    EXPECT_EQ(rig.frame(0), f); // promoted in place
+    EXPECT_FALSE(rig.onLru(f));
+    EXPECT_EQ(rig.kernel().clientScomaCount(), 2u);
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(2));
+}
+
+TEST(LruVictim, FrameFreedByMigrationLeavesTheList)
+{
+    LruRig rig;
+    const FrameNum f = rig.frame(0);
+    rig.kernel().migrationFreeFrame(f, rig.gp(0));
+    EXPECT_FALSE(rig.onLru(f));
+    EXPECT_EQ(rig.kernel().clientScomaCount(), 2u);
+    EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(2));
 }
 
 TEST(Policy, DynFcfsMapsOverflowAsLaNuma)

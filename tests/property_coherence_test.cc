@@ -76,7 +76,7 @@ checkInvariants(Machine &m)
     for (NodeId n = 0; n < nodes; ++n) {
         auto &ctrl = m.node(n).controller();
         for (FrameNum f : ctrl.pit().globalFrames()) {
-            const PitEntry *e = ctrl.pit().entry(f);
+            const Pit::Ref e = ctrl.pit().entry(f);
             if (ctrl.directory().hasPage(e->gpage)) {
                 auto [it, fresh] =
                     dir_home.emplace(e->gpage, n);
@@ -101,7 +101,7 @@ checkInvariants(Machine &m)
         auto &pit = node.controller().pit();
         std::map<FrameNum, GPage> frame2page;
         for (FrameNum f : pit.globalFrames()) {
-            const PitEntry *e = pit.entry(f);
+            const PitEntry *e = &*pit.entry(f);
             views[n].mapped[e->gpage] = e;
             views[n].frameOf[e->gpage] = f;
             frame2page[f] = e->gpage;

@@ -84,8 +84,8 @@ TEST(Protocol, HomeFaultGivesExclusiveTags)
     EXPECT_TRUE(ctrl.isDynHome(rig.gp(0)));
     FrameNum hf = ctrl.pit().frameOf(rig.gp(0));
     ASSERT_NE(hf, kInvalidFrame);
-    const PitEntry *e = ctrl.pit().entry(hf);
-    ASSERT_NE(e, nullptr);
+    const Pit::Ref e = ctrl.pit().entry(hf);
+    ASSERT_TRUE(e);
     EXPECT_EQ(e->mode, PageMode::Scoma);
     EXPECT_EQ(e->tags->get(0), FgTag::Exclusive);
     EXPECT_EQ(ctrl.stats().remoteMisses, 0u);

@@ -112,6 +112,37 @@ TEST(CoMutex, FifoOrdering)
     eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_FALSE(m.held());
+    EXPECT_EQ(m.queued(), 0u);
+
+    // Many waiters: the queue stays FIFO and queued() counts each
+    // handoff down.
+    order.clear();
+    constexpr int kMany = 100;
+    std::vector<int> want;
+    for (int id = 0; id < kMany; ++id) {
+        worker(id, 1 + static_cast<Cycles>(id % 3));
+        want.push_back(id);
+        EXPECT_EQ(m.queued(), static_cast<std::size_t>(id));
+    }
+    std::size_t last = m.queued();
+    while (eq.runOne()) {
+        EXPECT_LE(m.queued(), last);
+        last = m.queued();
+    }
+    EXPECT_EQ(order, want);
+    EXPECT_FALSE(m.held());
+    EXPECT_EQ(m.queued(), 0u);
+
+    // Reuse after the queue drained: the mutex behaves as new.
+    order.clear();
+    worker(7, 5);
+    EXPECT_TRUE(m.held());
+    EXPECT_EQ(m.queued(), 0u);
+    worker(8, 5);
+    EXPECT_EQ(m.queued(), 1u);
+    eq.runAll();
+    EXPECT_EQ(order, (std::vector<int>{7, 8}));
+    EXPECT_FALSE(m.held());
 }
 
 TEST(CoEvent, SignalBeforeWaitIsImmediate)
