@@ -6,25 +6,14 @@
 #include "core/env.hh"
 #include "obs/trace_sink.hh"
 #include "sim/stats.hh"
-#include <cstdlib>
 
 namespace prism {
 
-namespace {
-// Trace filter from the environment, read once.  The function-local
-// statics are const after their (thread-safe, C++11 magic-static)
-// initialization, so concurrent Machines may call this freely.
-bool traceMatch(GPage gp, std::uint32_t li) {
-    static const char *const env = resolveEnv("PRISM_TRACE_GPAGE");
-    static const unsigned long long g = env ? strtoull(env, nullptr, 16) : 0;
-    static const char *const env2 = resolveEnv("PRISM_TRACE_LI");
-    static const unsigned long long l =
-        env2 ? strtoull(env2, nullptr, 10) : ~0ULL;
-    return env && gp == g && (l == ~0ULL || li == l);
-}
-#define TRC(gp, li, ...) do { if (traceMatch(gp, li)) { ::prism::warn(__VA_ARGS__); } } while (0)
-}
-
+#define TRC(gp, li, ...)                                                  \
+    do {                                                                  \
+        if (traceMatch(gp, li))                                           \
+            ::prism::warn(__VA_ARGS__);                                   \
+    } while (0)
 
 CoherenceController::CoherenceController(
     NodeId self, const MachineConfig &cfg, EventQueue &eq, Dram &dram,
@@ -37,7 +26,12 @@ CoherenceController::CoherenceController(
       pit_(pages_, cfg.pitLatency, cfg.pitHashExtra),
       dir_(cfg.dirCacheEntries, cfg.dirCacheHit, cfg.dirCacheMiss,
            geo_.linesPerPage(), cfg.numNodes),
-      mutationBudget_(cfg.mutationSkipInvals)
+      mutationBudget_(cfg.mutationSkipInvals),
+      traceGPage_(parseKnobU64("PRISM_TRACE_GPAGE",
+                               resolveEnv("PRISM_TRACE_GPAGE"),
+                               kInvalidGPage, 0, ~0ULL, 16)),
+      traceLi_(parseKnobU64("PRISM_TRACE_LI", resolveEnv("PRISM_TRACE_LI"),
+                            ~0ULL, 0))
 {
 }
 
@@ -119,9 +113,9 @@ CoTask
 CoherenceController::collectFrame(FrameNum frame)
 {
     for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
-        auto r = host_.intervene(frame, i, true, eq_.now());
+        auto r = host_.intervene(frame, i, LineEvent::Evict, eq_.now());
         co_await until(r.done);
-        if (r.dirty)
+        if (r.actions & kActWritebackData)
             dram_.access(eq_.now());
     }
 }
@@ -143,7 +137,7 @@ CoherenceController::invalidateLocal(GPage gpage, std::uint32_t line_idx,
     auto e = pit_.entry(frame);
     if (!e || e->gpage != gpage)
         co_return;
-    auto r = host_.intervene(frame, line_idx, true, eq_.now());
+    auto r = host_.intervene(frame, line_idx, LineEvent::Inval, eq_.now());
     if (e->tags && e->tags->get(line_idx) != FgTag::Transit)
         e->tags->set(line_idx, FgTag::Invalid);
     if (oracle_)
@@ -362,47 +356,29 @@ CoherenceController::finishFill(FrameNum frame, std::uint32_t line_idx,
 }
 
 void
-CoherenceController::evictLine(FrameNum frame, std::uint32_t line_idx,
-                               Mesi victim_state)
+CoherenceController::lineActions(FrameNum frame, std::uint32_t line_idx,
+                                 std::uint8_t actions)
 {
+    if (!(actions &
+          (kActWritebackData | kActReplaceHint | kActRelinquish)))
+        return;
     const Pit::Ref e = pit_.entry(frame);
     if (!e)
         return; // frame being torn down
-    switch (e->mode) {
-      case PageMode::Local:
-      case PageMode::Scoma:
-      case PageMode::Command:
-        if (dirtyLine(victim_state))
+    if (e->mode != PageMode::LaNuma && e->mode != PageMode::CcNuma) {
+        if (actions & kActWritebackData)
             dram_.access(eq_.now()); // write back into local memory
         return;
-      case PageMode::LaNuma:
-      case PageMode::CcNuma:
-        // Dirty victims are written back; a clean-exclusive one sends
-        // a hint, since a silent drop would leave the full-map
-        // directory believing we still own the line.  An evicted Owned
-        // line may leave peer Shared copies behind on this node's bus:
-        // the node stays a sharer.
-        if (dirtyLine(victim_state) || victim_state == Mesi::Exclusive) {
-            releaseLine(*e, line_idx, dirtyLine(victim_state),
-                        victim_state == Mesi::Owned &&
-                            host_.lineCached(frame, line_idx));
-        }
-        return;
     }
-}
-
-void
-CoherenceController::reflectDowngrade(FrameNum frame, std::uint32_t line_idx,
-                                      bool dirty)
-{
-    const Pit::Ref e = pit_.entry(frame);
-    if (!e)
-        return;
-    if (e->mode == PageMode::LaNuma || e->mode == PageMode::CcNuma) {
-        releaseLine(*e, line_idx, dirty, true);
-    } else if (dirty) {
-        dram_.access(eq_.now()); // reflect into local memory
-    }
+    // A clean-exclusive drop sends a hint: a silent one would leave
+    // the full-map directory believing this node still owns the line.
+    // The node stays a sharer while a local copy remains: always after
+    // a relinquish, and after a dirty eviction whose peers still hold
+    // the line (MOESI Owned).
+    releaseLine(*e, line_idx, actions & kActWritebackData,
+                (actions & kActRelinquish) ||
+                    ((actions & kActWritebackData) &&
+                     host_.lineCached(frame, line_idx)));
 }
 
 // ---------------------------------------------------------------------
@@ -476,26 +452,21 @@ CoherenceController::flushClientPage(FrameNum frame)
     }
 
     for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
-        if (e->mode == PageMode::Scoma) {
-            FgTag tag = e->tags->get(i);
-            if (tag == FgTag::Invalid)
-                continue;
-            auto r = host_.intervene(frame, i, true, eq_.now());
+        // An S-COMA line the page cache lacks has no local copies.
+        const bool scoma = e->mode == PageMode::Scoma;
+        const FgTag tag = scoma ? e->tags->get(i) : FgTag::Invalid;
+        if (scoma && tag == FgTag::Invalid)
+            continue;
+        auto r = host_.intervene(frame, i, LineEvent::Evict, eq_.now());
+        if (scoma)
             e->tags->set(i, FgTag::Invalid);
-            co_await until(r.done);
-            if (r.dirty)
-                dram_.access(eq_.now()); // collect into the page cache
-            if (tag == FgTag::Exclusive) {
-                co_await dramAccess(); // read the line for writeback
-                releaseLine(*e, i, true, false);
-            }
-        } else {
-            auto r = host_.intervene(frame, i, true, eq_.now());
-            co_await until(r.done);
-            // A dirty copy is written back; a clean exclusive one is
-            // released with a hint.
-            if (r.found && (r.dirty || r.exclusive))
-                releaseLine(*e, i, r.dirty, false);
+        co_await until(r.done);
+        // The copies leave as evictions do: S-COMA dirty data into the
+        // page cache, LA-NUMA data or hints to the home.
+        lineActions(frame, i, r.actions);
+        if (tag == FgTag::Exclusive) {
+            co_await dramAccess(); // read the line for writeback
+            releaseLine(*e, i, true, false);
         }
     }
 }
@@ -781,11 +752,13 @@ CoherenceController::handleHomeRequest(Msg m)
                 co_await delay(cfg_.retryDelay);
             // 2-party transaction with the home's own copy.  Tag
             // changes are synchronous with the snoop.
-            auto r = host_.intervene(hf, li, excl, eq_.now());
+            auto r = host_.intervene(
+                hf, li, excl ? LineEvent::Inval : LineEvent::RemoteRead,
+                eq_.now());
             if (he->tags && he->tags->get(li) != FgTag::Transit)
                 he->tags->set(li, excl ? FgTag::Invalid : FgTag::Shared);
             co_await until(r.done);
-            if (r.dirty)
+            if (r.actions & kActWritebackData)
                 dram_.access(eq_.now()); // collect into memory
         }
         if (t.actions & kHomeFetchOwner) {
@@ -903,17 +876,18 @@ CoherenceController::handleClientFetch(Msg m)
     Pit::Ref e = pit_.entry(f);
     if (e && e->gpage != m.gpage)
         e = Pit::Ref(); // frame was recycled during the lookup delay
+    const LineEvent ev =
+        m.forWrite ? LineEvent::Inval : LineEvent::RemoteRead;
     if (e) {
         if (e->mode == PageMode::Scoma) {
             FgTag tag = e->tags->get(m.lineIdx);
             if (tag == FgTag::Exclusive) {
                 have = true;
-                auto r = host_.intervene(f, m.lineIdx, m.forWrite,
-                                         eq_.now());
+                auto r = host_.intervene(f, m.lineIdx, ev, eq_.now());
                 e->tags->set(m.lineIdx,
                              m.forWrite ? FgTag::Invalid : FgTag::Shared);
                 co_await until(r.done);
-                if (r.dirty)
+                if (r.actions & kActWritebackData)
                     dram_.access(eq_.now()); // into the page cache
                 co_await dramAccess(); // read line for forwarding
                 // The home memory is stale while we owned the line, so
@@ -921,15 +895,16 @@ CoherenceController::handleClientFetch(Msg m)
                 dirty_to_home = !m.forWrite;
             }
         } else {
-            auto r = host_.intervene(f, m.lineIdx, m.forWrite, eq_.now());
-            // Ownership requires an E/M copy.  A mere S copy means the
-            // node was downgraded (writeback in flight) or its own
-            // exclusive grant has not landed yet; nack and let the
-            // home retry against fresh state.
-            if (r.found && r.exclusive) {
+            auto r = host_.intervene(f, m.lineIdx, ev, eq_.now());
+            // Ownership requires an owner-class copy.  A mere S copy
+            // means the node was downgraded (writeback in flight) or
+            // its own exclusive grant has not landed yet; nack and let
+            // the home retry against fresh state.
+            if (ownerClass(r.held)) {
                 have = true;
                 co_await until(r.done);
-                dirty_to_home = !m.forWrite && r.dirty;
+                dirty_to_home =
+                    !m.forWrite && (r.actions & kActWritebackData);
             }
         }
     }

@@ -33,6 +33,7 @@
 
 #include "coherence/directory.hh"
 #include "coherence/home_protocol.hh"
+#include "coherence/line_protocol.hh"
 #include "coherence/msg.hh"
 #include "coherence/page_record.hh"
 #include "coherence/pit.hh"
@@ -70,10 +71,10 @@ struct MissResult {
 
 /** Outcome of a local processor-cache intervention. */
 struct InterventionResult {
-    Tick done;      //!< tick at which the intervention completes
-    bool found;     //!< some processor cache held the line
-    bool dirty;     //!< a Modified copy was extracted
-    bool exclusive; //!< a copy was held E or M (owner-class copy)
+    Tick done;    //!< tick at which the intervention completes
+    Mesi held;    //!< strongest state a local cache held (Invalid: none)
+    /** Union of the copies' transition actions (LineAction flags). */
+    std::uint8_t actions;
 };
 
 /**
@@ -88,13 +89,13 @@ class ControllerHost
     virtual ~ControllerHost() = default;
 
     /**
-     * Snoop all local processor caches for a line of @p frame.
-     * Invalidate the copies (@p invalidate) or downgrade them to
-     * Shared.  Dirty data, if found, is written toward memory.
+     * Raise @p ev (RemoteRead, Inval or Evict) on every local
+     * processor copy of a line of @p frame; each copy moves as the
+     * line table says.  Dirty data, if any, crosses the bus.
      */
     virtual InterventionResult intervene(FrameNum frame,
                                          std::uint32_t line_idx,
-                                         bool invalidate, Tick at) = 0;
+                                         LineEvent ev, Tick at) = 0;
 
     /**
      * True while any node-level bus transaction (miss, upgrade or
@@ -108,9 +109,9 @@ class ControllerHost
 
     /**
      * True if any local processor cache holds this specific line
-     * (any valid state).  Decides whether an Owned-line eviction's
-     * writeback keeps the node registered as a sharer (MOESI: peer
-     * Shared copies can outlive the Owned copy).
+     * (any valid state).  Decides whether a dirty eviction's writeback
+     * keeps the node registered as a sharer (MOESI: peer Shared copies
+     * can outlive the Owned copy).
      */
     virtual bool lineCached(FrameNum frame,
                             std::uint32_t line_idx) const = 0;
@@ -212,24 +213,18 @@ class CoherenceController
     bool finishFill(FrameNum frame, std::uint32_t line_idx, Mesi intended);
 
     /**
-     * Note the eviction of a line from the node's last-level caches.
-     * S-COMA/Local dirty victims land in local memory; LA-NUMA dirty
-     * victims are written back to the home, and clean-exclusive
-     * LA-NUMA victims send a replacement hint.
+     * Carry out the node-level side effects of a processor-cache line
+     * transition: its kActWritebackData, kActReplaceHint and
+     * kActRelinquish flags (LineAction; other flags are ignored).
+     * Local and S-COMA lines write dirty data into local memory.
+     * LA-NUMA lines tell the home: a writeback, a clean-exclusive
+     * replacement hint, or, for a relinquish (an M/E copy downgraded
+     * by an intra-node read), a keep-shared writeback, without which
+     * the node's Shared copies could later drop silently while the
+     * full-map directory still records the node as owner.
      */
-    void evictLine(FrameNum frame, std::uint32_t line_idx, Mesi victim_state);
-
-    /**
-     * An M/E line was downgraded to Shared by an intra-node
-     * cache-to-cache read.  For LA-NUMA frames ownership must be
-     * relinquished to the home (keep-shared writeback, carrying data
-     * if the copy was dirty) — otherwise the node's now-Shared copies
-     * could later be dropped silently while the full-map directory
-     * still records the node as owner.  For Local/S-COMA frames dirty
-     * data is reflected into local memory.
-     */
-    void reflectDowngrade(FrameNum frame, std::uint32_t line_idx,
-                          bool dirty);
+    void lineActions(FrameNum frame, std::uint32_t line_idx,
+                     std::uint8_t actions);
 
     // --- Kernel command interface (paging) -------------------------------
 
@@ -475,6 +470,21 @@ class CoherenceController
     TraceSink *trace_ = nullptr;
     /** Remaining invalidations to skip (cfg.mutationSkipInvals). */
     std::uint32_t mutationBudget_ = 0;
+
+    /**
+     * Message-log filter, parsed strictly at construction so a bad
+     * value fails fast: PRISM_TRACE_GPAGE (hex; kInvalidGPage when
+     * unset) and PRISM_TRACE_LI (decimal; ~0 = every line).
+     */
+    GPage traceGPage_;
+    std::uint64_t traceLi_;
+
+    bool
+    traceMatch(GPage gp, std::uint32_t li) const
+    {
+        return traceGPage_ != kInvalidGPage && gp == traceGPage_ &&
+               (traceLi_ == ~0ULL || li == traceLi_);
+    }
 
     ControllerStats stats_;
     ControllerLatency latency_;

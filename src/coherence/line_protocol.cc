@@ -8,10 +8,10 @@ const char *
 lineEventName(LineEvent e)
 {
     switch (e) {
-      case LineEvent::LocalLoad: return "LocalLoad";
       case LineEvent::LocalStore: return "LocalStore";
       case LineEvent::SnoopRead: return "SnoopRead";
       case LineEvent::SnoopWrite: return "SnoopWrite";
+      case LineEvent::RemoteRead: return "RemoteRead";
       case LineEvent::Inval: return "Inval";
       case LineEvent::Evict: return "Evict";
     }
@@ -31,13 +31,11 @@ LineProtocol::set(LineState s, LineEvent e, LineState next,
     validStates_ |= 1u << static_cast<unsigned>(next);
 }
 
-const Transition &
-LineProtocol::on(LineState s, LineEvent e) const
+void
+LineProtocol::illegal(LineState s, LineEvent e) const
 {
-    const Transition *t = tryOn(s, e);
-    prism_assert(t, "illegal %s transition: %s on %s", name(),
-                 lineEventName(e), mesiName(s));
-    return *t;
+    panic("illegal %s transition: %s on %s", name(), lineEventName(e),
+          mesiName(s));
 }
 
 LineProtocol::LineProtocol(ProtocolScheme scheme) : scheme_(scheme)
@@ -48,21 +46,28 @@ LineProtocol::LineProtocol(ProtocolScheme scheme) : scheme_(scheme)
     const LineState M = LineState::Modified;
     const LineState O = LineState::Owned;
     const LineState F = LineState::Forward;
-    (void)I;
 
     // Invalid is reachable under every scheme (lines start out and
     // are invalidated to it) but its row stays entirely illegal:
     // misses never consult the table, they go through the fill path.
     validStates_ |= 1u << static_cast<unsigned>(LineState::Invalid);
 
+    // Every store that needs the bus names the state it completes in
+    // (always M).  Every snoop write supplies: a peer's copy is the
+    // data a store miss needs, so the controller only has to obtain
+    // permission (an Upgrade, not a data fetch).  A remote read
+    // leaves owner-class copies Shared, since the node stops owning the
+    // line and a surviving owner-class copy would desynchronise the
+    // directory; every other copy stays as it was.
+
     // --- Shared row: identical across all four schemes ---------------
     // A plain Shared copy supplies snoop reads cache-to-cache, except
     // under MESIF where only the Forward designee answers.
     const bool mesif = scheme == ProtocolScheme::Mesif;
-    set(S, LineEvent::LocalLoad, S, 0);
-    set(S, LineEvent::LocalStore, S, kActNeedsBus);
+    set(S, LineEvent::LocalStore, M, kActNeedsBus);
     set(S, LineEvent::SnoopRead, S, mesif ? 0 : kActSupplyData);
-    set(S, LineEvent::SnoopWrite, I, mesif ? 0 : kActSupplyData);
+    set(S, LineEvent::SnoopWrite, I, kActSupplyData);
+    set(S, LineEvent::RemoteRead, S, 0);
     set(S, LineEvent::Inval, I, 0);
     set(S, LineEvent::Evict, I, 0);
 
@@ -71,7 +76,6 @@ LineProtocol::LineProtocol(ProtocolScheme scheme) : scheme_(scheme)
     // (no writeback, node ownership retained); the others flush it
     // home and relinquish.
     const bool moesi = scheme == ProtocolScheme::Moesi;
-    set(M, LineEvent::LocalLoad, M, 0);
     set(M, LineEvent::LocalStore, M, 0);
     if (moesi) {
         set(M, LineEvent::SnoopRead, O, kActSupplyData);
@@ -80,16 +84,17 @@ LineProtocol::LineProtocol(ProtocolScheme scheme) : scheme_(scheme)
             kActSupplyData | kActWritebackData | kActRelinquish);
     }
     set(M, LineEvent::SnoopWrite, I, kActSupplyData);
+    set(M, LineEvent::RemoteRead, S, kActSupplyData | kActWritebackData);
     set(M, LineEvent::Inval, I, kActWritebackData);
     set(M, LineEvent::Evict, I, kActWritebackData);
 
     // --- Exclusive row (all schemes but MSI) --------------------------
     if (scheme != ProtocolScheme::Msi) {
-        set(E, LineEvent::LocalLoad, E, 0);
         set(E, LineEvent::LocalStore, M, 0); // silent upgrade
         set(E, LineEvent::SnoopRead, S,
             kActSupplyData | kActRelinquish);
         set(E, LineEvent::SnoopWrite, I, kActSupplyData);
+        set(E, LineEvent::RemoteRead, S, kActSupplyData);
         set(E, LineEvent::Inval, I, 0);
         set(E, LineEvent::Evict, I, kActReplaceHint);
     }
@@ -100,10 +105,11 @@ LineProtocol::LineProtocol(ProtocolScheme scheme) : scheme_(scheme)
     // Owned upgrades with a local bus transaction alone (no
     // directory round trip — the node still owns the line).
     if (moesi) {
-        set(O, LineEvent::LocalLoad, O, 0);
         set(O, LineEvent::LocalStore, M, kActNeedsBus);
         set(O, LineEvent::SnoopRead, O, kActSupplyData);
         set(O, LineEvent::SnoopWrite, I, kActSupplyData);
+        set(O, LineEvent::RemoteRead, S,
+            kActSupplyData | kActWritebackData);
         set(O, LineEvent::Inval, I, kActWritebackData);
         set(O, LineEvent::Evict, I, kActWritebackData);
     }
@@ -112,10 +118,10 @@ LineProtocol::LineProtocol(ProtocolScheme scheme) : scheme_(scheme)
     // Forward is a clean copy; on a snoop read it supplies and hands
     // the designation to the requester, demoting itself to plain S.
     if (mesif) {
-        set(F, LineEvent::LocalLoad, F, 0);
-        set(F, LineEvent::LocalStore, F, kActNeedsBus);
+        set(F, LineEvent::LocalStore, M, kActNeedsBus);
         set(F, LineEvent::SnoopRead, S, kActSupplyData);
-        set(F, LineEvent::SnoopWrite, I, 0);
+        set(F, LineEvent::SnoopWrite, I, kActSupplyData);
+        set(F, LineEvent::RemoteRead, F, 0);
         set(F, LineEvent::Inval, I, 0);
         set(F, LineEvent::Evict, I, 0);
     }
@@ -141,7 +147,6 @@ LineProtocol::LineProtocol(ProtocolScheme scheme) : scheme_(scheme)
         readFillExclusive_ = E;
         readFillShared_ = F;
         peerReadFill_ = F;
-        sharedSupplyNeedsDesignee_ = true;
         break;
     }
     validStates_ |= 1u << static_cast<unsigned>(readFillExclusive_);

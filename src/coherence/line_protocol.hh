@@ -2,23 +2,26 @@
  * @file
  * Table-driven intra-node line protocol.
  *
- * The node bus (core/node) and processor caches (core/proc) used to
- * hard-code MESI; this module factors the per-line state machine out
- * into a data table per scheme so drop-in variants share one engine.
- * A protocol is a 6x6 table mapping (LineState, LineEvent) to a
+ * A scheme is a 6x6 table mapping (LineState, LineEvent) to a
  * Transition {next state, action flags}; illegal pairs are explicit
  * (tryOn() returns nullptr, on() panics) so conformance tests can
  * prove there are no silent holes.
  *
- * Division of labour: the table covers transitions of *valid* lines.
- * Misses (Invalid rows) are resolved by the bus/controller fill path,
- * which asks the protocol fill-policy queries (readFill(),
- * peerReadFill(), ...) what state to install — the Invalid row is
- * therefore entirely illegal by design.
+ * Division of labour: the table is the engine.  Every state change of
+ * a valid processor-cache line, and every side effect one demands,
+ * comes from on(): store hits (core/proc), the node bus's peer snoops
+ * and store completions (core/node), inter-node interventions and
+ * evictions (the coherence controller).  Misses (Invalid rows) are
+ * resolved by the bus/controller fill path, which asks the
+ * fill-policy queries (readFill(), peerReadFill(), writeFill(), ...)
+ * what state to install; the Invalid row is therefore entirely
+ * illegal by design.  Tearing down a whole frame (page-out, page
+ * migration) discards its lines without the table: the kernel owns
+ * the frame's data by then.
  *
  * The inter-node directory protocol is the other table-driven level:
  * the home table of coherence/home_protocol.hh.  It is the same under
- * every scheme here — it tracks node-level Owned/Shared, and every
+ * every scheme here: it tracks node-level Owned/Shared, and every
  * scheme maps owner-class processor states onto node-level ownership
  * the same way (see ownerClass() in mem/cache).
  */
@@ -33,14 +36,27 @@
 
 namespace prism {
 
-/** Events a valid processor-cache line can observe. */
+/**
+ * Events a valid processor-cache line can observe.  A load hit is not
+ * one: it never changes a valid line's state.
+ */
 enum class LineEvent : std::uint8_t {
-    LocalLoad,  //!< own processor loads (cache hit path)
     LocalStore, //!< own processor stores (hit or upgrade decision)
     SnoopRead,  //!< another processor's read appears on the node bus
     SnoopWrite, //!< another processor's write/upgrade on the node bus
-    Inval,      //!< inter-node invalidation from the home directory
-    Evict,      //!< replacement selects this line as victim
+    /**
+     * Another node reads the line: the home recalls this node's copy
+     * shared (a Fetch for read at the owner, or the home recalling
+     * its own copy).
+     */
+    RemoteRead,
+    /**
+     * The home takes the line away: an invalidation, a Fetch for
+     * write at the owner, or the home recalling its own copy
+     * exclusive.
+     */
+    Inval,
+    Evict, //!< replacement or page-out drops this copy
 };
 
 constexpr std::uint32_t kNumLineStates = 6;
@@ -51,7 +67,11 @@ const char *lineEventName(LineEvent e);
 
 /** Side effects a transition demands of the bus/controller engine. */
 enum LineAction : std::uint8_t {
-    /** Supply the line's data to the requester (cache-to-cache). */
+    /**
+     * The copy's data serves the requester: cache-to-cache on the bus
+     * (a peer's store then needs only permission from the home), or
+     * through the home's fetch for a remote read.
+     */
     kActSupplyData = 1u << 0,
     /** Write the (dirty) data back toward home/memory. */
     kActWritebackData = 1u << 1,
@@ -60,7 +80,10 @@ enum LineAction : std::uint8_t {
      * so the home directory can downgrade this node to Shared.
      */
     kActRelinquish = 1u << 2,
-    /** The access cannot complete locally; start a bus transaction. */
+    /**
+     * The store cannot complete in this cache alone: it takes a bus
+     * transaction, after which the line is in the cell's next state.
+     */
     kActNeedsBus = 1u << 3,
     /** Clean-exclusive eviction: send the home a replacement hint. */
     kActReplaceHint = 1u << 4,
@@ -107,7 +130,28 @@ class LineProtocol
     }
 
     /** The transition for (s, e); panics if the pair is illegal. */
-    const Transition &on(LineState s, LineEvent e) const;
+    const Transition &
+    on(LineState s, LineEvent e) const
+    {
+        const Transition &t =
+            table_[static_cast<unsigned>(s)][static_cast<unsigned>(e)];
+        if (!t.legal) [[unlikely]]
+            illegal(s, e);
+        return t;
+    }
+
+    /**
+     * True if a store to a line held @p s commits in place: no state
+     * change and no bus transaction (the line is already writable).
+     */
+    bool
+    storeInPlace(LineState s) const
+    {
+        const Transition &t =
+            table_[static_cast<unsigned>(s)]
+                  [static_cast<unsigned>(LineEvent::LocalStore)];
+        return t.legal && t.next == s && t.actions == 0;
+    }
 
     /**
      * State a read miss fills to: @p exclusive when no other cached
@@ -137,23 +181,15 @@ class LineProtocol
         return demoteExclusiveReadGrant_;
     }
 
-    /**
-     * True if only a designated copy supplies shared lines
-     * cache-to-cache: plain Shared copies stay silent on snoop reads
-     * and a miss with only plain-S peers falls through to the
-     * controller fill path (MESIF).
-     */
-    bool
-    sharedSupplyNeedsDesignee() const
-    {
-        return sharedSupplyNeedsDesignee_;
-    }
+    /** State a store miss fills to (the requester gains ownership). */
+    LineState writeFill() const { return LineState::Modified; }
 
   private:
     explicit LineProtocol(ProtocolScheme scheme);
 
     void set(LineState s, LineEvent e, LineState next,
              std::uint8_t actions);
+    [[noreturn]] void illegal(LineState s, LineEvent e) const;
 
     ProtocolScheme scheme_;
     Transition table_[kNumLineStates][kNumLineEvents];
@@ -162,7 +198,6 @@ class LineProtocol
     LineState readFillShared_ = LineState::Shared;
     LineState peerReadFill_ = LineState::Shared;
     bool demoteExclusiveReadGrant_ = false;
-    bool sharedSupplyNeedsDesignee_ = false;
 };
 
 } // namespace prism

@@ -1,5 +1,6 @@
 #include "core/env.hh"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -34,7 +35,7 @@ const EnvKnob kKnobs[] = {
      "runtime protocol-invariant checker (forces sequential)"},
     {"PRISM_TRACE", nullptr, "path", "unset",
      "Chrome trace-event sink (forces sequential)"},
-    {"PRISM_TRACE_GPAGE", nullptr, "global page number", "unset",
+    {"PRISM_TRACE_GPAGE", nullptr, "hex global page number", "unset",
      "message-log filter: only this global page"},
     {"PRISM_TRACE_LI", nullptr, "line index", "unset",
      "message-log filter: only this line index"},
@@ -100,20 +101,23 @@ resolveEnv(const char *env)
 
 std::uint64_t
 parseKnobU64(const char *what, const char *s, std::uint64_t def,
-             std::uint64_t min_value, std::uint64_t max_value)
+             std::uint64_t min_value, std::uint64_t max_value, int base)
 {
     if (!s)
         return def;
+    const char *kind =
+        base == 16 ? "a hexadecimal integer" : "an unsigned integer";
     // strtoull silently wraps negatives ("-5" parses as 2^64-5) and
     // skips leading whitespace; insist on a bare digit string so both
     // shapes fail fast with the knob name instead of truncating.
-    if (s[0] < '0' || s[0] > '9')
-        fatal("%s must be an unsigned integer (got '%s')", what, s);
+    if (!(base == 16 ? std::isxdigit(static_cast<unsigned char>(s[0]))
+                     : std::isdigit(static_cast<unsigned char>(s[0]))))
+        fatal("%s must be %s (got '%s')", what, kind, s);
     errno = 0;
     char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
+    unsigned long long v = std::strtoull(s, &end, base);
     if (end == s || *end != '\0')
-        fatal("%s must be an unsigned integer (got '%s')", what, s);
+        fatal("%s must be %s (got '%s')", what, kind, s);
     if (errno == ERANGE || v > max_value)
         fatal("%s out of range: '%s' exceeds %llu", what, s,
               static_cast<unsigned long long>(max_value));

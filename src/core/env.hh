@@ -49,14 +49,16 @@ const char *resolveEnv(const char *env);
 std::string envHelpTable();
 
 /**
- * Strict unsigned parse for a knob value: the whole of @p s must be a
- * decimal integer in [@p min_value, @p max_value].  Trailing garbage
- * ("4x"), a sign ("-3", "+4"), overflow, and out-of-range values are
- * all fatal, naming the knob via @p what.  Null @p s returns @p def.
+ * Strict unsigned parse for a knob value: the whole of @p s must be an
+ * integer in [@p min_value, @p max_value], written in @p base (10, or
+ * 16 with an optional "0x").  Trailing garbage ("4x"), a sign ("-3",
+ * "+4"), overflow, and out-of-range values are all fatal, naming the
+ * knob via @p what.  Null @p s returns @p def.
  */
 std::uint64_t parseKnobU64(const char *what, const char *s,
                            std::uint64_t def, std::uint64_t min_value,
-                           std::uint64_t max_value = ~0ULL);
+                           std::uint64_t max_value = ~0ULL,
+                           int base = 10);
 
 /**
  * Strict floating-point parse for a knob value: the whole of @p s

@@ -76,32 +76,45 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
         }
     } guard{*this, line_paddr, frame};
 
+    // A store completes in the state its LocalStore cell names (an
+    // upgrade) or in the write fill (a miss).
+    const LineEvent snoop =
+        write ? LineEvent::SnoopWrite : LineEvent::SnoopRead;
+    const Mesi store_fill =
+        requester_state == Mesi::Invalid
+            ? proto_.writeFill()
+            : proto_.on(requester_state, LineEvent::LocalStore).next;
+    // A store's bus transaction invalidates the other copies here.
+    auto snoopWritePeers = [&](const Proc *skip) {
+        for (auto &pp : procs_) {
+            if (pp.get() != &requester && pp.get() != skip)
+                pp->snoopLine(line_paddr, LineEvent::SnoopWrite);
+        }
+    };
+
     for (;;) {
         // Address tenure on the split-transaction bus.
         co_await until(bus_.addressPhase(eq_.now()));
 
-        // Snoop peer caches.
+        // Peek at peer caches; their transitions apply once the data
+        // phase is won.
         Proc *peer_owner = nullptr; // peer holding an owner-class state
         bool peer_dirty = false;
-        bool peer_shared = false;     // any valid non-owner peer copy
-        bool peer_can_supply = false; // ... that supplies snoop reads
+        bool peer_supplies = false; // a non-owner peer copy supplies
         for (auto &pp : procs_) {
             if (pp.get() == &requester)
                 continue;
-            Mesi s = pp->snoopLine(line_paddr, false, false);
+            const Mesi s = pp->lineState(line_paddr);
             if (ownerClass(s)) {
                 peer_owner = pp.get();
                 peer_dirty = dirtyLine(s);
                 break;
             }
-            if (s != Mesi::Invalid) {
-                peer_shared = true;
-                // MESIF: plain Shared copies stay silent; only the
-                // Forward designee supplies cache-to-cache.
-                if (proto_.on(s, LineEvent::SnoopRead).actions &
-                    kActSupplyData)
-                    peer_can_supply = true;
-            }
+            // MESIF: plain Shared copies stay silent on a read; only
+            // the Forward designee supplies cache-to-cache.
+            if (s != Mesi::Invalid &&
+                (proto_.on(s, snoop).actions & kActSupplyData))
+                peer_supplies = true;
         }
 
         // NOTE on ordering: every fill below charges the bus data
@@ -110,20 +123,18 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
         // no suspension in between, so a racing invalidation or
         // intervention can never slip between validation and fill.
         if (write) {
-            // MOESI: Owned arises only from an intra-node snoop read
-            // of Modified, so every sharer of an Owned line is on
-            // this bus — a store to Owned upgrades with the local
-            // address tenure alone, no directory round trip.  The
-            // state is re-checked here (atomically with the upgrade:
-            // no suspension below) in case a remote intervention
+            // A store from an owner-class state that still needs the
+            // bus (MOESI Owned) completes with the local address
+            // tenure alone: Owned arises only from an intra-node snoop
+            // read of Modified, so every other copy is on this bus and
+            // no directory round trip is needed.  The state is
+            // re-checked here (atomically with the upgrade: no
+            // suspension below) in case a remote intervention
             // downgraded it while we waited for the bus.
-            if (requester_state == Mesi::Owned &&
-                requester.lineState(line_paddr) == Mesi::Owned) {
-                for (auto &pp : procs_) {
-                    if (pp.get() != &requester)
-                        pp->snoopLine(line_paddr, true, false);
-                }
-                requester.fillLine(line_paddr, Mesi::Modified);
+            if (ownerClass(requester_state) &&
+                requester.lineState(line_paddr) == requester_state) {
+                snoopWritePeers(nullptr);
+                requester.fillLine(line_paddr, store_fill);
                 co_return;
             }
             if (peer_owner) {
@@ -131,8 +142,9 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
                 // already has exclusivity at the inter-node level.
                 co_await delay(cfg_.cacheToCache);
                 co_await until(bus_.dataPhase(eq_.now()));
-                Mesi cur = peer_owner->snoopLine(line_paddr, true, false);
-                if (!ownerClass(cur)) {
+                const Proc::Snoop cur =
+                    peer_owner->snoopLine(line_paddr, LineEvent::SnoopWrite);
+                if (!ownerClass(cur.prior)) {
                     // The copy vanished or was downgraded by a racing
                     // remote intervention: node exclusivity is gone.
                     co_await delay(cfg_.retryDelay);
@@ -141,15 +153,14 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
                 // An Owned peer coexists with Shared copies: sweep
                 // the remaining peers too (no-op under MESI, where an
                 // owner excludes every other copy).
-                for (auto &pp : procs_) {
-                    if (pp.get() != &requester && pp.get() != peer_owner)
-                        pp->snoopLine(line_paddr, true, false);
-                }
-                requester.fillLine(line_paddr, Mesi::Modified);
+                snoopWritePeers(peer_owner);
+                requester.fillLine(line_paddr, store_fill);
                 co_return;
             }
+            // A supplying copy here means the controller only has to
+            // obtain permission (an Upgrade), not data.
             const bool local_copy =
-                requester_state != Mesi::Invalid || peer_shared;
+                requester_state != Mesi::Invalid || peer_supplies;
             MissResult res;
             co_await ctrl_->serviceMiss(frame, line_idx, true, local_copy,
                                         &res);
@@ -160,16 +171,12 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
                 continue;
             }
             co_await until(bus_.dataPhase(eq_.now()));
-            if (!ctrl_->finishFill(frame, line_idx, Mesi::Modified)) {
+            if (!ctrl_->finishFill(frame, line_idx, store_fill)) {
                 co_await delay(cfg_.retryDelay);
                 continue;
             }
-            // Invalidate peer S copies under the local bus protocol.
-            for (auto &pp : procs_) {
-                if (pp.get() != &requester)
-                    pp->snoopLine(line_paddr, true, false);
-            }
-            requester.fillLine(line_paddr, Mesi::Modified);
+            snoopWritePeers(nullptr);
+            requester.fillLine(line_paddr, store_fill);
             co_return;
         }
 
@@ -177,32 +184,29 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
         if (peer_owner) {
             co_await delay(cfg_.cacheToCache);
             co_await until(bus_.dataPhase(eq_.now()));
-            Mesi cur =
-                peer_owner->snoopLine(line_paddr, false, true, true);
-            if (cur == Mesi::Invalid) {
+            const Proc::Snoop cur =
+                peer_owner->snoopLine(line_paddr, LineEvent::SnoopRead);
+            if (cur.prior == Mesi::Invalid) {
                 co_await delay(cfg_.retryDelay);
                 continue;
             }
-            if (ownerClass(cur)) {
+            if (ownerClass(cur.prior)) {
                 // Relinquish node ownership / reflect dirty data as
                 // the supplier's transition demands.  MOESI's M->O
                 // retains both the dirty data and node ownership, so
                 // nothing reaches the controller.
-                const Transition &t =
-                    proto_.on(cur, LineEvent::SnoopRead);
-                if (t.actions & kActRelinquish)
-                    ctrl_->reflectDowngrade(
-                        frame, line_idx,
-                        (t.actions & kActWritebackData) || peer_dirty);
+                ctrl_->lineActions(frame, line_idx, cur.actions);
             } else {
                 // A racing remote intervention already downgraded the
                 // copy; reflect any dirty data it held at snoop time.
-                ctrl_->reflectDowngrade(frame, line_idx, peer_dirty);
+                ctrl_->lineActions(frame, line_idx,
+                                   kActRelinquish |
+                                       (peer_dirty ? kActWritebackData : 0));
             }
             requester.fillLine(line_paddr, proto_.peerReadFill());
             co_return;
         }
-        if (peer_can_supply) {
+        if (peer_supplies) {
             // A supply-capable node-level copy exists; supply locally,
             // unless a racing invalidation removed it meanwhile.
             co_await delay(cfg_.cacheToCache);
@@ -211,12 +215,8 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
             for (auto &pp : procs_) {
                 if (pp.get() == &requester)
                     continue;
-                Mesi s = pp->snoopLine(line_paddr, false, true, true);
-                if (s == Mesi::Invalid)
-                    continue;
-                const Transition *t =
-                    proto_.tryOn(s, LineEvent::SnoopRead);
-                if (t && (t->actions & kActSupplyData)) {
+                if (pp->snoopLine(line_paddr, LineEvent::SnoopRead).actions &
+                    kActSupplyData) {
                     still_valid = true;
                     break;
                 }
@@ -249,35 +249,29 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
         // local cache thinks is merely Shared (and could drop
         // silently).
         if (res.exclusive && proto_.demoteExclusiveReadGrant())
-            ctrl_->reflectDowngrade(frame, line_idx, false);
+            ctrl_->lineActions(frame, line_idx, kActRelinquish);
         co_return;
     }
 }
 
 InterventionResult
-Node::intervene(FrameNum frame, std::uint32_t line_idx, bool invalidate,
+Node::intervene(FrameNum frame, std::uint32_t line_idx, LineEvent ev,
                 Tick at)
 {
     const std::uint64_t line_paddr =
         (frame << kPageShift) |
         (static_cast<std::uint64_t>(line_idx) << geo_.lineShift());
-    bool found = false;
-    bool dirty = false;
-    bool exclusive = false;
+    Mesi held = Mesi::Invalid;
+    std::uint8_t actions = 0;
     for (auto &p : procs_) {
-        Mesi s = p->snoopLine(line_paddr, invalidate, !invalidate);
-        if (s == Mesi::Invalid)
-            continue;
-        found = true;
-        if (dirtyLine(s))
-            dirty = true;
-        if (ownerClass(s))
-            exclusive = true;
+        const Proc::Snoop s = p->snoopLine(line_paddr, ev);
+        held = strongerLine(held, s.prior);
+        actions |= s.actions;
     }
     Tick done = bus_.addressPhase(at);
-    if (dirty)
-        done = bus_.dataPhase(done);
-    return InterventionResult{done, found, dirty, exclusive};
+    if (actions & kActWritebackData)
+        done = bus_.dataPhase(done); // dirty data crosses the bus
+    return InterventionResult{done, held, actions};
 }
 
 bool

@@ -5,9 +5,10 @@
  * controller sitting between the bus and the network interface.
  *
  * Node implements the intra-node snooping protocol (peer caches
- * supply and downgrade/invalidate each other over the bus) driven by
- * the configured line-protocol table (coherence/line_protocol:
- * MSI/MESI/MOESI/MESIF), and is the
+ * supply and downgrade/invalidate each other over the bus): every
+ * peer transition and store completion reads the configured
+ * line-protocol table (coherence/line_protocol: MSI/MESI/MOESI/MESIF).
+ * It is also the
  * ControllerHost through which the coherence controller intervenes in
  * processor caches and cooperates with the kernel for migration.
  */
@@ -57,9 +58,6 @@ class Node : public ControllerHost
     /** Deliver a network message to this node. */
     void receive(Msg m);
 
-    /** The line-protocol scheme this node's bus speaks. */
-    const LineProtocol &protocol() const { return proto_; }
-
     /**
      * Service an access that missed in @p requester's caches (or
      * needs an upgrade).  Arbitrates the bus, snoops peer caches,
@@ -77,7 +75,7 @@ class Node : public ControllerHost
     // --- ControllerHost ---------------------------------------------------
 
     InterventionResult intervene(FrameNum frame, std::uint32_t line_idx,
-                                 bool invalidate, Tick at) override;
+                                 LineEvent ev, Tick at) override;
     bool anyBusPending(FrameNum frame) const override;
     bool anyCachedCopy(FrameNum frame) const override;
     bool lineCached(FrameNum frame, std::uint32_t line_idx) const override;

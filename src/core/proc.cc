@@ -36,7 +36,7 @@ struct DeferredSyncAwaiter {
 Proc::Proc(ProcId id, Node &node, Machine &machine,
            const MachineConfig &cfg, EventQueue &eq)
     : id_(id), node_(node), machine_(machine), cfg_(cfg), eq_(eq),
-      geo_(cfg.lineBytes),
+      geo_(cfg.lineBytes), proto_(LineProtocol::get(cfg.protocol)),
       l1_(cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes),
       l2_(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes),
       tlb_(cfg.tlbEntries)
@@ -109,59 +109,49 @@ Proc::fastCore(VAddr va, bool write)
         return true;
     }
 
-    // L1.
+    // L1.  A load hit never changes a valid line; a store follows the
+    // line's LocalStore cell.
     const Mesi s1 = l1_.lookup(paddr);
     if (s1 != Mesi::Invalid) {
-        if (!write || s1 == Mesi::Modified) {
+        const Transition &t = proto_.on(s1, LineEvent::LocalStore);
+        if (write && (t.actions & kActNeedsBus))
+            return false; // upgrade on the node bus
+        if (write && t.next != s1) {
+            // Silent upgrade.  No touch here (matching the original
+            // model), so the line may not be MRU: leave the commit
+            // cache alone.
+            l1_.setState(paddr, t.next);
+        } else {
             l1_.touch(paddr);
             fastLineAddr_ = la;
-            fastLineWritable_ = (s1 == Mesi::Modified);
-            ++stats_.l1Hits;
-            if (oracle_)
-                oracle_->onAccessCommit(node_.id(), id_, frame, paddr,
-                                        write);
-            return true;
+            fastLineWritable_ = proto_.storeInPlace(s1);
         }
-        if (s1 == Mesi::Exclusive) {
-            // No touch here (matching the original model), so the line
-            // may not be MRU: leave the commit cache alone.
-            l1_.setState(paddr, Mesi::Modified);
-            ++stats_.l1Hits;
-            if (oracle_)
-                oracle_->onAccessCommit(node_.id(), id_, frame, paddr,
-                                        write);
-            return true;
-        }
-        return false; // write to Shared: needs an upgrade
+        ++stats_.l1Hits;
+        if (oracle_)
+            oracle_->onAccessCommit(node_.id(), id_, frame, paddr, write);
+        return true;
     }
 
-    // L2.
+    // L2.  A store hit updates the L2 state without a touch.
     const Mesi s2 = l2_.lookup(paddr);
     if (s2 == Mesi::Invalid)
         return false;
-    if (!write) {
-        pendingCycles_ += cfg_.l2HitLatency - 1;
-        ++stats_.l2Hits;
+    const Transition &t = proto_.on(s2, LineEvent::LocalStore);
+    if (write && (t.actions & kActNeedsBus))
+        return false; // upgrade on the node bus
+    const Mesi fill = write ? t.next : s2;
+    if (write)
+        l2_.setState(paddr, fill);
+    else
         l2_.touch(paddr);
-        insertL1(paddr, s2);
-        fastLineAddr_ = la;
-        fastLineWritable_ = (s2 == Mesi::Modified);
-        if (oracle_)
-            oracle_->onAccessCommit(node_.id(), id_, frame, paddr, write);
-        return true;
-    }
-    if (s2 == Mesi::Modified || s2 == Mesi::Exclusive) {
-        pendingCycles_ += cfg_.l2HitLatency - 1;
-        ++stats_.l2Hits;
-        l2_.setState(paddr, Mesi::Modified);
-        insertL1(paddr, Mesi::Modified);
-        fastLineAddr_ = la;
-        fastLineWritable_ = true;
-        if (oracle_)
-            oracle_->onAccessCommit(node_.id(), id_, frame, paddr, write);
-        return true;
-    }
-    return false; // Shared + write
+    pendingCycles_ += cfg_.l2HitLatency - 1;
+    ++stats_.l2Hits;
+    insertL1(paddr, fill);
+    fastLineAddr_ = la;
+    fastLineWritable_ = proto_.storeInPlace(fill);
+    if (oracle_)
+        oracle_->onAccessCommit(node_.id(), id_, frame, paddr, write);
+    return true;
 }
 
 void
@@ -178,9 +168,7 @@ Proc::insertL1(std::uint64_t line_paddr, Mesi state)
                          strongerLine(victim->state,
                                       l2_.lookup(victim->lineAddr)));
         } else {
-            node_.controller().evictLine(
-                victim->lineAddr >> kPageShift,
-                geo_.lineIndex(victim->lineAddr), victim->state);
+            evict(victim->lineAddr, victim->state);
         }
     }
 }
@@ -193,12 +181,17 @@ Proc::fillLine(std::uint64_t line_paddr, Mesi state)
         // Inclusion: the L1 copy of the victim must go too.
         clearFastLine();
         Mesi s1 = l1_.invalidate(victim->lineAddr);
-        Mesi merged = strongerLine(s1, victim->state);
-        node_.controller().evictLine(victim->lineAddr >> kPageShift,
-                                     geo_.lineIndex(victim->lineAddr),
-                                     merged);
+        evict(victim->lineAddr, strongerLine(s1, victim->state));
     }
     insertL1(line_paddr, state);
+}
+
+void
+Proc::evict(std::uint64_t line_paddr, Mesi state)
+{
+    node_.controller().lineActions(
+        line_paddr >> kPageShift, geo_.lineIndex(line_paddr),
+        proto_.on(state, LineEvent::Evict).actions);
 }
 
 FireAndForget
@@ -259,34 +252,27 @@ Proc::slowAccess(VAddr va, bool write, std::coroutine_handle<> caller)
     caller.resume();
 }
 
-Mesi
-Proc::snoopLine(std::uint64_t line_paddr, bool invalidate, bool downgrade,
-                bool bus_read)
+Proc::Snoop
+Proc::snoopLine(std::uint64_t line_paddr, LineEvent ev)
 {
     const Mesi s1 = l1_.lookup(line_paddr);
     const Mesi s2 = l2_.lookup(line_paddr);
-    Mesi merged = strongerLine(s1, s2);
+    const Mesi merged = strongerLine(s1, s2);
     if (merged == Mesi::Invalid)
-        return merged;
+        return Snoop{};
     if (line_paddr == fastLineAddr_)
         clearFastLine();
-    if (invalidate) {
+    const Transition &t = proto_.on(merged, ev);
+    if (t.next == Mesi::Invalid) {
         l1_.invalidate(line_paddr);
         l2_.invalidate(line_paddr);
-    } else if (downgrade) {
-        Mesi next = merged;
-        if (bus_read)
-            next = node_.protocol().on(merged, LineEvent::SnoopRead).next;
-        else if (ownerClass(merged))
-            next = Mesi::Shared;
-        if (next != merged) {
-            if (s1 != Mesi::Invalid)
-                l1_.setState(line_paddr, next);
-            if (s2 != Mesi::Invalid)
-                l2_.setState(line_paddr, next);
-        }
+    } else if (t.next != merged) {
+        if (s1 != Mesi::Invalid)
+            l1_.setState(line_paddr, t.next);
+        if (s2 != Mesi::Invalid)
+            l2_.setState(line_paddr, t.next);
     }
-    return merged;
+    return Snoop{merged, t.actions};
 }
 
 void

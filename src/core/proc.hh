@@ -18,6 +18,7 @@
 #include <coroutine>
 #include <cstdint>
 
+#include "coherence/line_protocol.hh"
 #include "core/config.hh"
 #include "frontend/ref_sink.hh"
 #include "mem/addr.hh"
@@ -130,18 +131,19 @@ class Proc
 
     // --- Node-side hooks ---------------------------------------------------
 
+    /** A snooped copy: its state before the event and the actions. */
+    struct Snoop {
+        Mesi prior = Mesi::Invalid; //!< merged L1/L2; Invalid: no copy
+        std::uint8_t actions = 0;   //!< the transition's LineAction flags
+    };
+
     /**
-     * Snoop this processor's caches for a line (bus intervention).
-     * With @p downgrade, an intra-node snoop read (@p bus_read) moves
-     * the line per the node's protocol table (MOESI retains dirty
-     * data as Owned, MESIF demotes Forward), while an inter-node
-     * intervention forces owner-class states to Shared — the node is
-     * relinquishing ownership to the home, so a surviving local
-     * Owned/Exclusive copy would desynchronise the directory.
-     * @return the state held (merged over L1/L2) before the action.
+     * Raise @p ev on this processor's copy of a line (a peer's bus
+     * traffic, or an inter-node intervention): the copy moves to the
+     * line table's next state.  Carrying out the transition's actions
+     * is the caller's job.
      */
-    Mesi snoopLine(std::uint64_t line_paddr, bool invalidate,
-                   bool downgrade, bool bus_read = false);
+    Snoop snoopLine(std::uint64_t line_paddr, LineEvent ev);
 
     /** Non-mutating merged L1/L2 state of a line (no LRU effects). */
     Mesi
@@ -235,6 +237,9 @@ class Proc
     /** Flush pendingCycles_ into the global clock. */
     CoTask flushTime();
 
+    /** A line leaves this processor's caches: raise Evict on it. */
+    void evict(std::uint64_t line_paddr, Mesi state);
+
     ProcId id_;
     Node &node_;
     Machine &machine_;
@@ -245,6 +250,7 @@ class Proc
     const MachineConfig &cfg_;
     EventQueue &eq_;
     LineGeometry geo_;
+    const LineProtocol &proto_;
 
     SetAssocCache l1_;
     SetAssocCache l2_;

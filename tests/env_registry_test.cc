@@ -11,6 +11,7 @@
 
 #include "bench/bench_util.hh"
 #include "core/env.hh"
+#include "core/machine.hh"
 
 namespace prism {
 namespace {
@@ -185,6 +186,51 @@ TEST(EnvRegistryDeath, KvThetaOutOfRangeDies)
     EXPECT_EXIT(parse({"--kv-theta", "nan"}),
                 testing::ExitedWithCode(1),
                 "--kv-theta must be a finite decimal");
+}
+
+/** Build a one-node machine: its controller parses the trace filter. */
+void
+buildMachine()
+{
+    MachineConfig cfg;
+    cfg.numNodes = 1;
+    cfg.procsPerNode = 1;
+    Machine m(cfg);
+}
+
+TEST(EnvRegistryDeath, MalformedTraceFilterDies)
+{
+    // The message-log filter used to go through bare strtoull: "zz"
+    // parsed as page 0 and "3x" as line 3, tracing the wrong line with
+    // no diagnostic.  The page number is hex, the line index decimal.
+    {
+        ScopedEnv g("PRISM_TRACE_GPAGE", "zz");
+        EXPECT_EXIT(buildMachine(), testing::ExitedWithCode(1),
+                    "PRISM_TRACE_GPAGE must be a hexadecimal integer "
+                    ".*'zz'");
+    }
+    {
+        ScopedEnv g("PRISM_TRACE_GPAGE", "1f");
+        ScopedEnv l("PRISM_TRACE_LI", "3x");
+        EXPECT_EXIT(buildMachine(), testing::ExitedWithCode(1),
+                    "PRISM_TRACE_LI must be an unsigned integer .*'3x'");
+    }
+    {
+        ScopedEnv g("PRISM_TRACE_GPAGE", "-1");
+        EXPECT_EXIT(buildMachine(), testing::ExitedWithCode(1),
+                    "PRISM_TRACE_GPAGE must be a hexadecimal integer");
+    }
+}
+
+TEST(EnvRegistry, WellFormedTraceFilterParses)
+{
+    ScopedEnv g("PRISM_TRACE_GPAGE", "0x1f");
+    ScopedEnv l("PRISM_TRACE_LI", "3");
+    buildMachine();
+    EXPECT_EQ(parseKnobU64("PRISM_TRACE_GPAGE", "1f", 0, 0, ~0ULL, 16),
+              0x1fu);
+    EXPECT_EQ(parseKnobU64("PRISM_TRACE_GPAGE", "0x1F", 0, 0, ~0ULL, 16),
+              0x1fu);
 }
 
 TEST(EnvRegistry, KvKnobsFollowThePrecedenceRule)

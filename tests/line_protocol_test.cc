@@ -36,8 +36,8 @@ constexpr LineState O = LineState::Owned;
 constexpr LineState F = LineState::Forward;
 
 constexpr LineEvent kEvents[kNumLineEvents] = {
-    LineEvent::LocalLoad, LineEvent::LocalStore, LineEvent::SnoopRead,
-    LineEvent::SnoopWrite, LineEvent::Inval,     LineEvent::Evict,
+    LineEvent::LocalStore, LineEvent::SnoopRead, LineEvent::SnoopWrite,
+    LineEvent::RemoteRead, LineEvent::Inval,     LineEvent::Evict,
 };
 
 constexpr LineState kStates[kNumLineStates] = {I, S, E, M, O, F};
@@ -54,10 +54,10 @@ using Table = std::map<Key, Expect>;
 void
 sharedRowSupplying(Table &t)
 {
-    t[{S, LineEvent::LocalLoad}] = {S, 0};
-    t[{S, LineEvent::LocalStore}] = {S, kActNeedsBus};
+    t[{S, LineEvent::LocalStore}] = {M, kActNeedsBus};
     t[{S, LineEvent::SnoopRead}] = {S, kActSupplyData};
     t[{S, LineEvent::SnoopWrite}] = {I, kActSupplyData};
+    t[{S, LineEvent::RemoteRead}] = {S, 0};
     t[{S, LineEvent::Inval}] = {I, 0};
     t[{S, LineEvent::Evict}] = {I, 0};
 }
@@ -66,11 +66,11 @@ sharedRowSupplying(Table &t)
 void
 modifiedRowFlushing(Table &t)
 {
-    t[{M, LineEvent::LocalLoad}] = {M, 0};
     t[{M, LineEvent::LocalStore}] = {M, 0};
     t[{M, LineEvent::SnoopRead}] = {
         S, kActSupplyData | kActWritebackData | kActRelinquish};
     t[{M, LineEvent::SnoopWrite}] = {I, kActSupplyData};
+    t[{M, LineEvent::RemoteRead}] = {S, kActSupplyData | kActWritebackData};
     t[{M, LineEvent::Inval}] = {I, kActWritebackData};
     t[{M, LineEvent::Evict}] = {I, kActWritebackData};
 }
@@ -79,10 +79,10 @@ modifiedRowFlushing(Table &t)
 void
 exclusiveRow(Table &t)
 {
-    t[{E, LineEvent::LocalLoad}] = {E, 0};
     t[{E, LineEvent::LocalStore}] = {M, 0}; // silent upgrade
     t[{E, LineEvent::SnoopRead}] = {S, kActSupplyData | kActRelinquish};
     t[{E, LineEvent::SnoopWrite}] = {I, kActSupplyData};
+    t[{E, LineEvent::RemoteRead}] = {S, kActSupplyData};
     t[{E, LineEvent::Inval}] = {I, 0};
     t[{E, LineEvent::Evict}] = {I, kActReplaceHint};
 }
@@ -105,36 +105,41 @@ expectedTable(ProtocolScheme scheme)
         sharedRowSupplying(t);
         exclusiveRow(t);
         // M keeps its dirty data as Owned on a snoop read.
-        t[{M, LineEvent::LocalLoad}] = {M, 0};
         t[{M, LineEvent::LocalStore}] = {M, 0};
         t[{M, LineEvent::SnoopRead}] = {O, kActSupplyData};
         t[{M, LineEvent::SnoopWrite}] = {I, kActSupplyData};
+        t[{M, LineEvent::RemoteRead}] = {S,
+                                         kActSupplyData | kActWritebackData};
         t[{M, LineEvent::Inval}] = {I, kActWritebackData};
         t[{M, LineEvent::Evict}] = {I, kActWritebackData};
-        // Owned: dirty supplier coexisting with Shared copies.
-        t[{O, LineEvent::LocalLoad}] = {O, 0};
+        // Owned: dirty supplier coexisting with Shared copies; a remote
+        // read takes node ownership away, so it leaves Shared.
         t[{O, LineEvent::LocalStore}] = {M, kActNeedsBus};
         t[{O, LineEvent::SnoopRead}] = {O, kActSupplyData};
         t[{O, LineEvent::SnoopWrite}] = {I, kActSupplyData};
+        t[{O, LineEvent::RemoteRead}] = {S,
+                                         kActSupplyData | kActWritebackData};
         t[{O, LineEvent::Inval}] = {I, kActWritebackData};
         t[{O, LineEvent::Evict}] = {I, kActWritebackData};
         break;
       case ProtocolScheme::Mesif:
         modifiedRowFlushing(t);
         exclusiveRow(t);
-        // Plain Shared copies are silent; only Forward supplies.
-        t[{S, LineEvent::LocalLoad}] = {S, 0};
-        t[{S, LineEvent::LocalStore}] = {S, kActNeedsBus};
+        // Plain Shared copies are silent on a snoop read; only
+        // Forward supplies.  A peer's store still takes either copy's
+        // data: it then needs permission only (an Upgrade).
+        t[{S, LineEvent::LocalStore}] = {M, kActNeedsBus};
         t[{S, LineEvent::SnoopRead}] = {S, 0};
-        t[{S, LineEvent::SnoopWrite}] = {I, 0};
+        t[{S, LineEvent::SnoopWrite}] = {I, kActSupplyData};
+        t[{S, LineEvent::RemoteRead}] = {S, 0};
         t[{S, LineEvent::Inval}] = {I, 0};
         t[{S, LineEvent::Evict}] = {I, 0};
         // Forward: clean designated supplier; hands the designation
-        // to the requester on a snoop read.
-        t[{F, LineEvent::LocalLoad}] = {F, 0};
-        t[{F, LineEvent::LocalStore}] = {F, kActNeedsBus};
+        // to the requester on a snoop read, keeps it on a remote one.
+        t[{F, LineEvent::LocalStore}] = {M, kActNeedsBus};
         t[{F, LineEvent::SnoopRead}] = {S, kActSupplyData};
-        t[{F, LineEvent::SnoopWrite}] = {I, 0};
+        t[{F, LineEvent::SnoopWrite}] = {I, kActSupplyData};
+        t[{F, LineEvent::RemoteRead}] = {F, 0};
         t[{F, LineEvent::Inval}] = {I, 0};
         t[{F, LineEvent::Evict}] = {I, 0};
         break;
@@ -261,28 +266,28 @@ TEST(LineProtocolFill, FillPolicyPerScheme)
     EXPECT_EQ(msi.readFill(false), S);
     EXPECT_EQ(msi.peerReadFill(), S);
     EXPECT_TRUE(msi.demoteExclusiveReadGrant());
-    EXPECT_FALSE(msi.sharedSupplyNeedsDesignee());
+    EXPECT_EQ(msi.writeFill(), M);
 
     const LineProtocol &mesi = LineProtocol::get(ProtocolScheme::Mesi);
     EXPECT_EQ(mesi.readFill(true), E);
     EXPECT_EQ(mesi.readFill(false), S);
     EXPECT_EQ(mesi.peerReadFill(), S);
     EXPECT_FALSE(mesi.demoteExclusiveReadGrant());
-    EXPECT_FALSE(mesi.sharedSupplyNeedsDesignee());
+    EXPECT_EQ(mesi.writeFill(), M);
 
     const LineProtocol &moesi = LineProtocol::get(ProtocolScheme::Moesi);
     EXPECT_EQ(moesi.readFill(true), E);
     EXPECT_EQ(moesi.readFill(false), S);
     EXPECT_EQ(moesi.peerReadFill(), S);
     EXPECT_FALSE(moesi.demoteExclusiveReadGrant());
-    EXPECT_FALSE(moesi.sharedSupplyNeedsDesignee());
+    EXPECT_EQ(moesi.writeFill(), M);
 
     const LineProtocol &mesif = LineProtocol::get(ProtocolScheme::Mesif);
     EXPECT_EQ(mesif.readFill(true), E);
     EXPECT_EQ(mesif.readFill(false), F);
     EXPECT_EQ(mesif.peerReadFill(), F);
     EXPECT_FALSE(mesif.demoteExclusiveReadGrant());
-    EXPECT_TRUE(mesif.sharedSupplyNeedsDesignee());
+    EXPECT_EQ(mesif.writeFill(), M);
 }
 
 /**
@@ -311,7 +316,8 @@ TEST(LineProtocolMesi, EncodesPreTableBehaviour)
     EXPECT_EQ(es.next, M);
     EXPECT_EQ(es.actions, 0);
 
-    // A store to S needs the bus (upgrade).
+    // A store to S needs the bus (upgrade) and ends in M.
+    EXPECT_EQ(p.on(S, LineEvent::LocalStore).next, M);
     EXPECT_TRUE(p.on(S, LineEvent::LocalStore).actions & kActNeedsBus);
 
     // Evictions: M writes back, E hints, S drops silently.
