@@ -142,7 +142,7 @@ void
 BM_PitReverseHinted(benchmark::State &state)
 {
     EventQueue eq;
-    PageRecords pages(eq, 64);
+    PageRecords pages(eq, 64, 8);
     Pit pit(pages, 2, 18);
     for (FrameNum f = 0; f < 1024; ++f)
         pit.install(f, 0x1000 + f, 0, 0, f, PageMode::Scoma, 64,
@@ -161,7 +161,7 @@ void
 BM_PitReverseHash(benchmark::State &state)
 {
     EventQueue eq;
-    PageRecords pages(eq, 64);
+    PageRecords pages(eq, 64, 8);
     Pit pit(pages, 2, 18);
     for (FrameNum f = 0; f < 1024; ++f)
         pit.install(f, 0x1000 + f, 0, 0, f, PageMode::Scoma, 64,
@@ -179,9 +179,7 @@ BENCHMARK(BM_PitReverseHash);
 void
 BM_DirectoryAccess(benchmark::State &state)
 {
-    Directory d(8192, 2, 22, 64, 8);
-    for (GPage gp = 0; gp < 64; ++gp)
-        d.createPage(gp, DirState::Owned, 0);
+    Directory d(8192, 2, 22);
     Rng rng(1);
     for (auto _ : state) {
         GLine gl = rng.below(64 * 64);
@@ -252,22 +250,29 @@ BM_SharerSet_Snapshot(benchmark::State &state)
 BENCHMARK(BM_SharerSet_Snapshot)->Arg(64)->Arg(1024);
 
 /**
- * Directory line mutation through the SoA arena: the LineRef
- * state/owner/sharer stores the home-side protocol handler issues per
- * request.  Arg is the machine width.
+ * Directory line mutation in the page records' home blocks: a LineRef
+ * over the page's record, then the state/owner/sharer stores the
+ * home-side protocol handler issues per request.  The handler already
+ * holds the record (its line lock lives there), so the loop resolves
+ * each record once; BM_PitReverseHash times the record lookup.  Arg
+ * is the machine width.
  */
 void
 BM_Directory_LineMutate(benchmark::State &state)
 {
     const std::uint32_t nodes = static_cast<std::uint32_t>(state.range(0));
-    Directory d(8192, 2, 22, 64, nodes);
-    for (GPage gp = 0; gp < 64; ++gp)
-        d.createPage(gp, DirState::Uncached, 0);
+    EventQueue eq;
+    PageRecords pages(eq, 64, nodes);
+    std::vector<PageRecords::Ref> recs;
+    for (GPage gp = 0; gp < 64; ++gp) {
+        recs.push_back(pages.get(gp));
+        pages.setHome(recs.back(), pages.newHome());
+    }
     Rng rng(3);
     for (auto _ : state) {
         GPage gp = rng.below(64);
         std::uint32_t li = rng.below(64);
-        auto e = d.line(gp, li);
+        Directory::LineRef e(*recs[gp], li);
         NodeId n = static_cast<NodeId>(rng.below(nodes));
         e.setState(DirState::Shared);
         e.addSharer(n);
@@ -277,21 +282,27 @@ BM_Directory_LineMutate(benchmark::State &state)
 }
 BENCHMARK(BM_Directory_LineMutate)->Arg(8)->Arg(1024);
 
-/** Page churn: create/release against the slot freelist. */
+/**
+ * Page churn: home a new page in a fresh record each iteration and
+ * drop one of the first 256 if it is still homed.
+ */
 void
 BM_Directory_PageChurn(benchmark::State &state)
 {
     const std::uint32_t nodes = static_cast<std::uint32_t>(state.range(0));
-    Directory d(8192, 2, 22, 64, nodes);
+    EventQueue eq;
+    PageRecords pages(eq, 64, nodes);
     for (GPage gp = 0; gp < 256; ++gp)
-        d.createPage(gp, DirState::Uncached, 0);
+        pages.setHome(pages.get(gp), pages.newHome());
     GPage next = 256;
     Rng rng(9);
     for (auto _ : state) {
         GPage victim = rng.below(256);
-        if (d.hasPage(victim))
-            d.removePage(victim);
-        d.createPage(next++, DirState::Uncached, 0);
+        if (const PageRecords::Ref r = pages.find(victim)) {
+            pages.setHome(r, nullptr);
+            pages.settle(r);
+        }
+        pages.setHome(pages.get(next++), pages.newHome());
     }
 }
 BENCHMARK(BM_Directory_PageChurn)->Arg(8)->Arg(1024);

@@ -10,7 +10,7 @@
  * footprint table (directory bytes, PIT entries, fine-grain tag
  * bytes) harvested from the run reports' `footprint` gauges — the
  * quantity that grows with machine width and motivates the SoA
- * directory arena.
+ * directory in each home page's record.
  *
  * The default preset list is machinePresets() (8x4, 16x4, 32x8,
  * 128x8); `--machine N x P` restricts the sweep to that single

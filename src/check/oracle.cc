@@ -278,7 +278,7 @@ ProtocolOracle::sweepQuiescent()
         auto &ctrl = m_.node(n).controller();
         for (FrameNum f : ctrl.pit().globalFrames()) {
             const Pit::Ref e = ctrl.pit().entry(f);
-            if (!ctrl.directory().hasPage(e->gpage))
+            if (!ctrl.isDynHome(e->gpage))
                 continue;
             auto [it, fresh] = dir_home.emplace(e->gpage, n);
             if (!fresh && it->second != n) {
@@ -334,11 +334,9 @@ ProtocolOracle::sweepQuiescent()
 
     // Per-line checks against the directory (I2-I5) plus value checks.
     for (auto [gp, home] : dir_home) {
-        auto pg = m_.node(home).controller().directory().page(gp);
-        if (!pg)
-            continue;
-        for (std::uint32_t li = 0; li < pg.size(); ++li) {
-            const DirEntry d = pg.line(li).toEntry();
+        auto &ctrl = m_.node(home).controller();
+        for (std::uint32_t li = 0; li < geo_.linesPerPage(); ++li) {
+            const Directory::LineRef d = ctrl.dirLine(gp, li);
             const GLine gl = geo_.lineOf(gp, li);
             auto ls = lines_.find(gl);
             const LineShadow *sh =
@@ -357,19 +355,19 @@ ProtocolOracle::sweepQuiescent()
                 if (cit != views[n].cached.end())
                     cached = cit->second;
 
-                switch (d.state) {
+                switch (d.state()) {
                   case DirState::Owned:
                     // I2: only the owner holds copies.
-                    if (n != d.owner) {
+                    if (n != d.owner()) {
                         if (tag != FgTag::Invalid)
                             report(gp, li,
                                    fmt("valid tag %s at non-owner node "
                                        "%u (owner %u)",
-                                       fgTagName(tag), n, d.owner));
+                                       fgTagName(tag), n, d.owner()));
                         if (cached != Mesi::Invalid)
                             report(gp, li,
                                    fmt("cached copy at non-owner node "
-                                       "%u (owner %u)", n, d.owner));
+                                       "%u (owner %u)", n, d.owner()));
                     }
                     break;
                   case DirState::Shared:
@@ -414,7 +412,7 @@ ProtocolOracle::sweepQuiescent()
                 // I5: an owner-class (M/E/O) processor copy implies
                 // node ownership.
                 if (ownerClass(cached) &&
-                    !(d.state == DirState::Owned && d.owner == n)) {
+                    !(d.state() == DirState::Owned && d.owner() == n)) {
                     report(gp, li,
                            fmt("%s proc copy at node %u without node "
                                "ownership", mesiName(cached), n));
@@ -423,20 +421,20 @@ ProtocolOracle::sweepQuiescent()
             if (!sh)
                 continue;
             // Value invariants against the directory state.
-            if (d.state == DirState::Owned) {
-                if (sh->view[d.owner] != sh->seq)
+            if (d.state() == DirState::Owned) {
+                if (sh->view[d.owner()] != sh->seq)
                     report(gp, li,
                            fmt("owner %u's copy is stale at quiesce "
-                               "(view=%llu latest=%llu)", d.owner,
+                               "(view=%llu latest=%llu)", d.owner(),
                                static_cast<unsigned long long>(
-                                   sh->view[d.owner]),
+                                   sh->view[d.owner()]),
                                static_cast<unsigned long long>(sh->seq)));
             } else if (sh->memSeq != sh->seq) {
                 // Uncached/Shared: home memory holds the latest value.
                 report(gp, li,
                        fmt("home memory stale at quiesce under %s "
                            "(mem=%llu latest=%llu)",
-                           d.state == DirState::Shared ? "Shared"
+                           d.state() == DirState::Shared ? "Shared"
                                                        : "Uncached",
                            static_cast<unsigned long long>(sh->memSeq),
                            static_cast<unsigned long long>(sh->seq)));

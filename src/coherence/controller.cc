@@ -22,10 +22,9 @@ CoherenceController::CoherenceController(
     : self_(self), cfg_(cfg), eq_(eq), dram_(dram), host_(host),
       staticHomeOf_(std::move(static_home_of)), sendFn_(std::move(send)),
       geo_(cfg.lineBytes),
-      pages_(eq, geo_.linesPerPage()),
+      pages_(eq, geo_.linesPerPage(), cfg.numNodes),
       pit_(pages_, cfg.pitLatency, cfg.pitHashExtra),
-      dir_(cfg.dirCacheEntries, cfg.dirCacheHit, cfg.dirCacheMiss,
-           geo_.linesPerPage(), cfg.numNodes),
+      dir_(cfg.dirCacheEntries, cfg.dirCacheHit, cfg.dirCacheMiss),
       mutationBudget_(cfg.mutationSkipInvals),
       traceGPage_(parseKnobU64("PRISM_TRACE_GPAGE",
                                resolveEnv("PRISM_TRACE_GPAGE"),
@@ -409,12 +408,11 @@ CoherenceController::installClientMapping(FrameNum frame, GPage gpage,
 }
 
 void
-CoherenceController::becomeHome(PageRecords::Ref rec, FrameNum home_frame)
+CoherenceController::becomeHome(PageRecord &rec)
 {
-    rec->home = HomeMeta{};
-    rec->home.homeFrame = home_frame;
-    rec->home.accessesByNode.assign(cfg_.numNodes, 0);
-    rec->movedTo = kInvalidNode;
+    rec.home->meta = HomeMeta{};
+    rec.home->meta.accessesByNode.assign(cfg_.numNodes, 0);
+    rec.movedTo = kInvalidNode;
 }
 
 void
@@ -423,8 +421,15 @@ CoherenceController::installHomeMapping(FrameNum frame, GPage gpage)
     const Pit::Ref e =
         pit_.install(frame, gpage, staticHomeOf_(gpage), self_, frame,
                      PageMode::Scoma, geo_.linesPerPage(), FgTag::Exclusive);
-    dir_.createPage(gpage, DirState::Owned, self_);
-    becomeHome(e->page, frame);
+    PageRecord &rec = *e->page;
+    prism_assert(!rec.home, "directory page already present");
+    pages_.setHome(e->page, pages_.newHome());
+    // The home's frame holds the only copy: it owns every line.
+    for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
+        applyHomeNext(Directory::LineRef(rec, i), HomeNext::SenderOwns,
+                      self_, kInvalidNode);
+    }
+    becomeHome(rec);
     if (staticHomeOf_(gpage) == self_)
         e->page->registry = self_;
     if (oracle_)
@@ -493,7 +498,7 @@ CoherenceController::clientPageQuiescent(FrameNum frame) const
 Cycles
 CoherenceController::homeRemoveClient(GPage gpage, NodeId client)
 {
-    homeApplyPage(HomeEvent::ClientGone, gpage, client);
+    homeApplyPage(HomeEvent::ClientGone, *pages_.find(gpage), client);
     // Sequential page walk: mostly directory-cache hits.
     return geo_.linesPerPage() * cfg_.dirCacheHit;
 }
@@ -503,10 +508,9 @@ CoherenceController::removeHomeMapping(FrameNum frame, GPage gpage)
 {
     // The kernel has flushed processor copies into the frame, so lines
     // we owned leave with the frame (= memory) current.
-    homeApplyPage(HomeEvent::MigrateFlush, gpage, self_);
-    dir_.removePage(gpage);
     const PageRecords::Ref rec = pages_.find(gpage);
-    rec->home = HomeMeta{};
+    homeApplyPage(HomeEvent::MigrateFlush, *rec, self_);
+    pages_.setHome(rec, nullptr);
     pit_.remove(frame);
     if (staticHomeOf_(gpage) == self_) {
         rec->registry = kInvalidNode;
@@ -643,28 +647,39 @@ CoherenceController::homeCommit(const HomeTransition &t,
 }
 
 void
-CoherenceController::homeApplyPage(HomeEvent ev, GPage gpage, NodeId sender)
+CoherenceController::homeApplyPage(HomeEvent ev, PageRecord &rec,
+                                   NodeId sender)
 {
-    auto pg = dir_.page(gpage);
-    prism_assert(pg, "home %s on a page not homed here",
+    prism_assert(rec.home, "home %s on a page not homed here",
                  homeEventName(ev));
-    for (std::uint32_t i = 0; i < pg.size(); ++i) {
-        auto d = pg.line(i);
-        homeCommit(homeCell(ev, d, gpage, i, sender), d, gpage, i, sender,
-                   kInvalidNode, false);
+    for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
+        const Directory::LineRef d(rec, i);
+        homeCommit(homeCell(ev, d, rec.gpage, i, sender), d, rec.gpage, i,
+                   sender, kInvalidNode, false);
     }
+}
+
+Directory::LineRef
+CoherenceController::dirLine(GPage gpage, std::uint32_t li)
+{
+    const PageRecords::Ref rec = pages_.find(gpage);
+    return rec && rec->home ? Directory::LineRef(*rec, li)
+                            : Directory::LineRef();
 }
 
 FireAndForget
 CoherenceController::handleHomeRequest(Msg m)
 {
     co_await occupy(cfg_.ctrlOverhead);
-    if (!dir_.hasPage(m.gpage)) {
+    // Page-keyed lookups: this find, the PIT's hash search when the
+    // frame hint is stale, and the get below.
+    PageRecords::Ref rec = pages_.find(m.gpage);
+    if (!rec || !rec->home) {
         forward(std::move(m));
         co_return;
     }
     ++stats_.homeRequests;
-    noteHomeAccess(*pages_.find(m.gpage), m);
+    noteHomeAccess(rec->home->meta, m);
 
     bool hash = false;
     FrameNum hf = pit_.reverse(m.gpage, m.dstFrameHint, hash);
@@ -674,12 +689,12 @@ CoherenceController::handleHomeRequest(Msg m)
     const std::uint32_t li = m.lineIdx;
     const GLine gl = geo_.lineOf(m.gpage, li);
     // Queuing on (or holding) the line lock keeps the record live.
-    const PageRecords::Ref rec = pages_.get(m.gpage);
+    rec = pages_.get(m.gpage);
     CoMutex &lk = pages_.lineLocks(rec)[li];
     co_await lk.acquire();
 
     // The page may have migrated away while we queued on the lock.
-    if (!dir_.hasPage(m.gpage)) {
+    if (!rec->home) {
         lk.release();
         pages_.settle(rec);
         forward(std::move(m));
@@ -696,7 +711,7 @@ CoherenceController::handleHomeRequest(Msg m)
         he->accessed->set(li);
 
     co_await delay(dir_.access(gl));
-    auto d = dir_.line(m.gpage, li);
+    Directory::LineRef d(*rec, li);
     const NodeId req = m.requester;
     const HomeEvent ev = m.type == MsgType::ReqS   ? HomeEvent::ReqS
                          : m.type == MsgType::ReqX ? HomeEvent::ReqX
@@ -732,10 +747,9 @@ CoherenceController::handleHomeRequest(Msg m)
                 co_await occupy(cfg_.ctrlOverhead);
                 Msg inv(MsgType::Inv, n, m.gpage, li);
                 inv.requester = req;
-                if (cfg_.dirClientFrameHints &&
-                    !rec->home.clientFrames.empty()) {
-                    inv.dstFrameHint = rec->home.clientFrames[n];
-                }
+                const HomeMeta &hm = rec->home->meta;
+                if (cfg_.dirClientFrameHints && !hm.clientFrames.empty())
+                    inv.dstFrameHint = hm.clientFrames[n];
                 ++acks;
                 ++stats_.invalsSent;
                 eq_.snapNote(SnapKind::InvalSent);
@@ -805,7 +819,7 @@ CoherenceController::handleWriteback(Msg m)
 {
     const Tick t0 = eq_.now();
     co_await occupy(cfg_.ctrlOverhead);
-    if (!dir_.hasPage(m.gpage)) {
+    if (!isDynHome(m.gpage)) {
         forward(std::move(m));
         co_return;
     }
@@ -824,12 +838,13 @@ CoherenceController::handleWriteback(Msg m)
         ++stats_.firewallRejects;
         co_return;
     }
-    if (!dir_.hasPage(m.gpage)) {
+    const PageRecords::Ref rec = pages_.find(m.gpage);
+    if (!rec || !rec->home) {
         // The page was paged out / migrated during the lookup delay.
         forward(std::move(m));
         co_return;
     }
-    auto d = dir_.line(m.gpage, m.lineIdx);
+    const Directory::LineRef d(*rec, m.lineIdx);
     const HomeEvent ev =
         m.keepShared ? HomeEvent::WbKeepShared : HomeEvent::WbRelease;
     homeCommit(homeCell(ev, d, m.gpage, m.lineIdx, owner_id), d, m.gpage,
@@ -967,11 +982,8 @@ CoherenceController::requestMigration(GPage gpage, NodeId new_home)
 }
 
 void
-CoherenceController::noteHomeAccess(PageRecord &rec, const Msg &m)
+CoherenceController::noteHomeAccess(HomeMeta &hm, const Msg &m)
 {
-    HomeMeta &hm = rec.home;
-    if (hm.homeFrame == kInvalidFrame)
-        return;
     ++hm.accessesByNode[m.requester];
     ++hm.totalAccesses;
     if (cfg_.dirClientFrameHints && m.requesterFrame != kInvalidFrame) {
@@ -984,10 +996,10 @@ CoherenceController::noteHomeAccess(PageRecord &rec, const Msg &m)
 void
 CoherenceController::maybeTriggerMigration(PageRecord &rec)
 {
-    if (!cfg_.migrationEnabled)
+    if (!cfg_.migrationEnabled || !rec.home)
         return;
-    HomeMeta &hm = rec.home;
-    if (hm.homeFrame == kInvalidFrame || hm.migrating)
+    HomeMeta &hm = rec.home->meta;
+    if (hm.migrating)
         return;
     if (hm.totalAccesses < cfg_.migrationThreshold)
         return;
@@ -1014,16 +1026,14 @@ CoherenceController::handleMigratePrep(Msg m)
     co_await occupy(cfg_.ctrlOverhead);
     const GPage gp = m.gpage;
     const NodeId new_home = static_cast<NodeId>(m.aux);
-    if (!dir_.hasPage(gp) || new_home == self_)
-        co_return;
-    // The home metadata, then the line locks, keep the record live.
+    // The home block, then the line locks, keep the record live.
     const PageRecords::Ref rec = pages_.find(gp);
-    prism_assert(rec && rec->home.homeFrame != kInvalidFrame,
-                 "dir page without home meta");
-    if (rec->home.migrating)
+    if (!rec || !rec->home || new_home == self_)
         co_return;
-    rec->home.migrating = true;
-    const FrameNum hf = rec->home.homeFrame;
+    if (rec->home->meta.migrating)
+        co_return;
+    rec->home->meta.migrating = true;
+    const FrameNum hf = rec->frame;
 
     // Quiesce: acquire every line lock so no transaction is in flight.
     std::vector<CoMutex> &lks = pages_.lineLocks(rec);
@@ -1038,20 +1048,17 @@ CoherenceController::handleMigratePrep(Msg m)
 
     // Flushed above into the departing frame: the payload carries the
     // latest value of the lines we owned as the new memory.
-    homeApplyPage(HomeEvent::MigrateFlush, gp, self_);
+    homeApplyPage(HomeEvent::MigrateFlush, *rec, self_);
     auto payload = std::make_shared<MigrationPayload>();
-    payload->dir = dir_.releasePage(gp);
-    payload->kernelClients = host_.homeKernelClients(gp);
-    payload->kernelClients.remove(self_);
-    payload->kernelClients.remove(new_home);
+    payload->home = pages_.setHome(rec, nullptr);
+    payload->home->clients.remove(self_);
+    payload->home->clients.remove(new_home);
 
     Msg data(MsgType::MigrateData, new_home, gp);
     data.payload = payload;
     send(std::move(data));
 
     rec->movedTo = new_home;
-    rec->home = HomeMeta{};
-    host_.homeKernelDepart(gp);
     host_.migrationFreeFrame(hf, gp);
     pit_.remove(hf);
     ++stats_.migrationsOut;
@@ -1073,7 +1080,6 @@ CoherenceController::handleMigrateData(Msg m)
     co_await occupy(cfg_.ctrlOverhead);
     auto payload = std::static_pointer_cast<MigrationPayload>(m.payload);
     const GPage gp = m.gpage;
-    prism_assert(!dir_.hasPage(gp), "migration target already home");
 
     bool hash = false;
     const FrameNum existing = pit_.reverse(gp, kInvalidFrame, hash);
@@ -1089,8 +1095,9 @@ CoherenceController::handleMigrateData(Msg m)
         host_.migrationFreeFrame(existing, gp);
     }
 
-    dir_.adoptPage(gp, payload->dir);
-    auto pg = dir_.page(gp);
+    const PageRecords::Ref rec = pages_.get(gp);
+    prism_assert(!rec->home, "migration target already home");
+    pages_.setHome(rec, std::move(payload->home));
     FrameNum hf = existing;
     if (promote) {
         const Pit::Ref e = pit_.entry(hf);
@@ -1098,15 +1105,16 @@ CoherenceController::handleMigrateData(Msg m)
         e->homeFrameHint = hf;
         // Lines we own stay Owned(self), but the promoted frame is now
         // the home memory and it holds our (latest) data.
-        for (std::uint32_t i = 0; oracle_ && i < pg.size(); ++i) {
-            if (homeView(pg.line(i), self_, self_) == HomeView::OwnedSender)
+        for (std::uint32_t i = 0; oracle_ && i < geo_.linesPerPage(); ++i) {
+            if (homeView(Directory::LineRef(*rec, i), self_, self_) ==
+                HomeView::OwnedSender)
                 oracle_->onHomeTransition(HomeHook::MigrateFlush, self_, gp,
                                           i, self_, false);
         }
     } else {
         // Copies collected above are now home memory.
         if (existing != kInvalidFrame)
-            homeApplyPage(HomeEvent::MigrateFlush, gp, self_);
+            homeApplyPage(HomeEvent::MigrateFlush, *rec, self_);
         hf = host_.migrationAllocFrame(gp);
         prism_assert(hf != kInvalidFrame, "migration frame alloc failed");
         const Pit::Ref e =
@@ -1114,16 +1122,17 @@ CoherenceController::handleMigrateData(Msg m)
                          PageMode::Scoma, geo_.linesPerPage(),
                          FgTag::Invalid);
         // Derive this node's tags from its view of the directory.
-        for (std::uint32_t i = 0; i < pg.size(); ++i) {
-            const HomeView v = homeView(pg.line(i), self_, self_);
+        for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
+            const HomeView v =
+                homeView(Directory::LineRef(*rec, i), self_, self_);
             if (v == HomeView::OwnedSender)
                 e->tags->set(i, FgTag::Exclusive);
             else if (v == HomeView::SharedSender)
                 e->tags->set(i, FgTag::Shared);
         }
     }
-    becomeHome(pages_.find(gp), hf);
-    host_.homeKernelAdopt(gp, payload->kernelClients);
+    becomeHome(*rec);
+    host_.homeKernelAdopt(gp);
     ++stats_.migrationsIn;
 
     // Charge receipt of the page-sized payload into memory.
@@ -1178,16 +1187,16 @@ CoherenceController::registerMetrics(MetricRegistry &reg)
 
     // Memory-footprint accounting: what the coherence metadata costs
     // on this node, sampled when the report is written.  Directory
-    // bytes follow the SoA arena's live layout (state byte + owner id
+    // bytes follow the home blocks' SoA layout (state byte + owner id
     // + ceil(numNodes/64) sharer words per line); tag bytes are the
     // architected 2 bits per line of every tagged frame.
     reg.bind(MetricLabels{"footprint", n, "dirBytes", "bytes"},
              &gaugeDirBytes_,
-             [this] { return static_cast<double>(dir_.liveBytes()); },
+             [this] { return static_cast<double>(pages_.homeBytes()); },
              "directory entry bytes for pages homed here");
     reg.bind(MetricLabels{"footprint", n, "dirPages", "pages"},
              &gaugeDirPages_,
-             [this] { return static_cast<double>(dir_.numPages()); },
+             [this] { return static_cast<double>(pages_.homePages()); },
              "pages homed here (directory page count)");
     reg.bind(MetricLabels{"footprint", n, "pitEntries", "entries"},
              &gaugePitEntries_,

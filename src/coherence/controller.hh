@@ -122,14 +122,11 @@ class ControllerHost
     /** Unmap and free the departing home page's frame. */
     virtual void migrationFreeFrame(FrameNum frame, GPage gp) = 0;
 
-    /** Home-kernel client set for @p gp (migration metadata). */
-    virtual SharerSet homeKernelClients(GPage gp) = 0;
-
-    /** Install home-kernel metadata for an arriving page. */
-    virtual void homeKernelAdopt(GPage gp, const SharerSet &clients) = 0;
-
-    /** Drop home-kernel metadata for a departed page. */
-    virtual void homeKernelDepart(GPage gp) = 0;
+    /**
+     * The page arrived here by migration, its home block (client set
+     * included) already installed: update the kernel's own state.
+     */
+    virtual void homeKernelAdopt(GPage gp) = 0;
 };
 
 /**
@@ -179,7 +176,6 @@ class CoherenceController
     /** The node's per-page records (shared with the kernel). */
     PageRecords &pages() { return pages_; }
     const PageRecords &pages() const { return pages_; }
-    Directory &directory() { return dir_; }
     const ControllerStats &stats() const { return stats_; }
     const LineGeometry &geometry() const { return geo_; }
 
@@ -278,7 +274,15 @@ class CoherenceController
     FrameNum mostInvalidFrame(const std::vector<FrameNum> &candidates) const;
 
     /** True if this node is currently the dynamic home of @p gpage. */
-    bool isDynHome(GPage gpage) const { return dir_.hasPage(gpage); }
+    bool
+    isDynHome(GPage gpage) const
+    {
+        const PageRecords::Ref rec = pages_.find(gpage);
+        return rec && rec->home;
+    }
+
+    /** Line @p li of @p gpage's directory; falsy if not homed here. */
+    Directory::LineRef dirLine(GPage gpage, std::uint32_t li);
 
     /**
      * True when no protocol handler holds a line lock of @p gpage and
@@ -336,8 +340,7 @@ class CoherenceController
 
     /** Payload attached to a MigrateData message. */
     struct MigrationPayload {
-        std::vector<DirEntry> dir;
-        SharerSet kernelClients;
+        std::unique_ptr<HomeBlock> home;
     };
 
     // Timing helpers.
@@ -409,21 +412,21 @@ class CoherenceController
     // the cell for @p sender's view of @p d and traces it; homeCommit
     // collects dirty writeback data, writes the next state and calls
     // the oracle hook; homeApplyPage runs a synchronous event over
-    // every line of a page.
+    // every line of @p rec's page.
     const HomeTransition &homeCell(HomeEvent ev, Directory::LineRef d,
                                    GPage gpage, std::uint32_t li,
                                    NodeId sender);
     void homeCommit(const HomeTransition &t, Directory::LineRef d,
                     GPage gpage, std::uint32_t li, NodeId sender,
                     NodeId prev_owner, bool dirty);
-    void homeApplyPage(HomeEvent ev, GPage gpage, NodeId sender);
+    void homeApplyPage(HomeEvent ev, PageRecord &rec, NodeId sender);
 
-    // Home-side helpers.  becomeHome sets up the per-page home state
+    // Home-side helpers.  becomeHome resets the migration metadata
     // of a page mapped in or migrated here; noteHomeAccess counts a
     // request toward the migration policy and caches the requester's
     // frame hint.
-    void becomeHome(PageRecords::Ref rec, FrameNum home_frame);
-    void noteHomeAccess(PageRecord &rec, const Msg &m);
+    void becomeHome(PageRecord &rec);
+    void noteHomeAccess(HomeMeta &hm, const Msg &m);
     void maybeTriggerMigration(PageRecord &rec);
 
     NodeId self_;
@@ -491,7 +494,7 @@ class CoherenceController
 
     /**
      * Per-node memory-footprint gauges (component "footprint"),
-     * sampled at report time: directory arena bytes, PIT entries and
+     * sampled at report time: directory entry bytes, PIT entries and
      * modeled fine-grain tag bytes (2 bits per line).  These size the
      * coherence metadata cost of a machine preset (docs/PERFORMANCE.md
      * §9); scripts/strip_report.py drops them from byte-identity

@@ -1,7 +1,5 @@
 #include "coherence/directory.hh"
 
-#include <cstring>
-
 namespace prism {
 
 const char *
@@ -16,125 +14,12 @@ dirStateName(DirState s)
 }
 
 Directory::Directory(std::uint32_t cache_entries, Cycles hit_cycles,
-                     Cycles miss_cycles, std::uint32_t lines_per_page,
-                     std::uint32_t num_nodes)
-    : linesPerPage_(lines_per_page),
-      wordsPerLine_((num_nodes + 63) / 64), hitCycles_(hit_cycles),
-      missCycles_(miss_cycles), cacheTags_(cache_entries, ~0ULL)
+                     Cycles miss_cycles)
+    : hitCycles_(hit_cycles), missCycles_(miss_cycles),
+      cacheTags_(cache_entries, ~0ULL)
 {
     prism_assert((cache_entries & (cache_entries - 1)) == 0,
                  "directory cache entries must be a power of two");
-    prism_assert(num_nodes >= 1, "directory needs at least one node");
-}
-
-std::uint32_t
-Directory::allocSlot()
-{
-    if (freeSlots_.empty()) {
-        auto c = std::make_unique<Chunk>();
-        const std::size_t lines =
-            static_cast<std::size_t>(kChunkPages) * linesPerPage_;
-        c->state.assign(lines, 0);
-        c->owner.assign(lines, kInvalidNode);
-        c->words.assign(lines * wordsPerLine_, 0);
-        c->gen.assign(kChunkPages, 0);
-        const std::uint32_t base =
-            static_cast<std::uint32_t>(chunks_.size()) * kChunkPages;
-        chunks_.push_back(std::move(c));
-        // LIFO freelist: hand out low slots first.
-        for (std::uint32_t i = kChunkPages; i-- > 0;)
-            freeSlots_.push_back(base + i);
-    }
-    const std::uint32_t slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    return slot;
-}
-
-void
-Directory::createPage(GPage gp, DirState init, NodeId owner)
-{
-    prism_assert(!hasPage(gp), "directory page already present");
-    const std::uint32_t slot = allocSlot();
-    slots_.emplace(gp, slot);
-    Chunk &c = *chunks_[slot / kChunkPages];
-    const std::uint32_t base = (slot % kChunkPages) * linesPerPage_;
-    for (std::uint32_t i = 0; i < linesPerPage_; ++i) {
-        c.state[base + i] = static_cast<std::uint8_t>(init);
-        c.owner[base + i] =
-            init == DirState::Owned ? owner : kInvalidNode;
-        std::uint64_t *w = &c.words[(base + i) * wordsPerLine_];
-        std::memset(w, 0, wordsPerLine_ * sizeof(std::uint64_t));
-        if (init == DirState::Shared)
-            sharer_words::set(w, owner);
-    }
-}
-
-void
-Directory::removePage(GPage gp)
-{
-    auto it = slots_.find(gp);
-    if (it == slots_.end())
-        return;
-    ++slotGen(it->second); // invalidate outstanding handles
-    freeSlots_.push_back(it->second);
-    slots_.erase(it);
-}
-
-void
-Directory::adoptPage(GPage gp, const std::vector<DirEntry> &entries)
-{
-    prism_assert(!hasPage(gp), "adopting an already-present page");
-    prism_assert(entries.size() == linesPerPage_, "bad adopted page size");
-    const std::uint32_t slot = allocSlot();
-    slots_.emplace(gp, slot);
-    Chunk &c = *chunks_[slot / kChunkPages];
-    const std::uint32_t base = (slot % kChunkPages) * linesPerPage_;
-    for (std::uint32_t i = 0; i < linesPerPage_; ++i) {
-        const DirEntry &e = entries[i];
-        c.state[base + i] = static_cast<std::uint8_t>(e.state);
-        c.owner[base + i] = e.owner;
-        std::uint64_t *w = &c.words[(base + i) * wordsPerLine_];
-        const std::uint64_t *src = e.sharers.words();
-        const std::uint32_t src_nw = e.sharers.numWords();
-        for (std::uint32_t j = 0; j < wordsPerLine_; ++j)
-            w[j] = j < src_nw ? src[j] : 0;
-        for (std::uint32_t j = wordsPerLine_; j < src_nw; ++j) {
-            prism_assert(src[j] == 0,
-                         "adopted sharer set exceeds machine width");
-        }
-    }
-}
-
-std::vector<DirEntry>
-Directory::releasePage(GPage gp)
-{
-    auto it = slots_.find(gp);
-    prism_assert(it != slots_.end(), "releasing an absent page");
-    const std::uint32_t slot = it->second;
-    std::vector<DirEntry> out(linesPerPage_);
-    for (std::uint32_t i = 0; i < linesPerPage_; ++i)
-        out[i] = lineRef(slot, i).toEntry();
-    ++slotGen(slot);
-    freeSlots_.push_back(slot);
-    slots_.erase(it);
-    return out;
-}
-
-Directory::LineRef
-Directory::line(GPage gp, std::uint32_t idx)
-{
-    auto it = slots_.find(gp);
-    if (it == slots_.end())
-        return LineRef();
-    prism_assert(idx < linesPerPage_, "directory line index OOB");
-    return lineRef(it->second, idx);
-}
-
-Directory::PageRef
-Directory::page(GPage gp)
-{
-    auto it = slots_.find(gp);
-    return it == slots_.end() ? PageRef() : PageRef(this, it->second);
 }
 
 Cycles

@@ -3,35 +3,30 @@
  * Full-map cache-line directory kept at each page's (dynamic) home.
  *
  * One entry per cache line of every page this node is home for.  The
- * backing store is DRAM fronted by an 8K-entry directory cache (paper
- * Section 4.1: 2-cycle hit, 22-cycle miss); the cache is modeled as a
- * direct-mapped tag filter for timing only.
+ * entries live in the page's record, in the home block that exists
+ * exactly while the page is homed here (page_record.hh): a DirState
+ * byte, the owner id and ceil(numNodes/64) sharer words per line,
+ * struct-of-arrays.  A migration moves the block whole to the new
+ * home; a home page-out drops it.
  *
- * Storage is struct-of-arrays in a chunked arena (the mold of the
- * mem/cache.hh tag store): per-line state bytes, owner ids and sharer
- * bitmap words live in parallel packed arrays, one page slot per
- * directory page.  Chunks are never reallocated and freed slots are
- * recycled through a freelist, so LineRef/PageRef handles stay valid
- * for the whole home transaction that obtained them — unlike the old
- * per-page `vector<DirEntry>` map, where an unrelated createPage could
- * rehash the table under a held `DirEntry *`.  A per-slot generation
- * check enforces that contract: a handle used after its page was
- * removed or released panics instead of reading recycled memory.
+ * Directory::LineRef is the view every reader and writer of a line
+ * goes through.  It checks the record's home generation on each
+ * access, so a view held across the block's departure panics by name
+ * instead of reading a block that moved away or was freed, even when
+ * the record lives on as a migration tombstone or registry entry.
  *
- * Sharer sets are `ceil(numNodes/64)` words per line, in place in the
- * arena (no per-line allocation at any machine size); callers get a
- * SharerRef view (sharer_set.hh).  DirEntry remains as the detached
- * value type used for migration payloads and tests.
+ * The Directory object itself models only timing: the backing store
+ * is DRAM fronted by an 8K-entry directory cache (paper Section 4.1:
+ * 2-cycle hit, 22-cycle miss), modeled as a direct-mapped tag filter.
  */
 
 #ifndef PRISM_COHERENCE_DIRECTORY_HH
 #define PRISM_COHERENCE_DIRECTORY_HH
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "coherence/page_record.hh"
 #include "coherence/sharer_set.hh"
 #include "mem/addr.hh"
 #include "sim/logging.hh"
@@ -52,43 +47,44 @@ enum class DirState : std::uint8_t {
 /** Human-readable state name. */
 const char *dirStateName(DirState s);
 
-/**
- * One line's directory entry as a detached value: the exchange format
- * for migration payloads (releasePage/adoptPage) and tests.  The live
- * directory stores the same fields SoA in its arena.
- */
-struct DirEntry {
-    DirState state = DirState::Uncached;
-    NodeId owner = kInvalidNode;
-    SharerSet sharers;
+static_assert(static_cast<int>(DirState::Uncached) == 0,
+              "a new HomeBlock's zeroed state bytes read as Uncached");
 
-    bool isSharer(NodeId n) const { return sharers.test(n); }
-    void addSharer(NodeId n) { sharers.add(n); }
-    void removeSharer(NodeId n) { sharers.remove(n); }
-    std::uint32_t sharerCount() const { return sharers.count(); }
-};
-
-/** The directory of one home node. */
+/** The directory-cache timing model of one home node. */
 class Directory
 {
   public:
-    /**
-     * @param num_nodes  machine node count; sizes each line's sharer
-     *                   bitmap at ceil(num_nodes/64) words.
-     */
     Directory(std::uint32_t cache_entries, Cycles hit_cycles,
-              Cycles miss_cycles, std::uint32_t lines_per_page,
-              std::uint32_t num_nodes);
+              Cycles miss_cycles);
 
     /**
-     * Borrowed handle to one line's columns in the arena.  Valid until
-     * the page is removed/released (generation-checked); an invalid
-     * handle (absent page) is falsy.
+     * Borrowed view of one line's entry in a homed page's record.
+     * Valid until the record's home block leaves; an empty view is
+     * falsy.
      */
     class LineRef
     {
       public:
         LineRef() = default;
+
+        /** Line @p li of @p rec's page, which must be homed here. */
+        LineRef(PageRecord &rec, std::uint32_t li)
+        {
+            HomeBlock *b = rec.home.get();
+            prism_assert(b != nullptr,
+                         "directory line of gpage %#llx, which is not "
+                         "homed here",
+                         static_cast<unsigned long long>(rec.gpage));
+            prism_assert(li < b->state.size(),
+                         "directory line index OOB");
+            state_ = &b->state[li];
+            owner_ = &b->owner[li];
+            words_ = &b->sharers[static_cast<std::size_t>(li) *
+                                 b->wordsPerLine];
+            numWords_ = b->wordsPerLine;
+            gen_ = &rec.homeGen;
+            genAtIssue_ = rec.homeGen;
+        }
 
         explicit operator bool() const { return state_ != nullptr; }
 
@@ -135,37 +131,19 @@ class Directory
         bool noSharers() const { return sharers().empty(); }
         std::uint32_t sharerCount() const { return sharers().count(); }
 
-        /** Snapshot into a detached value (migration/tests). */
-        DirEntry
-        toEntry() const
-        {
-            DirEntry e;
-            e.state = state();
-            e.owner = owner();
-            e.sharers = SharerSet::fromRef(sharers());
-            return e;
-        }
-
       private:
-        friend class Directory;
-
-        LineRef(std::uint8_t *state, NodeId *owner, std::uint64_t *words,
-                std::uint32_t num_words, const std::uint32_t *gen,
-                std::uint32_t gen_at_issue)
-            : state_(state), owner_(owner), words_(words),
-              numWords_(num_words), gen_(gen), genAtIssue_(gen_at_issue)
-        {
-        }
-
         void
         check() const
         {
             prism_assert(state_ != nullptr, "use of an empty LineRef");
             prism_assert(*gen_ == genAtIssue_,
-                         "directory LineRef outlived its page (held "
-                         "across removePage/releasePage)");
+                         "directory LineRef outlived its page's home "
+                         "block (held across a page-out or migration)");
         }
 
+        // Pointers into the home block, plus the record's home
+        // generation: the record slot never moves, so gen_ stays
+        // readable after the block is gone.
         std::uint8_t *state_ = nullptr;
         NodeId *owner_ = nullptr;
         std::uint64_t *words_ = nullptr;
@@ -173,58 +151,6 @@ class Directory
         const std::uint32_t *gen_ = nullptr;
         std::uint32_t genAtIssue_ = 0;
     };
-
-    /** Borrowed handle to a whole page (page walks). */
-    class PageRef
-    {
-      public:
-        PageRef() = default;
-
-        explicit operator bool() const { return dir_ != nullptr; }
-
-        std::uint32_t size() const { return dir_->linesPerPage_; }
-
-        LineRef
-        line(std::uint32_t idx) const
-        {
-            prism_assert(idx < dir_->linesPerPage_,
-                         "directory line index OOB");
-            return dir_->lineRef(slot_, idx);
-        }
-
-      private:
-        friend class Directory;
-        PageRef(Directory *dir, std::uint32_t slot)
-            : dir_(dir), slot_(slot)
-        {
-        }
-        Directory *dir_ = nullptr;
-        std::uint32_t slot_ = 0;
-    };
-
-    /** Create entries for every line of @p gp (page-in at home). */
-    void createPage(GPage gp, DirState init, NodeId owner);
-
-    /** Drop all entries of @p gp (page-out / migration away). */
-    void removePage(GPage gp);
-
-    /** Install a page's entries verbatim (migration arrival). */
-    void adoptPage(GPage gp, const std::vector<DirEntry> &entries);
-
-    /** Steal a page's entries (migration departure). */
-    std::vector<DirEntry> releasePage(GPage gp);
-
-    bool
-    hasPage(GPage gp) const
-    {
-        return slots_.find(gp) != slots_.end();
-    }
-
-    /** Handle for line @p idx of page @p gp; falsy if page absent. */
-    LineRef line(GPage gp, std::uint32_t idx);
-
-    /** Whole-page handle; falsy if absent. */
-    PageRef page(GPage gp);
 
     /**
      * Timing of one directory access to global line @p gl, exercising
@@ -234,75 +160,11 @@ class Directory
 
     std::uint64_t lookups() const { return lookups_; }
     std::uint64_t cacheHits() const { return cacheHits_; }
-    std::size_t numPages() const { return slots_.size(); }
-
-    /** Bytes per directory line entry (state + owner + sharer words). */
-    std::size_t
-    bytesPerLine() const
-    {
-        return 1 + sizeof(NodeId) + wordsPerLine_ * 8;
-    }
-
-    /** Arena bytes backing currently-live pages. */
-    std::size_t
-    liveBytes() const
-    {
-        return numPages() * linesPerPage_ * bytesPerLine();
-    }
-
-    /** Arena bytes reserved (live + freelisted slots). */
-    std::size_t
-    reservedBytes() const
-    {
-        return chunks_.size() * kChunkPages * linesPerPage_ *
-               bytesPerLine();
-    }
 
   private:
-    /** Page slots per arena chunk; chunks never move once built. */
-    static constexpr std::uint32_t kChunkPages = 64;
-
-    struct Chunk {
-        std::vector<std::uint8_t> state;  //!< kChunkPages * lpp
-        std::vector<NodeId> owner;        //!< kChunkPages * lpp
-        std::vector<std::uint64_t> words; //!< ... * wordsPerLine
-        /**
-         * Per-slot generation counters live inside the chunk so the
-         * pointer a LineRef holds to its counter is as stable as the
-         * data pointers — a directory-level vector would reallocate
-         * when the arena grows, recreating the very hazard the
-         * generation check exists to catch.
-         */
-        std::vector<std::uint32_t> gen; //!< kChunkPages
-    };
-
-    std::uint32_t allocSlot();
-
-    LineRef
-    lineRef(std::uint32_t slot, std::uint32_t idx)
-    {
-        Chunk &c = *chunks_[slot / kChunkPages];
-        const std::uint32_t sub = slot % kChunkPages;
-        const std::uint32_t base = sub * linesPerPage_ + idx;
-        return LineRef(&c.state[base], &c.owner[base],
-                       &c.words[base * wordsPerLine_], wordsPerLine_,
-                       &c.gen[sub], c.gen[sub]);
-    }
-
-    std::uint32_t &
-    slotGen(std::uint32_t slot)
-    {
-        return chunks_[slot / kChunkPages]->gen[slot % kChunkPages];
-    }
-
-    std::uint32_t linesPerPage_;
-    std::uint32_t wordsPerLine_;
     Cycles hitCycles_;
     Cycles missCycles_;
     std::vector<GLine> cacheTags_; //!< direct-mapped timing filter
-    std::vector<std::unique_ptr<Chunk>> chunks_;
-    std::vector<std::uint32_t> freeSlots_;
-    std::unordered_map<GPage, std::uint32_t> slots_;
     std::uint64_t lookups_ = 0;
     std::uint64_t cacheHits_ = 0;
 };

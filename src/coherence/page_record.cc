@@ -1,5 +1,7 @@
 #include "coherence/page_record.hh"
 
+#include <utility>
+
 #include "sim/logging.hh"
 
 namespace prism {
@@ -8,9 +10,8 @@ bool
 PageRecord::live() const
 {
     if (frame != kInvalidFrame || pendingLines != 0 ||
-        registry != kInvalidNode || movedTo != kInvalidNode ||
-        home.homeFrame != kInvalidFrame || pageLock.held() ||
-        cachedHome.dynHome != kInvalidNode || !homeClients.empty() ||
+        registry != kInvalidNode || movedTo != kInvalidNode || home ||
+        pageLock.held() || cachedHome.dynHome != kInvalidNode ||
         modeOverride != PageMode::Scoma || onDisk || dying || pageIn ||
         noticeAck || homePageOut || !deferredPageIn.empty()) {
         return true;
@@ -23,8 +24,10 @@ PageRecord::live() const
     return false;
 }
 
-PageRecords::PageRecords(EventQueue &eq, std::uint32_t lines_per_page)
+PageRecords::PageRecords(EventQueue &eq, std::uint32_t lines_per_page,
+                         std::uint32_t num_nodes)
     : eq_(eq), linesPerPage_(lines_per_page),
+      wordsPerLine_((num_nodes + 63) / 64),
       arena_([&eq] { return PageRecord(eq); })
 {
 }
@@ -65,6 +68,18 @@ PageRecords::lineLocks(Ref r)
             v.emplace_back(eq_);
     }
     return v;
+}
+
+std::unique_ptr<HomeBlock>
+PageRecords::setHome(Ref r, std::unique_ptr<HomeBlock> b)
+{
+    homePages_ += (b != nullptr);
+    std::swap(r->home, b);
+    if (b) {
+        --homePages_;
+        ++r->homeGen;
+    }
+    return b;
 }
 
 void

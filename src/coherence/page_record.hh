@@ -6,12 +6,17 @@
  * A record gathers the PIT's reverse translation (the frame mapping
  * the page), the coherence controller's per-page state (home line
  * locks, pending-line count, static-home registry, migration
- * tombstone, home metadata) and the kernel's (fault/page-out lock,
- * home-page-status flag, home client set, mode override, disk and
- * dying flags, and the waiters of in-flight page-ins, page-out
- * notices and home page-outs).  Records live in a generation-checked
- * SlotArena (sim/slot_arena.hh): a Ref held across a co_await after
- * its record was freed panics by name.
+ * tombstone) and the kernel's (fault/page-out lock, home-page-status
+ * flag, mode override, disk and dying flags, and the waiters of
+ * in-flight page-ins, page-out notices and home page-outs).  Records
+ * live in a generation-checked SlotArena (sim/slot_arena.hh): a Ref
+ * held across a co_await after its record was freed panics by name.
+ *
+ * While this node is the page's dynamic home the record also holds a
+ * HomeBlock: the page's full-map directory, its migration metadata
+ * and the kernel's client set.  The block's presence is the one
+ * statement of "homed here"; a home page-out drops it and a migration
+ * moves it whole to the new home.
  *
  * Lifetime: get() creates a record on first use; settle() frees it
  * once no field holds state and none of its locks is held or queued.
@@ -24,6 +29,7 @@
 #define PRISM_COHERENCE_PAGE_RECORD_HH
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -38,12 +44,35 @@ namespace prism {
 
 /** Migration and traffic metadata of a page homed at this node. */
 struct HomeMeta {
-    FrameNum homeFrame = kInvalidFrame; //!< kInvalidFrame: not homed here
     std::vector<std::uint32_t> accessesByNode;
     std::uint64_t totalAccesses = 0;
     bool migrating = false;
     /** Cached client frame numbers (dirClientFrameHints option). */
     std::vector<FrameNum> clientFrames;
+};
+
+/**
+ * A page's state at its dynamic home.  The directory is
+ * struct-of-arrays with one entry per line of the page: a DirState
+ * byte (0 is Uncached), the owner id and ceil(numNodes/64) sharer
+ * words, read and written in place through Directory::LineRef
+ * (directory.hh).
+ */
+struct HomeBlock {
+    HomeBlock(std::uint32_t lines, std::uint32_t words_per_line)
+        : state(lines, 0), owner(lines, kInvalidNode),
+          sharers(static_cast<std::size_t>(lines) * words_per_line, 0),
+          wordsPerLine(words_per_line)
+    {
+    }
+
+    std::vector<std::uint8_t> state;
+    std::vector<NodeId> owner;
+    std::vector<std::uint64_t> sharers; //!< wordsPerLine words per line
+    std::uint32_t wordsPerLine;
+    HomeMeta meta;
+    /** Client nodes whose kernel mapped the page. */
+    SharerSet clients;
 };
 
 /** Home-page-status flag: where a client last found the page's home. */
@@ -80,14 +109,19 @@ struct PageRecord {
     NodeId registry = kInvalidNode;
     /** Tombstone: where the page migrated to from this node. */
     NodeId movedTo = kInvalidNode;
-    HomeMeta home;
+    /** Present exactly while this node is the page's dynamic home. */
+    std::unique_ptr<HomeBlock> home;
+    /**
+     * Bumped whenever the home block leaves, so a Directory::LineRef
+     * issued before then panics.  Never reset, not even when the slot
+     * takes another page: a record is freed only after its block left.
+     */
+    std::uint32_t homeGen = 0;
 
     // --- Kernel ----------------------------------------------------------
     /** Serializes faults and page-outs of the page at this node. */
     CoMutex pageLock;
     CachedHome cachedHome;
-    /** Home only: client nodes that mapped the page. */
-    SharerSet homeClients;
     /** Page-mode override set by adaptive policies. */
     PageMode modeOverride = PageMode::Scoma;
     bool onDisk = false; //!< paged out at home; the next map-in reads disk
@@ -108,7 +142,9 @@ class PageRecords
   public:
     using Ref = SlotArena<PageRecord>::Ref;
 
-    PageRecords(EventQueue &eq, std::uint32_t lines_per_page);
+    /** @param num_nodes sizes each home line's sharer words. */
+    PageRecords(EventQueue &eq, std::uint32_t lines_per_page,
+                std::uint32_t num_nodes);
 
     /** The record of @p gp, or an empty handle. */
     Ref find(GPage gp) const;
@@ -118,6 +154,30 @@ class PageRecords
 
     /** @p r's page's line locks, built on first use. */
     std::vector<CoMutex> &lineLocks(Ref r);
+
+    /** A fresh home block: every line Uncached, no clients. */
+    std::unique_ptr<HomeBlock>
+    newHome() const
+    {
+        return std::make_unique<HomeBlock>(linesPerPage_, wordsPerLine_);
+    }
+
+    /**
+     * Make @p b (null: none) @p r's home block and return the block
+     * it replaces.  A leaving block bumps the record's homeGen.
+     */
+    std::unique_ptr<HomeBlock> setHome(Ref r, std::unique_ptr<HomeBlock> b);
+
+    /** Pages homed at this node. */
+    std::size_t homePages() const { return homePages_; }
+
+    /** Directory bytes of the pages homed here (state, owner, sharers). */
+    std::size_t
+    homeBytes() const
+    {
+        return homePages_ * linesPerPage_ *
+               (1 + sizeof(NodeId) + wordsPerLine_ * sizeof(std::uint64_t));
+    }
 
     /** Free @p r's record if nothing in it is live any more. */
     void
@@ -133,6 +193,8 @@ class PageRecords
   private:
     EventQueue &eq_;
     std::uint32_t linesPerPage_;
+    std::uint32_t wordsPerLine_;
+    std::size_t homePages_ = 0;
     SlotArena<PageRecord> arena_;
     std::vector<std::uint32_t> free_;
     std::unordered_map<GPage, std::uint32_t> slots_;

@@ -104,7 +104,7 @@ std::string toString(const std::uint64_t *w, std::uint32_t nw);
 
 /**
  * Non-owning view over a line's sharer words (fixed capacity).  The
- * directory arena hands these out; mutators assert the id fits.
+ * directory's line view hands these out; mutators assert the id fits.
  */
 class SharerRef
 {

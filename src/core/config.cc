@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "mem/addr.hh"
 #include "sim/logging.hh"
 
 namespace prism {
@@ -81,6 +82,32 @@ oracleModeFromString(const char *s, OracleMode *out)
     return false;
 }
 
+namespace {
+
+/**
+ * The rules SetAssocCache asserts, stated up front with the field
+ * names: 1..255 ways (its recency order is a byte per way) and a
+ * nonzero power-of-two set count.  @p line_bytes is already valid.
+ */
+void
+checkCacheGeometry(const char *bytes_field, std::uint32_t bytes,
+                   const char *assoc_field, std::uint32_t assoc,
+                   std::uint32_t line_bytes)
+{
+    if (assoc < 1 || assoc > 255)
+        fatal("%s must be in 1..255 (got %u)", assoc_field, assoc);
+    const std::uint64_t sets =
+        bytes / (static_cast<std::uint64_t>(assoc) * line_bytes);
+    if (sets == 0 || (sets & (sets - 1)) != 0) {
+        fatal("%s=%u gives %llu sets (%s=%u, lineBytes=%u); the set "
+              "count must be a nonzero power of two",
+              bytes_field, bytes, static_cast<unsigned long long>(sets),
+              assoc_field, assoc, line_bytes);
+    }
+}
+
+} // namespace
+
 void
 validateConfig(const MachineConfig &cfg)
 {
@@ -106,6 +133,16 @@ validateConfig(const MachineConfig &cfg)
         fatal("lineBytes must be a nonzero power of two (got %u)",
               cfg.lineBytes);
     }
+    if (cfg.lineBytes > kPageBytes) {
+        fatal("lineBytes=%u exceeds the %llu-byte page", cfg.lineBytes,
+              static_cast<unsigned long long>(kPageBytes));
+    }
+    checkCacheGeometry("l1Bytes", cfg.l1Bytes, "l1Assoc", cfg.l1Assoc,
+                       cfg.lineBytes);
+    checkCacheGeometry("l2Bytes", cfg.l2Bytes, "l2Assoc", cfg.l2Assoc,
+                       cfg.lineBytes);
+    if (cfg.tlbEntries < 1)
+        fatal("tlbEntries must be >= 1 (got %u)", cfg.tlbEntries);
 }
 
 bool

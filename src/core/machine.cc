@@ -11,6 +11,37 @@
 
 namespace prism {
 
+namespace {
+
+/** The fields that make conservativeLookahead() zero, as "f = 0, ...". */
+std::string
+zeroLookaheadFields(const MachineConfig &c)
+{
+    std::string out;
+    auto zero = [&out](const char *field, Cycles v) {
+        if (v != 0)
+            return;
+        out += out.empty() ? "" : ", ";
+        out += field;
+        out += " = 0";
+    };
+    zero("barrierCycles", c.barrierCycles);
+    zero("lockAcquireCycles", c.lockAcquireCycles);
+    zero("lockHandoffCycles", c.lockHandoffCycles);
+    // The network term is netLatency plus the smallest occupancy.
+    if (c.netLatency == 0 &&
+        std::min({c.netCtrlOccupancy, c.netDataOccupancy,
+                  c.netPageOccupancy}) == 0) {
+        zero("netLatency", c.netLatency);
+        zero("netCtrlOccupancy", c.netCtrlOccupancy);
+        zero("netDataOccupancy", c.netDataOccupancy);
+        zero("netPageOccupancy", c.netPageOccupancy);
+    }
+    return out;
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
 {
     validateConfig(cfg_);
@@ -31,24 +62,36 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
         cfg_.protocol = ps;
     }
 
+    const Cycles min_occ =
+        std::min({cfg_.netCtrlOccupancy, cfg_.netDataOccupancy,
+                  cfg_.netPageOccupancy});
+    lookahead_ = conservativeLookahead(cfg_.netLatency, min_occ,
+                                       cfg_.lockAcquireCycles,
+                                       cfg_.lockHandoffCycles,
+                                       cfg_.barrierCycles);
+
     // Event-loop shard count (sim/shard.hh).  Features that observe or
     // perturb the global event interleaving — the protocol oracle's
     // continuous checks, delivery jitter, Chrome tracing — are defined
     // against the sequential schedule, so they force jobsIntra = 1.
+    // So does a zero lookahead: the window loop would never advance.
     std::uint32_t jobs = cfg_.jobsIntra ? cfg_.jobsIntra : 1;
     if (jobs > cfg_.numNodes)
         jobs = cfg_.numNodes;
     if (jobs > 1) {
-        const char *seq_only = nullptr;
+        std::string seq_only;
         if (cfg_.oracleMode != OracleMode::Off)
             seq_only = "the protocol oracle";
         else if (cfg_.netJitterMax > 0)
             seq_only = "network delivery jitter";
         else if (resolveEnv("PRISM_TRACE"))
             seq_only = "PRISM_TRACE";
-        if (seq_only) {
+        else if (lookahead_ == 0)
+            seq_only = "a zero window lookahead (" +
+                       zeroLookaheadFields(cfg_) + ")";
+        if (!seq_only.empty()) {
             inform("jobsIntra=%u ignored: %s requires the sequential "
-                   "scheduler", jobs, seq_only);
+                   "scheduler", jobs, seq_only.c_str());
             jobs = 1;
         }
     }
@@ -59,14 +102,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
         shardOfNode_[n] = static_cast<std::uint32_t>(
             static_cast<std::uint64_t>(n) * jobs / cfg_.numNodes);
     }
-    const Cycles min_occ =
-        std::min({cfg_.netCtrlOccupancy, cfg_.netDataOccupancy,
-                  cfg_.netPageOccupancy});
-    lookahead_ = conservativeLookahead(cfg_.netLatency, min_occ,
-                                       cfg_.lockAcquireCycles,
-                                       cfg_.lockHandoffCycles,
-                                       cfg_.barrierCycles);
-
     EventQueue &eq0 = shards_[0]->eq;
     Network::Params np;
     np.oneWayLatency = cfg_.netLatency;

@@ -316,22 +316,10 @@ Node::migrationFreeFrame(FrameNum frame, GPage gp)
     kernel_->migrationFreeFrame(frame, gp);
 }
 
-SharerSet
-Node::homeKernelClients(GPage gp)
-{
-    return kernel_->homeClients(gp);
-}
-
 void
-Node::homeKernelAdopt(GPage gp, const SharerSet &clients)
+Node::homeKernelAdopt(GPage gp)
 {
-    kernel_->adoptHomePage(gp, clients);
-}
-
-void
-Node::homeKernelDepart(GPage gp)
-{
-    kernel_->departHomePage(gp);
+    kernel_->adoptHomePage(gp);
 }
 
 } // namespace prism

@@ -81,9 +81,7 @@ class Node : public ControllerHost
     bool lineCached(FrameNum frame, std::uint32_t line_idx) const override;
     FrameNum migrationAllocFrame(GPage gp) override;
     void migrationFreeFrame(FrameNum frame, GPage gp) override;
-    SharerSet homeKernelClients(GPage gp) override;
-    void homeKernelAdopt(GPage gp, const SharerSet &clients) override;
-    void homeKernelDepart(GPage gp) override;
+    void homeKernelAdopt(GPage gp) override;
 
   private:
     DelayAwaiter delay(Cycles c) { return DelayAwaiter(eq_, c); }

@@ -321,7 +321,7 @@ Kernel::pageOutHome(GPage gp)
     }
     rec->dying = true;
 
-    const SharerSet clients = rec->homeClients;
+    const SharerSet clients = rec->home->clients;
     CoLatch latch(eq_);
     rec->homePageOut = &latch;
     std::uint32_t n = 0;
@@ -355,7 +355,6 @@ Kernel::pageOutHome(GPage gp)
     archiveUtilization(hf);
     ctrl_->removeHomeMapping(hf, gp);
     realPool_.release(hf);
-    rec->homeClients = SharerSet();
     rec->onDisk = true;
     rec->dying = false;
     ++stats_.homePageOuts;
@@ -534,7 +533,7 @@ Kernel::onPageInReq(Msg m)
     }
     co_await rec->pageLock.acquire();
     co_await homeMapIn(rec);
-    rec->homeClients.add(client);
+    rec->home->clients.add(client);
     co_await delay(cfg_.homePageInService);
     ++stats_.pageInRequestsServed;
 
@@ -566,7 +565,7 @@ Kernel::onPageOutNotice(Msg m)
         co_return;
     }
     // Homed here, so the record is live.
-    pages().find(gp)->homeClients.remove(client);
+    pages().find(gp)->home->clients.remove(client);
     Cycles c = ctrl_->homeRemoveClient(gp, client);
     co_await delay(c);
 
@@ -624,31 +623,16 @@ Kernel::migrationFreeFrame(FrameNum f, GPage gp)
     }
 }
 
-SharerSet
-Kernel::homeClients(GPage gp) const
-{
-    auto rec = pages().find(gp);
-    return rec ? rec->homeClients : SharerSet();
-}
-
 void
-Kernel::adoptHomePage(GPage gp, const SharerSet &clients)
+Kernel::adoptHomePage(GPage gp)
 {
     // The controller made this node the home, so the record is live.
     const PageRecords::Ref rec = pages().find(gp);
-    rec->homeClients = clients;
     rec->cachedHome = CachedHome{}; // we are the home now
     // If we had a client S-COMA frame it was promoted to the home
     // frame: it no longer counts against the client page cache.
     if (rec->frame != kInvalidFrame && ctrl_->pit().lruErase(rec->frame))
         --clientScoma_;
-}
-
-void
-Kernel::departHomePage(GPage gp)
-{
-    // The controller left a migration tombstone: the record stays.
-    pages().find(gp)->homeClients = SharerSet();
 }
 
 // ---------------------------------------------------------------------

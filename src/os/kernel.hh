@@ -177,9 +177,7 @@ class Kernel
 
     FrameNum migrationAllocFrame(GPage gp);
     void migrationFreeFrame(FrameNum f, GPage gp);
-    SharerSet homeClients(GPage gp) const;
-    void adoptHomePage(GPage gp, const SharerSet &clients);
-    void departHomePage(GPage gp);
+    void adoptHomePage(GPage gp);
 
     // --- Memory accounting (Table 3) ------------------------------------
 

@@ -13,9 +13,10 @@
  * co_await after its occupant left panics by name instead of reading
  * a reset or reused slot, which no sanitizer would flag.
  *
- * The mold is the chunked directory arena (directory.hh); T names the
- * occupant in the panic through a `static constexpr const char
- * *kHandleKind`.
+ * It is the simulator's one arena-and-handle idiom: page records
+ * (coherence/page_record.hh, each home page's directory included) and
+ * PIT entries live here.  T names the occupant in the panic through a
+ * `static constexpr const char *kHandleKind`.
  */
 
 #ifndef PRISM_SIM_SLOT_ARENA_HH

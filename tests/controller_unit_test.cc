@@ -67,10 +67,10 @@ TEST(ControllerUnit, LaNumaDirtyEvictionWritesBack)
     EXPECT_GT(c1.stats().writebacksSent, 100u);
     // The written-back lines are Uncached at the home again.
     std::uint32_t uncached = 0;
-    auto pg = rig.m.node(0).controller().directory().page(rig.gp(0));
-    ASSERT_TRUE(pg);
-    for (std::uint32_t li = 0; li < pg.size(); ++li) {
-        if (pg.line(li).state() == DirState::Uncached)
+    auto &home = rig.m.node(0).controller();
+    ASSERT_TRUE(home.isDynHome(rig.gp(0)));
+    for (std::uint32_t li = 0; li < home.geometry().linesPerPage(); ++li) {
+        if (home.dirLine(rig.gp(0), li).state() == DirState::Uncached)
             ++uncached;
     }
     EXPECT_GT(uncached, 0u);
@@ -226,7 +226,7 @@ TEST(ControllerUnit, DirClientFrameHintsSpeedInvalidations)
         auto &home = m.node(0).controller();
         GPage gp0 = gsid << kPageNumBits;
         for (std::uint32_t li = 0; li < 32; ++li) {
-            auto d = home.directory().line(gp0, li);
+            auto d = home.dirLine(gp0, li);
             EXPECT_EQ(d.state(), DirState::Owned);
             EXPECT_EQ(d.owner(), 3u);
         }

@@ -84,7 +84,7 @@ TEST(Death, PitDoubleInstallPanics)
     EXPECT_DEATH(
         {
             EventQueue eq;
-            PageRecords pages(eq, 64);
+            PageRecords pages(eq, 64, 8);
             Pit pit(pages, 1, 1);
             pit.installLocal(3, 64);
             pit.installLocal(3, 64); // frame 3 is already mapped
@@ -97,7 +97,7 @@ TEST(Death, PitAbsentRemovePanics)
     EXPECT_DEATH(
         {
             EventQueue eq;
-            PageRecords pages(eq, 64);
+            PageRecords pages(eq, 64, 8);
             Pit pit(pages, 1, 1);
             pit.remove(7); // never installed
         },
@@ -109,7 +109,7 @@ TEST(Death, PitHandleUsedAfterRemovePanics)
     EXPECT_DEATH(
         {
             EventQueue eq;
-            PageRecords pages(eq, 64);
+            PageRecords pages(eq, 64, 8);
             Pit pit(pages, 1, 1);
             Pit::Ref e = pit.install(5, 0x100, 0, 0, 5, PageMode::Scoma,
                                      64, FgTag::Invalid);
@@ -124,7 +124,7 @@ TEST(Death, PitHandleUsedAfterFrameReusePanics)
     EXPECT_DEATH(
         {
             EventQueue eq;
-            PageRecords pages(eq, 64);
+            PageRecords pages(eq, 64, 8);
             Pit pit(pages, 1, 1);
             Pit::Ref e = pit.install(5, 0x100, 0, 0, 5, PageMode::Scoma,
                                      64, FgTag::Invalid);
@@ -152,7 +152,7 @@ TEST(Death, PageRecordReleasedWithLineLockWaiterPanics)
     EXPECT_DEATH(
         {
             EventQueue eq;
-            PageRecords pages(eq, 64);
+            PageRecords pages(eq, 64, 8);
             PageRecords::Ref rec = pages.get(0x42);
             CoMutex &lk = pages.lineLocks(rec)[3];
             CoEvent done(eq);
@@ -168,7 +168,7 @@ TEST(Death, PageRecordHandleUsedAfterReleasePanics)
     EXPECT_DEATH(
         {
             EventQueue eq;
-            PageRecords pages(eq, 64);
+            PageRecords pages(eq, 64, 8);
             PageRecords::Ref rec = pages.get(0x42);
             pages.settle(rec); // nothing live: freed
             pages.get(0x43);   // reuses the slot
@@ -177,25 +177,35 @@ TEST(Death, PageRecordHandleUsedAfterReleasePanics)
         "stale page record handle");
 }
 
-TEST(Death, DirectoryAdoptPresentPagePanics)
+TEST(Death, DirLineUsedAfterSlotReusePanics)
 {
+    // The home generation is never reset: a view whose page left, and
+    // whose record slot now holds another homed page, still panics.
     EXPECT_DEATH(
         {
-            Directory dir(8, 2, 22, 64, 8);
-            dir.createPage(0x42, DirState::Uncached, kInvalidNode);
-            dir.adoptPage(0x42, std::vector<DirEntry>(64));
+            EventQueue eq;
+            PageRecords pages(eq, 64, 8);
+            PageRecords::Ref rec = pages.get(0x42);
+            pages.setHome(rec, pages.newHome());
+            Directory::LineRef d(*rec, 3);
+            pages.setHome(rec, nullptr);
+            pages.settle(rec); // nothing live: freed
+            pages.setHome(pages.get(0x43), pages.newHome()); // same slot
+            (void)d.state();
         },
-        "adopting an already-present page");
+        "directory LineRef outlived its page's home block");
 }
 
-TEST(Death, DirectoryReleaseAbsentPagePanics)
+TEST(Death, DirLineOfUnhomedPagePanics)
 {
     EXPECT_DEATH(
         {
-            Directory dir(8, 2, 22, 64, 8);
-            dir.releasePage(0x42); // never created
+            EventQueue eq;
+            PageRecords pages(eq, 64, 8);
+            PageRecords::Ref rec = pages.get(0x42);
+            Directory::LineRef d(*rec, 0);
         },
-        "releasing an absent page");
+        "directory line of gpage 0x42, which is not homed here");
 }
 
 TEST(Death, RegistryPointingAtSelfPanics)
@@ -211,7 +221,7 @@ TEST(Death, RegistryPointingAtSelfPanics)
             Machine m(cfg);
             auto &ctrl = m.node(0).controller();
             ctrl.installHomeMapping(1, 0); // registry_[0] = self
-            ctrl.directory().removePage(0);
+            ctrl.pages().setHome(ctrl.pages().find(0), nullptr);
             Msg req;
             req.type = MsgType::ReqS;
             req.src = 0;
@@ -259,6 +269,51 @@ TEST(Death, TooManyProcsIsFatal)
             Machine m(cfg);
         },
         "processor");
+}
+
+/** A default machine with @p edit applied must die naming @p field. */
+template <typename Edit>
+void
+expectConfigFatal(Edit edit, const char *field)
+{
+    EXPECT_DEATH(
+        {
+            MachineConfig cfg;
+            edit(cfg);
+            Machine m(cfg);
+        },
+        field);
+}
+
+TEST(Death, LineLargerThanPageIsFatal)
+{
+    // A page must hold at least one line.
+    expectConfigFatal([](MachineConfig &c) { c.lineBytes = 8192; },
+                      "lineBytes=8192 exceeds the 4096-byte page");
+}
+
+TEST(Death, CacheAssocOutOfRangeIsFatal)
+{
+    // Zero ways would divide by zero; 256 overflow the recency bytes.
+    expectConfigFatal([](MachineConfig &c) { c.l1Assoc = 0; },
+                      "l1Assoc must be in 1..255");
+    expectConfigFatal([](MachineConfig &c) { c.l2Assoc = 256; },
+                      "l2Assoc must be in 1..255");
+}
+
+TEST(Death, CacheSetCountNotPowerOfTwoIsFatal)
+{
+    expectConfigFatal([](MachineConfig &c) { c.l1Bytes = 3000; },
+                      "l1Bytes=3000 gives 46 sets");
+    // 64 bytes cannot hold one set of four 64-byte ways.
+    expectConfigFatal([](MachineConfig &c) { c.l2Bytes = 64; },
+                      "l2Bytes=64 gives 0 sets");
+}
+
+TEST(Death, TlbWithoutEntriesIsFatal)
+{
+    expectConfigFatal([](MachineConfig &c) { c.tlbEntries = 0; },
+                      "tlbEntries must be >= 1");
 }
 
 } // namespace

@@ -1,146 +1,140 @@
 /**
  * @file
- * Unit tests for the full-map directory and fine-grain tags.
+ * Unit tests for the full-map directory (the line view over a page
+ * record's home block, and the directory-cache timing filter) and
+ * fine-grain tags.
  */
 
 #include <gtest/gtest.h>
 
 #include "coherence/directory.hh"
 #include "coherence/fine_grain_tags.hh"
+#include "coherence/page_record.hh"
+#include "sim/event_queue.hh"
 
 namespace prism {
 namespace {
 
-TEST(Directory, CreatePageOwned)
+/** Page records of an @p nodes -wide machine, 64 lines per page. */
+struct Homes {
+    explicit Homes(std::uint32_t nodes) : pages(eq, 64, nodes) {}
+
+    /** Home @p gp here with a fresh block. */
+    PageRecords::Ref
+    home(GPage gp)
+    {
+        PageRecords::Ref r = pages.get(gp);
+        pages.setHome(r, pages.newHome());
+        return r;
+    }
+
+    EventQueue eq;
+    PageRecords pages;
+};
+
+TEST(Directory, NewHomeBlockIsUncached)
 {
-    Directory d(8192, 2, 22, 64, 8);
-    d.createPage(0x10, DirState::Owned, 3);
-    ASSERT_TRUE(d.hasPage(0x10));
-    auto e = d.line(0x10, 0);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e.state(), DirState::Owned);
-    EXPECT_EQ(e.owner(), 3u);
-    EXPECT_EQ(d.line(0x10, 63).owner(), 3u);
+    Homes h(8);
+    auto r = h.home(0x10);
+    for (std::uint32_t li : {0u, 63u}) {
+        Directory::LineRef d(*r, li);
+        ASSERT_TRUE(d);
+        EXPECT_EQ(d.state(), DirState::Uncached);
+        EXPECT_EQ(d.owner(), kInvalidNode);
+        EXPECT_TRUE(d.noSharers());
+    }
 }
 
-TEST(Directory, SharerBitmaskOps)
+TEST(Directory, LineRefWritesTheRecord)
 {
-    DirEntry e;
-    e.state = DirState::Shared;
-    e.addSharer(0);
-    e.addSharer(5);
-    e.addSharer(63);
-    EXPECT_TRUE(e.isSharer(5));
-    EXPECT_FALSE(e.isSharer(4));
-    EXPECT_EQ(e.sharerCount(), 3u);
-    e.removeSharer(5);
-    EXPECT_FALSE(e.isSharer(5));
-    EXPECT_EQ(e.sharerCount(), 2u);
+    Homes h(8);
+    auto r = h.home(0x10);
+    Directory::LineRef d(*r, 7);
+    d.setState(DirState::Shared);
+    d.addSharer(0);
+    d.addSharer(5);
+    d.addSharer(7);
+    EXPECT_TRUE(d.isSharer(5));
+    EXPECT_FALSE(d.isSharer(4));
+    EXPECT_EQ(d.sharerCount(), 3u);
+    d.removeSharer(5);
+    EXPECT_FALSE(d.isSharer(5));
+    // A second view of the same line sees the writes; its neighbours
+    // are untouched.
+    EXPECT_EQ(Directory::LineRef(*r, 7).sharers().lowWord(), 0x81u);
+    EXPECT_EQ(Directory::LineRef(*r, 7).state(), DirState::Shared);
+    EXPECT_TRUE(Directory::LineRef(*r, 6).noSharers());
+    EXPECT_TRUE(Directory::LineRef(*r, 8).noSharers());
 }
 
-TEST(Directory, RemovePage)
+TEST(Directory, DroppedHomeLeavesTheRecordUnhomed)
 {
-    Directory d(8192, 2, 22, 64, 8);
-    d.createPage(0x10, DirState::Uncached, 0);
-    d.removePage(0x10);
-    EXPECT_FALSE(d.hasPage(0x10));
-    EXPECT_FALSE(d.line(0x10, 0));
+    Homes h(8);
+    auto r = h.home(0x10);
+    EXPECT_EQ(h.pages.homePages(), 1u);
+    r->registry = 2; // keeps the record live without the block
+    auto block = h.pages.setHome(r, nullptr);
+    EXPECT_TRUE(block);
+    EXPECT_FALSE(r->home);
+    EXPECT_EQ(h.pages.homePages(), 0u);
 }
 
-TEST(Directory, ReleaseAndAdoptMovesEntriesVerbatim)
+TEST(Directory, HomeBlockMovesVerbatim)
 {
-    Directory a(8192, 2, 22, 64, 8);
-    Directory b(8192, 2, 22, 64, 8);
-    a.createPage(0x10, DirState::Owned, 2);
-    auto l7 = a.line(0x10, 7);
+    // Migration hands the block itself to the new home's record.
+    Homes a(8), b(8);
+    auto ra = a.home(0x10);
+    Directory::LineRef(*ra, 0).setState(DirState::Owned);
+    Directory::LineRef(*ra, 0).setOwner(2);
+    Directory::LineRef l7(*ra, 7);
     l7.setState(DirState::Shared);
     l7.addSharer(0);
     l7.addSharer(2);
     l7.addSharer(4);
-    auto entries = a.releasePage(0x10);
-    EXPECT_FALSE(a.hasPage(0x10));
-    b.adoptPage(0x10, entries);
-    ASSERT_TRUE(b.hasPage(0x10));
-    EXPECT_EQ(b.line(0x10, 7).sharers().lowWord(), 0x15u);
-    EXPECT_EQ(b.line(0x10, 0).owner(), 2u);
+    ra->movedTo = 3;
+    auto rb = b.pages.get(0x10);
+    b.pages.setHome(rb, a.pages.setHome(ra, nullptr));
+    EXPECT_FALSE(ra->home);
+    EXPECT_EQ(Directory::LineRef(*rb, 7).sharers().lowWord(), 0x15u);
+    EXPECT_EQ(Directory::LineRef(*rb, 0).state(), DirState::Owned);
+    EXPECT_EQ(Directory::LineRef(*rb, 0).owner(), 2u);
 }
 
 TEST(Directory, LineRefStableAcrossGrowth)
 {
-    // The SoA arena allocates pages in fixed chunks, so a LineRef
-    // taken early must stay valid while hundreds of later pages force
-    // the arena to grow (the old per-page hash map invalidated
-    // DirEntry pointers on rehash).
-    Directory d(8192, 2, 22, 64, 8);
-    d.createPage(1, DirState::Owned, 5);
-    auto e = d.line(1, 3);
+    // Records sit in fixed chunks and a home block never resizes, so a
+    // view taken early stays valid while hundreds of later pages are
+    // homed (forcing the record arena past several chunks).
+    Homes h(8);
+    Directory::LineRef e(*h.home(1), 3);
+    e.setState(DirState::Owned);
+    e.setOwner(5);
     for (GPage gp = 2; gp < 800; ++gp)
-        d.createPage(gp, DirState::Uncached, 0);
+        h.home(gp);
     EXPECT_EQ(e.state(), DirState::Owned);
     EXPECT_EQ(e.owner(), 5u);
     e.addSharer(7);
-    EXPECT_TRUE(d.line(1, 3).isSharer(7));
-}
-
-TEST(Directory, SlotReuseAfterRemove)
-{
-    Directory d(8192, 2, 22, 64, 8);
-    for (GPage gp = 0; gp < 100; ++gp)
-        d.createPage(gp, DirState::Shared, 3);
-    std::uint64_t reserved = d.reservedBytes();
-    for (GPage gp = 0; gp < 100; ++gp)
-        d.removePage(gp);
-    EXPECT_EQ(d.numPages(), 0u);
-    // Freed slots are recycled: re-creating the pages must not grow
-    // the arena.
-    for (GPage gp = 200; gp < 300; ++gp)
-        d.createPage(gp, DirState::Uncached, 0);
-    EXPECT_EQ(d.reservedBytes(), reserved);
-    // A recycled slot starts clean.
-    auto e = d.line(250, 0);
-    EXPECT_EQ(e.state(), DirState::Uncached);
-    EXPECT_EQ(e.sharerCount(), 0u);
+    EXPECT_TRUE(Directory::LineRef(*h.pages.find(1), 3).isSharer(7));
 }
 
 TEST(Directory, FootprintAccounting)
 {
-    // 8 nodes -> one sharer word: 1 (state) + 2 (owner) + 8 (word).
-    Directory d(8192, 2, 22, 64, 8);
-    EXPECT_EQ(d.bytesPerLine(), 1u + sizeof(NodeId) + 8u);
-    EXPECT_EQ(d.liveBytes(), 0u);
-    d.createPage(0x10, DirState::Uncached, 0);
-    EXPECT_EQ(d.liveBytes(), 64u * d.bytesPerLine());
-    EXPECT_GE(d.reservedBytes(), d.liveBytes());
+    // 8 nodes -> one sharer word: 1 (state) + 4 (owner) + 8 (word).
+    Homes h(8);
+    EXPECT_EQ(h.pages.homeBytes(), 0u);
+    h.home(0x10);
+    EXPECT_EQ(h.pages.homeBytes(), 64u * (1u + sizeof(NodeId) + 8u));
     // 1024 nodes -> sixteen sharer words per line.
-    Directory big(8192, 2, 22, 64, 1024);
-    EXPECT_EQ(big.bytesPerLine(), 1u + sizeof(NodeId) + 16u * 8u);
-}
-
-TEST(Directory, WidePageRoundTrip)
-{
-    // Sharers past node 64 survive a release/adopt cycle between two
-    // 1024-node directories.
-    Directory a(8192, 2, 22, 16, 1024);
-    Directory b(8192, 2, 22, 16, 1024);
-    a.createPage(0x10, DirState::Shared, 900);
-    auto e = a.line(0x10, 5);
-    e.addSharer(3);
-    e.addSharer(64);
-    e.addSharer(1023);
-    auto entries = a.releasePage(0x10);
-    b.adoptPage(0x10, entries);
-    auto f = b.line(0x10, 5);
-    EXPECT_TRUE(f.isSharer(900));
-    EXPECT_TRUE(f.isSharer(3));
-    EXPECT_TRUE(f.isSharer(64));
-    EXPECT_TRUE(f.isSharer(1023));
-    EXPECT_EQ(f.sharerCount(), 4u);
+    Homes big(1024);
+    big.home(0x10);
+    big.home(0x11);
+    EXPECT_EQ(big.pages.homeBytes(),
+              2u * 64u * (1u + sizeof(NodeId) + 16u * 8u));
 }
 
 TEST(Directory, CacheTimingHitAfterMiss)
 {
-    Directory d(8, 2, 22, 64, 8); // tiny cache: 8 entries
-    d.createPage(0, DirState::Uncached, 0);
+    Directory d(8, 2, 22); // tiny cache: 8 entries
     EXPECT_EQ(d.access(100), 22u); // cold miss
     EXPECT_EQ(d.access(100), 2u);  // now cached
     EXPECT_EQ(d.access(108), 22u); // conflicting index (100 & 7 == 108 & 7 ? no)
@@ -150,7 +144,7 @@ TEST(Directory, CacheTimingHitAfterMiss)
 
 TEST(Directory, CacheConflictEvicts)
 {
-    Directory d(8, 2, 22, 64, 8);
+    Directory d(8, 2, 22);
     EXPECT_EQ(d.access(0), 22u);
     EXPECT_EQ(d.access(8), 22u); // same index, evicts tag 0
     EXPECT_EQ(d.access(0), 22u); // miss again

@@ -27,6 +27,8 @@
 #include <gtest/gtest.h>
 
 #include "coherence/home_protocol.hh"
+#include "coherence/page_record.hh"
+#include "sim/event_queue.hh"
 
 namespace prism {
 namespace {
@@ -304,8 +306,10 @@ expectInvariants(const LineValue &v, std::uint32_t nodes)
 void
 applyEveryCell(std::uint32_t nodes, NodeId home, NodeId sender, NodeId other)
 {
-    Directory dir(16, 2, 22, 4, nodes);
-    dir.createPage(1, DirState::Uncached, kInvalidNode);
+    EventQueue eq;
+    PageRecords pages(eq, 4, nodes);
+    const PageRecords::Ref rec = pages.get(1);
+    pages.setHome(rec, pages.newHome());
     const HomeProtocol &p = HomeProtocol::get();
     std::uint32_t applied = 0;
     for (const auto &[cell, exp] : expected()) {
@@ -316,7 +320,7 @@ applyEveryCell(std::uint32_t nodes, NodeId home, NodeId sender, NodeId other)
             SCOPED_TRACE(std::string(homeEventName(e)) + " on " +
                          homeViewName(v) + " at " +
                          std::to_string(nodes) + " nodes");
-            auto d = dir.line(1, 0);
+            Directory::LineRef d(*rec, 0);
             write(d, before);
             ASSERT_EQ(homeView(d, from, home), v);
             const HomeTransition &t = p.on(v, e);
@@ -342,9 +346,12 @@ TEST(HomeProtocol, RemoveSenderLeavesTheStateForTheFinalWrite)
     // The inline home self-invalidation drops the home's bit and
     // nothing else, even when the set empties: the cell's own write
     // follows once the fan-out is done.
-    Directory dir(16, 2, 22, 4, 130);
-    dir.createPage(1, DirState::Shared, 70);
-    auto d = dir.line(1, 2);
+    EventQueue eq;
+    PageRecords pages(eq, 4, 130);
+    const PageRecords::Ref rec = pages.get(1);
+    pages.setHome(rec, pages.newHome());
+    Directory::LineRef d(*rec, 2);
+    write(d, {DirState::Shared, kInvalidNode, {70}});
     applyHomeNext(d, N::RemoveSender, 70, kInvalidNode);
     EXPECT_EQ(d.state(), DirState::Shared);
     EXPECT_TRUE(d.noSharers());

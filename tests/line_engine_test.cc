@@ -167,7 +167,7 @@ struct EngineRig {
     Directory::LineRef
     dirLine()
     {
-        return m.node(kHome).controller().directory().line(gp(), 0);
+        return m.node(kHome).controller().dirLine(gp(), 0);
     }
 
     Machine m;

@@ -23,7 +23,7 @@ constexpr std::uint32_t kLines = 64;
 /** A PIT over its own page records, as a controller builds it. */
 struct PitRig {
     EventQueue eq;
-    PageRecords pages{eq, kLines};
+    PageRecords pages{eq, kLines, 8};
     Pit pit{pages, 2, 18};
 
     /** Install a client S-COMA mapping of @p gp and link it. */

@@ -77,7 +77,7 @@ checkInvariants(Machine &m)
         auto &ctrl = m.node(n).controller();
         for (FrameNum f : ctrl.pit().globalFrames()) {
             const Pit::Ref e = ctrl.pit().entry(f);
-            if (ctrl.directory().hasPage(e->gpage)) {
+            if (ctrl.isDynHome(e->gpage)) {
                 auto [it, fresh] =
                     dir_home.emplace(e->gpage, n);
                 EXPECT_TRUE(fresh || it->second == n)
@@ -131,10 +131,10 @@ checkInvariants(Machine &m)
 
     // Per-line checks against the directory.
     for (auto [gp, home] : dir_home) {
-        auto pg = m.node(home).controller().directory().page(gp);
-        ASSERT_TRUE(pg);
-        for (std::uint32_t li = 0; li < pg.size(); ++li) {
-            const DirEntry d = pg.line(li).toEntry();
+        auto &ctrl = m.node(home).controller();
+        for (std::uint32_t li = 0; li < geo.linesPerPage(); ++li) {
+            const Directory::LineRef d = ctrl.dirLine(gp, li);
+            ASSERT_TRUE(d);
             const GLine gl = geo.lineOf(gp, li);
             for (NodeId n = 0; n < nodes; ++n) {
                 auto it = views[n].mapped.find(gp);
@@ -148,9 +148,9 @@ checkInvariants(Machine &m)
                 if (cit != views[n].cached.end())
                     cached = cit->second;
 
-                switch (d.state) {
+                switch (d.state()) {
                   case DirState::Owned:
-                    if (n != d.owner) {
+                    if (n != d.owner()) {
                         EXPECT_EQ(tag, FgTag::Invalid)
                             << "valid tag at non-owner node " << n;
                         EXPECT_EQ(cached, Mesi::Invalid)
@@ -179,8 +179,8 @@ checkInvariants(Machine &m)
                 // I5: an M/E processor copy implies node ownership.
                 if (cached == Mesi::Modified ||
                     cached == Mesi::Exclusive) {
-                    EXPECT_TRUE(d.state == DirState::Owned &&
-                                d.owner == n)
+                    EXPECT_TRUE(d.state() == DirState::Owned &&
+                                d.owner() == n)
                         << "M/E proc copy without node ownership";
                 }
             }

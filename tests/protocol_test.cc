@@ -109,7 +109,7 @@ TEST(Protocol, RemoteReadCreatesSharers)
     });
 
     auto &home = rig.m.node(0).controller();
-    auto d = home.directory().line(rig.gp(0), 0);
+    auto d = home.dirLine(rig.gp(0), 0);
     ASSERT_TRUE(d);
     EXPECT_EQ(d.state(), DirState::Shared);
     EXPECT_TRUE(d.isSharer(0));
@@ -139,7 +139,7 @@ TEST(Protocol, WriteInvalidatesAllSharers)
         }(p, rig);
     });
 
-    auto d = rig.m.node(0).controller().directory().line(rig.gp(0), 0);
+    auto d = rig.m.node(0).controller().dirLine(rig.gp(0), 0);
     EXPECT_EQ(d.state(), DirState::Owned);
     EXPECT_EQ(d.owner(), 3u);
     // Every former sharer's tag is Invalid.
@@ -172,7 +172,7 @@ TEST(Protocol, ThreePartyReadFetchesFromOwner)
         }(p, rig);
     });
 
-    auto d = rig.m.node(0).controller().directory().line(rig.gp(0), 0);
+    auto d = rig.m.node(0).controller().dirLine(rig.gp(0), 0);
     EXPECT_EQ(d.state(), DirState::Shared);
     EXPECT_TRUE(d.isSharer(1));
     EXPECT_TRUE(d.isSharer(2));
@@ -198,7 +198,7 @@ TEST(Protocol, UpgradeAvoidsDataFetch)
     auto &c1 = rig.m.node(1).controller();
     EXPECT_GE(c1.stats().upgrades, 1u);
     EXPECT_EQ(c1.stats().remoteMisses, rm_before); // no data moved
-    auto d = rig.m.node(0).controller().directory().line(rig.gp(0), 0);
+    auto d = rig.m.node(0).controller().dirLine(rig.gp(0), 0);
     EXPECT_EQ(d.state(), DirState::Owned);
     EXPECT_EQ(d.owner(), 1u);
 }
@@ -259,10 +259,10 @@ TEST(Protocol, ClientPageOutWritesBackAndUnmaps)
     EXPECT_EQ(rig.m.node(1).controller().pit().frameOf(rig.gp(0)),
               kInvalidFrame);
     // Home directory no longer lists node 1 anywhere on that page.
-    auto pg = rig.m.node(0).controller().directory().page(rig.gp(0));
-    ASSERT_TRUE(pg);
-    for (std::uint32_t li = 0; li < pg.size(); ++li) {
-        auto d = pg.line(li);
+    auto &home = rig.m.node(0).controller();
+    ASSERT_TRUE(home.isDynHome(rig.gp(0)));
+    for (std::uint32_t li = 0; li < home.geometry().linesPerPage(); ++li) {
+        auto d = home.dirLine(rig.gp(0), li);
         EXPECT_FALSE(d.state() == DirState::Owned && d.owner() == 1);
         EXPECT_FALSE(d.isSharer(1));
     }
@@ -331,7 +331,7 @@ TEST(Protocol, FirewallRejectsWildWriteback)
     EXPECT_EQ(home.stats().firewallRejects, 1u);
     EXPECT_EQ(home.pit().rejectedWrites(), 1u);
     // Directory state is untouched (still Owned by home node 0).
-    auto d = home.directory().line(rig.gp(0), 0);
+    auto d = home.dirLine(rig.gp(0), 0);
     EXPECT_EQ(d.state(), DirState::Owned);
     EXPECT_EQ(d.owner(), 0u);
 }

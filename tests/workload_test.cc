@@ -113,7 +113,7 @@ TEST(Workload, SharedPagesSpreadAcrossHomes)
     auto w = makeApp("Ocean", AppScale::Tiny);
     runWorkload(m, *w);
     for (NodeId n = 0; n < cfg.numNodes; ++n) {
-        EXPECT_GT(m.node(n).controller().directory().numPages(), 0u)
+        EXPECT_GT(m.node(n).controller().pages().homePages(), 0u)
             << "node " << n << " homes no pages";
     }
 }
