@@ -30,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/env.hh"
@@ -56,13 +57,6 @@ parseScale(const char *s)
                  "unknown PRISM_SCALE '%s' (valid: paper small tiny)\n",
                  s);
     std::exit(1);
-}
-
-inline AppScale
-scaleFromEnv()
-{
-    const char *s = resolveEnv("PRISM_SCALE");
-    return s ? parseScale(s) : AppScale::Paper;
 }
 
 inline const char *
@@ -119,12 +113,6 @@ filterApps(AppScale scale, const char *filter)
         std::exit(1);
     }
     return out;
-}
-
-inline std::vector<AppSpec>
-appsFromEnv(AppScale scale)
-{
-    return filterApps(scale, resolveEnv("PRISM_APPS"));
 }
 
 /**
@@ -262,6 +250,21 @@ struct BenchOptions {
         return m;
     }
 
+    /**
+     * A sweep request over baseMachine(): the parsed worker count,
+     * frontend and trace file, and @p policies (empty = the paper's
+     * six).
+     */
+    RunSpec
+    sweep(std::vector<PolicyKind> policies = {}) const
+    {
+        return RunSpec{.machine = baseMachine(),
+                       .policies = std::move(policies),
+                       .jobs = jobs,
+                       .frontend = frontend,
+                       .traceFile = traceFile};
+    }
+
     /** True when a bench-specific flag (e.g. "--ccnuma") was given. */
     bool
     flag(const char *name) const
@@ -357,27 +360,74 @@ banner(const char *what, const BenchOptions &o, bool show_jobs = true)
 }
 
 /**
- * One run inside a bench report: which (app, policy, variant) the
- * attached RunReport describes.  `variant` distinguishes runs the
- * sweep dimensions don't (e.g. cache_sensitivity's machine shapes).
+ * `--list`: each of @p apps with its problem size, under @p title
+ * (the paper's Table 2 by default) and a @p column heading.
  */
-struct BenchRun {
-    std::string app;
-    std::string policy;
-    std::string variant; //!< empty unless the bench adds a dimension
-    const RunReport *report = nullptr;
-};
+inline void
+printInventory(const BenchOptions &opts, const std::vector<AppSpec> &apps,
+               const char *title = "# PRISM reproduction: Table 2 — "
+                                   "application benchmark types and "
+                                   "data sets",
+               const char *column = "Application")
+{
+    std::printf("%s (%s scale)\n\n", title, scaleName(opts.scale));
+    std::printf("%-12s %s\n", column, "Problem Size");
+    for (const auto &app : apps) {
+        auto w = app.make();
+        std::printf("%-12s %s\n", app.name.c_str(), w->sizeDesc().c_str());
+    }
+}
+
+/** A sweep table's header: @p column, one per policy, @p note. */
+inline void
+printPolicyHeader(const char *column, const std::vector<PolicyKind> &policies,
+                  const char *note)
+{
+    std::printf("%-12s", column);
+    for (PolicyKind pk : policies)
+        std::printf(" %10s", policyName(pk));
+    std::printf("  %s\n", note);
+}
+
+/**
+ * Figure 7's table for variant @p v of an apps x variants x policies
+ * grid (runSweepsParallel order): each app's exec cycles normalized
+ * to its first (SCOMA) cell, whose cycles follow in parentheses.
+ */
+inline void
+printExecTable(const std::vector<AppSpec> &apps,
+               const std::vector<PolicyKind> &policies,
+               const std::vector<ExperimentResult> &results,
+               std::size_t v = 0)
+{
+    printPolicyHeader("Application", policies, "(exec cycles, SCOMA)");
+    const std::size_t np = policies.size();
+    const std::size_t nv = results.size() / (apps.size() * np);
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const ExperimentResult *row = &results[(a * nv + v) * np];
+        const double scoma = static_cast<double>(row[0].metrics.execCycles);
+        std::printf("%-12s", apps[a].name.c_str());
+        for (std::size_t p = 0; p < np; ++p) {
+            std::printf(" %10.2f",
+                        static_cast<double>(row[p].metrics.execCycles) /
+                            scoma);
+        }
+        std::printf("  (%llu)\n", static_cast<unsigned long long>(
+                                      row[0].metrics.execCycles));
+        std::fflush(stdout);
+    }
+}
 
 /**
  * Write a "prism.bench_report" JSON document: bench identity, scale,
- * frontend, and the full per-run reports.  Shares the run-report
- * schema version (each embedded run carries its own "schema" marker
- * too).
+ * frontend, and each run's full report under its app, policy and (if
+ * it has one) variant label.  Shares the run-report schema version
+ * (each embedded run carries its own "schema" marker too).
  */
 inline void
 writeBenchReport(const std::string &path, const char *bench,
                  const BenchOptions &opts,
-                 const std::vector<BenchRun> &runs)
+                 const std::vector<ExperimentResult> &runs)
 {
     std::ofstream os(path);
     if (!os) {
@@ -393,34 +443,20 @@ writeBenchReport(const std::string &path, const char *bench,
     w.kv("frontend", frontendName(opts.frontend));
     w.key("runs");
     w.beginArray();
-    for (const BenchRun &r : runs) {
+    for (const ExperimentResult &r : runs) {
         w.beginObject();
         w.kv("app", r.app);
-        w.kv("policy", r.policy);
+        w.kv("policy", policyName(r.policy));
         if (!r.variant.empty())
             w.kv("variant", r.variant);
         w.key("report");
-        r.report->writeJson(w);
+        r.report.writeJson(w);
         w.endObject();
     }
     w.endArray();
     w.endObject();
     os << "\n";
     std::printf("# wrote report: %s\n", path.c_str());
-}
-
-/** Adapt a policy-sweep result vector to writeBenchReport(). */
-inline void
-writeSweepReport(const std::string &path, const char *bench,
-                 const BenchOptions &opts,
-                 const std::vector<ExperimentResult> &results)
-{
-    std::vector<BenchRun> runs;
-    runs.reserve(results.size());
-    for (const ExperimentResult &r : results)
-        runs.push_back(BenchRun{r.app, policyName(r.policy), "",
-                                &r.report});
-    writeBenchReport(path, bench, opts, runs);
 }
 
 /** Write a single machine's run report (single-run benches). */

@@ -10,21 +10,9 @@
  * both machine shapes under SCOMA and LANUMA and prints the ratio.
  */
 
-#include <array>
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "workload/parallel_runner.hh"
-
-namespace {
-
-struct Shape {
-    const char *name;
-    std::uint32_t l1;
-    std::uint32_t l2;
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -37,78 +25,33 @@ main(int argc, char **argv)
            "choice (LANUMA time / SCOMA time)",
            opts);
 
-    const Shape shapes[] = {
-        {"8KB/32KB (paper eval)", 8 * 1024, 32 * 1024},
-        {"16KB/1MB (fits WS)", 16 * 1024, 1024 * 1024},
+    auto shape = [&opts](const char *name, std::uint32_t l1,
+                         std::uint32_t l2) {
+        MachineVariant v{name, opts.baseMachine()};
+        v.machine.l1Bytes = l1;
+        v.machine.l2Bytes = l2;
+        return v;
+    };
+    const std::vector<MachineVariant> shapes = {
+        shape("8KB/32KB (paper eval)", 8 * 1024, 32 * 1024),
+        shape("16KB/1MB (fits WS)", 16 * 1024, 1024 * 1024),
     };
 
-    std::printf("%-12s %24s %24s\n", "Application", shapes[0].name,
-                shapes[1].name);
+    std::printf("%-12s %24s %24s\n", "Application",
+                shapes[0].label.c_str(), shapes[1].label.c_str());
 
-    // 2 shapes x 2 policies per app, all independent: run the whole
-    // grid on the pool, print in app order afterwards.
-    const auto &apps = opts.apps;
-    struct Cell {
-        RunMetrics scoma, lanuma;
-        RunReport scomaReport, lanumaReport;
-    };
-    std::vector<std::array<Cell, 2>> grid(apps.size());
-    {
-        // In record mode the shapes[0] SCOMA cell captures the app's
-        // trace; the other cells execute normally.  In replay mode
-        // every cell re-issues the recorded stream.
-        TaskPool pool(opts.jobs);
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-            const std::string trace_path =
-                opts.frontend == FrontendKind::Exec
-                    ? std::string()
-                    : tracePathFor(opts.traceFile, apps[i].name,
-                                   apps.size());
-            auto cellFrontend = [&](bool primary) {
-                if (opts.frontend == FrontendKind::Replay)
-                    return FrontendKind::Replay;
-                if (opts.frontend == FrontendKind::Record && primary)
-                    return FrontendKind::Record;
-                return FrontendKind::Exec;
-            };
-            for (std::size_t j = 0; j < 2; ++j) {
-                MachineConfig scoma;
-                scoma.jobsIntra = opts.jobsIntra;
-                scoma.protocol = opts.protocol;
-                scoma.l1Bytes = shapes[j].l1;
-                scoma.l2Bytes = shapes[j].l2;
-                scoma.policy = PolicyKind::Scoma;
-                MachineConfig lanuma = scoma;
-                lanuma.policy = PolicyKind::LaNuma;
-
-                const AppSpec &app = apps[i];
-                Cell &cell = grid[i][j];
-                RunSpec scoma_spec{.machine = scoma,
-                                   .frontend = cellFrontend(j == 0),
-                                   .traceFile = trace_path};
-                RunSpec lanuma_spec{.machine = lanuma,
-                                    .frontend = cellFrontend(false),
-                                    .traceFile = trace_path};
-                pool.submit([&cell, &app, scoma_spec] {
-                    cell.scoma =
-                        runOnce(scoma_spec, app, &cell.scomaReport);
-                });
-                pool.submit([&cell, &app, lanuma_spec] {
-                    cell.lanuma =
-                        runOnce(lanuma_spec, app, &cell.lanumaReport);
-                });
-            }
-        }
-        pool.wait();
-    }
-
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        std::printf("%-12s", apps[i].name.c_str());
-        for (std::size_t j = 0; j < 2; ++j) {
+    const auto results = runSweepsParallel(
+        opts.sweep({PolicyKind::Scoma, PolicyKind::LaNuma}), opts.apps,
+        shapes);
+    for (std::size_t i = 0; i < opts.apps.size(); ++i) {
+        std::printf("%-12s", opts.apps[i].name.c_str());
+        for (std::size_t j = 0; j < shapes.size(); ++j) {
+            const ExperimentResult *cell =
+                &results[(i * shapes.size() + j) * 2];
             std::printf(" %23.2fx",
-                        static_cast<double>(grid[i][j].lanuma.execCycles) /
+                        static_cast<double>(cell[1].metrics.execCycles) /
                             static_cast<double>(
-                                grid[i][j].scoma.execCycles));
+                                cell[0].metrics.execCycles));
         }
         std::printf("\n");
         std::fflush(stdout);
@@ -117,22 +60,8 @@ main(int argc, char **argv)
                 "collapses toward 1.0 because\n# capacity-related "
                 "misses vanish and only communication misses remain "
                 "— they\n# cost the same in either page mode.\n");
-    if (opts.wantReport()) {
-        std::vector<BenchRun> runs;
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-            for (std::size_t j = 0; j < 2; ++j) {
-                runs.push_back(BenchRun{apps[i].name,
-                                        policyName(PolicyKind::Scoma),
-                                        shapes[j].name,
-                                        &grid[i][j].scomaReport});
-                runs.push_back(BenchRun{apps[i].name,
-                                        policyName(PolicyKind::LaNuma),
-                                        shapes[j].name,
-                                        &grid[i][j].lanumaReport});
-            }
-        }
+    if (opts.wantReport())
         writeBenchReport(opts.reportPath, "cache_sensitivity", opts,
-                         runs);
-    }
+                         results);
     return 0;
 }

@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "workload/parallel_runner.hh"
 
 namespace prism {
 namespace {
@@ -102,15 +101,7 @@ main(int argc, char **argv)
 
     const BenchOptions opts = BenchOptions::parse(argc, argv);
     if (opts.list) {
-        std::printf("# PRISM reproduction: Table 2 — application "
-                    "benchmark types and data sets (%s scale)\n\n",
-                    scaleName(opts.scale));
-        std::printf("%-12s %s\n", "Application", "Problem Size");
-        for (const auto &app : opts.apps) {
-            auto w = app.make();
-            std::printf("%-12s %s\n", app.name.c_str(),
-                        w->sizeDesc().c_str());
-        }
+        printInventory(opts, opts.apps);
         return 0;
     }
 
@@ -119,43 +110,15 @@ main(int argc, char **argv)
            opts);
 
     const auto policies = paperPolicies();
-    std::printf("%-12s", "Application");
-    for (PolicyKind pk : policies)
-        std::printf(" %10s", policyName(pk));
-    std::printf("  (exec cycles, SCOMA)\n");
-
-    MachineConfig base = opts.baseMachine();
-    const auto &apps = opts.apps;
-    const auto results =
-        runSweepsParallel(RunSpec{.machine = base,
-                                  .policies = policies,
-                                  .jobs = opts.jobs,
-                                  .frontend = opts.frontend,
-                                  .traceFile = opts.traceFile},
-                          apps);
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        const ExperimentResult *row = &results[a * policies.size()];
-        const double scoma =
-            static_cast<double>(row[0].metrics.execCycles);
-        std::printf("%-12s", apps[a].name.c_str());
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-            std::printf(" %10.2f",
-                        static_cast<double>(row[p].metrics.execCycles) /
-                            scoma);
-        }
-        std::printf("  (%llu)\n",
-                    static_cast<unsigned long long>(
-                        row[0].metrics.execCycles));
-        std::fflush(stdout);
-    }
+    const auto results = runSweepsParallel(opts.sweep(policies), opts.apps);
+    printExecTable(opts.apps, policies, results);
     std::printf("\n# Paper's qualitative expectations: SCOMA = 1.0 "
                 "(optimal: no capacity page-outs);\n# LANUMA worst on "
                 "capacity-bound apps (Barnes/LU/Ocean/Radix, up to "
                 "2.8-4.6x);\n# adaptive policies within ~10%% of SCOMA "
                 "except Barnes/Ocean on Dyn-Util/Dyn-LRU.\n");
-    printTables(apps, results);
+    printTables(opts.apps, results);
     if (opts.wantReport())
-        writeSweepReport(opts.reportPath, "fig7_exec_time", opts,
-                         results);
+        writeBenchReport(opts.reportPath, "fig7_exec_time", opts, results);
     return 0;
 }

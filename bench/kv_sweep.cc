@@ -17,7 +17,6 @@
 
 #include "bench_util.hh"
 #include "workload/kvstore.hh"
-#include "workload/parallel_runner.hh"
 
 namespace {
 
@@ -91,34 +90,17 @@ main(int argc, char **argv)
     }
 
     if (opts.list) {
-        std::printf("# kv_sweep variants (%s scale)\n\n",
-                    scaleName(opts.scale));
-        std::printf("%-12s %s\n", "Variant", "Problem Size");
-        for (const auto &v : variants) {
-            auto w = v.make();
-            std::printf("%-12s %s\n", v.name.c_str(),
-                        w->sizeDesc().c_str());
-        }
+        printInventory(opts, variants, "# kv_sweep variants", "Variant");
         return 0;
     }
 
     banner("KV skew ablation — mix x skew x page-mode policy", opts);
 
     const auto policies = paperPolicies();
-    std::printf("%-12s", "Variant");
-    for (PolicyKind pk : policies)
-        std::printf(" %10s", policyName(pk));
-    std::printf("  (read/scan p99 cycles; exec rel. SCOMA in "
-                "parentheses)\n");
-
-    MachineConfig base = opts.baseMachine();
-    const auto results =
-        runSweepsParallel(RunSpec{.machine = base,
-                                  .policies = policies,
-                                  .jobs = opts.jobs,
-                                  .frontend = opts.frontend,
-                                  .traceFile = opts.traceFile},
-                          variants);
+    printPolicyHeader("Variant", policies,
+                      "(read/scan p99 cycles; exec rel. SCOMA in "
+                      "parentheses)");
+    const auto results = runSweepsParallel(opts.sweep(policies), variants);
 
     for (std::size_t v = 0; v < variants.size(); ++v) {
         const ExperimentResult *row = &results[v * policies.size()];
@@ -146,6 +128,6 @@ main(int argc, char **argv)
                 "uncapped SCOMA and the adaptive policies track\n# "
                 "each other throughout.\n");
     if (opts.wantReport())
-        writeSweepReport(opts.reportPath, "kv_sweep", opts, results);
+        writeBenchReport(opts.reportPath, "kv_sweep", opts, results);
     return 0;
 }

@@ -54,9 +54,8 @@ phased(Proc &p, std::uint32_t nt)
         co_await p.endParallel();
 }
 
-RunMetrics
-runConfig(bool migration, unsigned jobs_intra, ProtocolScheme protocol,
-          RunReport *report)
+ExperimentResult
+runConfig(bool migration, unsigned jobs_intra, ProtocolScheme protocol)
 {
     MachineConfig cfg;
     cfg.jobsIntra = jobs_intra;
@@ -67,10 +66,12 @@ runConfig(bool migration, unsigned jobs_intra, ProtocolScheme protocol,
     std::uint64_t gsid = m.shmget(kKey, (kPages + 4) * kPageBytes);
     m.shmatAll(kSharedVsid, gsid);
     m.run([&](Proc &p) { return phased(p, m.numProcs()); });
-    RunMetrics r = m.metrics();
-    if (report)
-        *report = m.report();
-    return r;
+    return ExperimentResult{
+        .app = "phased",
+        .variant = migration ? "migration-on" : "migration-off",
+        .policy = cfg.policy,
+        .metrics = m.metrics(),
+        .report = m.report()};
 }
 
 } // namespace
@@ -91,11 +92,11 @@ main(int argc, char **argv)
     std::printf("# (%u pages, %u phases, ownership rotates across "
                 "nodes)\n\n", kPages, kPhases);
 
-    RunReport off_report, on_report;
-    RunMetrics off =
-        runConfig(false, opts.jobsIntra, opts.protocol, &off_report);
-    RunMetrics on =
-        runConfig(true, opts.jobsIntra, opts.protocol, &on_report);
+    const std::vector<ExperimentResult> runs = {
+        runConfig(false, opts.jobsIntra, opts.protocol),
+        runConfig(true, opts.jobsIntra, opts.protocol)};
+    const RunMetrics &off = runs[0].metrics;
+    const RunMetrics &on = runs[1].metrics;
 
     std::printf("%-28s %14s %14s\n", "metric", "migration OFF",
                 "migration ON");
@@ -117,14 +118,7 @@ main(int argc, char **argv)
                 "its current writer, cutting\n# remote misses sharply "
                 "at the price of a burst of forwarded requests per "
                 "phase\n# shift (lazy PIT-hint refresh).\n");
-    if (opts.wantReport()) {
-        std::vector<BenchRun> runs;
-        runs.push_back(BenchRun{"phased", "SCOMA", "migration-off",
-                                &off_report});
-        runs.push_back(BenchRun{"phased", "SCOMA", "migration-on",
-                                &on_report});
-        writeBenchReport(opts.reportPath, "migration_ablation", opts,
-                         runs);
-    }
+    if (opts.wantReport())
+        writeBenchReport(opts.reportPath, "migration_ablation", opts, runs);
     return 0;
 }

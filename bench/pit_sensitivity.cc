@@ -12,10 +12,24 @@
  */
 
 #include <cstdio>
-#include <cstring>
 
 #include "bench_util.hh"
-#include "workload/parallel_runner.hh"
+
+namespace {
+
+/** Print @p run's exec cycles and its change from @p base's, in %. */
+void
+printVersus(int width, const prism::RunMetrics &run,
+            const prism::RunMetrics &base)
+{
+    std::printf(" %*llu %8.1f%%", width,
+                static_cast<unsigned long long>(run.execCycles),
+                100.0 * (static_cast<double>(run.execCycles) /
+                             static_cast<double>(base.execCycles) -
+                         1.0));
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -39,101 +53,37 @@ main(int argc, char **argv)
         std::printf(" %14s %9s", "DRAM+dirhints", "slowdown");
     std::printf("\n");
 
-    // Every (app, config) run is independent: fan them all out on the
-    // pool, then print rows in app order.
-    struct Row {
-        RunMetrics sram, dram, hints, ccnuma;
-        RunReport sramReport, dramReport, hintsReport, ccnumaReport;
-    };
-    const auto &apps = opts.apps;
-    std::vector<Row> rows(apps.size());
-    {
-        // Record mode captures the SRAM-PIT cell per app; replay mode
-        // re-issues the trace in every cell.
-        TaskPool pool(opts.jobs);
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-            MachineConfig sram;
-            sram.jobsIntra = opts.jobsIntra;
-            sram.protocol = opts.protocol;
-            sram.policy = PolicyKind::LaNuma;
-            sram.pitLatency = 2;
-            MachineConfig dram = sram;
-            dram.pitLatency = 10;
-
-            const std::string trace_path =
-                opts.frontend == FrontendKind::Exec
-                    ? std::string()
-                    : tracePathFor(opts.traceFile, apps[i].name,
-                                   apps.size());
-            auto cellSpec = [&](const MachineConfig &cfg,
-                                bool primary) {
-                FrontendKind f = FrontendKind::Exec;
-                if (opts.frontend == FrontendKind::Replay)
-                    f = FrontendKind::Replay;
-                else if (opts.frontend == FrontendKind::Record &&
-                         primary)
-                    f = FrontendKind::Record;
-                return RunSpec{.machine = cfg,
-                               .frontend = f,
-                               .traceFile = trace_path};
-            };
-
-            const AppSpec &app = apps[i];
-            Row &row = rows[i];
-            pool.submit([&row, &app, spec = cellSpec(sram, true)] {
-                row.sram = runOnce(spec, app, &row.sramReport);
-            });
-            pool.submit([&row, &app, spec = cellSpec(dram, false)] {
-                row.dram = runOnce(spec, app, &row.dramReport);
-            });
-            if (with_dirhints) {
-                // Section 4.3's mitigation: client frame numbers
-                // cached in the directory remove the PIT hash walk
-                // from the invalidation path.
-                MachineConfig dh = dram;
-                dh.dirClientFrameHints = true;
-                pool.submit([&row, &app, spec = cellSpec(dh, false)] {
-                    row.hints = runOnce(spec, app, &row.hintsReport);
-                });
-            }
-            if (with_ccnuma) {
-                MachineConfig cc = sram;
-                cc.ccNumaBypass = true;
-                pool.submit([&row, &app, spec = cellSpec(cc, false)] {
-                    row.ccnuma = runOnce(spec, app, &row.ccnumaReport);
-                });
-            }
-        }
-        pool.wait();
+    MachineConfig sram = opts.baseMachine();
+    sram.pitLatency = 2;
+    MachineConfig dram = sram;
+    dram.pitLatency = 10;
+    std::vector<MachineVariant> variants = {{"SRAM-PIT", sram},
+                                            {"DRAM-PIT", dram}};
+    if (with_dirhints) {
+        // Section 4.3's mitigation: client frame numbers cached in the
+        // directory remove the PIT hash walk from the invalidation
+        // path.
+        variants.push_back({"DRAM+dirhints", dram});
+        variants.back().machine.dirClientFrameHints = true;
     }
+    if (with_ccnuma) {
+        variants.push_back({"CC-NUMA", sram});
+        variants.back().machine.ccNumaBypass = true;
+    }
+    const auto results = runSweepsParallel(
+        opts.sweep({PolicyKind::LaNuma}), opts.apps, variants);
 
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        const Row &row = rows[i];
-        const RunMetrics &s = row.sram;
-        std::printf("%-12s %12llu %12llu %8.1f%%",
-                    apps[i].name.c_str(),
-                    static_cast<unsigned long long>(s.execCycles),
-                    static_cast<unsigned long long>(row.dram.execCycles),
-                    100.0 * (static_cast<double>(row.dram.execCycles) /
-                                 static_cast<double>(s.execCycles) -
-                             1.0));
-        if (with_dirhints) {
-            std::printf(" %14llu %8.1f%%",
-                        static_cast<unsigned long long>(
-                            row.hints.execCycles),
-                        100.0 *
-                            (static_cast<double>(row.hints.execCycles) /
-                                 static_cast<double>(s.execCycles) -
-                             1.0));
-        }
-        if (with_ccnuma) {
-            std::printf(" %12llu %8.1f%%",
-                        static_cast<unsigned long long>(
-                            row.ccnuma.execCycles),
-                        100.0 *
-                            (static_cast<double>(row.ccnuma.execCycles) /
-                                 static_cast<double>(s.execCycles) -
-                             1.0));
+    const std::size_t nv = variants.size();
+    for (std::size_t i = 0; i < opts.apps.size(); ++i) {
+        const ExperimentResult *row = &results[i * nv];
+        std::printf("%-12s %12llu", opts.apps[i].name.c_str(),
+                    static_cast<unsigned long long>(
+                        row[0].metrics.execCycles));
+        // Every later column is a slowdown against SRAM-PIT.
+        for (std::size_t v = 1; v < nv; ++v) {
+            const int width =
+                variants[v].label == "DRAM+dirhints" ? 14 : 12;
+            printVersus(width, row[v].metrics, row[0].metrics);
         }
         std::printf("\n");
         std::fflush(stdout);
@@ -142,25 +92,7 @@ main(int argc, char **argv)
                 "Barnes.  A DRAM PIT hurts most where\n# remote misses "
                 "and invalidations (hash reverse translations) are "
                 "most frequent.\n");
-    if (opts.wantReport()) {
-        const char *lanuma = policyName(PolicyKind::LaNuma);
-        std::vector<BenchRun> runs;
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-            runs.push_back(BenchRun{apps[i].name, lanuma, "SRAM-PIT",
-                                    &rows[i].sramReport});
-            runs.push_back(BenchRun{apps[i].name, lanuma, "DRAM-PIT",
-                                    &rows[i].dramReport});
-            if (with_dirhints)
-                runs.push_back(BenchRun{apps[i].name, lanuma,
-                                        "DRAM+dirhints",
-                                        &rows[i].hintsReport});
-            if (with_ccnuma)
-                runs.push_back(BenchRun{apps[i].name, lanuma,
-                                        "CC-NUMA",
-                                        &rows[i].ccnumaReport});
-        }
-        writeBenchReport(opts.reportPath, "pit_sensitivity", opts,
-                         runs);
-    }
+    if (opts.wantReport())
+        writeBenchReport(opts.reportPath, "pit_sensitivity", opts, results);
     return 0;
 }

@@ -13,8 +13,10 @@
  * directory in each home page's record.
  *
  * The default preset list is machinePresets() (8x4, 16x4, 32x8,
- * 128x8); `--machine N x P` restricts the sweep to that single
- * topology.  Problem sizes follow --scale as everywhere else; the
+ * 128x8), run as one apps x presets x policies grid;
+ * `--machine N x P` restricts the sweep to that single topology.
+ * `--frontend record|replay` shares one trace per app, so it needs
+ * `--machine`.  Problem sizes follow --scale as everywhere else; the
  * node-partitioned KV workload weak-scales with the machine and is
  * the natural pick for the big presets (--apps kv), while the fixed-
  * size SPLASH kernels degenerate once numProcs exceeds their
@@ -25,7 +27,6 @@
 #include <string>
 
 #include "bench_util.hh"
-#include "workload/parallel_runner.hh"
 
 namespace {
 
@@ -53,63 +54,38 @@ main(int argc, char **argv)
     using namespace prism;
     using namespace prism::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    const BenchOptions opts = BenchOptions::parse(argc, argv);
+    if (opts.list) {
+        printInventory(opts, opts.apps);
+        return 0;
+    }
     banner("Scale sweep — Figure 7 policy comparison across machine "
            "sizes",
            opts);
 
     // --machine selects one preset; the default sweeps them all.
-    std::vector<MachineConfig> machines;
+    std::vector<MachineConfig> shapes = machinePresets(opts.baseMachine());
     if (BenchOptions::resolve(argc, argv, "PRISM_MACHINE"))
-        machines.push_back(opts.baseMachine());
-    else
-        machines = machinePresets(opts.baseMachine());
+        shapes = {opts.baseMachine()};
+    std::vector<MachineVariant> machines;
+    for (const MachineConfig &m : shapes) {
+        machines.push_back({std::to_string(m.numNodes) + "x" +
+                                std::to_string(m.procsPerNode),
+                            m});
+    }
 
     const auto policies = paperPolicies();
-    std::vector<BenchRun> runs;
-    std::vector<std::vector<ExperimentResult>> keep; // owns reports
-    keep.reserve(machines.size());
-
-    for (const MachineConfig &m : machines) {
-        char label[32];
-        std::snprintf(label, sizeof(label), "%ux%u", m.numNodes,
-                      m.procsPerNode);
-        std::printf("\n## machine %s (%u processors)\n", label,
-                    m.numProcs());
-        std::printf("%-12s", "Application");
-        for (PolicyKind pk : policies)
-            std::printf(" %10s", policyName(pk));
-        std::printf("  (exec cycles, SCOMA)\n");
-
-        keep.push_back(
-            runSweepsParallel(RunSpec{.machine = m,
-                                      .policies = policies,
-                                      .jobs = opts.jobs,
-                                      .frontend = opts.frontend,
-                                      .traceFile = opts.traceFile},
-                              opts.apps));
-        const auto &results = keep.back();
-
-        for (std::size_t a = 0; a < opts.apps.size(); ++a) {
-            const ExperimentResult *row = &results[a * policies.size()];
-            const double scoma =
-                static_cast<double>(row[0].metrics.execCycles);
-            std::printf("%-12s", opts.apps[a].name.c_str());
-            for (std::size_t p = 0; p < policies.size(); ++p) {
-                std::printf(" %10.2f",
-                            static_cast<double>(
-                                row[p].metrics.execCycles) /
-                                scoma);
-            }
-            std::printf("  (%llu)\n",
-                        static_cast<unsigned long long>(
-                            row[0].metrics.execCycles));
-            std::fflush(stdout);
-        }
+    const auto results =
+        runSweepsParallel(opts.sweep(policies), opts.apps, machines);
+    for (std::size_t v = 0; v < machines.size(); ++v) {
+        std::printf("\n## machine %s (%u processors)\n",
+                    machines[v].label.c_str(),
+                    machines[v].machine.numProcs());
+        printExecTable(opts.apps, policies, results, v);
 
         // Per-node footprint (max across nodes, SCOMA run of the
         // first app): the simulator-side cost of the machine width.
-        const RunReport &rep = results[0].report;
+        const RunReport &rep = results[v * policies.size()].report;
         std::printf("  footprint/node (max, SCOMA): directory %.0f B "
                     "(%.0f pages), PIT %.0f entries, fg-tags %.0f "
                     "B\n",
@@ -117,13 +93,9 @@ main(int argc, char **argv)
                     maxGauge(rep, "footprint.dirPages"),
                     maxGauge(rep, "footprint.pitEntries"),
                     maxGauge(rep, "footprint.tagBytes"));
-
-        for (const ExperimentResult &r : results)
-            runs.push_back(BenchRun{r.app, policyName(r.policy), label,
-                                    &r.report});
     }
 
     if (opts.wantReport())
-        writeBenchReport(opts.reportPath, "scale_sweep", opts, runs);
+        writeBenchReport(opts.reportPath, "scale_sweep", opts, results);
     return 0;
 }

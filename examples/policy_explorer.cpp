@@ -20,6 +20,7 @@
 #include "workload/apps.hh"
 #include "workload/workload.hh"
 #include "workload/experiment.hh"
+#include "workload/parallel_runner.hh"
 
 using namespace prism;
 
@@ -121,11 +122,11 @@ main(int argc, char **argv)
                 cfg.numNodes, cfg.procsPerNode, cfg.l1Bytes,
                 cfg.l2Bytes);
 
-    auto results = runPolicySweep(
+    auto results = runSweepsParallel(
         RunSpec{.machine = cfg,
                 .policies = {PolicyKind::Scoma, policy},
                 .capFraction = cap_pct / 100.0},
-        spec);
+        {spec});
     const RunMetrics &base = results[0].metrics;
     const RunMetrics &r = results[1].metrics;
 

@@ -143,6 +143,12 @@ validateConfig(const MachineConfig &cfg)
                        cfg.lineBytes);
     if (cfg.tlbEntries < 1)
         fatal("tlbEntries must be >= 1 (got %u)", cfg.tlbEntries);
+    if (!cfg.clientFrameCapPerNode.empty() &&
+        cfg.clientFrameCapPerNode.size() != cfg.numNodes) {
+        fatal("clientFrameCapPerNode has %zu entries but numNodes=%u: "
+              "give one cap per node, or none",
+              cfg.clientFrameCapPerNode.size(), cfg.numNodes);
+    }
 }
 
 bool

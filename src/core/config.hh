@@ -159,7 +159,8 @@ struct MachineConfig {
      * this per node from a calibration SCOMA run (Section 4.2).
      */
     std::uint64_t clientFrameCap = 0;
-    /** Optional per-node caps (overrides clientFrameCap when nonempty). */
+    /** Optional per-node caps, one per node (overrides clientFrameCap
+     *  when nonempty). */
     std::vector<std::uint64_t> clientFrameCapPerNode;
     /** Extension: map client pages CC-NUMA style, bypassing the PIT. */
     bool ccNumaBypass = false;
@@ -241,10 +242,12 @@ constexpr std::uint32_t kMaxNodes = 1024;
 constexpr std::uint32_t kMaxProcs = 64 * 1024;
 
 /**
- * Fail fast on an impossible topology: zero counts, numNodes >
- * kMaxNodes, numProcs() > kMaxProcs, or a non-power-of-two directory
- * cache.  fatal()s naming the limit; called at Machine construction
- * so a bad config can never silently corrupt a run.
+ * Fail fast on an impossible config: zero counts, numNodes >
+ * kMaxNodes, numProcs() > kMaxProcs, a non-power-of-two directory
+ * cache, impossible line, cache or TLB geometry, or a
+ * clientFrameCapPerNode not sized to numNodes.  fatal()s naming the
+ * field or limit; called at Machine construction so a bad config can
+ * never silently corrupt a run.
  */
 void validateConfig(const MachineConfig &cfg);
 

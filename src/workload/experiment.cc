@@ -62,7 +62,7 @@ runReplay(const MachineConfig &cfg,
     return r;
 }
 
-/** Load spec.traceFile (resolved to @p path) for @p app, once. */
+/** Load the trace at @p path, to be replayed in place of @p app. */
 std::shared_ptr<const RecordedTrace>
 loadTraceFor(const std::string &path, const AppSpec &app)
 {
@@ -145,60 +145,6 @@ policyConfig(const MachineConfig &base, PolicyKind pk,
         cfg.clientFrameCapPerNode = caps;
     }
     return cfg;
-}
-
-std::vector<ExperimentResult>
-runPolicySweep(const RunSpec &spec, const AppSpec &app)
-{
-    const std::vector<PolicyKind> policies =
-        spec.policies.empty() ? paperPolicies() : spec.policies;
-
-    // Replay mode never executes the workload: every run — including
-    // the calibration — re-issues the recorded stream.
-    std::shared_ptr<const RecordedTrace> trace;
-    if (spec.frontend == FrontendKind::Replay)
-        trace = loadTraceFor(spec.traceFile, app);
-
-    // Calibration run: SCOMA with an unbounded page cache.  In record
-    // mode this is the run whose stream is captured.
-    RunReport scoma_report;
-    RunMetrics scoma;
-    if (trace) {
-        scoma = runReplay(calibrationConfig(spec.machine), trace,
-                          &scoma_report);
-    } else if (spec.frontend == FrontendKind::Record) {
-        if (spec.traceFile.empty())
-            fatal("frontend=record requires a trace file "
-                  "(--trace-file)");
-        claimTracePath(spec.traceFile, app.name);
-        std::shared_ptr<const RecordedTrace> recorded;
-        scoma = runExec(calibrationConfig(spec.machine), app,
-                        &scoma_report, &recorded);
-        recorded->writeFile(spec.traceFile);
-    } else {
-        scoma = runExec(calibrationConfig(spec.machine), app,
-                        &scoma_report, nullptr);
-    }
-    const std::vector<std::uint64_t> caps =
-        scoma70Caps(scoma, spec.capFraction);
-
-    std::vector<ExperimentResult> out;
-    for (PolicyKind pk : policies) {
-        ExperimentResult r;
-        r.app = app.name;
-        r.policy = pk;
-        if (pk == PolicyKind::Scoma) {
-            r.metrics = scoma;
-            r.report = scoma_report;
-        } else {
-            const MachineConfig cfg =
-                policyConfig(spec.machine, pk, caps);
-            r.metrics = trace ? runReplay(cfg, trace, &r.report)
-                              : runExec(cfg, app, &r.report, nullptr);
-        }
-        out.push_back(std::move(r));
-    }
-    return out;
 }
 
 } // namespace prism

@@ -5,7 +5,10 @@
  * For each application we first run the SCOMA configuration (infinite
  * page cache) to calibrate per-node page-cache capacities; SCOMA-70
  * and the adaptive policies then cap each node's client S-COMA frames
- * at 70% of the maximum the SCOMA run allocated on that node.
+ * at 70% of the maximum the SCOMA run allocated on that node.  This
+ * file holds one run (runOnce) and the calibration steps;
+ * runSweepsParallel (workload/parallel_runner.hh) applies them to
+ * every sweep grid.
  */
 
 #ifndef PRISM_WORKLOAD_EXPERIMENT_HH
@@ -24,9 +27,11 @@
 
 namespace prism {
 
-/** One (application, policy) measurement. */
+/** One (application, machine variant, policy) measurement. */
 struct ExperimentResult {
     std::string app;
+    /** The machine variant's label; empty for a one-machine sweep. */
+    std::string variant;
     PolicyKind policy{};
     RunMetrics metrics;
     /** Full structured run report (counters, latency quantiles). */
@@ -34,9 +39,8 @@ struct ExperimentResult {
 };
 
 /**
- * One experiment request: everything runOnce / runPolicySweep /
- * runSweepsParallel need, in a single designated-initializer-friendly
- * struct.
+ * One experiment request: everything runOnce and runSweepsParallel
+ * need, in a single designated-initializer-friendly struct.
  *
  *   RunSpec spec{.machine = base, .jobs = opts.jobs,
  *                .frontend = opts.frontend};
@@ -45,9 +49,9 @@ struct ExperimentResult {
  * base configuration for sweeps (sweeps derive the per-policy configs
  * themselves).  An empty `policies` means paperPolicies().  The
  * frontend selects where reference streams come from (exec | record |
- * replay, docs/TRACE.md): record captures the calibration run's
- * stream to `traceFile`; replay loads `traceFile` instead of
- * executing the workload at all.
+ * replay, docs/TRACE.md): record captures a run's stream to
+ * `traceFile` (in a sweep, each app's first run); replay loads
+ * `traceFile` instead of executing the workload at all.
  */
 struct RunSpec {
     MachineConfig machine;
@@ -85,17 +89,6 @@ std::vector<std::uint64_t> scoma70Caps(const RunMetrics &scoma,
 /** Config for policy @p pk given @p base and calibrated @p caps. */
 MachineConfig policyConfig(const MachineConfig &base, PolicyKind pk,
                            const std::vector<std::uint64_t> &caps);
-
-/**
- * Run @p app under every policy in @p spec.policies, calibrating the
- * SCOMA-70 caps from a SCOMA run first (reused as the SCOMA result if
- * requested).  @p spec.machine supplies everything except policy and
- * caps.  With frontend=record the calibration run's stream is written
- * to spec.traceFile; with frontend=replay every run re-issues the
- * stream loaded from spec.traceFile instead of executing @p app.
- */
-std::vector<ExperimentResult> runPolicySweep(const RunSpec &spec,
-                                             const AppSpec &app);
 
 /** The paper's six configurations, Figure 7 order. */
 std::vector<PolicyKind> paperPolicies();

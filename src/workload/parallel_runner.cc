@@ -1,8 +1,6 @@
 #include "workload/parallel_runner.hh"
 
-#include <cstdlib>
-#include <cstring>
-#include <memory>
+#include <algorithm>
 #include <utility>
 
 #include "core/env.hh"
@@ -19,23 +17,6 @@ defaultJobs()
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
-}
-
-unsigned
-jobsFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *val = nullptr;
-        if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            val = argv[i + 1];
-        else if (!std::strncmp(argv[i], "--jobs=", 7))
-            val = argv[i] + 7;
-        if (val) {
-            return static_cast<unsigned>(
-                parseKnobU64("--jobs", val, 1, 1, ~0U));
-        }
-    }
-    return defaultJobs();
 }
 
 TaskPool::TaskPool(unsigned jobs)
@@ -101,68 +82,97 @@ TaskPool::workerLoop()
 }
 
 std::vector<ExperimentResult>
-runSweepsParallel(const RunSpec &spec, const std::vector<AppSpec> &apps)
+runSweepsParallel(const RunSpec &spec, const std::vector<AppSpec> &apps,
+                  std::vector<MachineVariant> variants)
 {
+    if (variants.empty())
+        variants.push_back({"", spec.machine});
+    if (spec.frontend != FrontendKind::Exec) {
+        const MachineVariant &v0 = variants[0];
+        for (const MachineVariant &v : variants) {
+            if (v.machine.numProcs() == v0.machine.numProcs())
+                continue;
+            fatal("--frontend %s shares one trace per app across the "
+                  "sweep, but machine '%s' has %u processors and '%s' "
+                  "has %u; pick one shape with --machine",
+                  frontendName(spec.frontend), v0.label.c_str(),
+                  v0.machine.numProcs(), v.label.c_str(),
+                  v.machine.numProcs());
+        }
+    }
     const std::vector<PolicyKind> policies =
         spec.policies.empty() ? paperPolicies() : spec.policies;
+    // Only SCOMA and the capped policies need the SCOMA run.
+    const bool calibrate =
+        std::any_of(policies.begin(), policies.end(),
+                    [](PolicyKind pk) { return pk != PolicyKind::LaNuma; });
+    const std::size_t nv = variants.size();
     const std::size_t np = policies.size();
-    std::vector<ExperimentResult> out(apps.size() * np);
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        for (std::size_t p = 0; p < np; ++p) {
-            out[a * np + p].app = apps[a].name;
-            out[a * np + p].policy = policies[p];
-        }
+    std::vector<ExperimentResult> out(apps.size() * nv * np);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i].app = apps[i / (nv * np)].name;
+        out[i].variant = variants[i / np % nv].label;
+        out[i].policy = policies[i % np];
     }
 
     TaskPool pool(spec.jobs);
     for (std::size_t a = 0; a < apps.size(); ++a) {
-        // Stage 1 per app: the SCOMA calibration run — executed (and
-        // in record mode captured to the app's trace file), or in
-        // replay mode re-issued from it.  Its caps feed the capped
-        // policies, so those only enter the queue once the
-        // calibration task finishes.
-        pool.submit([&spec, &apps, &policies, &pool, &out, a, np] {
-            const AppSpec &app = apps[a];
-            const std::string trace_path =
-                spec.frontend == FrontendKind::Exec
-                    ? std::string()
-                    : tracePathFor(spec.traceFile, app.name,
-                                   apps.size());
-            RunSpec calib{.machine = calibrationConfig(spec.machine),
-                          .frontend = spec.frontend,
-                          .traceFile = trace_path};
-            RunReport scoma_report;
-            const RunMetrics scoma =
-                runOnce(calib, app, &scoma_report);
-            auto caps = std::make_shared<std::vector<std::uint64_t>>(
-                scoma70Caps(scoma, spec.capFraction));
-            for (std::size_t p = 0; p < np; ++p) {
-                const std::size_t slot = a * np + p;
-                const PolicyKind pk = policies[p];
-                if (pk == PolicyKind::Scoma) {
-                    out[slot].metrics = scoma;
-                    out[slot].report = scoma_report;
-                    continue;
+        const AppSpec &app = apps[a];
+        const std::string trace =
+            spec.frontend == FrontendKind::Exec
+                ? std::string()
+                : tracePathFor(spec.traceFile, app.name, apps.size());
+        // Record captures the app's first run and executes the others;
+        // replay re-issues the trace in every run.
+        auto specFor = [&spec, trace](MachineConfig cfg, bool first) {
+            FrontendKind f = spec.frontend;
+            if (f == FrontendKind::Record && !first)
+                f = FrontendKind::Exec;
+            return RunSpec{.machine = std::move(cfg),
+                           .frontend = f,
+                           .traceFile = trace};
+        };
+        for (std::size_t v = 0; v < nv; ++v) {
+            ExperimentResult *cells = &out[(a * nv + v) * np];
+            const MachineConfig &machine = variants[v].machine;
+            // One task per cell the SCOMA run does not fill.  Distinct
+            // slots, so no synchronization on the results is needed.
+            auto submitCells = [&pool, &app, &machine, specFor, cells, np,
+                                first = v == 0 && !calibrate](
+                                   const std::vector<std::uint64_t> &caps) {
+                for (std::size_t p = 0; p < np; ++p) {
+                    ExperimentResult *cell = &cells[p];
+                    if (cell->policy == PolicyKind::Scoma)
+                        continue;
+                    RunSpec run = specFor(
+                        policyConfig(machine, cell->policy, caps),
+                        first && p == 0);
+                    pool.submit([&app, run, cell] {
+                        cell->metrics = runOnce(run, app, &cell->report);
+                    });
                 }
-                // Stage 2: independent runs, one task each.  Distinct
-                // slots, so no synchronization on the results needed.
-                // Record degrades to exec here: only the calibration
-                // run is captured (docs/TRACE.md).
-                pool.submit([&spec, &app, &out, caps, trace_path,
-                             slot, pk] {
-                    RunSpec run{
-                        .machine =
-                            policyConfig(spec.machine, pk, *caps),
-                        .frontend =
-                            spec.frontend == FrontendKind::Replay
-                                ? FrontendKind::Replay
-                                : FrontendKind::Exec,
-                        .traceFile = trace_path};
-                    out[slot].metrics =
-                        runOnce(run, app, &out[slot].report);
-                });
+            };
+            if (!calibrate) {
+                submitCells({});
+                continue;
             }
-        });
+            // The SCOMA run sizes the capped cells, so they only enter
+            // the queue once it finishes.
+            pool.submit([&spec, &app, &machine, specFor, submitCells,
+                         cells, np, first = v == 0] {
+                RunReport report;
+                const RunMetrics scoma = runOnce(
+                    specFor(calibrationConfig(machine), first), app,
+                    &report);
+                for (std::size_t p = 0; p < np; ++p) {
+                    if (cells[p].policy == PolicyKind::Scoma) {
+                        cells[p].metrics = scoma;
+                        cells[p].report = report;
+                    }
+                }
+                submitCells(scoma70Caps(scoma, spec.capFraction));
+            });
+        }
     }
     pool.wait();
     return out;

@@ -3,7 +3,8 @@
  * Parallel experiment runner.
  *
  * The paper's evaluation is ~50 independent simulations (8 apps x 6
- * policies plus sensitivity sweeps).  Each simulation is a fully
+ * policies plus sensitivity sweeps), and every bench grid runs them
+ * through runSweepsParallel.  Each simulation is a fully
  * deterministic, single-threaded Machine, so the sweep is
  * embarrassingly parallel — except that an application's SCOMA
  * calibration run must finish before its capped runs can be
@@ -24,6 +25,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,12 +38,6 @@ namespace prism {
  * fatal otherwise), else the hardware thread count, else 1.
  */
 unsigned defaultJobs();
-
-/**
- * Worker count from the command line: `--jobs N` or `--jobs=N`
- * overrides defaultJobs().  Unrelated arguments are ignored.
- */
-unsigned jobsFromArgs(int argc, char **argv);
 
 /**
  * A fixed set of worker threads draining one task queue.  Tasks may
@@ -81,20 +77,35 @@ class TaskPool
     bool stop_ = false;
 };
 
+/** One labeled machine of a sweep grid, e.g. a cache shape. */
+struct MachineVariant {
+    std::string label;
+    MachineConfig machine;
+};
+
 /**
- * Run every (app, policy) combination on @p spec.jobs workers,
- * honoring the SCOMA-calibration dependency per app.  Equivalent to
- * calling runPolicySweep(spec, app) for each app and concatenating:
- * results are in sweep order (apps outer, policies inner) and —
- * because each simulation is deterministic and isolated —
- * bit-identical to the sequential runner's for any worker count.
+ * The one sweep runner: every (app, variant, policy) cell of a grid
+ * on spec.jobs workers, results in apps x variants x policies order
+ * and labeled with each cell's app, variant and policy.  An empty
+ * @p variants means spec.machine alone, with an empty label.  Each
+ * simulation is deterministic and isolated, so the results are
+ * bit-identical for any worker count.
  *
- * With several apps, spec.traceFile is resolved per app through
- * tracePathFor() for the record/replay frontends.
+ * The paper's Section 4 rules, stated once:
+ *  - Each (app, variant)'s SCOMA run (unbounded page cache) sizes its
+ *    capped cells' per-node caps (spec.capFraction of its peaks) and
+ *    doubles as its SCOMA cell.  A grid with neither SCOMA nor a
+ *    capped policy makes no SCOMA run.
+ *  - `record` captures each app's first run (variant 0's SCOMA run,
+ *    or its first cell without one) to the app's trace file
+ *    (tracePathFor over spec.traceFile); the other runs execute.
+ *    `replay` re-issues that file in every run.  Both share one trace
+ *    per app, so variants that differ in processor count are fatal
+ *    before any simulation.
  */
 std::vector<ExperimentResult>
-runSweepsParallel(const RunSpec &spec,
-                  const std::vector<AppSpec> &apps);
+runSweepsParallel(const RunSpec &spec, const std::vector<AppSpec> &apps,
+                  std::vector<MachineVariant> variants = {});
 
 } // namespace prism
 

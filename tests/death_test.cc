@@ -316,5 +316,19 @@ TEST(Death, TlbWithoutEntriesIsFatal)
                       "tlbEntries must be >= 1");
 }
 
+TEST(Death, CapVectorNotSizedToNodesIsFatal)
+{
+    // Each node reads its own entry: a short vector would be read past
+    // its end, and a long one means caps sized for another machine.
+    expectConfigFatal(
+        [](MachineConfig &c) { c.clientFrameCapPerNode = {4, 4}; },
+        "clientFrameCapPerNode has 2 entries but numNodes=8");
+    expectConfigFatal(
+        [](MachineConfig &c) {
+            c.clientFrameCapPerNode.assign(16, 4);
+        },
+        "clientFrameCapPerNode has 16 entries but numNodes=8");
+}
+
 } // namespace
 } // namespace prism

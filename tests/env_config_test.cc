@@ -2,8 +2,9 @@
  * @file
  * Environment-knob parsing: every env parser must accept its documented
  * values and fail fast — naming the valid values — on anything else.
- * Covers PRISM_SCALE / PRISM_APPS (bench/bench_util.hh) and
- * PRISM_ORACLE (core/config + Machine construction).
+ * Covers PRISM_SCALE / PRISM_APPS (BenchOptions::parse,
+ * bench/bench_util.hh) and PRISM_ORACLE (core/config + Machine
+ * construction).
  */
 
 #include <gtest/gtest.h>
@@ -16,26 +17,32 @@
 namespace prism {
 namespace {
 
-using bench::appsFromEnv;
-using bench::scaleFromEnv;
+/** BenchOptions::parse with no arguments: the environment decides. */
+bench::BenchOptions
+parseEnv()
+{
+    char name[] = "bench";
+    char *argv[] = {name, nullptr};
+    return bench::BenchOptions::parse(1, argv);
+}
 
 TEST(EnvConfig, ScaleParsesDocumentedValues)
 {
     unsetenv("PRISM_SCALE");
-    EXPECT_EQ(scaleFromEnv(), AppScale::Paper);
+    EXPECT_EQ(parseEnv().scale, AppScale::Paper);
     setenv("PRISM_SCALE", "paper", 1);
-    EXPECT_EQ(scaleFromEnv(), AppScale::Paper);
+    EXPECT_EQ(parseEnv().scale, AppScale::Paper);
     setenv("PRISM_SCALE", "small", 1);
-    EXPECT_EQ(scaleFromEnv(), AppScale::Small);
+    EXPECT_EQ(parseEnv().scale, AppScale::Small);
     setenv("PRISM_SCALE", "tiny", 1);
-    EXPECT_EQ(scaleFromEnv(), AppScale::Tiny);
+    EXPECT_EQ(parseEnv().scale, AppScale::Tiny);
     unsetenv("PRISM_SCALE");
 }
 
 TEST(EnvConfig, UnknownScaleFailsFastListingValidNames)
 {
     setenv("PRISM_SCALE", "medium", 1);
-    EXPECT_EXIT(scaleFromEnv(), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(parseEnv(), ::testing::ExitedWithCode(1),
                 "unknown PRISM_SCALE 'medium' \\(valid: paper small "
                 "tiny\\)");
     unsetenv("PRISM_SCALE");
@@ -43,21 +50,22 @@ TEST(EnvConfig, UnknownScaleFailsFastListingValidNames)
 
 TEST(EnvConfig, AppsFilterSelectsBySubstring)
 {
+    setenv("PRISM_SCALE", "tiny", 1);
     setenv("PRISM_APPS", "Water", 1);
-    auto apps = appsFromEnv(AppScale::Tiny);
+    auto apps = parseEnv().apps;
     ASSERT_FALSE(apps.empty());
     for (const auto &a : apps)
         EXPECT_NE(a.name.find("Water"), std::string::npos) << a.name;
     unsetenv("PRISM_APPS");
-    EXPECT_EQ(appsFromEnv(AppScale::Tiny).size(),
+    EXPECT_EQ(parseEnv().apps.size(),
               standardApps(AppScale::Tiny).size());
+    unsetenv("PRISM_SCALE");
 }
 
 TEST(EnvConfig, UnmatchedAppsFilterFailsFastListingValidNames)
 {
     setenv("PRISM_APPS", "no-such-app", 1);
-    EXPECT_EXIT(appsFromEnv(AppScale::Tiny),
-                ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(parseEnv(), ::testing::ExitedWithCode(1),
                 "matches no application; valid names:");
     unsetenv("PRISM_APPS");
 }

@@ -8,6 +8,7 @@
 
 #include "workload/apps.hh"
 #include "workload/experiment.hh"
+#include "workload/parallel_runner.hh"
 
 namespace prism {
 namespace {
@@ -42,10 +43,10 @@ TEST(Experiment, SweepReusesScomaCalibrationRun)
             fft = &a;
     }
     ASSERT_NE(fft, nullptr);
-    auto rs = runPolicySweep(
+    auto rs = runSweepsParallel(
         RunSpec{.machine = smallCfg(),
                 .policies = {PolicyKind::Scoma, PolicyKind::Scoma70}},
-        *fft);
+        {*fft});
     ASSERT_EQ(rs.size(), 2u);
     EXPECT_EQ(rs[0].policy, PolicyKind::Scoma);
     EXPECT_GT(rs[0].metrics.execCycles, 0u);
@@ -73,10 +74,10 @@ TEST(Experiment, LaNumaRunsUncapped)
             ocean = &a;
     }
     ASSERT_NE(ocean, nullptr);
-    auto rs = runPolicySweep(
+    auto rs = runSweepsParallel(
         RunSpec{.machine = smallCfg(),
                 .policies = {PolicyKind::Scoma, PolicyKind::LaNuma}},
-        *ocean);
+        {*ocean});
     // LANUMA allocates no client S-COMA frames at all.
     for (std::uint64_t peak : rs[1].metrics.clientScomaPeakPerNode)
         EXPECT_EQ(peak, 0u);
@@ -94,16 +95,16 @@ TEST(Experiment, CapFractionIsConfigurable)
             radix = &a;
     }
     ASSERT_NE(radix, nullptr);
-    auto r50 = runPolicySweep(
+    auto r50 = runSweepsParallel(
         RunSpec{.machine = smallCfg(),
                 .policies = {PolicyKind::Scoma, PolicyKind::Scoma70},
                 .capFraction = 0.50},
-        *radix);
-    auto r90 = runPolicySweep(
+        {*radix});
+    auto r90 = runSweepsParallel(
         RunSpec{.machine = smallCfg(),
                 .policies = {PolicyKind::Scoma, PolicyKind::Scoma70},
                 .capFraction = 0.90},
-        *radix);
+        {*radix});
     // A tighter cache cannot cause fewer page-outs.
     EXPECT_GE(r50[1].metrics.clientPageOuts,
               r90[1].metrics.clientPageOuts);

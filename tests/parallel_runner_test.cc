@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <initializer_list>
 #include <vector>
 
 #include "workload/apps.hh"
@@ -28,6 +29,19 @@ smallCfg()
     cfg.numNodes = 4;
     cfg.procsPerNode = 2;
     return cfg;
+}
+
+std::vector<AppSpec>
+tinyApps(std::initializer_list<const char *> names)
+{
+    std::vector<AppSpec> out;
+    for (const AppSpec &a : standardApps(AppScale::Tiny)) {
+        for (const char *n : names) {
+            if (a.name == n)
+                out.push_back(a);
+        }
+    }
+    return out;
 }
 
 ::testing::AssertionResult
@@ -95,52 +109,33 @@ TEST(TaskPool, WaitIsReusable)
     EXPECT_EQ(count.load(), 2);
 }
 
-TEST(Jobs, EnvAndArgsParsing)
+TEST(Jobs, EnvParsing)
 {
     ASSERT_EQ(setenv("PRISM_JOBS", "3", 1), 0);
     EXPECT_EQ(defaultJobs(), 3u);
-
-    char a0[] = "bench";
-    char a1[] = "--jobs";
-    char a2[] = "5";
-    char *argv1[] = {a0, a1, a2};
-    EXPECT_EQ(jobsFromArgs(3, argv1), 5u);
-
-    char b1[] = "--jobs=7";
-    char *argv2[] = {a0, b1};
-    EXPECT_EQ(jobsFromArgs(2, argv2), 7u);
-
-    // Unrelated args fall back to the environment.
-    char c1[] = "--list";
-    char *argv3[] = {a0, c1};
-    EXPECT_EQ(jobsFromArgs(2, argv3), 3u);
-
     ASSERT_EQ(unsetenv("PRISM_JOBS"), 0);
     EXPECT_GE(defaultJobs(), 1u);
 }
 
 /**
- * The determinism contract: sequential runPolicySweep and the
- * 4-worker parallel runner must agree bit-for-bit on every metric,
- * for every (app, policy) cell including the calibrated-cap ones.
+ * The determinism contract: one-app sweeps on one worker and a
+ * two-app sweep on four workers must agree bit-for-bit on every
+ * metric, for every (app, policy) cell including the calibrated-cap
+ * ones.
  */
 TEST(ParallelSweep, BitIdenticalToSequentialSweep)
 {
     const MachineConfig base = smallCfg();
     const auto policies = paperPolicies();
 
-    auto all = standardApps(AppScale::Tiny);
-    std::vector<AppSpec> apps;
-    for (auto &a : all) {
-        if (a.name == "FFT" || a.name == "Radix")
-            apps.push_back(a);
-    }
+    const std::vector<AppSpec> apps = tinyApps({"FFT", "Radix"});
     ASSERT_EQ(apps.size(), 2u);
 
     std::vector<ExperimentResult> sequential;
     for (const auto &app : apps) {
-        auto rs = runPolicySweep(
-            RunSpec{.machine = base, .policies = policies}, app);
+        auto rs = runSweepsParallel(
+            RunSpec{.machine = base, .policies = policies, .jobs = 1},
+            {app});
         sequential.insert(sequential.end(), rs.begin(), rs.end());
     }
 
@@ -166,12 +161,7 @@ TEST(ParallelSweep, WorkerCountInvariant)
     const std::vector<PolicyKind> policies = {
         PolicyKind::Scoma, PolicyKind::Scoma70, PolicyKind::DynLru};
 
-    auto all = standardApps(AppScale::Tiny);
-    std::vector<AppSpec> apps;
-    for (auto &a : all) {
-        if (a.name == "LU")
-            apps.push_back(a);
-    }
+    const std::vector<AppSpec> apps = tinyApps({"LU"});
     ASSERT_EQ(apps.size(), 1u);
 
     const auto one = runSweepsParallel(
@@ -183,6 +173,55 @@ TEST(ParallelSweep, WorkerCountInvariant)
     ASSERT_EQ(one.size(), eight.size());
     for (std::size_t i = 0; i < one.size(); ++i)
         EXPECT_TRUE(metricsIdentical(one[i].metrics, eight[i].metrics));
+}
+
+/**
+ * A grid over two machine shapes: labeled cells in apps x variants x
+ * policies order, each variant's cells equal to a one-variant sweep
+ * on that machine (so each variant calibrates its own caps), at any
+ * worker count.
+ */
+TEST(ParallelSweep, VariantGridMatchesOneVariantSweeps)
+{
+    const std::vector<PolicyKind> policies = {
+        PolicyKind::Scoma, PolicyKind::LaNuma, PolicyKind::Scoma70,
+        PolicyKind::DynLru};
+    MachineConfig small = smallCfg();
+    small.numNodes = 2;
+    const std::vector<MachineVariant> variants = {{"4x2", smallCfg()},
+                                                  {"2x2", small}};
+    const std::vector<AppSpec> apps = tinyApps({"FFT", "Radix"});
+    ASSERT_EQ(apps.size(), 2u);
+
+    const auto grid = runSweepsParallel(
+        RunSpec{.policies = policies, .jobs = 4}, apps, variants);
+    const auto serial = runSweepsParallel(
+        RunSpec{.policies = policies, .jobs = 1}, apps, variants);
+    ASSERT_EQ(grid.size(), apps.size() * variants.size() * policies.size());
+    ASSERT_EQ(serial.size(), grid.size());
+
+    std::size_t i = 0;
+    for (const AppSpec &app : apps) {
+        for (const MachineVariant &v : variants) {
+            const auto one = runSweepsParallel(
+                RunSpec{.machine = v.machine, .policies = policies},
+                {app});
+            ASSERT_EQ(one.size(), policies.size());
+            for (std::size_t p = 0; p < policies.size(); ++p, ++i) {
+                EXPECT_EQ(grid[i].app, app.name) << "slot " << i;
+                EXPECT_EQ(grid[i].variant, v.label) << "slot " << i;
+                EXPECT_EQ(grid[i].policy, policies[p]) << "slot " << i;
+                EXPECT_TRUE(one[p].variant.empty());
+                EXPECT_TRUE(metricsIdentical(grid[i].metrics,
+                                             one[p].metrics))
+                    << app.name << " " << v.label << " "
+                    << policyName(policies[p]);
+                EXPECT_TRUE(metricsIdentical(grid[i].metrics,
+                                             serial[i].metrics))
+                    << "jobs 4 vs 1, slot " << i;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "frontend/trace_workload.hh"
 #include "workload/apps.hh"
 #include "workload/experiment.hh"
+#include "workload/parallel_runner.hh"
 #include "workload/workload.hh"
 
 namespace prism {
@@ -146,22 +148,22 @@ TEST(TraceReplay, PolicySweepFromOneRecordingMatchesExecSweep)
         PolicyKind::Scoma, PolicyKind::LaNuma, PolicyKind::Scoma70,
         PolicyKind::DynLru};
 
-    const auto exec_rs = runPolicySweep(
-        RunSpec{.machine = smallCfg(), .policies = policies}, *fft);
+    const auto exec_rs = runSweepsParallel(
+        RunSpec{.machine = smallCfg(), .policies = policies}, {*fft});
 
     const std::string path = tmpTrace("sweep_fft.ptrace");
-    const auto rec_rs = runPolicySweep(
+    const auto rec_rs = runSweepsParallel(
         RunSpec{.machine = smallCfg(),
                 .policies = policies,
                 .frontend = FrontendKind::Record,
                 .traceFile = path},
-        *fft);
-    const auto rep_rs = runPolicySweep(
+        {*fft});
+    const auto rep_rs = runSweepsParallel(
         RunSpec{.machine = smallCfg(),
                 .policies = policies,
                 .frontend = FrontendKind::Replay,
                 .traceFile = path},
-        *fft);
+        {*fft});
 
     ASSERT_EQ(rec_rs.size(), exec_rs.size());
     ASSERT_EQ(rep_rs.size(), exec_rs.size());
@@ -213,6 +215,61 @@ TEST(TraceReplayDeath, MissingTraceFileArgumentDies)
                                 .frontend = FrontendKind::Record},
                         apps[0]),
                 testing::ExitedWithCode(1), "requires a trace file");
+}
+
+/**
+ * One trace per app serves a whole sweep, so record and replay on a
+ * grid whose machines differ in processor count are fatal before any
+ * simulation, naming --machine; a one-shape grid (scale_sweep
+ * --machine) records and replays as usual.
+ */
+TEST(TraceReplayDeath, MultiShapeGridDiesBeforeAnySimulation)
+{
+    const auto apps = standardApps(AppScale::Tiny);
+    const AppSpec *fft = nullptr;
+    for (const auto &a : apps) {
+        if (a.name == "FFT")
+            fft = &a;
+    }
+    ASSERT_NE(fft, nullptr);
+    MachineConfig two_nodes = smallCfg();
+    two_nodes.numNodes = 2;
+    const std::vector<MachineVariant> shapes = {{"4x2", smallCfg()},
+                                                {"2x2", two_nodes}};
+
+    const std::string rec = tmpTrace("multishape_rec.ptrace");
+    std::remove(rec.c_str());
+    EXPECT_EXIT(runSweepsParallel(RunSpec{.frontend = FrontendKind::Record,
+                                          .traceFile = rec},
+                                  {*fft}, shapes),
+                testing::ExitedWithCode(1),
+                "machine '4x2' has 8 processors and '2x2' has 4; pick "
+                "one shape with --machine");
+    EXPECT_FALSE(std::ifstream(rec).good())
+        << "a simulation ran before the shape check";
+
+    // One shape records, then replays to the executed results.
+    const std::vector<MachineVariant> one = {shapes[1]};
+    const auto exec_rs = runSweepsParallel(RunSpec{}, {*fft}, one);
+    runSweepsParallel(
+        RunSpec{.frontend = FrontendKind::Record, .traceFile = rec},
+        {*fft}, one);
+    const auto rep_rs = runSweepsParallel(
+        RunSpec{.frontend = FrontendKind::Replay, .traceFile = rec},
+        {*fft}, one);
+    ASSERT_EQ(rep_rs.size(), exec_rs.size());
+    for (std::size_t i = 0; i < exec_rs.size(); ++i) {
+        EXPECT_EQ(strippedJson(rep_rs[i].report),
+                  strippedJson(exec_rs[i].report))
+            << policyName(exec_rs[i].policy);
+    }
+
+    // Replaying that 4-processor trace on both shapes dies the same way,
+    // before the replay's own processor-count check could.
+    EXPECT_EXIT(runSweepsParallel(RunSpec{.frontend = FrontendKind::Replay,
+                                          .traceFile = rec},
+                                  {*fft}, shapes),
+                testing::ExitedWithCode(1), "pick one shape with --machine");
 }
 
 #ifdef PRISM_SOURCE_DIR

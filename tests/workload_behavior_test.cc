@@ -11,6 +11,7 @@
 
 #include "workload/apps.hh"
 #include "workload/experiment.hh"
+#include "workload/parallel_runner.hh"
 
 namespace prism {
 namespace {
@@ -42,9 +43,9 @@ std::vector<AppSpec> Behaviour::apps_;
 TEST_F(Behaviour, LanumaSuffersCapacityRemoteMissesOnOcean)
 {
     MachineConfig base;
-    auto rs = runPolicySweep(
+    auto rs = runSweepsParallel(
         RunSpec{.machine = base, .policies = {PolicyKind::Scoma, PolicyKind::LaNuma}},
-        app(apps_, "Ocean"));
+        {app(apps_, "Ocean")});
     // Paper Table 4: Ocean LANUMA has far more remote misses than
     // SCOMA (capacity misses go remote).  The gap grows with the
     // problem size; at Small scale it is still a clear >30%.
@@ -59,9 +60,9 @@ TEST_F(Behaviour, LanumaSuffersCapacityRemoteMissesOnOcean)
 TEST_F(Behaviour, ScomaSeventyTradesPageOutsForFewerRemoteMisses)
 {
     MachineConfig base;
-    auto rs = runPolicySweep(
+    auto rs = runSweepsParallel(
         RunSpec{.machine = base, .policies = {PolicyKind::Scoma, PolicyKind::LaNuma, PolicyKind::Scoma70}},
-        app(apps_, "Radix"));
+        {app(apps_, "Radix")});
     const auto &scoma = rs[0].metrics;
     const auto &lanuma = rs[1].metrics;
     const auto &s70 = rs[2].metrics;
@@ -75,9 +76,9 @@ TEST_F(Behaviour, ScomaSeventyTradesPageOutsForFewerRemoteMisses)
 TEST_F(Behaviour, DynFcfsNeverPagesOut)
 {
     MachineConfig base;
-    auto rs = runPolicySweep(
+    auto rs = runSweepsParallel(
         RunSpec{.machine = base, .policies = {PolicyKind::Scoma, PolicyKind::DynFcfs}},
-        app(apps_, "FFT"));
+        {app(apps_, "FFT")});
     // Paper Table 5: "Page-outs do not occur in Dyn-FCFS."
     EXPECT_EQ(rs[1].metrics.clientPageOuts, 0u);
 }
@@ -85,9 +86,9 @@ TEST_F(Behaviour, DynFcfsNeverPagesOut)
 TEST_F(Behaviour, AdaptivePoliciesCutPageOutsBelowScomaSeventy)
 {
     MachineConfig base;
-    auto rs = runPolicySweep(
+    auto rs = runSweepsParallel(
         RunSpec{.machine = base, .policies = {PolicyKind::Scoma, PolicyKind::Scoma70, PolicyKind::DynLru}},
-        app(apps_, "Barnes"));
+        {app(apps_, "Barnes")});
     // Paper Table 5 vs Table 4: the adaptive configurations
     // significantly reduce client page-outs versus SCOMA-70.
     EXPECT_LT(rs[2].metrics.clientPageOuts,
@@ -97,18 +98,18 @@ TEST_F(Behaviour, AdaptivePoliciesCutPageOutsBelowScomaSeventy)
 TEST_F(Behaviour, AdaptiveBeatsLanumaOnCapacityBoundApp)
 {
     MachineConfig base;
-    auto rs = runPolicySweep(
+    auto rs = runSweepsParallel(
         RunSpec{.machine = base, .policies = {PolicyKind::Scoma, PolicyKind::LaNuma, PolicyKind::DynFcfs}},
-        app(apps_, "Ocean"));
+        {app(apps_, "Ocean")});
     EXPECT_LT(rs[2].metrics.execCycles, rs[1].metrics.execCycles);
 }
 
 TEST_F(Behaviour, Mp3dIsCommunicationDominated)
 {
     MachineConfig base;
-    auto rs = runPolicySweep(
+    auto rs = runSweepsParallel(
         RunSpec{.machine = base, .policies = {PolicyKind::Scoma, PolicyKind::LaNuma}},
-        app(apps_, "MP3D"));
+        {app(apps_, "MP3D")});
     // Paper: communication-related traffic costs the same in either
     // mode, so MP3D shows no significant difference (within 20%).
     const double ratio =
@@ -121,9 +122,9 @@ TEST_F(Behaviour, Mp3dIsCommunicationDominated)
 TEST_F(Behaviour, ScomaAllocatesMoreFramesWithLowerUtilization)
 {
     MachineConfig base;
-    auto rs = runPolicySweep(
+    auto rs = runSweepsParallel(
         RunSpec{.machine = base, .policies = {PolicyKind::Scoma, PolicyKind::LaNuma}},
-        app(apps_, "FFT"));
+        {app(apps_, "FFT")});
     // Paper Table 3's memory-consumption claim.  (The utilization
     // ordering is a paper-scale property; at Small scale the sparse
     // private/home frames dominate both columns, so here we only
