@@ -21,6 +21,10 @@ main(int argc, char **argv)
     using namespace prism::bench;
 
     const BenchOptions opts = BenchOptions::parse(argc, argv);
+    if (opts.list) {
+        printInventory(opts, opts.apps);
+        return 0;
+    }
     banner("Section 4.2 — cache-size sensitivity of the page-mode "
            "choice (LANUMA time / SCOMA time)",
            opts);

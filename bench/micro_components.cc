@@ -18,6 +18,7 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/shard.hh"
+#include "sim/task.hh"
 
 namespace prism {
 namespace {
@@ -259,6 +260,38 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+CoTask
+resumeLoop(EventQueue &eq, const bool &stop, std::uint64_t &sink)
+{
+    while (!stop) {
+        co_await DelayAwaiter(eq, 1);
+        ++sink;
+    }
+}
+
+/**
+ * Wake-up throughput: a coroutine parked on DelayAwaiter and resumed
+ * through its wake-up key (no callback slot), one schedule and one
+ * dispatch per iteration -- the shape of every delay, lock handoff
+ * and latch release in src/.
+ */
+void
+BM_EventQueueResume(benchmark::State &state)
+{
+    EventQueue eq;
+    bool stop = false;
+    std::uint64_t sink = 0;
+    CoTask loop = resumeLoop(eq, stop, sink);
+    loop.start();
+    for (auto _ : state)
+        eq.runOne();
+    stop = true;
+    eq.runAll();
+    state.SetItemsProcessed(static_cast<std::int64_t>(sink));
+    benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_EventQueueResume);
 
 /**
  * Schedule+dispatch throughput with a populated heap and fat captures:

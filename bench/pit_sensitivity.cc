@@ -12,10 +12,18 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 
 namespace {
+
+/** Width of a variant's exec-cycles column. */
+int
+columnWidth(const std::string &label)
+{
+    return label == "DRAM+dirhints" ? 14 : 12;
+}
 
 /** Print @p run's exec cycles and its change from @p base's, in %. */
 void
@@ -38,20 +46,16 @@ main(int argc, char **argv)
     using namespace prism::bench;
 
     const BenchOptions opts = BenchOptions::parse(argc, argv);
+    if (opts.list) {
+        printInventory(opts, opts.apps);
+        return 0;
+    }
     const bool with_ccnuma = opts.flag("--ccnuma");
     const bool with_dirhints = opts.flag("--dirhints");
 
     banner("Section 4.3 — PIT in DRAM (10 cycles) vs SRAM (2 cycles), "
            "LANUMA configuration",
            opts);
-
-    std::printf("%-12s %12s %12s %9s", "Application", "SRAM-PIT",
-                "DRAM-PIT", "slowdown");
-    if (with_ccnuma)
-        std::printf(" %12s %9s", "CC-NUMA", "vs SRAM");
-    if (with_dirhints)
-        std::printf(" %14s %9s", "DRAM+dirhints", "slowdown");
-    std::printf("\n");
 
     MachineConfig sram = opts.baseMachine();
     sram.pitLatency = 2;
@@ -70,6 +74,17 @@ main(int argc, char **argv)
         variants.push_back({"CC-NUMA", sram});
         variants.back().machine.ccNumaBypass = true;
     }
+
+    // One column pair per variant, in the rows' (and the report's)
+    // order; each later one is a change against SRAM-PIT.
+    std::printf("%-12s %12s", "Application", "SRAM-PIT");
+    for (std::size_t v = 1; v < variants.size(); ++v) {
+        const std::string &label = variants[v].label;
+        std::printf(" %*s %9s", columnWidth(label), label.c_str(),
+                    label == "CC-NUMA" ? "vs SRAM" : "slowdown");
+    }
+    std::printf("\n");
+
     const auto results = runSweepsParallel(
         opts.sweep({PolicyKind::LaNuma}), opts.apps, variants);
 
@@ -80,11 +95,9 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         row[0].metrics.execCycles));
         // Every later column is a slowdown against SRAM-PIT.
-        for (std::size_t v = 1; v < nv; ++v) {
-            const int width =
-                variants[v].label == "DRAM+dirhints" ? 14 : 12;
-            printVersus(width, row[v].metrics, row[0].metrics);
-        }
+        for (std::size_t v = 1; v < nv; ++v)
+            printVersus(columnWidth(variants[v].label), row[v].metrics,
+                        row[0].metrics);
         std::printf("\n");
         std::fflush(stdout);
     }

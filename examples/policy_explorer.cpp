@@ -83,7 +83,7 @@ main(int argc, char **argv)
                     : !std::strcmp(s, "tiny") ? AppScale::Tiny
                                               : AppScale::Small;
         } else if (!std::strcmp(argv[i], "--cap")) {
-            cap_pct = parseKnobReal("--cap", next(), 0.7, 0.0, 1.0);
+            cap_pct = parseKnobReal("--cap", next(), 70.0, 0.0, 100.0);
         } else if (!std::strcmp(argv[i], "--l1")) {
             cfg.l1Bytes = static_cast<std::uint32_t>(
                 parseKnobU64("--l1", next(), 0, 1, ~0U));

@@ -124,12 +124,10 @@ CoherenceController::invalidateLocal(GPage gpage, std::uint32_t line_idx,
                                      FrameNum frame, Cycles lookup)
 {
     const GLine gl = geo_.lineOf(gpage, line_idx);
-    auto pt = pending_.find(gl);
-    if (pt != pending_.end())
-        pt->second->invalidatedMidFlight = true;
-    auto ft = fillPending_.find(gl);
-    if (ft != fillPending_.end())
-        ft->second.invalidated = true;
+    if (ClientTxn **txn = pending_.find(gl))
+        (*txn)->invalidatedMidFlight = true;
+    if (FillToken *fill = fillPending_.find(gl))
+        fill->invalidated = true;
     co_await delay(lookup);
     // Re-validate: the mapping may have been paged out (and the frame
     // even reused) during the lookup delay.
@@ -153,11 +151,11 @@ CoherenceController::homePageQuiescent(GPage gpage) const
                 return false;
         }
     }
-    for (const auto &[gl, wait] : homeWaits_) {
-        if (geo_.pageOf(gl) == gpage)
-            return false;
-    }
-    return true;
+    bool waiting = false;
+    homeWaits_.forEach([&](GLine gl, HomeWait *) {
+        waiting = waiting || geo_.pageOf(gl) == gpage;
+    });
+    return !waiting;
 }
 
 NodeId
@@ -238,7 +236,7 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
     }
     // LA-NUMA: hold a fill token until the bus fill completes so no
     // second transaction (or stale fill) can slip into the window.
-    if (!scoma && fillPending_.emplace(gl, FillToken{}).second)
+    if (!scoma && fillPending_.insert(gl).second)
         pendingPageAdd(pages_.get(gpage));
 }
 
@@ -253,7 +251,7 @@ CoherenceController::runClientTxn(MsgType mt, Pit::Ref e, FrameNum frame,
         pageModeName(e->mode), msgTypeName(mt),
         (unsigned long long)eq_.now());
     ClientTxn txn(eq_);
-    pending_[gl] = &txn;
+    pending_.insert(gl, &txn);
     // The pending line keeps the record live until the txn ends.
     const PageRecords::Ref rec = e->page;
     pendingPageAdd(rec);
@@ -342,11 +340,11 @@ CoherenceController::finishFill(FrameNum frame, std::uint32_t line_idx,
       case PageMode::LaNuma:
       case PageMode::CcNuma: {
         GLine gl = geo_.lineOf(e->gpage, line_idx);
-        auto it = fillPending_.find(gl);
-        if (it == fillPending_.end())
+        const FillToken *fill = fillPending_.find(gl);
+        if (!fill)
             return true; // peer-supplied fill; validated by the caller
-        const bool ok = !it->second.invalidated;
-        fillPending_.erase(it);
+        const bool ok = !fill->invalidated;
+        fillPending_.erase(gl);
         pendingPageRemove(e->page);
         return ok;
       }
@@ -563,15 +561,14 @@ CoherenceController::onMessage(Msg m)
       case MsgType::XferNotice:
       case MsgType::FetchNack: {
         GLine gl = geo_.lineOf(m.gpage, m.lineIdx);
-        auto it = homeWaits_.find(gl);
-        prism_assert(it != homeWaits_.end(),
-                     "%s without a waiting home transaction",
+        HomeWait *const *wait = homeWaits_.find(gl);
+        prism_assert(wait, "%s without a waiting home transaction",
                      msgTypeName(m.type));
         if (m.type == MsgType::FetchNack)
-            it->second->nacked = true;
+            (*wait)->nacked = true;
         else
-            it->second->dirty = m.dirty;
-        it->second->event.signal();
+            (*wait)->dirty = m.dirty;
+        (*wait)->event.signal();
         return;
       }
       case MsgType::Data:
@@ -778,7 +775,7 @@ CoherenceController::handleHomeRequest(Msg m)
         if (t.actions & kHomeFetchOwner) {
             // 3-party transaction: intervene at the remote owner.
             HomeWait wait(eq_);
-            homeWaits_[gl] = &wait;
+            homeWaits_.insert(gl, &wait);
             Msg f(MsgType::Fetch, prev_owner, m.gpage, li);
             f.requester = req;
             f.requesterFrame = m.requesterFrame;
@@ -950,14 +947,13 @@ CoherenceController::handleClientReply(Msg m)
     // Acks are counted at delivery; grants pay the controller first.
     if (m.type != MsgType::InvAck)
         co_await occupy(cfg_.ctrlOverhead);
-    auto it = pending_.find(geo_.lineOf(m.gpage, m.lineIdx));
-    prism_assert(it != pending_.end(), "%s without a transaction",
-                 msgTypeName(m.type));
+    ClientTxn *const *txn = pending_.find(geo_.lineOf(m.gpage, m.lineIdx));
+    prism_assert(txn, "%s without a transaction", msgTypeName(m.type));
+    ClientTxn *t = *txn;
     if (m.type == MsgType::InvAck) {
-        it->second->latch.arrive();
+        t->latch.arrive();
         co_return;
     }
-    ClientTxn *t = it->second;
     t->exclusive = m.exclusive;
     t->dataFetched = (m.type != MsgType::UpgAck) && (m.src != self_);
     t->threeParty = (m.type == MsgType::DataFwd);

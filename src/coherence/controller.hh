@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/directory.hh"
@@ -45,6 +44,7 @@
 #include "obs/metrics.hh"
 #include "sim/coro_sync.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/task.hh"
 
 namespace prism {
@@ -450,9 +450,9 @@ class CoherenceController
 
     // Per-line transaction state: entries live for one transaction,
     // so they are keyed by line rather than kept in the page record.
-    std::unordered_map<GLine, ClientTxn *> pending_;
-    std::unordered_map<GLine, FillToken> fillPending_;
-    std::unordered_map<GLine, HomeWait *> homeWaits_;
+    FlatMap<ClientTxn *> pending_{"client transactions"};
+    FlatMap<FillToken> fillPending_{"fill tokens"};
+    FlatMap<HomeWait *> homeWaits_{"home waits"};
 
     /**
      * A line of @p rec's page gained or lost an outstanding client

@@ -35,16 +35,15 @@ PageRecords::PageRecords(EventQueue &eq, std::uint32_t lines_per_page,
 PageRecords::Ref
 PageRecords::find(GPage gp) const
 {
-    auto it = slots_.find(gp);
-    return it == slots_.end() ? Ref() : arena_.ref(it->second);
+    const std::uint32_t *slot = slots_.find(gp);
+    return slot ? arena_.ref(*slot) : Ref();
 }
 
 PageRecords::Ref
 PageRecords::get(GPage gp)
 {
-    auto [it, fresh] = slots_.try_emplace(gp, 0);
-    if (!fresh)
-        return arena_.ref(it->second);
+    if (const std::uint32_t *slot = slots_.find(gp))
+        return arena_.ref(*slot);
     if (free_.empty()) {
         const auto base = static_cast<std::uint32_t>(arena_.capacity());
         arena_.cover(base);
@@ -52,10 +51,11 @@ PageRecords::get(GPage gp)
         for (std::uint32_t i = SlotArena<PageRecord>::kChunk; i-- > 0;)
             free_.push_back(base + i);
     }
-    it->second = free_.back();
+    const std::uint32_t slot = free_.back();
     free_.pop_back();
-    arena_[it->second].gpage = gp;
-    return arena_.ref(it->second);
+    slots_.insert(gp, slot);
+    arena_[slot].gpage = gp;
+    return arena_.ref(slot);
 }
 
 std::vector<CoMutex> &

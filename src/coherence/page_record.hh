@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/msg.hh"
@@ -38,6 +37,7 @@
 #include "coherence/sharer_set.hh"
 #include "mem/addr.hh"
 #include "sim/coro_sync.hh"
+#include "sim/flat_map.hh"
 #include "sim/slot_arena.hh"
 
 namespace prism {
@@ -197,7 +197,8 @@ class PageRecords
     std::size_t homePages_ = 0;
     SlotArena<PageRecord> arena_;
     std::vector<std::uint32_t> free_;
-    std::unordered_map<GPage, std::uint32_t> slots_;
+    /** Arena slot of each page's record. */
+    FlatMap<std::uint32_t> slots_{"page records"};
 };
 
 } // namespace prism

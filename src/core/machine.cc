@@ -379,7 +379,7 @@ Machine::applyMark(const SyncOp &op)
     // continuation back in ahead of the tick's remaining events,
     // where the sequential scheduler would have run it synchronously.
     shards_[ms]->markHit = false;
-    op.q->scheduleFront(op.tick, [h = op.h] { h.resume(); });
+    op.q->resumeFront(op.tick, op.h);
 }
 
 void
@@ -442,7 +442,7 @@ Machine::runShardedLoop()
 
         auto grant = [this](const SyncWaiter &w, Tick at) {
             w.actor->rank = nextSyncRank_++;
-            w.q->schedule(at, [h = w.h] { h.resume(); });
+            w.q->resumeAt(at, w.h);
         };
         std::size_t i = 0;
         for (; i < ops.size(); ++i) {

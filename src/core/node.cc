@@ -70,9 +70,8 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
         ~PendingGuard()
         {
             node.busPending_.erase(key);
-            auto it = node.busPendingByFrame_.find(frame);
-            if (--it->second == 0)
-                node.busPendingByFrame_.erase(it);
+            if (--*node.busPendingByFrame_.find(frame) == 0)
+                node.busPendingByFrame_.erase(frame);
         }
     } guard{*this, line_paddr, frame};
 

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "coherence/controller.hh"
@@ -29,6 +28,7 @@
 #include "mem/dram.hh"
 #include "os/kernel.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/task.hh"
 
 namespace prism {
@@ -103,12 +103,14 @@ class Node : public ControllerHost
      * from address phase through fill.  A second miss to the same
      * line is retried (split-transaction bus retry semantics), which
      * keeps miss handling atomic with respect to local snoops.
-     * busPendingByFrame_ mirrors it at frame granularity so the
-     * kernel/controller flush loops' anyBusPending() probe is O(1)
-     * instead of a scan over every in-flight line.
+     * busPendingByFrame_ mirrors it at frame granularity (the count
+     * of the frame's lines in flight) so the kernel/controller flush
+     * loops' anyBusPending() probe is O(1) instead of a scan over
+     * every in-flight line.  busPending_ is a set: its values are
+     * unused.
      */
-    std::unordered_set<std::uint64_t> busPending_;
-    std::unordered_map<FrameNum, std::uint32_t> busPendingByFrame_;
+    FlatMap<bool> busPending_{"bus MSHR lines"};
+    FlatMap<std::uint32_t> busPendingByFrame_{"bus MSHR frames"};
 };
 
 } // namespace prism

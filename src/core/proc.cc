@@ -49,16 +49,6 @@ Proc::localNow() const
     return eq_.now() + pendingCycles_;
 }
 
-CoTask
-Proc::flushTime()
-{
-    if (pendingCycles_) {
-        Cycles c = pendingCycles_;
-        pendingCycles_ = 0;
-        co_await DelayAwaiter(eq_, c);
-    }
-}
-
 bool
 Proc::tryFastAccess(VAddr va, bool write)
 {
@@ -347,7 +337,7 @@ Proc::unlock(std::uint64_t id)
         machine_.locks().release(id);
 }
 
-CoTask
+DelayAwaiter
 Proc::fence()
 {
     if (refSink_)

@@ -17,6 +17,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 
 #include "coherence/line_protocol.hh"
 #include "core/config.hh"
@@ -121,7 +122,7 @@ class Proc
      * Drain locally accumulated cycles into the global clock
      * (measurement fence for latency microbenchmarks).
      */
-    CoTask fence();
+    DelayAwaiter fence();
 
     /** Mark the start of the measured parallel phase (call once). */
     CoTask beginParallel();
@@ -234,8 +235,15 @@ class Proc
     FireAndForget slowAccess(VAddr va, bool write,
                              std::coroutine_handle<> caller);
 
-    /** Flush pendingCycles_ into the global clock. */
-    CoTask flushTime();
+    /**
+     * Flush pendingCycles_ into the global clock: the returned
+     * awaitable waits them out (not at all when none are pending).
+     */
+    DelayAwaiter
+    flushTime()
+    {
+        return DelayAwaiter(eq_, std::exchange(pendingCycles_, 0));
+    }
 
     /** A line leaves this processor's caches: raise Evict on it. */
     void evict(std::uint64_t line_paddr, Mesi state);

@@ -72,7 +72,7 @@ class LockManager
                 if (!l.held) {
                     l.held = true;
                     ++m.acquires_;
-                    m.eq_.scheduleIn(m.acquireCost_, [h] { h.resume(); });
+                    m.eq_.resumeIn(m.acquireCost_, h);
                 } else {
                     ++m.contended_;
                     l.waiters.push_back(SyncWaiter{h, nullptr, nullptr});
@@ -99,7 +99,7 @@ class LockManager
         auto h = l.waiters.front().h;
         l.waiters.pop_front();
         ++acquires_;
-        eq_.scheduleIn(handoffCost_, [h] { h.resume(); });
+        eq_.resumeIn(handoffCost_, h);
     }
 
     /**
@@ -188,10 +188,8 @@ class BarrierManager
                     ++m.episodes_;
                     auto ws = std::move(b.waiters);
                     b.waiters.clear();
-                    for (const auto &w : ws) {
-                        m.eq_.scheduleIn(m.cost_,
-                                         [h = w.h] { h.resume(); });
-                    }
+                    for (const auto &w : ws)
+                        m.eq_.resumeIn(m.cost_, w.h);
                 }
             }
 

@@ -110,7 +110,7 @@ SetAssocCache::insert(std::uint64_t paddr, Mesi s)
             states_[base + w] = static_cast<std::uint8_t>(s);
             makeMru(base, static_cast<std::uint8_t>(w));
             ++validCount_;
-            resid_.add(la >> kPageShift);
+            ++resid_[la >> kPageShift];
             return std::nullopt;
         }
     }
@@ -121,8 +121,8 @@ SetAssocCache::insert(std::uint64_t paddr, Mesi s)
     const FrameNum oldFrame = tags_[base + v] >> kPageShift;
     const FrameNum newFrame = la >> kPageShift;
     if (oldFrame != newFrame) {
-        resid_.remove(oldFrame);
-        resid_.add(newFrame);
+        leaveFrame(oldFrame);
+        ++resid_[newFrame];
     }
     tags_[base + v] = la;
     states_[base + v] = static_cast<std::uint8_t>(s);
@@ -169,9 +169,10 @@ std::vector<Victim>
 SetAssocCache::invalidateFrame(FrameNum frame)
 {
     std::vector<Victim> out;
-    std::uint32_t remaining = resid_.count(frame);
-    if (remaining == 0)
+    const std::uint32_t *resident = resid_.find(frame);
+    if (!resident)
         return out;
+    std::uint32_t remaining = *resident;
 
     // The frame's lines map to at most linesPerPage consecutive set
     // indices (mod numSets_); sweep only those, in ascending set order

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "mem/addr.hh"
+#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -106,114 +107,6 @@ dirtyLine(LineState s)
 struct Victim {
     std::uint64_t lineAddr; //!< physical address of the victim line
     Mesi state;             //!< state the victim held
-};
-
-/**
- * Open-addressed map from frame number to resident-line count.
- *
- * Frames are sparse (imaginary LA-NUMA frames start at 2^24), so a
- * dense array will not do.  Linear probing over a power-of-two table
- * of (frame, count) slots -- one cache line per probe.  A slot whose
- * count drops to zero is deleted immediately with a backward shift,
- * so the table size tracks the number of frames with resident lines
- * (bounded by the line count) and probe chains stay short.
- */
-class FrameResidency
-{
-  public:
-    FrameResidency() : slots_(64), mask_(63) {}
-
-    /** Resident-line count for @p frame (0 if absent). */
-    std::uint32_t
-    count(FrameNum frame) const
-    {
-        std::size_t i = hash(frame) & mask_;
-        while (slots_[i].count) {
-            if (slots_[i].frame == frame)
-                return slots_[i].count;
-            i = (i + 1) & mask_;
-        }
-        return 0;
-    }
-
-    void
-    add(FrameNum frame)
-    {
-        std::size_t i = probe(frame);
-        if (slots_[i].count == 0) {
-            if ((live_ + 1) * 10 >= slots_.size() * 7) {
-                grow();
-                i = probe(frame);
-            }
-            slots_[i].frame = frame;
-            ++live_;
-        }
-        ++slots_[i].count;
-    }
-
-    void
-    remove(FrameNum frame)
-    {
-        std::size_t i = probe(frame);
-        prism_assert(slots_[i].count > 0, "frame-residency underflow");
-        if (--slots_[i].count > 0)
-            return;
-        --live_;
-        // Backward-shift deletion: close the hole so later probes
-        // never cross a dead slot.
-        std::size_t hole = i;
-        std::size_t j = i;
-        for (;;) {
-            j = (j + 1) & mask_;
-            if (slots_[j].count == 0)
-                break;
-            const std::size_t home = hash(slots_[j].frame) & mask_;
-            if (((j - home) & mask_) >= ((j - hole) & mask_)) {
-                slots_[hole] = slots_[j];
-                hole = j;
-            }
-        }
-        slots_[hole].count = 0;
-    }
-
-  private:
-    struct Slot {
-        FrameNum frame = 0;
-        std::uint32_t count = 0;
-    };
-
-    static std::size_t
-    hash(FrameNum f)
-    {
-        return static_cast<std::size_t>(
-            (f * 0x9E3779B97F4A7C15ULL) >> 32);
-    }
-
-    /** Slot holding @p frame, or the empty slot where it would go. */
-    std::size_t
-    probe(FrameNum frame) const
-    {
-        std::size_t i = hash(frame) & mask_;
-        while (slots_[i].count && slots_[i].frame != frame)
-            i = (i + 1) & mask_;
-        return i;
-    }
-
-    void
-    grow()
-    {
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(old.size() * 2, Slot{});
-        mask_ = slots_.size() - 1;
-        for (const Slot &s : old) {
-            if (s.count)
-                slots_[probe(s.frame)] = s;
-        }
-    }
-
-    std::vector<Slot> slots_;
-    std::size_t mask_;
-    std::size_t live_ = 0;
 };
 
 /**
@@ -340,7 +233,17 @@ class SetAssocCache
         states_[base + way] =
             static_cast<std::uint8_t>(Mesi::Invalid);
         --validCount_;
-        resid_.remove(tags_[base + way] >> kPageShift);
+        leaveFrame(tags_[base + way] >> kPageShift);
+    }
+
+    /** A valid line of @p frame was dropped or replaced. */
+    void
+    leaveFrame(FrameNum frame)
+    {
+        std::uint32_t *n = resid_.find(frame);
+        prism_assert(n && *n > 0, "frame-residency underflow");
+        if (--*n == 0)
+            resid_.erase(frame);
     }
 
     std::uint32_t assoc_;
@@ -352,7 +255,13 @@ class SetAssocCache
     /** Per-set recency order: way ids, MRU first (same row layout). */
     std::vector<std::uint8_t> order_;
     std::uint32_t validCount_ = 0;
-    FrameResidency resid_;
+    /**
+     * Valid lines per physical frame (frames are sparse: imaginary
+     * LA-NUMA frames start at 2^24); a frame leaves when its count
+     * drops to zero, so the table tracks the frames with resident
+     * lines.
+     */
+    FlatMap<std::uint32_t> resid_{"cache frame residency"};
 };
 
 } // namespace prism

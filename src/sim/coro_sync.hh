@@ -6,7 +6,8 @@
  * FIFO pending queue), CoLatch waits for a set of completions (e.g.
  * invalidation acknowledgements), and CoEvent is a single-shot signal.
  * Wakeups are funneled through the event queue at the current tick to
- * keep resumption order deterministic and stacks shallow.
+ * keep resumption order deterministic and stacks shallow; each is a
+ * wake-up key (EventQueue::resumeIn), not a closure.
  */
 
 #ifndef PRISM_SIM_CORO_SYNC_HH
@@ -15,6 +16,7 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -98,8 +100,7 @@ class CoMutex
             tail_ = nullptr;
         --queued_;
         // Ownership transfers directly to the next waiter.
-        auto h = w->h;
-        eq_->scheduleIn(0, [h] { h.resume(); });
+        eq_->resumeIn(0, w->h);
     }
 
     bool held() const { return held_; }
@@ -144,9 +145,7 @@ class CoEvent
     {
         signaled_ = true;
         if (waiter_) {
-            auto h = waiter_;
-            waiter_ = {};
-            eq_.scheduleIn(0, [h] { h.resume(); });
+            eq_.resumeIn(0, std::exchange(waiter_, {}));
         }
     }
 
@@ -218,9 +217,7 @@ class CoLatch
         if (!open_ && armed_ && arrived_ >= expected_) {
             open_ = true;
             if (waiter_) {
-                auto h = waiter_;
-                waiter_ = {};
-                eq_.scheduleIn(0, [h] { h.resume(); });
+                eq_.resumeIn(0, std::exchange(waiter_, {}));
             }
         }
     }

@@ -7,6 +7,15 @@
  * increasing sequence number breaks ties), which makes every simulation
  * run bit-reproducible for a given configuration and seed.
  *
+ * An event is one of two kinds, sharing one sequence space so their
+ * relative order is the order they were scheduled in:
+ *  - a coroutine wake-up (resumeAt/resumeIn/resumeFront): the heap key
+ *    itself carries the suspended frame's address and runOne resumes
+ *    it directly.  Every awaitable in src/ wakes its waiter this way,
+ *    so the common event touches no closure at all;
+ *  - a callback (schedule/scheduleIn/scheduleFront) for real closures
+ *    such as Machine::route's message delivery.
+ *
  * Hot-path design (this is the innermost loop of the simulator):
  *  - callbacks are InlineCallback, not std::function: fixed inline
  *    storage, no heap allocation for any capture size used in src/;
@@ -16,14 +25,18 @@
  *    returns a const reference, which previously forced a const_cast
  *    to move from it (see the regression note at runOne);
  *  - the heap holds only trivially-copyable 24-byte keys (tick, seq,
- *    slot index); callbacks live in a stable slot arena, so sifting
- *    never touches a callback and each callback is moved exactly
- *    twice (into its slot at schedule, out at dispatch).
+ *    target).  The target is a frame address (a wake-up; frames are
+ *    at least 8-byte aligned, so its low bit is clear) or a callback's
+ *    slot index shifted left with the low bit set.  Callbacks live in
+ *    a stable slot arena, so sifting never touches a callback and
+ *    each callback is moved exactly twice (into its slot at schedule,
+ *    out at dispatch).
  */
 
 #ifndef PRISM_SIM_EVENT_QUEUE_HH
 #define PRISM_SIM_EVENT_QUEUE_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -79,7 +92,7 @@ class EventQueue
     void
     schedule(Tick when, F &&cb)
     {
-        scheduleSeq(when, nextSeq_++, std::forward<F>(cb));
+        push(when, nextSeq_++, slotFor(std::forward<F>(cb)));
     }
 
     /**
@@ -94,7 +107,7 @@ class EventQueue
     void
     scheduleFront(Tick when, F &&cb)
     {
-        scheduleSeq(when, frontSeq_--, std::forward<F>(cb));
+        push(when, frontSeq_--, slotFor(std::forward<F>(cb)));
     }
 
     /** Schedule @p cb to run @p delta cycles from now. */
@@ -103,6 +116,31 @@ class EventQueue
     scheduleIn(Cycles delta, F &&cb)
     {
         schedule(now_ + delta, std::forward<F>(cb));
+    }
+
+    /**
+     * Resume the suspended coroutine @p h at absolute time @p when
+     * (>= now): a wake-up event ordered exactly like schedule().
+     */
+    void
+    resumeAt(Tick when, std::coroutine_handle<> h)
+    {
+        push(when, nextSeq_++, frameTarget(h));
+    }
+
+    /** Resume @p h @p delta cycles from now. */
+    void
+    resumeIn(Cycles delta, std::coroutine_handle<> h)
+    {
+        resumeAt(now_ + delta, h);
+    }
+
+    /** Resume @p h at @p when ahead of that tick's events (see
+     *  scheduleFront). */
+    void
+    resumeFront(Tick when, std::coroutine_handle<> h)
+    {
+        push(when, frontSeq_--, frameTarget(h));
     }
 
     /**
@@ -121,12 +159,19 @@ class EventQueue
     {
         if (heap_.empty())
             return false;
-        Event ev = popTop();
-        Callback cb = std::move(slots_[ev.slot]);
-        freeSlots_.push_back(ev.slot);
+        const Event ev = popTop();
         now_ = ev.when;
         ++executed_;
-        cb();
+        if (ev.target & kSlotTag) {
+            const auto slot = static_cast<std::uint32_t>(ev.target >> 1);
+            Callback cb = std::move(slots_[slot]);
+            freeSlots_.push_back(slot);
+            cb();
+        } else {
+            std::coroutine_handle<>::from_address(
+                reinterpret_cast<void *>(ev.target))
+                .resume();
+        }
         return true;
     }
 
@@ -208,23 +253,55 @@ class EventQueue
     /** Initial heap capacity; avoids regrowth for typical runs. */
     static constexpr std::size_t kInitialCapacity = 1024;
 
+    /** Low target bit: the target is a callback slot, not a frame. */
+    static constexpr std::uintptr_t kSlotTag = 1;
+
     /**
-     * Heap node: ordering key plus the arena slot of its callback.
-     * The sequence is signed so scheduleFront can order ahead of all
-     * normally scheduled events at the same tick (negative, counting
-     * down); schedule() uses the non-negative, counting-up range.
+     * Heap node: ordering key plus what to run (a frame address, or a
+     * callback slot tagged with kSlotTag).  The sequence is signed so
+     * the front forms can order ahead of all normally scheduled
+     * events at the same tick (negative, counting down); the others
+     * use the non-negative, counting-up range.
      */
     struct Event {
         Tick when;
         std::int64_t seq;
-        std::uint32_t slot;
+        std::uintptr_t target;
     };
     static_assert(std::is_trivially_copyable_v<Event>,
                   "heap sifting relies on cheap Event copies");
 
+    static std::uintptr_t
+    frameTarget(std::coroutine_handle<> h)
+    {
+        const auto t = reinterpret_cast<std::uintptr_t>(h.address());
+        prism_assert(t != 0 && !(t & kSlotTag),
+                     "resuming a null or misaligned coroutine frame");
+        return t;
+    }
+
+    /** Store @p cb in a free arena slot; return its tagged target. */
     template <typename F>
+    std::uintptr_t
+    slotFor(F &&cb)
+    {
+        std::uint32_t slot;
+        if (freeSlots_.empty()) {
+            slot = static_cast<std::uint32_t>(slots_.size());
+            slots_.emplace_back();
+        } else {
+            slot = freeSlots_.back();
+            freeSlots_.pop_back();
+        }
+        if constexpr (std::is_same_v<std::decay_t<F>, Callback>)
+            slots_[slot] = std::move(cb);
+        else
+            slots_[slot].emplace(std::forward<F>(cb));
+        return (static_cast<std::uintptr_t>(slot) << 1) | kSlotTag;
+    }
+
     void
-    scheduleSeq(Tick when, std::int64_t seq, F &&cb)
+    push(Tick when, std::int64_t seq, std::uintptr_t target)
     {
         prism_assert(when >= now_,
                      "event scheduled in the past (%llu < %llu)",
@@ -241,19 +318,7 @@ class EventQueue
                      "caller runs shard %u",
                      ownerShard_, threadShard());
 #endif
-        std::uint32_t slot;
-        if (freeSlots_.empty()) {
-            slot = static_cast<std::uint32_t>(slots_.size());
-            slots_.emplace_back();
-        } else {
-            slot = freeSlots_.back();
-            freeSlots_.pop_back();
-        }
-        if constexpr (std::is_same_v<std::decay_t<F>, Callback>)
-            slots_[slot] = std::move(cb);
-        else
-            slots_[slot].emplace(std::forward<F>(cb));
-        heap_.push_back(Event{when, seq, slot});
+        heap_.push_back(Event{when, seq, target});
         siftUp(heap_.size() - 1);
     }
 
@@ -309,7 +374,7 @@ class EventQueue
     }
 
     std::vector<Event> heap_;
-    /** Callback arena indexed by Event::slot; freeSlots_ recycles. */
+    /** Callback arena indexed by a slot target; freeSlots_ recycles. */
     std::vector<Callback> slots_;
     std::vector<std::uint32_t> freeSlots_;
     Tick now_ = 0;

@@ -7,6 +7,10 @@
  * closure; tests and benches go up to 40 bytes).  The same holds for
  * CoMutex, whose wait queue is threaded through the waiters' own
  * awaiters: a page record keeps one mutex per line of every home page.
+ * Coroutine frames come from per-thread free lists (sim/task.hh), so a
+ * warm machine's miss path -- remote reads, upgrades, invalidations
+ * and 3-party fetches, each a chain of coroutines and protocol
+ * messages -- allocates nothing at all.
  *
  * Global operator new/delete are replaced with counting versions, and
  * the hot loops are run after the queue's up-front reserve so vector
@@ -20,9 +24,11 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/machine.hh"
 #include "sim/coro_sync.hh"
 #include "sim/event_queue.hh"
 #include "sim/task.hh"
+#include "workload/workload.hh"
 
 namespace {
 
@@ -174,6 +180,141 @@ TEST(EventQueueAlloc, CoMutexAllocatesNothing)
     EXPECT_EQ(g_news.load(), before) << "contended acquire/release";
     EXPECT_EQ(sink, 1000u + kContenders * 200u);
     EXPECT_FALSE(m.held());
+}
+
+CoTask
+idleTask(std::uint64_t &sink)
+{
+    ++sink;
+    co_return;
+}
+
+FireAndForget
+parkedHandler(EventQueue &eq, std::uint64_t &sink)
+{
+    co_await DelayAwaiter(eq, 1);
+    ++sink;
+}
+
+TEST(EventQueueAlloc, CoroutineFramesComeBackFromThePool)
+{
+    EventQueue eq;
+    std::uint64_t sink = 0;
+    // The first frame of each kind may allocate; destroying it parks
+    // the block on this thread's free list for the next one.
+    {
+        CoTask t = idleTask(sink);
+        t.start();
+    }
+    parkedHandler(eq, sink);
+    eq.runAll();
+    const std::uint64_t before = g_news.load();
+    for (int i = 0; i < 100; ++i) {
+        CoTask t = idleTask(sink);
+        t.start();
+        EXPECT_TRUE(t.done());
+    }
+    for (int i = 0; i < 100; ++i) {
+        parkedHandler(eq, sink);
+        eq.runAll();
+    }
+    EXPECT_EQ(g_news.load(), before)
+        << "CoTask and FireAndForget frames must be reused";
+    EXPECT_EQ(sink, 202u);
+}
+
+/**
+ * A 4x2 machine running a fixed per-round script on kLines lines of a
+ * page homed at node 0, one step per kGap-cycle slot so every step's
+ * transactions drain before the next:
+ *   0. proc 0 (home node) writes  -- invalidates last round's copies
+ *   1. proc 2 (node 1) reads      -- 2-party remote reads
+ *   2. proc 4 (node 2) reads      -- 2-party remote reads
+ *   3. proc 2 (node 1) writes     -- upgrades, invalidating node 2
+ *   4. proc 6 (node 3) reads      -- 3-party fetches from node 1
+ * The first kWarm rounds fault the page in and warm every pool; the
+ * next kMeasured rounds repeat them exactly and must not allocate.
+ */
+struct MissScript {
+    static constexpr int kLines = 4;
+    static constexpr int kSteps = 5;
+    static constexpr int kWarm = 2;
+    static constexpr int kMeasured = 3;
+    static constexpr Cycles kGap = 50000;
+    static constexpr ProcId kActor[kSteps] = {0, 2, 4, 2, 6};
+    static constexpr bool kWrite[kSteps] = {true, false, false, true,
+                                            false};
+
+    std::uint64_t newsBefore = 0;
+    std::uint64_t newsAfter = 0;
+
+    static CoTask
+    program(Proc &p, MissScript &s)
+    {
+        for (int r = 0; r <= kWarm + kMeasured; ++r) {
+            for (int step = 0; step < kSteps; ++step) {
+                const Tick slot =
+                    static_cast<Tick>(r * kSteps + step + 1) * kGap;
+                if (p.localNow() < slot)
+                    p.compute(slot - p.localNow());
+                co_await p.fence();
+                if (p.id() == 0 && step == 0 && r == kWarm)
+                    s.newsBefore = g_news.load();
+                if (p.id() == 0 && step == 0 && r == kWarm + kMeasured) {
+                    s.newsAfter = g_news.load();
+                    co_return;
+                }
+                if (r == kWarm + kMeasured || p.id() != kActor[step])
+                    continue;
+                for (int l = 0; l < kLines; ++l) {
+                    const VAddr va = makeVAddr(
+                        kSharedVsid, 0,
+                        static_cast<std::uint64_t>(l) * 64);
+                    if (kWrite[step])
+                        co_await p.write(va);
+                    else
+                        co_await p.read(va);
+                }
+            }
+        }
+    }
+};
+
+TEST(EventQueueAlloc, WarmMissPathAllocatesNothing)
+{
+    MachineConfig cfg;
+    cfg.numNodes = 4;
+    cfg.procsPerNode = 2;
+    Machine m(cfg);
+    const std::uint64_t gsid = m.shmget(0x7E57, 4 * kPageBytes);
+    m.shmatAll(kSharedVsid, gsid);
+    ASSERT_EQ(m.staticHomeOf(gsid << kPageNumBits), 0u);
+
+    auto totals = [&m] {
+        std::uint64_t t[4] = {};
+        for (NodeId n = 0; n < m.numNodes(); ++n) {
+            const ControllerStats &st = m.node(n).controller().stats();
+            t[0] += st.remoteMisses;
+            t[1] += st.upgrades;
+            t[2] += st.invalsSent;
+            t[3] += st.fetchesServed;
+        }
+        return std::vector<std::uint64_t>(t, t + 4);
+    };
+    MissScript s;
+    m.run([&s](Proc &p) { return MissScript::program(p, s); });
+    const std::vector<std::uint64_t> t = totals();
+
+    // Each round: 3 remote reads per line, 1 upgrade, invalidations at
+    // steps 0 and 3, and one 3-party fetch per line.
+    const int rounds = MissScript::kWarm + MissScript::kMeasured;
+    EXPECT_GE(t[0], 3u * MissScript::kLines * rounds) << "remote misses";
+    EXPECT_GE(t[1], 1u * MissScript::kLines * rounds) << "upgrades";
+    EXPECT_GE(t[2], 2u * MissScript::kLines * rounds) << "invalidations";
+    EXPECT_GE(t[3], 1u * MissScript::kLines * rounds) << "3-party fetches";
+    ASSERT_GT(s.newsAfter, 0u) << "the script did not reach its end";
+    EXPECT_EQ(s.newsAfter - s.newsBefore, 0u)
+        << "a warm machine's miss path called operator new";
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "sim/task.hh"
 
 namespace prism {
 namespace {
@@ -153,6 +154,79 @@ TEST(EventQueue, StressInterleavedTiesMatchReferenceOrder)
         [](const auto &a, const auto &b) { return a.first < b.first; });
     for (std::size_t i = 0; i < fired.size(); ++i)
         EXPECT_EQ(fired[i], expected[i].second) << "position " << i;
+}
+
+/** Parks the caller and wakes it at @p when through a wake-up key. */
+struct WakeAt {
+    EventQueue &eq;
+    Tick when;
+    bool front;
+
+    bool await_ready() const { return false; }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        if (front)
+            eq.resumeFront(when, h);
+        else
+            eq.resumeAt(when, h);
+    }
+
+    void await_resume() const {}
+};
+
+FireAndForget
+wakeAndRecord(EventQueue &eq, Tick when, bool front, int id,
+              std::vector<int> &fired)
+{
+    co_await WakeAt{eq, when, front};
+    fired.push_back(id);
+}
+
+/**
+ * Wake-up keys and callbacks draw from one sequence: interleaved at
+ * random ticks with partial dispatch, they fire in (tick, scheduling
+ * order) exactly as callbacks alone do.
+ */
+TEST(EventQueue, WakeUpsAndCallbacksShareOneOrder)
+{
+    Rng rng(0x5eedULL);
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> expected; // (when, id)
+    std::vector<int> fired;
+    for (int id = 0; id < 2000; ++id) {
+        const Tick when = eq.now() + rng.below(16);
+        expected.emplace_back(when, id);
+        if (id % 2)
+            wakeAndRecord(eq, when, false, id, fired);
+        else
+            eq.schedule(when, [&fired, id] { fired.push_back(id); });
+        if (id % 7 == 0)
+            eq.runOne();
+    }
+    eq.runAll();
+    ASSERT_EQ(fired.size(), expected.size());
+    EXPECT_EQ(eq.eventsExecuted(), expected.size());
+    std::stable_sort(
+        expected.begin(), expected.end(),
+        [](const auto &a, const auto &b) { return a.first < b.first; });
+    for (std::size_t i = 0; i < fired.size(); ++i)
+        EXPECT_EQ(fired[i], expected[i].second) << "position " << i;
+}
+
+TEST(EventQueue, FrontWakeUpsRunAheadOfTheirTick)
+{
+    EventQueue eq;
+    std::vector<int> fired;
+    eq.schedule(5, [&fired] { fired.push_back(0); });
+    wakeAndRecord(eq, 5, false, 1, fired);
+    wakeAndRecord(eq, 5, true, 2, fired);
+    eq.scheduleFront(5, [&fired] { fired.push_back(3); });
+    eq.runAll();
+    // The front forms share one count-down sequence: the later one
+    // runs first, and both run ahead of the tick's other events.
+    EXPECT_EQ(fired, (std::vector<int>{3, 2, 0, 1}));
 }
 
 /**
