@@ -108,13 +108,13 @@ main()
             continue;
         }
         const Pit::Ref e = pit.entry(f);
+        const bool scoma = e->mode == PageMode::Scoma;
         std::printf("  node %u: frame %llu, mode %s, %u/%u lines "
                     "valid\n",
                     n, (unsigned long long)f, pageModeName(e->mode),
-                    e->tags ? e->tags->lines() -
-                                  e->tags->count(FgTag::Invalid)
-                            : 0,
-                    e->tags ? e->tags->lines() : 0);
+                    scoma ? e->tags.lines() - e->tags.count(FgTag::Invalid)
+                          : 0,
+                    scoma ? e->tags.lines() : 0);
     }
     return 0;
 }

@@ -217,7 +217,8 @@ ProtocolOracle::checkLine(GPage gp, std::uint32_t li)
         if (f == kInvalidFrame)
             continue;
         const Pit::Ref e = pit.entry(f);
-        const FgTag tag = e->tags ? e->tags->get(li) : FgTag::Invalid;
+        const FgTag tag =
+            e->mode == PageMode::Scoma ? e->tags.get(li) : FgTag::Invalid;
         const std::uint64_t paddr =
             (f << kPageShift) |
             (static_cast<std::uint64_t>(li) << geo_.lineShift());
@@ -344,8 +345,9 @@ ProtocolOracle::sweepQuiescent()
             for (NodeId n = 0; n < nodes; ++n) {
                 auto it = views[n].mapped.find(gp);
                 FgTag tag = FgTag::Invalid;
-                if (it != views[n].mapped.end() && it->second->tags)
-                    tag = it->second->tags->get(li);
+                if (it != views[n].mapped.end() &&
+                    it->second->mode == PageMode::Scoma)
+                    tag = it->second->tags.get(li);
                 if (tag == FgTag::Transit)
                     report(gp, li,
                            fmt("Transit tag at node %u in quiescent "

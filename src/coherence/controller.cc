@@ -135,8 +135,9 @@ CoherenceController::invalidateLocal(GPage gpage, std::uint32_t line_idx,
     if (!e || e->gpage != gpage)
         co_return;
     auto r = host_.intervene(frame, line_idx, LineEvent::Inval, eq_.now());
-    if (e->tags && e->tags->get(line_idx) != FgTag::Transit)
-        e->tags->set(line_idx, FgTag::Invalid);
+    if (e->mode == PageMode::Scoma &&
+        e->tags.get(line_idx) != FgTag::Transit)
+        e->tags.set(line_idx, FgTag::Invalid);
     if (oracle_)
         oracle_->onInvalidate(gpage, line_idx);
     co_await until(r.done);
@@ -183,13 +184,13 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
         co_return;
     }
     pit_.touch(e, eq_.now());
-    e->accessed->set(line_idx);
+    e->accessed.set(line_idx);
     prism_assert(e->mode != PageMode::Command,
                  "serviceMiss on a command-mode frame");
     const bool scoma = e->mode == PageMode::Scoma;
     if (scoma || e->mode == PageMode::LaNuma)
         co_await delay(pit_.forwardCycles()); // consult mode (+ tags)
-    const FgTag tag = scoma ? e->tags->get(line_idx) : FgTag::Invalid;
+    const FgTag tag = scoma ? e->tags.get(line_idx) : FgTag::Invalid;
     if (e->mode == PageMode::Local || tag == FgTag::Exclusive ||
         (tag == FgTag::Shared && !for_write)) {
         // Local memory, or the page cache, supplies the line; the
@@ -220,13 +221,13 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
                        : have_data ? MsgType::Upgrade
                                    : MsgType::ReqX;
     if (scoma)
-        e->tags->set(line_idx, FgTag::Transit);
+        e->tags.set(line_idx, FgTag::Transit);
     bool poisoned = false;
     co_await runClientTxn(mt, e, frame, line_idx, out, &poisoned);
     if (scoma) {
-        e->tags->set(line_idx, poisoned          ? FgTag::Invalid
-                               : out->exclusive ? FgTag::Exclusive
-                                                : FgTag::Shared);
+        e->tags.set(line_idx, poisoned          ? FgTag::Invalid
+                              : out->exclusive ? FgTag::Exclusive
+                                               : FgTag::Shared);
     }
     if (poisoned) {
         // A racing invalidation voided the shared grant.
@@ -329,7 +330,7 @@ CoherenceController::finishFill(FrameNum frame, std::uint32_t line_idx,
       case PageMode::Command:
         return true;
       case PageMode::Scoma: {
-        const FgTag tag = e->tags->get(line_idx);
+        const FgTag tag = e->tags.get(line_idx);
         TRC(e->gpage, line_idx, "n%u finishFill want=%s tag=%s t=%llu",
             self_, mesiName(intended), fgTagName(tag),
             (unsigned long long)eq_.now());
@@ -446,7 +447,8 @@ CoherenceController::flushClientPage(FrameNum frame)
     // fills) and bus-level (in-flight node transactions, including
     // cache-to-cache fills that never reach the controller).
     for (;;) {
-        const bool busy = (e->tags && e->tags->anyTransit()) ||
+        const bool busy = (e->mode == PageMode::Scoma &&
+                           e->tags.anyTransit()) ||
                           host_.anyBusPending(frame) ||
                           e->page->pendingLines != 0;
         if (!busy)
@@ -457,12 +459,12 @@ CoherenceController::flushClientPage(FrameNum frame)
     for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
         // An S-COMA line the page cache lacks has no local copies.
         const bool scoma = e->mode == PageMode::Scoma;
-        const FgTag tag = scoma ? e->tags->get(i) : FgTag::Invalid;
+        const FgTag tag = scoma ? e->tags.get(i) : FgTag::Invalid;
         if (scoma && tag == FgTag::Invalid)
             continue;
         auto r = host_.intervene(frame, i, LineEvent::Evict, eq_.now());
         if (scoma)
-            e->tags->set(i, FgTag::Invalid);
+            e->tags.set(i, FgTag::Invalid);
         co_await until(r.done);
         // The copies leave as evictions do: S-COMA dirty data into the
         // page cache, LA-NUMA data or hints to the home.
@@ -488,7 +490,8 @@ CoherenceController::clientPageQuiescent(FrameNum frame) const
         return true;
     if (host_.anyBusPending(frame) || host_.anyCachedCopy(frame))
         return false;
-    if (e->tags && (e->tags->count(FgTag::Invalid) != e->tags->lines()))
+    if (e->mode == PageMode::Scoma &&
+        e->tags.count(FgTag::Invalid) != e->tags.lines())
         return false;
     return e->page->pendingLines == 0;
 }
@@ -528,11 +531,11 @@ CoherenceController::mostInvalidFrame(
     std::uint32_t best_count = 0;
     for (FrameNum f : candidates) {
         const Pit::Ref e = pit_.entry(f);
-        if (!e || !e->tags || e->mode != PageMode::Scoma)
+        if (!e || e->mode != PageMode::Scoma)
             continue;
-        if (e->tags->anyTransit())
+        if (e->tags.anyTransit())
             continue; // paper: frames with Transit lines are skipped
-        std::uint32_t inv = e->tags->count(FgTag::Invalid);
+        std::uint32_t inv = e->tags.count(FgTag::Invalid);
         if (best == kInvalidFrame || inv > best_count) {
             best = f;
             best_count = inv;
@@ -704,8 +707,7 @@ CoherenceController::handleHomeRequest(Msg m)
     const Pit::Ref he = pit_.entry(hf);
     // Remote requests touch the home frame's data: count the line as
     // accessed for the utilization statistics (Table 3).
-    if (he->accessed)
-        he->accessed->set(li);
+    he->accessed.set(li);
 
     co_await delay(dir_.access(gl));
     Directory::LineRef d(*rec, li);
@@ -766,8 +768,9 @@ CoherenceController::handleHomeRequest(Msg m)
             auto r = host_.intervene(
                 hf, li, excl ? LineEvent::Inval : LineEvent::RemoteRead,
                 eq_.now());
-            if (he->tags && he->tags->get(li) != FgTag::Transit)
-                he->tags->set(li, excl ? FgTag::Invalid : FgTag::Shared);
+            if (he->mode == PageMode::Scoma &&
+                he->tags.get(li) != FgTag::Transit)
+                he->tags.set(li, excl ? FgTag::Invalid : FgTag::Shared);
             co_await until(r.done);
             if (r.actions & kActWritebackData)
                 dram_.access(eq_.now()); // collect into memory
@@ -892,12 +895,12 @@ CoherenceController::handleClientFetch(Msg m)
         m.forWrite ? LineEvent::Inval : LineEvent::RemoteRead;
     if (e) {
         if (e->mode == PageMode::Scoma) {
-            FgTag tag = e->tags->get(m.lineIdx);
+            FgTag tag = e->tags.get(m.lineIdx);
             if (tag == FgTag::Exclusive) {
                 have = true;
                 auto r = host_.intervene(f, m.lineIdx, ev, eq_.now());
-                e->tags->set(m.lineIdx,
-                             m.forWrite ? FgTag::Invalid : FgTag::Shared);
+                e->tags.set(m.lineIdx,
+                            m.forWrite ? FgTag::Invalid : FgTag::Shared);
                 co_await until(r.done);
                 if (r.actions & kActWritebackData)
                     dram_.access(eq_.now()); // into the page cache
@@ -1122,9 +1125,9 @@ CoherenceController::handleMigrateData(Msg m)
             const HomeView v =
                 homeView(Directory::LineRef(*rec, i), self_, self_);
             if (v == HomeView::OwnedSender)
-                e->tags->set(i, FgTag::Exclusive);
+                e->tags.set(i, FgTag::Exclusive);
             else if (v == HomeView::SharedSender)
-                e->tags->set(i, FgTag::Shared);
+                e->tags.set(i, FgTag::Shared);
         }
     }
     becomeHome(*rec);
@@ -1209,8 +1212,8 @@ CoherenceController::tagBytesModeled() const
     std::uint64_t bytes = 0;
     for (FrameNum f : pit_.allFrames()) {
         const Pit::Ref e = pit_.entry(f);
-        if (e->tags)
-            bytes += (e->tags->lines() + 3) / 4;
+        if (e->mode == PageMode::Scoma)
+            bytes += (e->tags.lines() + 3) / 4;
     }
     return static_cast<double>(bytes);
 }

@@ -47,9 +47,21 @@ fgTagName(FgTag t)
 class FrameTags
 {
   public:
+    FrameTags() = default;
+
     explicit FrameTags(std::uint32_t lines_per_page, FgTag init)
         : tags_(lines_per_page, init)
     {
+    }
+
+    /**
+     * Resize to @p lines_per_page lines, each @p init (frame install);
+     * the storage is reused, so this allocates only when it grows.
+     */
+    void
+    reset(std::uint32_t lines_per_page, FgTag init)
+    {
+        tags_.assign(lines_per_page, init);
     }
 
     FgTag get(std::uint32_t line_idx) const { return tags_[line_idx]; }

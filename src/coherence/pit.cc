@@ -1,6 +1,7 @@
 #include "coherence/pit.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -41,9 +42,8 @@ Pit::install(FrameNum frame, GPage gpage, NodeId static_home,
     e.dynHome = dyn_home;
     e.homeFrameHint = home_frame_hint;
     e.mode = mode;
-    e.accessed = std::make_unique<LineMask>(lines_per_page);
-    if (mode == PageMode::Scoma)
-        e.tags = std::make_unique<FrameTags>(lines_per_page, init_tag);
+    e.accessed.reset(lines_per_page);
+    e.tags.reset(mode == PageMode::Scoma ? lines_per_page : 0, init_tag);
     if (gpage != kInvalidGPage) {
         e.page = pages_.get(gpage);
         prism_assert(e.page->frame == kInvalidFrame,
@@ -76,7 +76,12 @@ Pit::remove(FrameNum frame)
         pages_.settle(e->page);
     }
     arenaOf(frame).retire(indexOf(frame));
-    *e = PitEntry{};
+    // Reset the entry but keep its per-line arrays' storage for the
+    // slot's next install.
+    PitEntry cleared;
+    cleared.tags = std::move(e->tags);
+    cleared.accessed = std::move(e->accessed);
+    *e = std::move(cleared);
     --live_;
 }
 
@@ -212,8 +217,7 @@ Pit::lruVictim() const
     for (const LruList *l : {&fresh_, &touched_}) {
         for (FrameNum f = l->head; f != kInvalidFrame;) {
             const PitEntry &e = *slot(f);
-            if (!e.page->pageLock.held() &&
-                !(e.tags && e.tags->anyTransit())) {
+            if (!e.page->pageLock.held() && !e.tags.anyTransit()) {
                 return arenaOf(f).ref(indexOf(f));
             }
             f = e.lruNext;

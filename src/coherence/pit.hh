@@ -28,14 +28,16 @@
  *
  * Entries are reached through Pit::Ref, a generation-checked handle:
  * one held across a co_await after Pit::remove (or after its frame
- * was reused) panics instead of reading the reset slot.
+ * was reused) panics instead of reading the reset slot.  An entry's
+ * per-line arrays (tags, accessed lines) stay with its arena slot
+ * across remove and reinstall, so paging a frame out and in again
+ * allocates nothing.
  */
 
 #ifndef PRISM_COHERENCE_PIT_HH
 #define PRISM_COHERENCE_PIT_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "coherence/fine_grain_tags.hh"
@@ -52,9 +54,19 @@ namespace prism {
 class LineMask
 {
   public:
-    explicit LineMask(std::uint32_t lines)
-        : words_((lines + 63) / 64, 0), lines_(lines)
+    LineMask() = default;
+
+    explicit LineMask(std::uint32_t lines) { reset(lines); }
+
+    /**
+     * Clear to @p lines lines, none set; the storage is reused, so
+     * this allocates only when it grows.
+     */
+    void
+    reset(std::uint32_t lines)
     {
+        words_.assign((lines + 63) / 64, 0);
+        lines_ = lines;
     }
 
     void set(std::uint32_t i) { words_[i >> 6] |= 1ULL << (i & 63); }
@@ -79,7 +91,7 @@ class LineMask
 
   private:
     std::vector<std::uint64_t> words_;
-    std::uint32_t lines_;
+    std::uint32_t lines_ = 0;
 };
 
 /** One PIT entry: the translation state of one local page frame. */
@@ -90,10 +102,13 @@ struct PitEntry {
     NodeId staticHome = kInvalidNode;
     NodeId dynHome = kInvalidNode;  //!< cached dynamic home (may be stale)
     FrameNum homeFrameHint = kInvalidFrame; //!< cached home frame number
-    PageMode mode = PageMode::Local;
+    PageMode mode = PageMode::Local; //!< written only at install
 
-    /** Fine-grain tags; present only for S-COMA frames. */
-    std::unique_ptr<FrameTags> tags;
+    /**
+     * Fine-grain tags.  Only an S-COMA frame (mode == Scoma) has them;
+     * every other frame's array is empty.
+     */
+    FrameTags tags;
 
     /**
      * Capability list: set of nodes allowed to act on this frame
@@ -102,7 +117,7 @@ struct PitEntry {
     SharerSet capabilities;
 
     /** Lines of this frame ever accessed (Table 3 utilization). */
-    std::unique_ptr<LineMask> accessed;
+    LineMask accessed;
 
     /** Last tick the controller touched this frame (page LRU). */
     Tick lastAccess = 0;

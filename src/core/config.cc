@@ -143,6 +143,11 @@ validateConfig(const MachineConfig &cfg)
                        cfg.lineBytes);
     if (cfg.tlbEntries < 1)
         fatal("tlbEntries must be >= 1 (got %u)", cfg.tlbEntries);
+    if (cfg.retryDelay == 0) {
+        fatal("retryDelay must be >= 1 (got 0): a zero backoff never "
+              "suspends, so a retry loop on a contended line spins "
+              "forever inside one event");
+    }
     if (!cfg.clientFrameCapPerNode.empty() &&
         cfg.clientFrameCapPerNode.size() != cfg.numNodes) {
         fatal("clientFrameCapPerNode has %zu entries but numNodes=%u: "

@@ -42,7 +42,9 @@ zeroLookaheadFields(const MachineConfig &c)
 
 } // namespace
 
-Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
+Machine::Machine(const MachineConfig &cfg)
+    : cfg_(cfg), locks_(cfg.lockAcquireCycles, cfg.lockHandoffCycles),
+      barriers_(cfg.numProcs(), cfg.barrierCycles)
 {
     validateConfig(cfg_);
     if (const char *env = resolveEnv("PRISM_ORACLE")) {
@@ -111,11 +113,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     np.jitterMax = cfg_.netJitterMax;
     np.jitterSeed = cfg_.jitterSeed;
     net_ = std::make_unique<Network>(eq0, cfg_.numNodes, np);
-
-    locks_ = std::make_unique<LockManager>(eq0, cfg_.lockAcquireCycles,
-                                           cfg_.lockHandoffCycles);
-    barriers_ = std::make_unique<BarrierManager>(eq0, cfg_.numProcs(),
-                                                 cfg_.barrierCycles);
     policy_ = makePolicy(cfg_.policy);
 
     auto static_home = [this](GPage gp) { return staticHomeOf(gp); };
@@ -173,16 +170,11 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
             shards_[s]->eq.setOwnerShard(s);
 #endif
         }
-        // Initial sync ranks mirror the sequential scheduler's start
-        // order (programs are started in global processor order), and
-        // grants hand out fresh ranks from numProcs() up.
-        for (ProcId p = 0; p < numProcs(); ++p) {
-            proc(p).setShard(
-                shards_[shardOfNode_[p / cfg_.procsPerNode]].get(), p);
-        }
-        nextSyncRank_ = numProcs();
         workers_ = std::make_unique<ShardWorkers>(jobs);
     }
+    // Each processor's sync rank starts at its id (programs start in
+    // processor order); grants hand out fresh ranks from here up.
+    nextSyncRank_ = numProcs();
 }
 
 Machine::~Machine()
@@ -280,49 +272,46 @@ Machine::run(const std::function<CoTask(Proc &)> &make)
     for (ProcId p = 0; p < n; ++p)
         tasks.push_back(make(proc(p)));
 
-    if (shards_.size() == 1) {
-        std::uint32_t done = 0;
-        for (auto &t : tasks) {
-            t.start([this, &done] {
-                ++done;
-                lastProcDone_ = shards_[0]->eq.now();
-            });
-        }
-        const bool finished =
-            shards_[0]->eq.runWhile([&done, n] { return done == n; });
-        prism_assert(finished,
-                     "event queue drained with %u of %u programs "
-                     "unfinished", n - done, n);
-        drain();
-        if (oracle_)
-            oracle_->sweepQuiescent();
-        return;
+    // Each program starts as an event on its own shard (its first
+    // steps touch node state, so they must run in shard context), in
+    // global processor order, at the machine's clock: the latest
+    // shard clock, which a previous run may have left apart.
+    Tick start = 0;
+    for (auto &sh : shards_) {
+        sh->done = 0;
+        sh->lastDone = 0;
+        start = std::max(start, sh->eq.now());
     }
-
-    // Sharded: each program starts as a tick-0 event on its own shard
-    // (its first steps touch node state, so they must run in shard
-    // context), scheduled in global processor order.
     for (ProcId p = 0; p < n; ++p) {
         MachineShard &sh =
             *shards_[shardOfNode_[p / cfg_.procsPerNode]];
-        sh.eq.schedule(0, [&t = tasks[p], &sh] {
+        sh.eq.schedule(start, [&t = tasks[p], &sh] {
             t.start([&sh] {
                 ++sh.done;
                 sh.lastDone = sh.eq.now();
             });
         });
     }
-    runShardedLoop();
+    drain();
     std::uint32_t done = 0;
-    Tick last = 0;
-    for (auto &sh : shards_) {
+    for (const auto &sh : shards_)
         done += sh->done;
-        last = std::max(last, sh->lastDone);
-    }
     prism_assert(done == n,
-                 "shard queues drained with %u of %u programs "
+                 "event queues drained with %u of %u programs "
                  "unfinished", n - done, n);
-    lastProcDone_ = last;
+    if (oracle_)
+        oracle_->sweepQuiescent();
+}
+
+Tick
+Machine::parallelEndTick() const
+{
+    if (end_.set)
+        return end_.tick;
+    Tick last = 0;
+    for (const auto &sh : shards_)
+        last = std::max(last, sh->lastDone);
+    return last;
 }
 
 void
@@ -360,26 +349,41 @@ Machine::shardOfQueue(const EventQueue *q) const
     panic("sync op from a queue owned by no shard");
 }
 
-void
-Machine::applyMark(const SyncOp &op)
+bool
+Machine::issueSync(const SyncOp &op)
 {
-    const std::uint32_t ms = shardOfQueue(op.q);
-    if (op.kind == SyncOp::MarkBegin) {
-        prism_assert(!parallelBeginSet_, "parallel phase begun twice");
-        parallelBeginSet_ = true;
-        parallelBegin_ = op.tick;
-        beginSnap_ = snapshotAdjusted(op.tick, ms);
-    } else {
-        prism_assert(!parallelEndSet_, "parallel phase ended twice");
-        parallelEndSet_ = true;
-        parallelEnd_ = op.tick;
-        endSnap_ = snapshotAdjusted(op.tick, ms);
+    if (shards_.size() == 1)
+        return applySync(op);
+    MachineShard &sh = *shards_[shardOfQueue(op.q)];
+    sh.syncOps.push_back(op);
+    if (op.isMark())
+        sh.markHit = true;
+    return op.kind != SyncOp::LockRelease;
+}
+
+bool
+Machine::applySync(const SyncOp &op)
+{
+    auto grant = [this](const SyncWaiter &w, Tick at) {
+        w.actor->rank = nextSyncRank_++;
+        w.q->resumeAt(at, w.h);
+    };
+    const SyncWaiter w{op.h, op.q, op.actor};
+    switch (op.kind) {
+      case SyncOp::LockAcquire:
+        locks_.acquire(op.id, w, op.tick, grant);
+        return true;
+      case SyncOp::LockRelease:
+        locks_.release(op.id, op.tick, grant);
+        return false;
+      case SyncOp::BarrierArrive:
+        return barriers_.arrive(op.id, w, op.tick, grant);
+      case SyncOp::MarkBegin:
+      case SyncOp::MarkEnd:
+        recordMark(op);
+        return false;
     }
-    // Un-truncate the marking shard and splice the program's
-    // continuation back in ahead of the tick's remaining events,
-    // where the sequential scheduler would have run it synchronously.
-    shards_[ms]->markHit = false;
-    op.q->resumeFront(op.tick, op.h);
+    panic("unhandled sync op kind %u", static_cast<unsigned>(op.kind));
 }
 
 void
@@ -440,36 +444,20 @@ Machine::runShardedLoop()
         }
         std::sort(ops.begin(), ops.end(), SyncOp::before);
 
-        auto grant = [this](const SyncWaiter &w, Tick at) {
-            w.actor->rank = nextSyncRank_++;
-            w.q->resumeAt(at, w.h);
-        };
         std::size_t i = 0;
-        for (; i < ops.size(); ++i) {
-            const SyncOp &op = ops[i];
-            if (op.kind == SyncOp::MarkBegin ||
-                op.kind == SyncOp::MarkEnd) {
-                // Apply the mark, hold everything ordered after it:
-                // its snapshot must not see later ops' effects, and
-                // held ops re-merge (and re-sort) next round.
-                applyMark(op);
-                ++i;
+        while (i < ops.size()) {
+            const SyncOp &op = ops[i++];
+            applySync(op);
+            if (op.isMark()) {
+                // Un-truncate the marking shard and splice the
+                // program's continuation back in ahead of the tick's
+                // remaining events, where one shard resumes it at
+                // once.  Hold every op ordered after the mark: its
+                // snapshot must not see their effects, and held ops
+                // re-merge (and re-sort) next round.
+                shards_[shardOfQueue(op.q)]->markHit = false;
+                op.q->resumeFront(op.tick, op.h);
                 break;
-            }
-            const SyncWaiter w{op.h, op.q, op.actor};
-            switch (op.kind) {
-              case SyncOp::LockAcquire:
-                locks_->applyAcquire(op.id, w, op.tick, grant);
-                break;
-              case SyncOp::LockRelease:
-                locks_->applyRelease(op.id, op.tick, grant);
-                break;
-              case SyncOp::BarrierArrive:
-                barriers_->applyArrive(op.id, w, op.tick, grant);
-                break;
-              default:
-                panic("unhandled sync op kind %u",
-                      static_cast<unsigned>(op.kind));
             }
         }
         pendingSync_.assign(std::make_move_iterator(ops.begin() + i),
@@ -486,83 +474,65 @@ Machine::runShardedLoop()
     net_->foldShardHistograms();
 }
 
-Machine::Snapshot
-Machine::snapshot() const
+Machine::PhaseCounts
+Machine::phaseCounts() const
 {
-    Snapshot s;
-    s.remoteMisses = registry_.sum("ctrl", "remoteMisses");
-    s.upgrades = registry_.sum("ctrl", "upgrades");
-    s.invalidations = registry_.sum("ctrl", "invalsSent");
-    s.clientPageOuts = registry_.sum("kernel", "clientPageOuts");
-    s.pageFaults = registry_.sum("kernel", "faults");
-    s.networkMessages = registry_.value("net", kMachineWide, "messages");
-    return s;
+    PhaseCounts c{};
+    for (std::size_t k = 0; k < kSnapKinds; ++k)
+        c[k] = registry_.sum(kSnapCounters[k].component,
+                             kSnapCounters[k].name);
+    return c;
 }
 
-Machine::Snapshot
-Machine::snapshotAdjusted(Tick at, std::uint32_t mark_shard) const
+void
+Machine::recordMark(const SyncOp &op)
 {
-    Snapshot s = snapshot();
+    const bool begin = op.kind == SyncOp::MarkBegin;
+    PhaseMark &mark = begin ? begin_ : end_;
+    prism_assert(!mark.set, "parallel phase %s twice",
+                 begin ? "begun" : "ended");
+    // The marking shard's own execution order already respects the
+    // mark; every other shard may have run past its tick.
     std::uint64_t over[kSnapKinds] = {};
-    for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-        if (i == mark_shard)
-            continue;
-        shards_[i]->snapLog.tallyAtOrAfter(at, over);
+    const std::uint32_t ms = shardOfQueue(op.q);
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+        if (s != ms)
+            shards_[s]->snapLog.tallyAtOrAfter(op.tick, over);
     }
-    auto sub = [](std::uint64_t &field, std::uint64_t amount) {
-        prism_assert(field >= amount,
+    mark.set = true;
+    mark.tick = op.tick;
+    mark.counts = phaseCounts();
+    for (std::size_t k = 0; k < kSnapKinds; ++k) {
+        prism_assert(mark.counts[k] >= over[k],
                      "snapshot adjustment underflow (%llu < %llu)",
-                     static_cast<unsigned long long>(field),
-                     static_cast<unsigned long long>(amount));
-        field -= amount;
-    };
-    sub(s.remoteMisses, over[std::size_t(SnapKind::RemoteMiss)]);
-    sub(s.upgrades, over[std::size_t(SnapKind::Upgrade)]);
-    sub(s.invalidations, over[std::size_t(SnapKind::InvalSent)]);
-    sub(s.clientPageOuts, over[std::size_t(SnapKind::ClientPageOut)]);
-    sub(s.pageFaults, over[std::size_t(SnapKind::Fault)]);
-    sub(s.networkMessages, over[std::size_t(SnapKind::NetMsg)]);
-    return s;
-}
-
-void
-Machine::markParallelBegin()
-{
-    prism_assert(!parallelBeginSet_, "parallel phase begun twice");
-    parallelBeginSet_ = true;
-    parallelBegin_ = shards_[0]->eq.now();
-    beginSnap_ = snapshot();
-}
-
-void
-Machine::markParallelEnd()
-{
-    prism_assert(!parallelEndSet_, "parallel phase ended twice");
-    parallelEndSet_ = true;
-    parallelEnd_ = shards_[0]->eq.now();
-    endSnap_ = snapshot();
+                     static_cast<unsigned long long>(mark.counts[k]),
+                     static_cast<unsigned long long>(over[k]));
+        mark.counts[k] -= over[k];
+    }
 }
 
 RunMetrics
 Machine::metrics()
 {
     RunMetrics m;
-    const Tick begin = parallelBeginSet_ ? parallelBegin_ : 0;
-    const Tick end = parallelEndSet_ ? parallelEnd_ : lastProcDone_;
-    const Snapshot &b = beginSnap_;
-    const Snapshot e = parallelEndSet_ ? endSnap_ : snapshot();
+    const Tick begin = begin_.tick;
+    const Tick end = parallelEndTick();
+    const PhaseCounts e = end_.set ? end_.counts : phaseCounts();
+    auto phase = [&e, this](SnapKind k) {
+        return e[std::size_t(k)] - begin_.counts[std::size_t(k)];
+    };
 
     m.execCycles = end > begin ? end - begin : 0;
     Tick total = 0;
     for (const auto &sh : shards_)
         total = std::max(total, sh->eq.now());
     m.totalCycles = total;
-    m.remoteMisses = e.remoteMisses - b.remoteMisses;
-    m.clientPageOuts = e.clientPageOuts - b.clientPageOuts;
-    m.upgrades = e.upgrades - b.upgrades;
-    m.invalidations = e.invalidations - b.invalidations;
-    m.networkMessages = e.networkMessages - b.networkMessages;
-    m.pageFaults = e.pageFaults - b.pageFaults;
+    m.remoteMisses = phase(SnapKind::RemoteMiss);
+    m.upgrades = phase(SnapKind::Upgrade);
+    m.invalidations = phase(SnapKind::InvalSent);
+    m.clientPageOuts = phase(SnapKind::ClientPageOut);
+    m.pageFaults = phase(SnapKind::Fault);
+    m.networkMessages = phase(SnapKind::NetMsg);
 
     // Everything below is a label query against the registry — no
     // field is hand-copied from module structs.

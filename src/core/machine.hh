@@ -11,6 +11,7 @@
 #ifndef PRISM_CORE_MACHINE_HH
 #define PRISM_CORE_MACHINE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,11 +42,12 @@ class TraceSink;
 /**
  * Everything one event-loop shard owns (sim/shard.hh).  The sequential
  * scheduler is the one-shard special case: shard 0 holds THE event
- * queue, message pool and message ring, and every other field stays
- * idle.  With jobsIntra > 1 each shard drives a contiguous block of
- * nodes on its own thread; all fields are written only by the owning
- * shard's thread during a window, and read/reset only by the
- * coordinator between windows.
+ * queue, message pool and message ring and counts the finished
+ * programs, while the snapshot log, sync-op log and mark flag stay
+ * idle (sync ops are applied as they are issued).  With jobsIntra > 1
+ * each shard drives a contiguous block of nodes on its own thread;
+ * all fields are written only by the owning shard's thread during a
+ * window, and read/reset only by the coordinator between windows.
  */
 struct MachineShard {
     EventQueue eq;
@@ -62,7 +64,8 @@ struct MachineShard {
      *  window is truncated and stays truncated until the coordinator
      *  applies the mark and front-splices the continuation. */
     bool markHit = false;
-    /** Programs finished on this shard, and the last finish tick. */
+    /** Programs finished on this shard in the current run(), and the
+     *  last finish tick (reset at the start of each run). */
     std::uint32_t done = 0;
     Tick lastDone = 0;
 };
@@ -111,8 +114,8 @@ class Machine
 
     Network &network() { return *net_; }
     IpcServer &ipc() { return ipc_; }
-    LockManager &locks() { return *locks_; }
-    BarrierManager &barriers() { return *barriers_; }
+    LockManager &locks() { return locks_; }
+    BarrierManager &barriers() { return barriers_; }
     MetricRegistry &metricRegistry() { return registry_; }
     const MetricRegistry &metricRegistry() const { return registry_; }
 
@@ -179,22 +182,31 @@ class Machine
 
     /**
      * Run one program coroutine per processor to completion.
-     * @p make is called once per processor to create its program.
+     * @p make is called once per processor to create its program;
+     * each program starts as an event on its shard at the machine's
+     * current tick (the latest shard clock), in processor order.  A
+     * machine may run() more than once, on any shard count.
      */
     void run(const std::function<CoTask(Proc &)> &make);
 
     /** Drain all residual simulation activity (writebacks etc.). */
     void drain();
 
+    // --- Synchronization ----------------------------------------------
+
+    /**
+     * A processor issues @p op (Proc's lock, unlock, barrier and
+     * phase marks).  On one shard it is applied at once through
+     * applySync; on N shards it is logged with the issuing shard and
+     * the coordinator applies it at the next window barrier.
+     * @retval true if the issuer stays suspended until a grant (or,
+     *         for a logged mark, the coordinator's resume).
+     */
+    bool issueSync(const SyncOp &op);
+
     // --- Parallel-phase measurement ------------------------------------
 
-    /** Called by the program when the measured phase starts. */
-    void markParallelBegin();
-
-    /** Called by the program when the measured phase ends. */
-    void markParallelEnd();
-
-    Tick parallelBeginTick() const { return parallelBegin_; }
+    Tick parallelBeginTick() const { return begin_.tick; }
 
     /**
      * Aggregate run metrics (see RunMetrics), derived entirely from
@@ -202,10 +214,8 @@ class Machine
      */
     RunMetrics metrics();
 
-    Tick parallelEndTick() const
-    {
-        return parallelEndSet_ ? parallelEnd_ : lastProcDone_;
-    }
+    /** The end mark's tick, else the last program finish. */
+    Tick parallelEndTick() const;
 
     /** Build the full structured run report (see obs/report.hh). */
     RunReport report() { return buildRunReport(*this); }
@@ -214,23 +224,32 @@ class Machine
     void route(Msg &&m);
 
   private:
-    struct Snapshot {
-        std::uint64_t remoteMisses = 0;
-        std::uint64_t clientPageOuts = 0;
-        std::uint64_t upgrades = 0;
-        std::uint64_t invalidations = 0;
-        std::uint64_t networkMessages = 0;
-        std::uint64_t pageFaults = 0;
+    /** The phase-scoped counters' values, indexed by SnapKind. */
+    using PhaseCounts = std::array<std::uint64_t, kSnapKinds>;
+
+    /** A parallel-phase mark: its tick and the counters as of then. */
+    struct PhaseMark {
+        bool set = false;
+        Tick tick = 0;
+        PhaseCounts counts{};
     };
 
-    Snapshot snapshot() const;
+    /** Current registry totals of the phase-scoped counters. */
+    PhaseCounts phaseCounts() const;
 
     /**
-     * snapshot() as of tick @p at: the registry totals minus every
-     * increment other shards (not @p mark_shard, whose own execution
-     * order already respects the mark) logged at or after @p at.
+     * Apply @p op to the lock, barrier or mark state: at issue on one
+     * shard, at the window barrier on N (the coordinator).
+     * @retval true if the issuer waits for a grant.
      */
-    Snapshot snapshotAdjusted(Tick at, std::uint32_t mark_shard) const;
+    bool applySync(const SyncOp &op);
+
+    /**
+     * Record the mark @p op: its tick, and the phase counters as of
+     * that tick (the totals minus every increment other shards logged
+     * at or after it; on one shard nothing is logged).
+     */
+    void recordMark(const SyncOp &op);
 
     // --- Sharded run loop (jobsIntra > 1) ------------------------------
 
@@ -239,9 +258,6 @@ class Machine
 
     /** One shard's slice of a window: run events below windowLimit_. */
     void runShardWindow(std::uint32_t s);
-
-    /** Apply a deferred parallel-phase mark (coordinator). */
-    void applyMark(const SyncOp &op);
 
     /** Index of the shard that owns @p q. */
     std::uint32_t shardOfQueue(const EventQueue *q) const;
@@ -254,8 +270,8 @@ class Machine
     Cycles lookahead_ = 0;
     std::unique_ptr<Network> net_;
     IpcServer ipc_;
-    std::unique_ptr<LockManager> locks_;
-    std::unique_ptr<BarrierManager> barriers_;
+    LockManager locks_;
+    BarrierManager barriers_;
     std::unique_ptr<PagePolicy> policy_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<ProtocolOracle> oracle_;
@@ -272,13 +288,8 @@ class Machine
     /** Next grant rank (see SyncActor); seeded to numProcs(). */
     std::uint64_t nextSyncRank_ = 0;
 
-    Tick parallelBegin_ = 0;
-    Tick parallelEnd_ = 0;
-    bool parallelBeginSet_ = false;
-    bool parallelEndSet_ = false;
-    Snapshot beginSnap_;
-    Snapshot endSnap_;
-    Tick lastProcDone_ = 0;
+    PhaseMark begin_;
+    PhaseMark end_;
 };
 
 } // namespace prism

@@ -8,31 +8,6 @@
 
 namespace prism {
 
-namespace {
-
-/**
- * Sharded-mode synchronization: suspend the program coroutine and log
- * the op with the shard; the coordinator applies it at the next window
- * barrier and schedules the resume back into this shard's queue.
- */
-struct DeferredSyncAwaiter {
-    Proc &p;
-    std::uint8_t kind;
-    std::uint64_t id;
-
-    bool await_ready() const { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        p.enqueueSyncOp(kind, id, h);
-    }
-
-    void await_resume() const {}
-};
-
-} // namespace
-
 Proc::Proc(ProcId id, Node &node, Machine &machine,
            const MachineConfig &cfg, EventQueue &eq)
     : id_(id), node_(node), machine_(machine), cfg_(cfg), eq_(eq),
@@ -41,6 +16,7 @@ Proc::Proc(ProcId id, Node &node, Machine &machine,
       l2_(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes),
       tlb_(cfg.tlbEntries)
 {
+    actor_.rank = id;
 }
 
 Tick
@@ -288,53 +264,21 @@ Proc::shootdown(VPage vp)
     }
 }
 
-void
-Proc::enqueueSyncOp(std::uint8_t kind, std::uint64_t id,
-                    std::coroutine_handle<> h)
+bool
+Proc::SyncAwaiter::await_suspend(std::coroutine_handle<> h)
 {
-    prism_assert(shard_, "sync op logged outside sharded mode");
-    shard_->syncOps.push_back(SyncOp{eq_.now(), actor_.rank,
-                                     actor_.nextSeq++,
-                                     static_cast<SyncOp::Kind>(kind), id,
-                                     h, &eq_, &actor_});
-    if (kind == SyncOp::MarkBegin || kind == SyncOp::MarkEnd)
-        shard_->markHit = true;
+    return p.machine_.issueSync(SyncOp{p.eq_.now(), p.actor_.rank,
+                                       p.actor_.nextSeq++, kind, id, h,
+                                       &p.eq_, &p.actor_});
 }
 
 CoTask
-Proc::barrier(std::uint64_t id)
+Proc::syncOp(RefOp rop, SyncOp::Kind kind, std::uint64_t id)
 {
     if (refSink_)
-        refSink_->sync(id_, RefOp::Barrier, id);
+        refSink_->sync(id_, rop, id);
     co_await flushTime();
-    if (shard_)
-        co_await DeferredSyncAwaiter{*this, SyncOp::BarrierArrive, id};
-    else
-        co_await machine_.barriers().arrive(id);
-}
-
-CoTask
-Proc::lock(std::uint64_t id)
-{
-    if (refSink_)
-        refSink_->sync(id_, RefOp::Lock, id);
-    co_await flushTime();
-    if (shard_)
-        co_await DeferredSyncAwaiter{*this, SyncOp::LockAcquire, id};
-    else
-        co_await machine_.locks().acquire(id);
-}
-
-CoTask
-Proc::unlock(std::uint64_t id)
-{
-    if (refSink_)
-        refSink_->sync(id_, RefOp::Unlock, id);
-    co_await flushTime();
-    if (shard_)
-        enqueueSyncOp(SyncOp::LockRelease, id, {}); // no suspension
-    else
-        machine_.locks().release(id);
+    co_await SyncAwaiter{*this, kind, id};
 }
 
 DelayAwaiter
@@ -343,30 +287,6 @@ Proc::fence()
     if (refSink_)
         refSink_->sync(id_, RefOp::Fence, 0);
     return flushTime();
-}
-
-CoTask
-Proc::beginParallel()
-{
-    if (refSink_)
-        refSink_->sync(id_, RefOp::BeginParallel, 0);
-    co_await flushTime();
-    if (shard_)
-        co_await DeferredSyncAwaiter{*this, SyncOp::MarkBegin, 0};
-    else
-        machine_.markParallelBegin();
-}
-
-CoTask
-Proc::endParallel()
-{
-    if (refSink_)
-        refSink_->sync(id_, RefOp::EndParallel, 0);
-    co_await flushTime();
-    if (shard_)
-        co_await DeferredSyncAwaiter{*this, SyncOp::MarkEnd, 0};
-    else
-        machine_.markParallelEnd();
 }
 
 void

@@ -6,8 +6,10 @@
  * coroutine.  Non-memory work is charged with compute(); memory
  * accesses take the fast path (TLB + L1/L2 tag checks, pure local
  * accounting, no event-queue traffic) whenever they hit, and suspend
- * into the node's bus/coherence machinery on misses, upgrades, TLB
- * refills that fault, and synchronization.  A run-ahead quantum bounds
+ * into the node's bus/coherence machinery on misses, upgrades and TLB
+ * refills that fault.  Every synchronization op (lock, unlock,
+ * barrier, phase mark) is one SyncOp handed to Machine::issueSync,
+ * whatever the shard count.  A run-ahead quantum bounds
  * how far a processor's local clock may drift ahead of simulated time
  * between suspensions.
  */
@@ -36,7 +38,6 @@ namespace prism {
 class Node;
 class Machine;
 class ProtocolOracle;
-struct MachineShard;
 
 /** Per-processor statistics, as labeled scoped handles. */
 struct ProcStats {
@@ -110,13 +111,26 @@ class Proc
     }
 
     /** Awaitable barrier arrival (all processors participate). */
-    CoTask barrier(std::uint64_t id);
+    CoTask
+    barrier(std::uint64_t id)
+    {
+        return syncOp(RefOp::Barrier, SyncOp::BarrierArrive, id);
+    }
 
     /** Awaitable lock acquire. */
-    CoTask lock(std::uint64_t id);
+    CoTask
+    lock(std::uint64_t id)
+    {
+        return syncOp(RefOp::Lock, SyncOp::LockAcquire, id);
+    }
 
-    /** Awaitable lock release (flushes local time first). */
-    CoTask unlock(std::uint64_t id);
+    /** Awaitable lock release (flushes local time first; never
+     *  waits). */
+    CoTask
+    unlock(std::uint64_t id)
+    {
+        return syncOp(RefOp::Unlock, SyncOp::LockRelease, id);
+    }
 
     /**
      * Drain locally accumulated cycles into the global clock
@@ -125,10 +139,18 @@ class Proc
     DelayAwaiter fence();
 
     /** Mark the start of the measured parallel phase (call once). */
-    CoTask beginParallel();
+    CoTask
+    beginParallel()
+    {
+        return syncOp(RefOp::BeginParallel, SyncOp::MarkBegin, 0);
+    }
 
     /** Mark the end of the measured parallel phase (call once). */
-    CoTask endParallel();
+    CoTask
+    endParallel()
+    {
+        return syncOp(RefOp::EndParallel, SyncOp::MarkEnd, 0);
+    }
 
     // --- Node-side hooks ---------------------------------------------------
 
@@ -174,28 +196,6 @@ class Proc
     void setRefSink(RefSink *s) { refSink_ = s; }
 
     /**
-     * Sharded scheduler: bind this processor to its node's shard and
-     * seed its synchronization rank (Machine construction).  Unbound
-     * (the default), sync ops take the sequential awaitable path.
-     */
-    void
-    setShard(MachineShard *shard, std::uint64_t initial_rank)
-    {
-        shard_ = shard;
-        actor_.rank = initial_rank;
-    }
-
-    /**
-     * Sharded scheduler: log a synchronization op (SyncOp::Kind
-     * @p kind on object @p id) with the owning shard for deterministic
-     * application by the coordinator at the next window barrier.
-     * @p h is the suspended continuation (null for ops that do not
-     * suspend, i.e. lock release).
-     */
-    void enqueueSyncOp(std::uint8_t kind, std::uint64_t id,
-                       std::coroutine_handle<> h);
-
-    /**
      * Bind this processor's counters into @p reg under component
      * "proc", node @p node, names "p<lane>.<counter>".
      */
@@ -218,6 +218,26 @@ class Proc
 
         void await_resume() const {}
     };
+
+    /**
+     * Hands one sync op to Machine::issueSync; the program stays
+     * suspended only if issueSync says so.
+     */
+    struct SyncAwaiter {
+        Proc &p;
+        SyncOp::Kind kind;
+        std::uint64_t id;
+
+        bool await_ready() const { return false; }
+        bool await_suspend(std::coroutine_handle<> h);
+        void await_resume() const {}
+    };
+
+    /**
+     * Flush local time, then issue sync op @p kind on @p id (@p rop
+     * is what a recorder sees).
+     */
+    CoTask syncOp(RefOp rop, SyncOp::Kind kind, std::uint64_t id);
 
     /**
      * Attempt the access without suspending.
@@ -252,9 +272,8 @@ class Proc
     Node &node_;
     Machine &machine_;
     ProtocolOracle *oracle_ = nullptr;
-    RefSink *refSink_ = nullptr;    //!< non-null only when recording
-    MachineShard *shard_ = nullptr; //!< non-null only when sharded
-    SyncActor actor_;               //!< rank/seq for deterministic sync
+    RefSink *refSink_ = nullptr; //!< non-null only when recording
+    SyncActor actor_;            //!< rank/seq for deterministic sync
     const MachineConfig &cfg_;
     EventQueue &eq_;
     LineGeometry geo_;

@@ -8,15 +8,14 @@
  * remote round trips, preserving serialization behaviour and cost
  * without simulating test-and-set reference streams (see DESIGN.md).
  *
- * Two entry paths share the same state and statistics:
- *  - the awaitable path (acquire/release/arrive), used by the
- *    sequential scheduler: ops take effect synchronously and resumes
- *    are scheduled on the manager's own event queue;
- *  - the apply path (applyAcquire/applyRelease/applyArrive), used by
- *    the sharded coordinator (sim/shard.hh): shards log SyncOps
- *    during a window and the coordinator applies them here in
- *    deterministic order, scheduling resumes through a grant callback
- *    into each waiter's own shard queue.
+ * There is one entry path.  A processor hands each op to
+ * Machine::issueSync, which applies it here at once on one shard, or
+ * logs it for the sharded coordinator (sim/shard.hh) to apply here at
+ * the next window barrier in deterministic order.  Either way the
+ * managers never touch an event queue themselves: each op that frees
+ * a waiter calls the caller's grant callback,
+ * `void(const SyncWaiter &, Tick resume_at)`, which schedules the
+ * resume into the waiter's own queue.
  */
 
 #ifndef PRISM_CORE_SYNC_HH
@@ -28,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/shard.hh"
 #include "sim/types.hh"
@@ -36,9 +34,8 @@
 namespace prism {
 
 /**
- * A parked waiter.  The sequential path stores only the handle; the
- * sharded apply path also carries the waiter's shard queue and rank
- * slot so a later grant can resume it deterministically.
+ * A parked waiter: its continuation, plus the queue and rank slot a
+ * grant resumes it through (opaque to the managers).
  */
 struct SyncWaiter {
     std::coroutine_handle<> h;
@@ -50,68 +47,20 @@ struct SyncWaiter {
 class LockManager
 {
   public:
-    LockManager(EventQueue &eq, Cycles acquire_cost, Cycles handoff_cost)
-        : eq_(eq), acquireCost_(acquire_cost), handoffCost_(handoff_cost)
+    LockManager(Cycles acquire_cost, Cycles handoff_cost)
+        : acquireCost_(acquire_cost), handoffCost_(handoff_cost)
     {
-    }
-
-    /** Awaitable acquire of lock @p id (sequential scheduler). */
-    auto
-    acquire(std::uint64_t id)
-    {
-        struct Awaiter {
-            LockManager &m;
-            std::uint64_t id;
-
-            bool await_ready() const { return false; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                Lock &l = m.locks_[id];
-                if (!l.held) {
-                    l.held = true;
-                    ++m.acquires_;
-                    m.eq_.resumeIn(m.acquireCost_, h);
-                } else {
-                    ++m.contended_;
-                    l.waiters.push_back(SyncWaiter{h, nullptr, nullptr});
-                }
-            }
-
-            void await_resume() const {}
-        };
-        return Awaiter{*this, id};
-    }
-
-    /** Release lock @p id; the next waiter resumes after a handoff. */
-    void
-    release(std::uint64_t id)
-    {
-        auto it = locks_.find(id);
-        prism_assert(it != locks_.end() && it->second.held,
-                     "releasing an unheld lock");
-        Lock &l = it->second;
-        if (l.waiters.empty()) {
-            l.held = false;
-            return;
-        }
-        auto h = l.waiters.front().h;
-        l.waiters.pop_front();
-        ++acquires_;
-        eq_.resumeIn(handoffCost_, h);
     }
 
     /**
-     * Sharded apply path: acquire issued at @p tick by @p w.  When the
-     * lock is free the grant fires at tick + acquireCost; otherwise
-     * the waiter parks in FIFO order, exactly like the awaitable path.
-     * @p grant is `void(const SyncWaiter &, Tick resume_at)`.
+     * Acquire of lock @p id issued at @p tick by @p w.  When the lock
+     * is free the grant fires at tick + acquireCost; otherwise the
+     * waiter parks in FIFO order.
      */
     template <typename GrantFn>
     void
-    applyAcquire(std::uint64_t id, const SyncWaiter &w, Tick tick,
-                 GrantFn &&grant)
+    acquire(std::uint64_t id, const SyncWaiter &w, Tick tick,
+            GrantFn &&grant)
     {
         Lock &l = locks_[id];
         if (!l.held) {
@@ -124,10 +73,13 @@ class LockManager
         }
     }
 
-    /** Sharded apply path: release issued at @p tick. */
+    /**
+     * Release of lock @p id issued at @p tick: the next waiter is
+     * granted the lock at tick + handoffCost.
+     */
     template <typename GrantFn>
     void
-    applyRelease(std::uint64_t id, Tick tick, GrantFn &&grant)
+    release(std::uint64_t id, Tick tick, GrantFn &&grant)
     {
         auto it = locks_.find(id);
         prism_assert(it != locks_.end() && it->second.held,
@@ -152,7 +104,6 @@ class LockManager
         std::deque<SyncWaiter> waiters;
     };
 
-    EventQueue &eq_;
     Cycles acquireCost_;
     Cycles handoffCost_;
     std::unordered_map<std::uint64_t, Lock> locks_;
@@ -164,51 +115,26 @@ class LockManager
 class BarrierManager
 {
   public:
-    BarrierManager(EventQueue &eq, std::uint32_t participants, Cycles cost)
-        : eq_(eq), participants_(participants), cost_(cost)
+    BarrierManager(std::uint32_t participants, Cycles cost)
+        : participants_(participants), cost_(cost)
     {
-    }
-
-    /** Awaitable arrival at barrier @p id (sequential scheduler). */
-    auto
-    arrive(std::uint64_t id)
-    {
-        struct Awaiter {
-            BarrierManager &m;
-            std::uint64_t id;
-
-            bool await_ready() const { return m.participants_ <= 1; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                Bar &b = m.bars_[id];
-                b.waiters.push_back(SyncWaiter{h, nullptr, nullptr});
-                if (b.waiters.size() == m.participants_) {
-                    ++m.episodes_;
-                    auto ws = std::move(b.waiters);
-                    b.waiters.clear();
-                    for (const auto &w : ws)
-                        m.eq_.resumeIn(m.cost_, w.h);
-                }
-            }
-
-            void await_resume() const {}
-        };
-        return Awaiter{*this, id};
     }
 
     /**
-     * Sharded apply path: arrival issued at @p tick by @p w.  The
-     * completing arrival (by construction the latest tick, since the
-     * coordinator applies ops in time order) releases every waiter in
-     * arrival order at tick + cost.
+     * Arrival at barrier @p id issued at @p tick by @p w.  The
+     * completing arrival (the latest tick, since ops are applied in
+     * time order) releases every waiter in arrival order at
+     * tick + cost.  With one participant there is nobody to wait for:
+     * the arrival passes through with no grant and no episode.
+     * @retval true if @p w waits for a grant.
      */
     template <typename GrantFn>
-    void
-    applyArrive(std::uint64_t id, const SyncWaiter &w, Tick tick,
-                GrantFn &&grant)
+    bool
+    arrive(std::uint64_t id, const SyncWaiter &w, Tick tick,
+           GrantFn &&grant)
     {
+        if (participants_ <= 1)
+            return false;
         Bar &b = bars_[id];
         b.waiters.push_back(w);
         if (b.waiters.size() == participants_) {
@@ -218,6 +144,7 @@ class BarrierManager
             for (const auto &waiter : ws)
                 grant(waiter, tick + cost_);
         }
+        return true;
     }
 
     std::uint64_t episodes() const { return episodes_; }
@@ -227,7 +154,6 @@ class BarrierManager
         std::vector<SyncWaiter> waiters;
     };
 
-    EventQueue &eq_;
     std::uint32_t participants_;
     Cycles cost_;
     std::unordered_map<std::uint64_t, Bar> bars_;

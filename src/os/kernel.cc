@@ -219,9 +219,9 @@ Kernel::archiveUtilization(FrameNum f)
     if (f >= kImaginaryFrameBase)
         return; // imaginary frames consume no memory
     const Pit::Ref e = ctrl_->pit().entry(f);
-    if (!e || !e->accessed)
+    if (!e)
         return;
-    utilArchivedLines_ += e->accessed->popcount();
+    utilArchivedLines_ += e->accessed.popcount();
     ++utilArchivedFrames_;
 }
 
@@ -650,10 +650,8 @@ Kernel::averageUtilization() const
         if (f >= kImaginaryFrameBase)
             continue;
         const Pit::Ref e = pit.entry(f);
-        if (!e->accessed)
-            continue;
-        lines += e->accessed->popcount();
-        lines_per_page = e->accessed->lines();
+        lines += e->accessed.popcount();
+        lines_per_page = e->accessed.lines();
         ++frames;
     }
     if (!lines_per_page)

@@ -13,8 +13,8 @@
  *    itself carries the suspended frame's address and runOne resumes
  *    it directly.  Every awaitable in src/ wakes its waiter this way,
  *    so the common event touches no closure at all;
- *  - a callback (schedule/scheduleIn/scheduleFront) for real closures
- *    such as Machine::route's message delivery.
+ *  - a callback (schedule/scheduleIn) for real closures such as
+ *    Machine::route's message delivery.
  *
  * Hot-path design (this is the innermost loop of the simulator):
  *  - callbacks are InlineCallback, not std::function: fixed inline
@@ -95,21 +95,6 @@ class EventQueue
         push(when, nextSeq_++, slotFor(std::forward<F>(cb)));
     }
 
-    /**
-     * Schedule @p cb at @p when, ordered *before* every event already
-     * scheduled for that tick.  Used by the sharded coordinator to
-     * splice a deferred continuation (e.g. the code following a
-     * parallel-phase mark) back in where the sequential scheduler
-     * would have run it synchronously — ahead of same-tick events
-     * that were enqueued earlier.
-     */
-    template <typename F>
-    void
-    scheduleFront(Tick when, F &&cb)
-    {
-        push(when, frontSeq_--, slotFor(std::forward<F>(cb)));
-    }
-
     /** Schedule @p cb to run @p delta cycles from now. */
     template <typename F>
     void
@@ -135,8 +120,13 @@ class EventQueue
         resumeAt(now_ + delta, h);
     }
 
-    /** Resume @p h at @p when ahead of that tick's events (see
-     *  scheduleFront). */
+    /**
+     * Resume @p h at @p when, ordered *before* every event already
+     * scheduled for that tick.  Used by the sharded coordinator to
+     * splice a deferred continuation (the code following a
+     * parallel-phase mark) back in where one shard runs it at once,
+     * ahead of same-tick events that were enqueued earlier.
+     */
     void
     resumeFront(Tick when, std::coroutine_handle<> h)
     {
@@ -200,23 +190,6 @@ class EventQueue
             now_ = until;
     }
 
-    /**
-     * Run until @p done returns true (checked after each event) or the
-     * queue drains.  Templated so the predicate is called directly
-     * (no std::function indirection in the run loop).
-     * @retval true if @p done was satisfied.
-     */
-    template <typename Pred>
-    bool
-    runWhile(Pred &&done)
-    {
-        while (!done()) {
-            if (!runOne())
-                return false;
-        }
-        return true;
-    }
-
     // --- Sharded-scheduler hooks (no-ops in sequential mode) ----------
 
     /**
@@ -259,9 +232,9 @@ class EventQueue
     /**
      * Heap node: ordering key plus what to run (a frame address, or a
      * callback slot tagged with kSlotTag).  The sequence is signed so
-     * the front forms can order ahead of all normally scheduled
-     * events at the same tick (negative, counting down); the others
-     * use the non-negative, counting-up range.
+     * resumeFront can order ahead of all normally scheduled events at
+     * the same tick (negative, counting down); the others use the
+     * non-negative, counting-up range.
      */
     struct Event {
         Tick when;

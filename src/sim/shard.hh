@@ -13,10 +13,12 @@
  *    (drained by the coordinator at the window barrier, delivered via
  *    per-destination "ingress pumps" that book NIC occupancy in
  *    (arrival, source, sequence) order), or
- *  - a deferred synchronization op (lock/barrier/mark) appended to a
- *    per-shard log and applied by the coordinator, sorted by a
- *    deterministic (tick, rank, seq) key chosen to match the
- *    sequential scheduler's tie order.
+ *  - a synchronization op (lock/barrier/mark) appended to a per-shard
+ *    log and applied by the coordinator, sorted by a deterministic
+ *    (tick, rank, seq) key chosen to match the sequential scheduler's
+ *    tie order.  The coordinator applies it through the same
+ *    Machine::applySync that one shard runs as the op is issued, so
+ *    the lock, barrier and mark semantics exist once.
  *
  * Everything here is deterministic by construction: no ordering ever
  * depends on thread arrival order, so a run's results are identical
@@ -48,20 +50,26 @@ namespace prism {
 class EventQueue;
 
 /**
- * Deterministic tie-break state for one processor's deferred sync
- * ops.  `rank` mirrors the sequential scheduler's event-sequence tie
- * order: the coordinator stamps a fresh, globally increasing rank on
- * every processor it resumes, so two processors resumed by the same
- * barrier episode keep their waiter order, exactly as the sequential
- * queue's FIFO tie-break would.  `nextSeq` orders multiple ops issued
- * by the same processor at one tick.
+ * Deterministic tie-break state for one processor's sync ops, read by
+ * the coordinator's sort (one shard applies ops in issue order).
+ * `rank` mirrors the sequential scheduler's event-sequence tie order:
+ * it starts at the processor id (programs start in processor order),
+ * and every grant stamps a fresh, globally increasing rank on the
+ * processor it resumes, so two processors resumed by the same barrier
+ * episode keep their waiter order, exactly as the sequential queue's
+ * FIFO tie-break would.  `nextSeq` orders multiple ops issued by the
+ * same processor at one tick.
  */
 struct SyncActor {
     std::uint64_t rank = 0;
     std::uint32_t nextSeq = 0;
 };
 
-/** A deferred synchronization op, applied at the window barrier. */
+/**
+ * A synchronization op as a processor issues it (Machine::issueSync):
+ * applied at once on one shard, logged and applied at the next window
+ * barrier on N shards.
+ */
 struct SyncOp {
     enum Kind : std::uint8_t {
         LockAcquire,
@@ -76,9 +84,11 @@ struct SyncOp {
     std::uint32_t seq;  //!< per-processor issue order within a tick
     Kind kind;
     std::uint64_t id;            //!< lock/barrier id (0 for marks)
-    std::coroutine_handle<> h;   //!< continuation (null for releases)
+    std::coroutine_handle<> h;   //!< continuation (a release never waits)
     EventQueue *q;               //!< issuing shard's queue (resume target)
     SyncActor *actor;            //!< issuing processor's rank slot
+
+    bool isMark() const { return kind == MarkBegin || kind == MarkEnd; }
 
     /** The coordinator's application order (deterministic total order). */
     static bool

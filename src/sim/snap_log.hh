@@ -1,7 +1,7 @@
 /**
  * @file
- * Tick-tagged increment log for the counters that feed the parallel-
- * phase snapshots (Machine::markParallelBegin/End).
+ * The phase-scoped counters, and a tick-tagged increment log for them
+ * that feeds the parallel-phase snapshots (Machine::recordMark).
  *
  * Under the sharded scheduler (sim/shard.hh) a mark can land mid-
  * window: by the time the coordinator applies it, other shards have
@@ -10,7 +10,8 @@
  * increment of a snapshot-relevant counter, and the coordinator
  * reconstructs "counter value as of tick t" by subtracting the logged
  * increments that sequential execution would have ordered after the
- * mark.  The log is empty and untouched in sequential mode.
+ * mark.  The log is empty and untouched in sequential mode, where a
+ * mark is applied as it is issued.
  */
 
 #ifndef PRISM_SIM_SNAP_LOG_HH
@@ -23,7 +24,7 @@
 
 namespace prism {
 
-/** The snapshot-relevant counters (see Machine::Snapshot). */
+/** The phase-scoped counters (RunMetrics' per-phase deltas). */
 enum class SnapKind : std::uint8_t {
     RemoteMiss,
     Upgrade,
@@ -35,6 +36,22 @@ enum class SnapKind : std::uint8_t {
 
 /** Number of SnapKind values (array sizing). */
 inline constexpr std::size_t kSnapKinds = 6;
+
+/** A phase-scoped counter's registry name, summed over nodes. */
+struct SnapCounter {
+    const char *component;
+    const char *name;
+};
+
+/** Each SnapKind's registry counter, indexed by SnapKind. */
+inline constexpr SnapCounter kSnapCounters[kSnapKinds] = {
+    {"ctrl", "remoteMisses"},     // RemoteMiss
+    {"ctrl", "upgrades"},         // Upgrade
+    {"ctrl", "invalsSent"},       // InvalSent
+    {"kernel", "clientPageOuts"}, // ClientPageOut
+    {"kernel", "faults"},         // Fault
+    {"net", "messages"},          // NetMsg
+};
 
 /** Per-shard log of snapshot-counter increments, in execution order. */
 struct SnapshotLog {

@@ -123,7 +123,7 @@ TEST(ControllerUnit, ScomaEvictionsStayLocal)
     // And the node still owns every line it wrote (tags Exclusive).
     FrameNum f = c1.pit().frameOf(rig.gp(0));
     ASSERT_NE(f, kInvalidFrame);
-    EXPECT_EQ(c1.pit().entry(f)->tags->count(FgTag::Exclusive), 64u);
+    EXPECT_EQ(c1.pit().entry(f)->tags.count(FgTag::Exclusive), 64u);
 }
 
 TEST(ControllerUnit, MostInvalidFramePrefersSparseFrames)

@@ -36,9 +36,8 @@ TEST(Death, ReleasingUnheldLockPanics)
 {
     EXPECT_DEATH(
         {
-            EventQueue eq;
-            LockManager lm(eq, 1, 1);
-            lm.release(42);
+            LockManager lm(1, 1);
+            lm.release(42, 0, [](const SyncWaiter &, Tick) {});
         },
         "unheld lock");
 }
@@ -131,7 +130,7 @@ TEST(Death, PitHandleUsedAfterFrameReusePanics)
             pit.remove(5);
             pit.install(5, 0x200, 0, 0, 5, PageMode::Scoma, 64,
                         FgTag::Invalid); // frame 5 now maps another page
-            e->tags->set(0, FgTag::Exclusive);
+            e->tags.set(0, FgTag::Exclusive);
         },
         "stale PIT entry handle");
 }
@@ -314,6 +313,14 @@ TEST(Death, TlbWithoutEntriesIsFatal)
 {
     expectConfigFatal([](MachineConfig &c) { c.tlbEntries = 0; },
                       "tlbEntries must be >= 1");
+}
+
+TEST(Death, ZeroRetryDelayIsFatal)
+{
+    // Every retry loop awaits delay(retryDelay); a zero delay never
+    // suspends, so two writers of one line would spin in one event.
+    expectConfigFatal([](MachineConfig &c) { c.retryDelay = 0; },
+                      "retryDelay must be >= 1");
 }
 
 TEST(Death, CapVectorNotSizedToNodesIsFatal)

@@ -10,7 +10,8 @@
  * Coroutine frames come from per-thread free lists (sim/task.hh), so a
  * warm machine's miss path -- remote reads, upgrades, invalidations
  * and 3-party fetches, each a chain of coroutines and protocol
- * messages -- allocates nothing at all.
+ * messages -- allocates nothing at all, and a PIT entry reinstalled
+ * on a paged-out frame reuses its slot's per-line arrays.
  *
  * Global operator new/delete are replaced with counting versions, and
  * the hot loops are run after the queue's up-front reserve so vector
@@ -24,6 +25,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "coherence/pit.hh"
 #include "core/machine.hh"
 #include "sim/coro_sync.hh"
 #include "sim/event_queue.hh"
@@ -221,6 +223,29 @@ TEST(EventQueueAlloc, CoroutineFramesComeBackFromThePool)
     EXPECT_EQ(g_news.load(), before)
         << "CoTask and FireAndForget frames must be reused";
     EXPECT_EQ(sink, 202u);
+}
+
+TEST(EventQueueAlloc, PitReinstallAllocatesNothing)
+{
+    // A frame paged out and in again: its PIT slot keeps the per-line
+    // arrays (accessed lines, S-COMA tags) across remove and install.
+    constexpr std::uint32_t kLines = 64;
+    EventQueue eq;
+    PageRecords pages{eq, kLines, 8};
+    Pit pit{pages, 2, 18};
+    Pit::Ref e = pit.install(5, 0x100, 1, 1, 9, PageMode::Scoma, kLines,
+                             FgTag::Invalid);
+    e->accessed.set(3);
+    e->tags.set(3, FgTag::Exclusive);
+    pit.remove(5);
+    const std::uint64_t before = g_news.load();
+    e = pit.install(5, 0x100, 1, 1, 9, PageMode::Scoma, kLines,
+                    FgTag::Invalid);
+    EXPECT_EQ(g_news.load() - before, 0u)
+        << "reinstalling a PIT entry must reuse its slot's arrays";
+    EXPECT_EQ(e->accessed.popcount(), 0u);
+    EXPECT_EQ(e->tags.lines(), kLines);
+    EXPECT_EQ(e->tags.count(FgTag::Invalid), kLines);
 }
 
 /**

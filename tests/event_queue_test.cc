@@ -64,26 +64,6 @@ TEST(EventQueue, RunUntilStopsAtBoundaryInclusive)
     EXPECT_EQ(eq.pending(), 1u);
 }
 
-TEST(EventQueue, RunWhileStopsWhenPredicateHolds)
-{
-    EventQueue eq;
-    int count = 0;
-    for (Tick t = 1; t <= 100; ++t)
-        eq.schedule(t, [&] { ++count; });
-    bool done = eq.runWhile([&] { return count >= 42; });
-    EXPECT_TRUE(done);
-    EXPECT_EQ(count, 42);
-}
-
-TEST(EventQueue, RunWhileReportsDrainWithoutSatisfaction)
-{
-    EventQueue eq;
-    int count = 0;
-    eq.schedule(1, [&] { ++count; });
-    EXPECT_FALSE(eq.runWhile([&] { return count >= 5; }));
-    EXPECT_EQ(count, 1);
-}
-
 TEST(EventQueue, RunOneOnEmptyReturnsFalse)
 {
     EventQueue eq;
@@ -222,9 +202,9 @@ TEST(EventQueue, FrontWakeUpsRunAheadOfTheirTick)
     eq.schedule(5, [&fired] { fired.push_back(0); });
     wakeAndRecord(eq, 5, false, 1, fired);
     wakeAndRecord(eq, 5, true, 2, fired);
-    eq.scheduleFront(5, [&fired] { fired.push_back(3); });
+    wakeAndRecord(eq, 5, true, 3, fired);
     eq.runAll();
-    // The front forms share one count-down sequence: the later one
+    // Front wake-ups share one count-down sequence: the later one
     // runs first, and both run ahead of the tick's other events.
     EXPECT_EQ(fired, (std::vector<int>{3, 2, 0, 1}));
 }

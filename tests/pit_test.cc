@@ -61,8 +61,8 @@ TEST(Pit, InstallAndForwardLookup)
     EXPECT_EQ(e->homeFrameHint, 9u);
     ASSERT_TRUE(r.pit.entry(5));
     EXPECT_EQ(r.pit.entry(5)->mode, PageMode::Scoma);
-    EXPECT_NE(r.pit.entry(5)->tags, nullptr);
-    EXPECT_EQ(r.pit.entry(5)->tags->get(0), FgTag::Invalid);
+    EXPECT_EQ(r.pit.entry(5)->tags.lines(), kLines);
+    EXPECT_EQ(r.pit.entry(5)->tags.get(0), FgTag::Invalid);
     EXPECT_EQ(r.pit.frameOf(0x100), 5u);
 }
 
@@ -88,7 +88,7 @@ TEST(Pit, LaNumaEntriesHaveNoTags)
     PitRig r;
     r.pit.install(7, 0x200, 2, 2, 3, PageMode::LaNuma, kLines,
                   FgTag::Invalid);
-    EXPECT_EQ(r.pit.entry(7)->tags, nullptr);
+    EXPECT_EQ(r.pit.entry(7)->tags.lines(), 0u);
 }
 
 TEST(Pit, ReverseWithMatchingHintAvoidsHash)
@@ -268,9 +268,9 @@ TEST(PitLru, SkipsFrameWithATransitLine)
     Pit::Ref b = r.client(2, 0x101);
     r.pit.touch(a, 1);
     r.pit.touch(b, 2);
-    a->tags->set(17, FgTag::Transit);
+    a->tags.set(17, FgTag::Transit);
     EXPECT_EQ(r.victim(), 2u);
-    a->tags->set(17, FgTag::Shared);
+    a->tags.set(17, FgTag::Shared);
     EXPECT_EQ(r.victim(), 1u);
 }
 
@@ -368,7 +368,7 @@ TEST_P(PitLruProperty, VictimMatchesReferenceScan)
         } else {
             auto it = pick();
             it->second.transit = !it->second.transit;
-            r.pit.entry(it->first)->tags->set(
+            r.pit.entry(it->first)->tags.set(
                 5, it->second.transit ? FgTag::Transit : FgTag::Shared);
         }
 

@@ -174,9 +174,9 @@ TEST(LruVictim, SkipsPageWhoseKernelLockIsHeld)
 TEST(LruVictim, SkipsFrameWithATransitLine)
 {
     LruRig rig;
-    rig.entry(0)->tags->set(1, FgTag::Transit);
+    rig.entry(0)->tags.set(1, FgTag::Transit);
     EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(2));
-    rig.entry(0)->tags->set(1, FgTag::Invalid);
+    rig.entry(0)->tags.set(1, FgTag::Invalid);
     EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(0));
 }
 

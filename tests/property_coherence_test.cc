@@ -139,8 +139,9 @@ checkInvariants(Machine &m)
             for (NodeId n = 0; n < nodes; ++n) {
                 auto it = views[n].mapped.find(gp);
                 FgTag tag = FgTag::Invalid;
-                if (it != views[n].mapped.end() && it->second->tags)
-                    tag = it->second->tags->get(li);
+                if (it != views[n].mapped.end() &&
+                    it->second->mode == PageMode::Scoma)
+                    tag = it->second->tags.get(li);
                 EXPECT_NE(tag, FgTag::Transit)
                     << "Transit tag in quiescent state";
                 Mesi cached = Mesi::Invalid;

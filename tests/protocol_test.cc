@@ -87,7 +87,7 @@ TEST(Protocol, HomeFaultGivesExclusiveTags)
     const Pit::Ref e = ctrl.pit().entry(hf);
     ASSERT_TRUE(e);
     EXPECT_EQ(e->mode, PageMode::Scoma);
-    EXPECT_EQ(e->tags->get(0), FgTag::Exclusive);
+    EXPECT_EQ(e->tags.get(0), FgTag::Exclusive);
     EXPECT_EQ(ctrl.stats().remoteMisses, 0u);
     // Home kernel recorded a home fault, not a client fault.
     EXPECT_EQ(rig.m.node(0).kernel().stats().faultsHome, 1u);
@@ -118,7 +118,7 @@ TEST(Protocol, RemoteReadCreatesSharers)
     auto &c1 = rig.m.node(1).controller();
     FrameNum f = c1.pit().frameOf(rig.gp(0));
     ASSERT_NE(f, kInvalidFrame);
-    EXPECT_EQ(c1.pit().entry(f)->tags->get(0), FgTag::Shared);
+    EXPECT_EQ(c1.pit().entry(f)->tags.get(0), FgTag::Shared);
     EXPECT_EQ(c1.stats().remoteMisses, 1u);
     EXPECT_EQ(rig.m.node(1).kernel().stats().faultsClient, 1u);
 }
@@ -148,7 +148,7 @@ TEST(Protocol, WriteInvalidatesAllSharers)
         FrameNum f = c.pit().frameOf(rig.gp(0));
         if (f == kInvalidFrame)
             continue;
-        EXPECT_EQ(c.pit().entry(f)->tags->get(0), FgTag::Invalid)
+        EXPECT_EQ(c.pit().entry(f)->tags.get(0), FgTag::Invalid)
             << "node " << n;
     }
     EXPECT_GE(rig.m.node(0).controller().stats().invalsSent, 2u);
@@ -156,7 +156,7 @@ TEST(Protocol, WriteInvalidatesAllSharers)
     auto &c3 = rig.m.node(3).controller();
     FrameNum f3 = c3.pit().frameOf(rig.gp(0));
     ASSERT_NE(f3, kInvalidFrame);
-    EXPECT_EQ(c3.pit().entry(f3)->tags->get(0), FgTag::Exclusive);
+    EXPECT_EQ(c3.pit().entry(f3)->tags.get(0), FgTag::Exclusive);
 }
 
 TEST(Protocol, ThreePartyReadFetchesFromOwner)
@@ -230,7 +230,7 @@ TEST(Protocol, LaNumaClientMapsImaginaryFrame)
     ASSERT_NE(f, kInvalidFrame);
     EXPECT_GE(f, kImaginaryFrameBase);
     EXPECT_EQ(c1.pit().entry(f)->mode, PageMode::LaNuma);
-    EXPECT_EQ(c1.pit().entry(f)->tags, nullptr);
+    EXPECT_EQ(c1.pit().entry(f)->tags.lines(), 0u);
 }
 
 TEST(Protocol, ClientPageOutWritesBackAndUnmaps)

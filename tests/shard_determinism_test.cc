@@ -8,7 +8,10 @@
  * it is rerun-deterministic but deliberately NOT byte-compared to the
  * sharded runs; see docs/PERFORMANCE.md "Sharded scheduler" for why.
  * Workload-logical metrics (simulated references) are timing-free and
- * must agree across every shard count including 1.
+ * must agree across every shard count including 1.  So must a whole
+ * run that books no NIC at all: a program of only synchronization and
+ * compute, whose locks, barriers and phase marks take one apply path
+ * at every shard count.
  */
 
 #include <gtest/gtest.h>
@@ -40,7 +43,24 @@ struct RunOutput {
     std::string json; //!< serialized report, generatedAt stripped
 };
 
-/** One Radix run; the report timestamp is dropped before comparing. */
+/** @p m 's report with the timestamp dropped, for comparing. */
+std::string
+reportJson(Machine &m)
+{
+    std::ostringstream os;
+    m.report().writeJson(os);
+    std::istringstream is(os.str());
+    std::string line, json;
+    while (std::getline(is, line)) {
+        if (line.find("generatedAt") != std::string::npos)
+            continue;
+        json += line;
+        json += '\n';
+    }
+    return json;
+}
+
+/** One Radix run. */
 RunOutput
 runRadix(std::uint64_t seed, std::uint32_t jobs_intra)
 {
@@ -54,17 +74,7 @@ runRadix(std::uint64_t seed, std::uint32_t jobs_intra)
     Machine m(smallCfg(jobs_intra));
     RunOutput out;
     out.metrics = runWorkload(m, w);
-
-    std::ostringstream os;
-    m.report().writeJson(os);
-    std::istringstream is(os.str());
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.find("generatedAt") != std::string::npos)
-            continue;
-        out.json += line;
-        out.json += '\n';
-    }
+    out.json = reportJson(m);
     return out;
 }
 
@@ -104,6 +114,114 @@ TEST_P(ShardDeterminism, ReportIndependentOfShardCount)
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardDeterminism,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            34u));
+
+/**
+ * A program of only syncs and compute() for a 4x2 machine: no shared
+ * memory, so no message is sent.  With the default costs (lock
+ * acquire 300, handoff 140, barrier 400) the cost model predicts:
+ *  - proc i computes 100(i+1) and arrives at barrier 0; proc 7 is
+ *    last, at 800, so all leave at 1200, and proc 2 (node 1) marks
+ *    the phase begin at 1200;
+ *  - two rounds of lock 1, each: compute 10i, lock, hold 50, unlock.
+ *    Proc 0 takes the free lock at 1200 and holds it from 1500; procs
+ *    1..7 ask at 1200+10i and park in id order, and each handoff
+ *    costs 140 plus the 50 held, so proc k releases at 1550+190k.
+ *    Every proc asks again (at its release plus 10k) before proc 7's
+ *    first release at 2880, so round two runs in id order too: proc
+ *    0 holds from 2880+140 = 3020 and proc k releases at 3070+190k;
+ *  - three episodes of barrier 0, each after compute 25i.  Proc k
+ *    first arrives at 3070+215k, so the last arrival is proc 7 at
+ *    4575 and all leave at 4975; then 5150 -> 5550 and 5725 -> 6125;
+ *  - proc 5 (node 2) marks the phase end at 6125.
+ * So execCycles = 6125 - 1200 = 4925, with 16 lock acquires (15 of
+ * them contended) and 4 barrier episodes.
+ */
+CoTask
+syncOnlyProgram(Proc &p)
+{
+    const std::uint64_t id = p.id();
+    p.compute(100 * (id + 1));
+    co_await p.barrier(0);
+    if (id == 2)
+        co_await p.beginParallel();
+    for (int r = 0; r < 2; ++r) {
+        p.compute(10 * id);
+        co_await p.lock(1);
+        p.compute(50);
+        co_await p.unlock(1);
+    }
+    for (int r = 0; r < 3; ++r) {
+        p.compute(25 * id);
+        co_await p.barrier(0);
+    }
+    if (id == 5)
+        co_await p.endParallel();
+}
+
+/**
+ * A second run on one machine starts every program at the machine's
+ * clock, whichever shard it is on.  The first run leaves the shard
+ * clocks apart (proc i's last event is at 1200 + 37i, so node 0's
+ * shard stops at 1237 and node 3's at 1459); the second run's
+ * programs all start at 1459, and proc 0 finishes last, at
+ * 1459 + 8000 = 9459.
+ */
+CoTask
+rerunProgram(Proc &p, int round)
+{
+    const std::uint64_t id = p.id();
+    if (round == 0) {
+        p.compute(100 * (id + 1));
+        co_await p.barrier(0);
+        p.compute(37 * id);
+    } else {
+        p.compute(1000 * (8 - id));
+    }
+    co_await p.fence();
+}
+
+TEST(ShardDeterminism, SecondRunStartsAtTheMachineClock)
+{
+    for (std::uint32_t jobs : {1u, 2u, 4u}) {
+        MachineConfig cfg;
+        cfg.numNodes = 4;
+        cfg.procsPerNode = 2;
+        cfg.jobsIntra = jobs;
+        Machine m(cfg);
+        ASSERT_EQ(m.numShards(), jobs);
+        for (int r = 0; r < 2; ++r)
+            m.run([r](Proc &p) { return rerunProgram(p, r); });
+        EXPECT_EQ(m.parallelEndTick(), 9459u) << "jobsIntra " << jobs;
+    }
+}
+
+TEST(ShardDeterminism, SyncOnlyProgramMatchesTheCostModelAtEveryShardCount)
+{
+    std::string one_shard;
+    for (std::uint32_t jobs : {1u, 2u, 4u}) {
+        MachineConfig cfg;
+        cfg.numNodes = 4;
+        cfg.procsPerNode = 2;
+        cfg.jobsIntra = jobs;
+        Machine m(cfg);
+        ASSERT_EQ(m.numShards(), jobs);
+        m.run(syncOnlyProgram);
+        const RunMetrics r = m.metrics();
+        EXPECT_EQ(m.parallelBeginTick(), 1200u) << "jobsIntra " << jobs;
+        EXPECT_EQ(m.parallelEndTick(), 6125u) << "jobsIntra " << jobs;
+        EXPECT_EQ(r.execCycles, 4925u) << "jobsIntra " << jobs;
+        EXPECT_EQ(r.totalCycles, 6125u) << "jobsIntra " << jobs;
+        EXPECT_EQ(r.networkMessages, 0u) << "jobsIntra " << jobs;
+        EXPECT_EQ(m.locks().acquires(), 16u) << "jobsIntra " << jobs;
+        EXPECT_EQ(m.locks().contended(), 15u) << "jobsIntra " << jobs;
+        EXPECT_EQ(m.barriers().episodes(), 4u) << "jobsIntra " << jobs;
+        const std::string json = reportJson(m);
+        if (jobs == 1)
+            one_shard = json;
+        else
+            EXPECT_EQ(json, one_shard) << "jobsIntra " << jobs << " vs 1";
+    }
+}
 
 } // namespace
 } // namespace prism

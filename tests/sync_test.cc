@@ -1,6 +1,9 @@
 /**
  * @file
- * Unit tests for the lock and barrier cost models.
+ * Unit tests for the lock and barrier cost models, driven through
+ * their one apply form: each op is applied as it is issued and grants
+ * resume the waiter in one event queue, as Machine::issueSync does on
+ * one shard.
  */
 
 #include <gtest/gtest.h>
@@ -8,20 +11,77 @@
 #include <vector>
 
 #include "core/sync.hh"
+#include "sim/event_queue.hh"
 #include "sim/task.hh"
 
 namespace prism {
 namespace {
 
+/** The one-shard grant: resume the waiter in @p eq at the grant tick. */
+struct Grant {
+    EventQueue &eq;
+
+    void
+    operator()(const SyncWaiter &w, Tick at) const
+    {
+        eq.resumeAt(at, w.h);
+    }
+};
+
+/**
+ * Issues one op from a coroutine: @p apply runs with the suspended
+ * continuation and says whether the issuer waits for a grant.
+ */
+template <typename Apply>
+struct Issue {
+    Apply apply;
+
+    bool await_ready() const { return false; }
+
+    bool
+    await_suspend(std::coroutine_handle<> h)
+    {
+        return apply(SyncWaiter{h});
+    }
+
+    void await_resume() const {}
+};
+
+template <typename Apply>
+Issue(Apply) -> Issue<Apply>;
+
+auto
+acquire(LockManager &lm, std::uint64_t id, EventQueue &eq)
+{
+    return Issue{[&lm, id, &eq](const SyncWaiter &w) {
+        lm.acquire(id, w, eq.now(), Grant{eq});
+        return true;
+    }};
+}
+
+void
+release(LockManager &lm, std::uint64_t id, EventQueue &eq)
+{
+    lm.release(id, eq.now(), Grant{eq});
+}
+
+auto
+arrive(BarrierManager &bm, std::uint64_t id, EventQueue &eq)
+{
+    return Issue{[&bm, id, &eq](const SyncWaiter &w) {
+        return bm.arrive(id, w, eq.now(), Grant{eq});
+    }};
+}
+
 TEST(LockManager, UncontendedAcquireChargesRoundTrip)
 {
     EventQueue eq;
-    LockManager lm(eq, 300, 140);
+    LockManager lm(300, 140);
     Tick acquired = 0;
     auto w = [&]() -> FireAndForget {
-        co_await lm.acquire(7);
+        co_await acquire(lm, 7, eq);
         acquired = eq.now();
-        lm.release(7);
+        release(lm, 7, eq);
     };
     w();
     eq.runAll();
@@ -33,13 +93,13 @@ TEST(LockManager, UncontendedAcquireChargesRoundTrip)
 TEST(LockManager, ContendedFifoHandoff)
 {
     EventQueue eq;
-    LockManager lm(eq, 300, 140);
+    LockManager lm(300, 140);
     std::vector<std::pair<int, Tick>> log;
     auto w = [&](int id, Cycles hold) -> FireAndForget {
-        co_await lm.acquire(1);
+        co_await acquire(lm, 1, eq);
         co_await DelayAwaiter(eq, hold);
         log.emplace_back(id, eq.now());
-        lm.release(1);
+        release(lm, 1, eq);
     };
     w(1, 50);
     w(2, 50);
@@ -58,15 +118,15 @@ TEST(LockManager, ContendedFifoHandoff)
 TEST(LockManager, IndependentLockIds)
 {
     EventQueue eq;
-    LockManager lm(eq, 10, 5);
+    LockManager lm(10, 5);
     int running = 0, max_running = 0;
     auto w = [&](std::uint64_t id) -> FireAndForget {
-        co_await lm.acquire(id);
+        co_await acquire(lm, id, eq);
         ++running;
         max_running = std::max(max_running, running);
         co_await DelayAwaiter(eq, 100);
         --running;
-        lm.release(id);
+        release(lm, id, eq);
     };
     w(1);
     w(2);
@@ -78,11 +138,11 @@ TEST(LockManager, IndependentLockIds)
 TEST(BarrierManager, ReleasesAllTogether)
 {
     EventQueue eq;
-    BarrierManager bm(eq, 3, 400);
+    BarrierManager bm(3, 400);
     std::vector<Tick> out;
     auto w = [&](Cycles arrive_at) -> FireAndForget {
         co_await DelayAwaiter(eq, arrive_at);
-        co_await bm.arrive(0);
+        co_await arrive(bm, 0, eq);
         out.push_back(eq.now());
     };
     w(10);
@@ -99,11 +159,11 @@ TEST(BarrierManager, ReleasesAllTogether)
 TEST(BarrierManager, EpisodesAutoAdvanceOnSameId)
 {
     EventQueue eq;
-    BarrierManager bm(eq, 2, 10);
+    BarrierManager bm(2, 10);
     int rounds_done = 0;
     auto w = [&]() -> FireAndForget {
         for (int r = 0; r < 5; ++r)
-            co_await bm.arrive(0);
+            co_await arrive(bm, 0, eq);
         ++rounds_done;
     };
     w();
@@ -116,15 +176,21 @@ TEST(BarrierManager, EpisodesAutoAdvanceOnSameId)
 TEST(BarrierManager, SingleParticipantPassesThrough)
 {
     EventQueue eq;
-    BarrierManager bm(eq, 1, 10);
+    BarrierManager bm(1, 10);
     bool done = false;
     auto w = [&]() -> FireAndForget {
-        co_await bm.arrive(3);
+        co_await arrive(bm, 3, eq);
         done = true;
     };
     w();
-    eq.runAll();
+    // No suspension: the arrival completed inside the call, and it
+    // cost nothing and scheduled no event.
     EXPECT_TRUE(done);
+    EXPECT_EQ(eq.pending(), 0u);
+    eq.runAll();
+    EXPECT_EQ(eq.now(), 0u);
+    EXPECT_EQ(eq.eventsExecuted(), 0u);
+    EXPECT_EQ(bm.episodes(), 0u);
 }
 
 } // namespace
