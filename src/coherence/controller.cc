@@ -111,12 +111,9 @@ CoherenceController::replyToRequester(const Msg &m, MsgType type,
 CoTask
 CoherenceController::collectFrame(FrameNum frame)
 {
-    for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
-        auto r = host_.intervene(frame, i, LineEvent::Evict, eq_.now());
-        co_await until(r.done);
-        if (r.actions & kActWritebackData)
-            dram_.access(eq_.now());
-    }
+    const Pit::Ref e = pit_.entry(frame);
+    for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i)
+        co_await lineStep(clientCell(*e, i, ClientEvent::Collect), e, i);
 }
 
 CoTask
@@ -131,16 +128,71 @@ CoherenceController::invalidateLocal(GPage gpage, std::uint32_t line_idx,
     co_await delay(lookup);
     // Re-validate: the mapping may have been paged out (and the frame
     // even reused) during the lookup delay.
-    auto e = pit_.entry(frame);
+    const Pit::Ref e = pit_.entry(frame);
     if (!e || e->gpage != gpage)
         co_return;
-    auto r = host_.intervene(frame, line_idx, LineEvent::Inval, eq_.now());
-    if (e->mode == PageMode::Scoma &&
-        e->tags.get(line_idx) != FgTag::Transit)
-        e->tags.set(line_idx, FgTag::Invalid);
-    if (oracle_)
-        oracle_->onInvalidate(gpage, line_idx);
+    co_await lineStep(clientCell(*e, line_idx, ClientEvent::Inv), e,
+                      line_idx);
+}
+
+ClientView
+CoherenceController::clientView(const PitEntry &e, std::uint32_t li) const
+{
+    if (e.mode == PageMode::Local)
+        return ClientView::Local;
+    if (e.mode == PageMode::Scoma)
+        return tagView(e.tags.get(li));
+    const GLine gl = geo_.lineOf(e.gpage, li);
+    if (pending_.count(gl) || fillPending_.count(gl))
+        return ClientView::NumaTransit;
+    const Mesi held = host_.heldCopy(e.frame, li);
+    return held == Mesi::Invalid ? ClientView::NumaNone
+           : ownerClass(held)    ? ClientView::NumaOwned
+                                 : ClientView::NumaShared;
+}
+
+const ClientTransition &
+CoherenceController::clientCell(ClientView v, ClientEvent ev, GPage gpage,
+                                std::uint32_t li)
+{
+    const ClientTransition &t = clientTable_.on(v, ev);
+    ++clientHits_[static_cast<unsigned>(v)][static_cast<unsigned>(ev)];
+    TRC(gpage, li, "n%u %s %s -> %s actions=%#x t=%llu", self_,
+        clientViewName(v), clientEventName(ev), clientViewName(t.next),
+        t.actions, (unsigned long long)eq_.now());
+    return t;
+}
+
+CoTask
+CoherenceController::lineStep(const ClientTransition &t, const Pit::Ref &e,
+                              std::uint32_t li, InterventionResult *out)
+{
+    InterventionResult r{eq_.now(), 0};
+    if (t.actions & (kCliSnoop | kCliProbe))
+        r = host_.intervene(e->frame, li, t.snoop, eq_.now());
+    if (isTagView(t.next))
+        e->tags.set(li, viewTag(t.next));
+    if ((t.actions & kCliNoteInval) && oracle_)
+        oracle_->onInvalidate(e->gpage, li);
+    if (out)
+        *out = r;
+    // Only a snoop is waited for; the others need no coroutine frame.
+    return t.actions & kCliSnoop ? settleLine(t, e, li, r) : CoTask();
+}
+
+CoTask
+CoherenceController::settleLine(const ClientTransition &t, Pit::Ref e,
+                                std::uint32_t li, InterventionResult r)
+{
     co_await until(r.done);
+    if ((t.actions & kCliCollect) && (r.actions & kActWritebackData))
+        dram_.access(eq_.now());
+    if (t.actions & kCliRelease)
+        lineActions(e->frame, li, r.actions);
+    if (t.actions & kCliReadLine)
+        co_await dramAccess();
+    if (t.actions & kCliWriteback)
+        releaseLine(*e, li, true, false);
 }
 
 bool
@@ -185,51 +237,43 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
     }
     pit_.touch(e, eq_.now());
     e->accessed.set(line_idx);
-    prism_assert(e->mode != PageMode::Command,
-                 "serviceMiss on a command-mode frame");
     const bool scoma = e->mode == PageMode::Scoma;
     if (scoma || e->mode == PageMode::LaNuma)
         co_await delay(pit_.forwardCycles()); // consult mode (+ tags)
-    const FgTag tag = scoma ? e->tags.get(line_idx) : FgTag::Invalid;
-    if (e->mode == PageMode::Local || tag == FgTag::Exclusive ||
-        (tag == FgTag::Shared && !for_write)) {
+    const ClientEvent ev = !for_write  ? ClientEvent::BusRead
+                           : local_copy ? ClientEvent::BusUpgrade
+                                        : ClientEvent::BusWrite;
+    const ClientTransition &t = clientCell(*e, line_idx, ev);
+    if (t.actions & kCliLocalMem) {
         // Local memory, or the page cache, supplies the line; the
         // controller takes no protocol action.
-        TRC(e->gpage, line_idx, "n%u localmem w=%d tag=%s t=%llu", self_,
-            (int)for_write, fgTagName(tag), (unsigned long long)eq_.now());
         co_await dramAccess();
         ++stats_.localMemHits;
         out->source = MissSource::LocalMem;
-        out->exclusive = tag != FgTag::Shared;
+        out->exclusive = t.next != ClientView::Shared;
         co_return;
     }
     const GPage gpage = e->gpage; // e may be stale after the txn
     const GLine gl = geo_.lineOf(gpage, line_idx);
-    // A line in Transit or with a transaction outstanding retries, as
-    // does a LA-NUMA line granted to another local processor whose
-    // fill is still in flight on the bus.
-    if (tag == FgTag::Transit || pending_.count(gl) ||
-        (!scoma && fillPending_.count(gl))) {
+    // A line whose transaction is still outstanding retries even where
+    // the view does not show it: a page flush dropped its Transit tag,
+    // or a migration replaced its LA-NUMA frame with the home frame.
+    if ((t.actions & kCliRetry) || pending_.count(gl)) {
         ++stats_.retries;
         out->source = MissSource::Retry;
         co_return;
     }
-    // A write to a locally valid copy upgrades (S-COMA: the Shared
-    // tag; LA-NUMA: a processor or peer S copy); otherwise fetch.
-    const bool have_data = scoma ? tag == FgTag::Shared : local_copy;
-    const MsgType mt = !for_write ? MsgType::ReqS
-                       : have_data ? MsgType::Upgrade
-                                   : MsgType::ReqX;
-    if (scoma)
-        e->tags.set(line_idx, FgTag::Transit);
-    bool poisoned = false;
-    co_await runClientTxn(mt, e, frame, line_idx, out, &poisoned);
-    if (scoma) {
-        e->tags.set(line_idx, poisoned          ? FgTag::Invalid
-                              : out->exclusive ? FgTag::Exclusive
-                                               : FgTag::Shared);
-    }
-    if (poisoned) {
+    co_await lineStep(t, e, line_idx);
+    ClientEvent landing = ClientEvent::GrantVoid;
+    co_await runClientTxn(t.actions, e, frame, line_idx, out, &landing);
+    // The line was Transit until now.  An LA-NUMA view is so by
+    // definition (and e may be stale there); an S-COMA tag is, unless
+    // a page flush dropped it.
+    const ClientTransition &g = clientCell(
+        scoma ? tagView(e->tags.get(line_idx)) : ClientView::NumaTransit,
+        landing, gpage, line_idx);
+    co_await lineStep(g, e, line_idx);
+    if (g.actions & kCliRetry) {
         // A racing invalidation voided the shared grant.
         ++stats_.retries;
         out->source = MissSource::Retry;
@@ -237,20 +281,17 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
     }
     // LA-NUMA: hold a fill token until the bus fill completes so no
     // second transaction (or stale fill) can slip into the window.
-    if (!scoma && fillPending_.insert(gl).second)
+    if ((g.actions & kCliHoldFill) && fillPending_.insert(gl).second)
         pendingPageAdd(pages_.get(gpage));
 }
 
 CoTask
-CoherenceController::runClientTxn(MsgType mt, Pit::Ref e, FrameNum frame,
-                                  std::uint32_t line_idx, MissResult *out,
-                                  bool *poisoned)
+CoherenceController::runClientTxn(std::uint32_t request, Pit::Ref e,
+                                  FrameNum frame, std::uint32_t line_idx,
+                                  MissResult *out, ClientEvent *landing)
 {
     const GPage gpage = e->gpage;
     GLine gl = geo_.lineOf(gpage, line_idx);
-    TRC(gpage, line_idx, "n%u %s txn %s t=%llu", self_,
-        pageModeName(e->mode), msgTypeName(mt),
-        (unsigned long long)eq_.now());
     ClientTxn txn(eq_);
     pending_.insert(gl, &txn);
     // The pending line keeps the record live until the txn ends.
@@ -260,7 +301,10 @@ CoherenceController::runClientTxn(MsgType mt, Pit::Ref e, FrameNum frame,
     const Tick t0 = eq_.now();
     co_await occupy(cfg_.ctrlOverhead); // compose request, dispatch
 
-    Msg m(mt, e->dynHome, gpage, line_idx);
+    Msg m(request & kCliReqShared      ? MsgType::ReqS
+          : request & kCliReqUpgrade   ? MsgType::Upgrade
+                                       : MsgType::ReqX,
+          e->dynHome, gpage, line_idx);
     m.requester = self_;
     m.requesterFrame = frame;
     m.dstFrameHint = e->homeFrameHint;
@@ -312,10 +356,9 @@ CoherenceController::runClientTxn(MsgType mt, Pit::Ref e, FrameNum frame,
     out->exclusive = txn.exclusive;
     // An exclusive grant supersedes any invalidation of the old copy;
     // a shared grant raced by an invalidation is void.
-    *poisoned = txn.invalidatedMidFlight && !txn.exclusive;
-    TRC(gpage, line_idx, "n%u txn %s done excl=%d poisoned=%d t=%llu",
-        self_, msgTypeName(mt), (int)txn.exclusive, (int)*poisoned,
-        (unsigned long long)eq_.now());
+    *landing = txn.exclusive               ? ClientEvent::GrantExclusive
+               : txn.invalidatedMidFlight ? ClientEvent::GrantVoid
+                                          : ClientEvent::GrantShared;
 }
 
 bool
@@ -325,32 +368,22 @@ CoherenceController::finishFill(FrameNum frame, std::uint32_t line_idx,
     const Pit::Ref e = pit_.entry(frame);
     if (!e)
         return false;
-    switch (e->mode) {
-      case PageMode::Local:
-      case PageMode::Command:
-        return true;
-      case PageMode::Scoma: {
-        const FgTag tag = e->tags.get(line_idx);
-        TRC(e->gpage, line_idx, "n%u finishFill want=%s tag=%s t=%llu",
-            self_, mesiName(intended), fgTagName(tag),
-            (unsigned long long)eq_.now());
-        if (ownerClass(intended))
-            return tag == FgTag::Exclusive;
-        return tag != FgTag::Invalid;
-      }
-      case PageMode::LaNuma:
-      case PageMode::CcNuma: {
-        GLine gl = geo_.lineOf(e->gpage, line_idx);
-        const FillToken *fill = fillPending_.find(gl);
-        if (!fill)
-            return true; // peer-supplied fill; validated by the caller
-        const bool ok = !fill->invalidated;
-        fillPending_.erase(gl);
+    // Only an LA-NUMA grant holds a fill token (its line is Transit);
+    // a racing Inv marks it.
+    const GLine gl = geo_.lineOf(e->gpage, line_idx);
+    const FillToken *fill =
+        e->mode == PageMode::LaNuma || e->mode == PageMode::CcNuma
+            ? fillPending_.find(gl)
+            : nullptr;
+    const ClientTransition &t = clientCell(
+        fill ? ClientView::NumaTransit : clientView(*e, line_idx),
+        fill && fill->invalidated ? ClientEvent::FillVoid
+        : ownerClass(intended)    ? ClientEvent::FillOwned
+                                  : ClientEvent::FillShared,
+        e->gpage, line_idx);
+    if ((t.actions & kCliEndFill) && fillPending_.erase(gl))
         pendingPageRemove(e->page);
-        return ok;
-      }
-    }
-    return true;
+    return t.actions & kCliFill;
 }
 
 void
@@ -376,7 +409,7 @@ CoherenceController::lineActions(FrameNum frame, std::uint32_t line_idx,
     releaseLine(*e, line_idx, actions & kActWritebackData,
                 (actions & kActRelinquish) ||
                     ((actions & kActWritebackData) &&
-                     host_.lineCached(frame, line_idx)));
+                     host_.heldCopy(frame, line_idx) != Mesi::Invalid));
 }
 
 // ---------------------------------------------------------------------
@@ -395,9 +428,7 @@ CoherenceController::installClientMapping(FrameNum frame, GPage gpage,
                                           NodeId dyn_home,
                                           FrameNum home_frame, PageMode mode)
 {
-    prism_assert(mode == PageMode::Scoma || mode == PageMode::LaNuma ||
-                     mode == PageMode::CcNuma,
-                 "client mapping must be a global mode");
+    prism_assert(isGlobalMode(mode), "client mapping must be a global mode");
     pit_.install(frame, gpage, static_home, dyn_home, home_frame, mode,
                  geo_.linesPerPage(), FgTag::Invalid);
     // A client S-COMA frame is a page-cache frame: the kernel pages
@@ -456,24 +487,8 @@ CoherenceController::flushClientPage(FrameNum frame)
         co_await delay(cfg_.retryDelay);
     }
 
-    for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
-        // An S-COMA line the page cache lacks has no local copies.
-        const bool scoma = e->mode == PageMode::Scoma;
-        const FgTag tag = scoma ? e->tags.get(i) : FgTag::Invalid;
-        if (scoma && tag == FgTag::Invalid)
-            continue;
-        auto r = host_.intervene(frame, i, LineEvent::Evict, eq_.now());
-        if (scoma)
-            e->tags.set(i, FgTag::Invalid);
-        co_await until(r.done);
-        // The copies leave as evictions do: S-COMA dirty data into the
-        // page cache, LA-NUMA data or hints to the home.
-        lineActions(frame, i, r.actions);
-        if (tag == FgTag::Exclusive) {
-            co_await dramAccess(); // read the line for writeback
-            releaseLine(*e, i, true, false);
-        }
-    }
+    for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i)
+        co_await lineStep(clientCell(*e, i, ClientEvent::Flush), e, i);
 }
 
 void
@@ -521,27 +536,6 @@ CoherenceController::removeHomeMapping(FrameNum frame, GPage gpage)
         m.aux = 1; // erase-registry sentinel
         send(std::move(m));
     }
-}
-
-FrameNum
-CoherenceController::mostInvalidFrame(
-    const std::vector<FrameNum> &candidates) const
-{
-    FrameNum best = kInvalidFrame;
-    std::uint32_t best_count = 0;
-    for (FrameNum f : candidates) {
-        const Pit::Ref e = pit_.entry(f);
-        if (!e || e->mode != PageMode::Scoma)
-            continue;
-        if (e->tags.anyTransit())
-            continue; // paper: frames with Transit lines are skipped
-        std::uint32_t inv = e->tags.count(FgTag::Invalid);
-        if (best == kInvalidFrame || inv > best_count) {
-            best = f;
-            best_count = inv;
-        }
-    }
-    return best;
 }
 
 // ---------------------------------------------------------------------
@@ -763,17 +757,12 @@ CoherenceController::handleHomeRequest(Msg m)
             // waiting here cannot deadlock.
             while (pending_.count(gl) || fillPending_.count(gl))
                 co_await delay(cfg_.retryDelay);
-            // 2-party transaction with the home's own copy.  Tag
-            // changes are synchronous with the snoop.
-            auto r = host_.intervene(
-                hf, li, excl ? LineEvent::Inval : LineEvent::RemoteRead,
-                eq_.now());
-            if (he->mode == PageMode::Scoma &&
-                he->tags.get(li) != FgTag::Transit)
-                he->tags.set(li, excl ? FgTag::Invalid : FgTag::Shared);
-            co_await until(r.done);
-            if (r.actions & kActWritebackData)
-                dram_.access(eq_.now()); // collect into memory
+            // 2-party transaction with the home's own copy.
+            co_await lineStep(
+                clientCell(*he, li,
+                           excl ? ClientEvent::RecallWrite
+                                : ClientEvent::RecallRead),
+                he, li);
         }
         if (t.actions & kHomeFetchOwner) {
             // 3-party transaction: intervene at the remote owner.
@@ -862,8 +851,6 @@ CoherenceController::handleClientInv(Msg m)
 {
     co_await occupy(cfg_.ctrlOverhead);
     ++stats_.invalsReceived;
-    TRC(m.gpage, m.lineIdx, "n%u inv t=%llu", self_,
-        (unsigned long long)eq_.now());
     // In the paper's evaluated configuration the directory does not
     // cache client frame numbers (Section 4.1), so invalidations
     // reverse-translate via the hash path; with the Section 4.3
@@ -886,47 +873,27 @@ CoherenceController::handleClientFetch(Msg m)
     FrameNum f = pit_.reverse(m.gpage, kInvalidFrame, hash);
     co_await delay(pit_.reverseCycles(hash));
 
-    bool have = false;
-    bool dirty_to_home = false;
-    Pit::Ref e = pit_.entry(f);
-    if (e && e->gpage != m.gpage)
-        e = Pit::Ref(); // frame was recycled during the lookup delay
-    const LineEvent ev =
-        m.forWrite ? LineEvent::Inval : LineEvent::RemoteRead;
-    if (e) {
-        if (e->mode == PageMode::Scoma) {
-            FgTag tag = e->tags.get(m.lineIdx);
-            if (tag == FgTag::Exclusive) {
-                have = true;
-                auto r = host_.intervene(f, m.lineIdx, ev, eq_.now());
-                e->tags.set(m.lineIdx,
-                            m.forWrite ? FgTag::Invalid : FgTag::Shared);
-                co_await until(r.done);
-                if (r.actions & kActWritebackData)
-                    dram_.access(eq_.now()); // into the page cache
-                co_await dramAccess(); // read line for forwarding
-                // The home memory is stale while we owned the line, so
-                // a read downgrade must carry data home.
-                dirty_to_home = !m.forWrite;
-            }
-        } else {
-            auto r = host_.intervene(f, m.lineIdx, ev, eq_.now());
-            // Ownership requires an owner-class copy.  A mere S copy
-            // means the node was downgraded (writeback in flight) or
-            // its own exclusive grant has not landed yet; nack and let
-            // the home retry against fresh state.
-            if (ownerClass(r.held)) {
-                have = true;
-                co_await until(r.done);
-                dirty_to_home =
-                    !m.forWrite && (r.actions & kActWritebackData);
-            }
-        }
+    // Ownership requires an owner-class copy.  Any other node nacks —
+    // it was downgraded (writeback in flight) or its own exclusive
+    // grant has not landed yet — and the home retries against fresh
+    // state.
+    bool serve = false;
+    bool data_home = false;
+    const Pit::Ref e = pit_.entry(f);
+    if (e && e->gpage == m.gpage) { // the frame may have been recycled
+        InterventionResult r{};
+        const ClientTransition &t = clientCell(
+            *e, m.lineIdx,
+            m.forWrite ? ClientEvent::FetchWrite : ClientEvent::FetchRead);
+        co_await lineStep(t, e, m.lineIdx, &r);
+        serve = t.actions & kCliServe;
+        // Home memory is stale while this node owned the line, so a
+        // read downgrade carries data home: out of the page cache, or
+        // the dirty copy the intervention wrote back.
+        data_home = !m.forWrite && ((t.actions & kCliReadLine) ||
+                                    (r.actions & kActWritebackData));
     }
-
-    TRC(m.gpage, m.lineIdx, "n%u fetch forW=%d have=%d t=%llu", self_,
-        (int)m.forWrite, (int)have, (unsigned long long)eq_.now());
-    if (!have) {
+    if (!serve) {
         ++stats_.nacksSent;
         send(Msg(MsgType::FetchNack, home, m.gpage, m.lineIdx));
         co_return;
@@ -939,7 +906,7 @@ CoherenceController::handleClientFetch(Msg m)
     replyToRequester(m, MsgType::DataFwd, m.homeFrame, m.dynHome, m.forWrite);
 
     Msg x(MsgType::XferNotice, home, m.gpage, m.lineIdx);
-    x.dirty = dirty_to_home;
+    x.dirty = data_home;
     x.keepShared = !m.forWrite;
     send(std::move(x));
 }

@@ -6,16 +6,20 @@
  * interface.  It dispatches protocol handlers based on the page-frame
  * mode of the physical address (Figure 4): Local-mode transactions are
  * ignored, S-COMA transactions consult the frame's fine-grain tags,
- * LA-NUMA transactions are serviced by fetching from the page's home,
- * and Command-mode frames form the kernel's interface to the PIT.
+ * and LA-NUMA (and CC-NUMA) transactions are serviced by fetching from
+ * the page's home.  The kernel programs the PIT through the install
+ * and remove calls below, charging a command-mode delay of its own.
  *
  * The controller implements both sides of the inter-node protocol: the
  * client side (misses, upgrades, writebacks, incoming invalidations and
  * interventions) and the home side (full-map directory, per-line
  * request serialization, 2-party and 3-party transactions, serialized
- * invalidation fan-out), plus lazy page migration (Section 3.5).  The
- * home side interprets the transition table of home_protocol.hh: every
- * directory write goes through it.
+ * invalidation fan-out), plus lazy page migration (Section 3.5).  It
+ * interprets three tables: the client table of client_protocol.hh
+ * decides every client-side action and writes every fine-grain tag
+ * after page install, the home table of home_protocol.hh every
+ * directory write, and the line table of line_protocol.hh every
+ * processor-cache transition its interventions cause.
  *
  * Protocol handlers run as coroutines on the deterministic event
  * queue; controller occupancy, PIT, directory-cache, memory and
@@ -30,6 +34,7 @@
 #include <memory>
 #include <vector>
 
+#include "coherence/client_protocol.hh"
 #include "coherence/directory.hh"
 #include "coherence/home_protocol.hh"
 #include "coherence/line_protocol.hh"
@@ -72,7 +77,6 @@ struct MissResult {
 /** Outcome of a local processor-cache intervention. */
 struct InterventionResult {
     Tick done;    //!< tick at which the intervention completes
-    Mesi held;    //!< strongest state a local cache held (Invalid: none)
     /** Union of the copies' transition actions (LineAction flags). */
     std::uint8_t actions;
 };
@@ -108,13 +112,13 @@ class ControllerHost
     virtual bool anyCachedCopy(FrameNum frame) const = 0;
 
     /**
-     * True if any local processor cache holds this specific line
-     * (any valid state).  Decides whether a dirty eviction's writeback
-     * keeps the node registered as a sharer (MOESI: peer Shared copies
-     * can outlive the Owned copy).
+     * The strongest state any local processor cache holds this line
+     * in (Invalid: none), without touching the caches.  It is the
+     * LA-NUMA client view (client_protocol.hh), and it decides whether
+     * a dirty eviction's writeback keeps the node registered as a
+     * sharer (MOESI: peer Shared copies can outlive the Owned copy).
      */
-    virtual bool lineCached(FrameNum frame,
-                            std::uint32_t line_idx) const = 0;
+    virtual Mesi heldCopy(FrameNum frame, std::uint32_t line_idx) const = 0;
 
     /** Allocate a real frame to receive a migrating home page. */
     virtual FrameNum migrationAllocFrame(GPage gp) = 0;
@@ -266,13 +270,6 @@ class CoherenceController
      */
     void removeHomeMapping(FrameNum frame, GPage gpage);
 
-    /**
-     * Dyn-Util support: among client S-COMA frames in @p candidates,
-     * find the one with the most Invalid fine-grain tags, skipping
-     * frames with any Transit line.  kInvalidFrame if none qualify.
-     */
-    FrameNum mostInvalidFrame(const std::vector<FrameNum> &candidates) const;
-
     /** True if this node is currently the dynamic home of @p gpage. */
     bool
     isDynHome(GPage gpage) const
@@ -316,6 +313,17 @@ class CoherenceController
 
     /** Attach the protocol oracle (Machine construction). */
     void setOracle(ProtocolOracle *o) { oracle_ = o; }
+
+    /**
+     * Times this node has looked up client-table cell (@p v, @p e).
+     * Kept outside the metric registry, so reports do not change.
+     */
+    std::uint64_t
+    clientCellHits(ClientView v, ClientEvent e) const
+    {
+        return clientHits_[static_cast<unsigned>(v)]
+                          [static_cast<unsigned>(e)];
+    }
 
   private:
     /** Client-side transaction awaiting a reply plus ack collection. */
@@ -383,21 +391,45 @@ class CoherenceController
 
     /**
      * Invalidate this node's copy of a line inline: poison any racing
-     * client transaction or pending fill, wait @p lookup cycles (the
-     * PIT reverse translation that found @p frame), then snoop the
-     * processor caches, drop the fine-grain tag and tell the oracle.
-     * State changes are synchronous with the snoop; only its timing is
-     * awaited.  The snoop is skipped if @p frame no longer maps
-     * @p gpage by then.
+     * client transaction or pending fill (its grant or fill check then
+     * raises GrantVoid or FillVoid), wait @p lookup cycles (the PIT
+     * reverse translation that found @p frame), then run the Inv cell.
+     * The cell is skipped if @p frame no longer maps @p gpage by then.
      */
     CoTask invalidateLocal(GPage gpage, std::uint32_t line_idx,
                            FrameNum frame, Cycles lookup);
 
-    // Client-side pieces.  @p poisoned reports a racing invalidation
-    // that voided a non-exclusive grant.
-    CoTask runClientTxn(MsgType mt, Pit::Ref e, FrameNum frame,
+    // Client-table interpreter (client_protocol.hh).  clientView reads
+    // the line's view; clientCell looks up, counts and traces a cell;
+    // lineStep is the one line step: intervene with the cell's
+    // LineEvent, write its next view as the tag and tell the oracle at
+    // once, then (kCliSnoop) return settleLine, which waits for the bus
+    // and collects or releases the copies' dirty data; other cells
+    // return an empty task.  State changes are synchronous with the
+    // snoop; only its timing is awaited.  @p out receives the
+    // intervention.
+    ClientView clientView(const PitEntry &e, std::uint32_t li) const;
+    const ClientTransition &clientCell(ClientView v, ClientEvent ev,
+                                       GPage gpage, std::uint32_t li);
+
+    const ClientTransition &
+    clientCell(const PitEntry &e, std::uint32_t li, ClientEvent ev)
+    {
+        return clientCell(clientView(e, li), ev, e.gpage, li);
+    }
+
+    CoTask lineStep(const ClientTransition &t, const Pit::Ref &e,
+                    std::uint32_t li, InterventionResult *out = nullptr);
+    CoTask settleLine(const ClientTransition &t, Pit::Ref e,
+                      std::uint32_t li, InterventionResult r);
+
+    /**
+     * Send the request a miss cell names (@p request: its actions) and
+     * wait for the grant and acks.  @p landing is the grant's event.
+     */
+    CoTask runClientTxn(std::uint32_t request, Pit::Ref e, FrameNum frame,
                         std::uint32_t line_idx, MissResult *out,
-                        bool *poisoned);
+                        ClientEvent *landing);
 
     // Handler coroutines (network side).
     FireAndForget handleHomeRequest(Msg m);
@@ -471,6 +503,7 @@ class CoherenceController
 
     ProtocolOracle *oracle_ = nullptr;
     TraceSink *trace_ = nullptr;
+    const ClientProtocol &clientTable_ = ClientProtocol::get();
     /** Remaining invalidations to skip (cfg.mutationSkipInvals). */
     std::uint32_t mutationBudget_ = 0;
 
@@ -507,6 +540,9 @@ class CoherenceController
 
     /** Modeled fine-grain tag bytes across live S-COMA frames. */
     double tagBytesModeled() const;
+
+    /** Client-cell lookups (clientCellHits). */
+    std::uint64_t clientHits_[kNumClientViews][kNumClientEvents] = {};
 };
 
 } // namespace prism

@@ -43,15 +43,19 @@ fgTagName(FgTag t)
     return "?";
 }
 
-/** The tag array of one S-COMA page frame. */
+/**
+ * The tag array of one S-COMA page frame.  It keeps a count per tag
+ * value, so count() and anyTransit() answer in O(1) (the Dyn-Util
+ * victim scan and the LRU victim rule ask them of every frame).
+ */
 class FrameTags
 {
   public:
     FrameTags() = default;
 
     explicit FrameTags(std::uint32_t lines_per_page, FgTag init)
-        : tags_(lines_per_page, init)
     {
+        reset(lines_per_page, init);
     }
 
     /**
@@ -62,11 +66,19 @@ class FrameTags
     reset(std::uint32_t lines_per_page, FgTag init)
     {
         tags_.assign(lines_per_page, init);
+        counts_[0] = counts_[1] = counts_[2] = counts_[3] = 0;
+        counts_[idx(init)] = lines_per_page;
     }
 
     FgTag get(std::uint32_t line_idx) const { return tags_[line_idx]; }
 
-    void set(std::uint32_t line_idx, FgTag t) { tags_[line_idx] = t; }
+    void
+    set(std::uint32_t line_idx, FgTag t)
+    {
+        --counts_[idx(tags_[line_idx])];
+        ++counts_[idx(t)];
+        tags_[line_idx] = t;
+    }
 
     std::uint32_t lines() const
     {
@@ -74,38 +86,19 @@ class FrameTags
     }
 
     /** Number of lines whose tag is @p t. */
-    std::uint32_t
-    count(FgTag t) const
-    {
-        std::uint32_t n = 0;
-        for (auto x : tags_) {
-            if (x == t)
-                ++n;
-        }
-        return n;
-    }
+    std::uint32_t count(FgTag t) const { return counts_[idx(t)]; }
 
     /** True if any line is in Transit. */
-    bool
-    anyTransit() const
-    {
-        for (auto x : tags_) {
-            if (x == FgTag::Transit)
-                return true;
-        }
-        return false;
-    }
+    bool anyTransit() const { return count(FgTag::Transit) != 0; }
 
     /** Set every line to @p t (page-in / flush). */
-    void
-    fill(FgTag t)
-    {
-        for (auto &x : tags_)
-            x = t;
-    }
+    void fill(FgTag t) { reset(lines(), t); }
 
   private:
+    static unsigned idx(FgTag t) { return static_cast<unsigned>(t); }
+
     std::vector<FgTag> tags_;
+    std::uint32_t counts_[4] = {};
 };
 
 } // namespace prism

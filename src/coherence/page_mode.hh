@@ -37,11 +37,6 @@ enum class PageMode : std::uint8_t {
      * no fault-containment firewall.
      */
     CcNuma,
-    /**
-     * Memory-mapped command interface between the local processors
-     * and the coherence controller, used by the OS during paging.
-     */
-    Command,
 };
 
 /** Human-readable mode name. */
@@ -53,7 +48,6 @@ pageModeName(PageMode m)
       case PageMode::Scoma: return "s-coma";
       case PageMode::LaNuma: return "la-numa";
       case PageMode::CcNuma: return "cc-numa";
-      case PageMode::Command: return "command";
     }
     return "?";
 }

@@ -226,6 +226,26 @@ Pit::lruVictim() const
     return Ref();
 }
 
+Pit::Ref
+Pit::mostInvalidVictim() const
+{
+    const PitEntry *best = nullptr;
+    for (const LruList *l : {&fresh_, &touched_}) {
+        for (FrameNum f = l->head; f != kInvalidFrame;) {
+            const PitEntry &e = *slot(f);
+            if (!e.tags.anyTransit()) {
+                const std::uint32_t inv = e.tags.count(FgTag::Invalid);
+                const std::uint32_t top =
+                    best ? best->tags.count(FgTag::Invalid) : 0;
+                if (!best || inv > top || (inv == top && f < best->frame))
+                    best = &e;
+            }
+            f = e.lruNext;
+        }
+    }
+    return best ? arenaOf(best->frame).ref(indexOf(best->frame)) : Ref();
+}
+
 std::vector<FrameNum>
 Pit::lruFrames() const
 {

@@ -237,6 +237,14 @@ class Pit
      */
     Ref lruVictim() const;
 
+    /**
+     * Dyn-Util's victim: among client S-COMA entries with no line in
+     * Transit, the one with the most Invalid tags, ties to the lowest
+     * frame number; empty if every frame has a Transit line.  One walk
+     * of the LRU lists.
+     */
+    Ref mostInvalidVictim() const;
+
     /** Client S-COMA frames on the LRU, ascending. */
     std::vector<FrameNum> lruFrames() const;
 

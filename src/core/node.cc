@@ -260,17 +260,13 @@ Node::intervene(FrameNum frame, std::uint32_t line_idx, LineEvent ev,
     const std::uint64_t line_paddr =
         (frame << kPageShift) |
         (static_cast<std::uint64_t>(line_idx) << geo_.lineShift());
-    Mesi held = Mesi::Invalid;
     std::uint8_t actions = 0;
-    for (auto &p : procs_) {
-        const Proc::Snoop s = p->snoopLine(line_paddr, ev);
-        held = strongerLine(held, s.prior);
-        actions |= s.actions;
-    }
+    for (auto &p : procs_)
+        actions |= p->snoopLine(line_paddr, ev).actions;
     Tick done = bus_.addressPhase(at);
     if (actions & kActWritebackData)
         done = bus_.dataPhase(done); // dirty data crosses the bus
-    return InterventionResult{done, held, actions};
+    return InterventionResult{done, actions};
 }
 
 bool
@@ -290,17 +286,16 @@ Node::anyCachedCopy(FrameNum frame) const
     return false;
 }
 
-bool
-Node::lineCached(FrameNum frame, std::uint32_t line_idx) const
+Mesi
+Node::heldCopy(FrameNum frame, std::uint32_t line_idx) const
 {
     const std::uint64_t line_paddr =
         (frame << kPageShift) |
         (static_cast<std::uint64_t>(line_idx) << geo_.lineShift());
-    for (const auto &p : procs_) {
-        if (p->lineState(line_paddr) != Mesi::Invalid)
-            return true;
-    }
-    return false;
+    Mesi held = Mesi::Invalid;
+    for (const auto &p : procs_)
+        held = strongerLine(held, p->lineState(line_paddr));
+    return held;
 }
 
 FrameNum

@@ -78,7 +78,7 @@ class Node : public ControllerHost
                                  LineEvent ev, Tick at) override;
     bool anyBusPending(FrameNum frame) const override;
     bool anyCachedCopy(FrameNum frame) const override;
-    bool lineCached(FrameNum frame, std::uint32_t line_idx) const override;
+    Mesi heldCopy(FrameNum frame, std::uint32_t line_idx) const override;
     FrameNum migrationAllocFrame(GPage gp) override;
     void migrationFreeFrame(FrameNum frame, GPage gp) override;
     void homeKernelAdopt(GPage gp) override;

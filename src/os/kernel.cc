@@ -398,16 +398,10 @@ Kernel::lruClientPage() const
     return e ? e->gpage : kInvalidGPage;
 }
 
-std::vector<FrameNum>
-Kernel::clientScomaFrameList() const
-{
-    return ctrl_->pit().lruFrames();
-}
-
 GPage
-Kernel::pageOfClientFrame(FrameNum f) const
+Kernel::mostInvalidClientPage() const
 {
-    const Pit::Ref e = ctrl_->pit().entry(f);
+    const Pit::Ref e = ctrl_->pit().mostInvalidVictim();
     return e ? e->gpage : kInvalidGPage;
 }
 

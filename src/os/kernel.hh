@@ -147,11 +147,11 @@ class Kernel
      */
     GPage lruClientPage() const;
 
-    /** Mapped client S-COMA frames, ascending (Dyn-Util candidates). */
-    std::vector<FrameNum> clientScomaFrameList() const;
-
-    /** Global page mapped by frame @p f (kInvalidGPage if none). */
-    GPage pageOfClientFrame(FrameNum f) const;
+    /**
+     * Dyn-Util's victim: the client S-COMA page with the most Invalid
+     * fine-grain tags and no Transit line (kInvalidGPage if none).
+     */
+    GPage mostInvalidClientPage() const;
 
     /** Per-page mode override set by adaptive policies. */
     void setModeOverride(GPage gp, PageMode m);

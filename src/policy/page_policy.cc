@@ -57,13 +57,9 @@ DynUtilPolicy::chooseClientMode(Kernel &k, GPage gp, PageMode *out)
         co_return;
     }
     while (k.clientCacheFull()) {
-        // Ask the controller for the client frame with the most
-        // Invalid fine-grain tags (lightly used / communication data).
-        FrameNum victim_frame =
-            k.controller().mostInvalidFrame(k.clientScomaFrameList());
-        GPage victim = (victim_frame == kInvalidFrame)
-                           ? kInvalidGPage
-                           : k.pageOfClientFrame(victim_frame);
+        // The client frame with the most Invalid fine-grain tags
+        // (lightly used / communication data).
+        const GPage victim = k.mostInvalidClientPage();
         if (victim == kInvalidGPage || k.pageBusy(victim)) {
             // No convertible frame right now: fall back to LA-NUMA for
             // the faulting page.

@@ -140,12 +140,7 @@ TEST(ControllerUnit, MostInvalidFramePrefersSparseFrames)
             co_await pp.read(r.va(2, 64));
         }(p, rig);
     });
-    Kernel &k = rig.m.node(1).kernel();
-    FrameNum victim =
-        rig.m.node(1).controller().mostInvalidFrame(
-            k.clientScomaFrameList());
-    ASSERT_NE(victim, kInvalidFrame);
-    EXPECT_EQ(k.pageOfClientFrame(victim), rig.gp(2));
+    EXPECT_EQ(rig.m.node(1).kernel().mostInvalidClientPage(), rig.gp(2));
 }
 
 TEST(ControllerUnit, StatsRegisteredInMachineRegistry)

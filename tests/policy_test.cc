@@ -147,7 +147,7 @@ struct LruRig : Rig {
     bool
     onLru(FrameNum f)
     {
-        const std::vector<FrameNum> v = kernel().clientScomaFrameList();
+        const std::vector<FrameNum> v = pit().lruFrames();
         return std::find(v.begin(), v.end(), f) != v.end();
     }
 };
@@ -157,7 +157,7 @@ TEST(LruVictim, ColdestPageIsTheFirstTouched)
     LruRig rig;
     EXPECT_EQ(rig.kernel().clientScomaCount(), 3u);
     EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(0));
-    EXPECT_EQ(rig.kernel().clientScomaFrameList().size(), 3u);
+    EXPECT_EQ(rig.pit().lruFrames().size(), 3u);
 }
 
 TEST(LruVictim, SkipsPageWhoseKernelLockIsHeld)
@@ -228,6 +228,33 @@ TEST(LruVictim, FrameFreedByMigrationLeavesTheList)
     EXPECT_FALSE(rig.onLru(f));
     EXPECT_EQ(rig.kernel().clientScomaCount(), 2u);
     EXPECT_EQ(rig.kernel().lruClientPage(), rig.gp(2));
+}
+
+TEST(LruVictim, MostInvalidTieGoesToTheLowestFrame)
+{
+    // Dyn-Util's rule (Pit::mostInvalidVictim): the frame with the
+    // most Invalid tags, a tie to the lowest frame number whatever the
+    // LRU order, and a frame with a Transit line skipped.
+    LruRig rig;
+    std::vector<std::uint64_t> pages = {0, 2, 4};
+    std::sort(pages.begin(), pages.end(),
+              [&](std::uint64_t a, std::uint64_t b) {
+                  return rig.frame(a) < rig.frame(b);
+              });
+    // One valid line each: a three-way tie.  Warming the lowest frame
+    // puts it last in the walk.
+    rig.pit().touch(rig.entry(pages[0]), rig.m.eventQueue().now());
+    EXPECT_EQ(rig.kernel().mostInvalidClientPage(), rig.gp(pages[0]));
+    // All Invalid, the lowest frame leads outright; a Transit line
+    // (which ties it with the others again) takes it out.
+    rig.entry(pages[0])->tags.set(0, FgTag::Invalid);
+    EXPECT_EQ(rig.kernel().mostInvalidClientPage(), rig.gp(pages[0]));
+    rig.entry(pages[0])->tags.set(5, FgTag::Transit);
+    EXPECT_EQ(rig.kernel().mostInvalidClientPage(), rig.gp(pages[1]));
+    // One more Invalid line breaks the tie toward the highest frame.
+    rig.entry(pages[2])->tags.set(0, FgTag::Invalid);
+    EXPECT_EQ(rig.kernel().mostInvalidClientPage(), rig.gp(pages[2]));
+    rig.entry(pages[0])->tags.set(5, FgTag::Invalid); // no Transit left
 }
 
 TEST(Policy, DynFcfsMapsOverflowAsLaNuma)
