@@ -84,7 +84,7 @@ main()
                 dirStateName(home.dirLine(gp0, 1).state()),
                 home.dirLine(gp0, 1).owner());
     std::printf("rejected writes total: %llu (only the wild ones)\n",
-                (unsigned long long)home.pit().rejectedWrites());
+                (unsigned long long)home.stats().firewallRejects);
     std::printf("\nBecause LA-NUMA/S-COMA frames never expose raw "
                 "remote physical addresses,\na faulty node cannot "
                 "corrupt another node's memory — the containment "

@@ -57,7 +57,7 @@ runFuzzCase(const FuzzOptions &opt, std::uint32_t ops)
     cfg.procsPerNode = opt.procsPerNode;
     cfg.policy = opt.policy;
     cfg.protocol = opt.protocol;
-    cfg.clientFrameCap = opt.clientFrameCap;
+    cfg.clientFrameCapPerNode.assign(cfg.numNodes, opt.clientFrameCap);
     cfg.seed = opt.seed;
     cfg.oracleMode = OracleMode::Continuous;
     cfg.oracleFatal = false; // collect violations; the explorer shrinks

@@ -63,13 +63,15 @@ ProtocolOracle::report(GPage gp, std::uint32_t li, std::string what)
 void
 ProtocolOracle::dumpTrace() const
 {
-    const std::size_t n = std::min<std::size_t>(trace_.size(), 32);
+    // The oracle forces one shard, so ring 0 holds every message.
+    const TraceRing &ring = m_.messageRing();
+    const std::size_t n = std::min<std::size_t>(ring.size(), 32);
     if (n == 0)
         return;
     std::fprintf(stderr, "oracle: last %zu protocol messages "
                  "(oldest first):\n", n);
     for (std::size_t i = n; i-- > 0;) {
-        const TraceEvent &e = trace_.recent(i);
+        const TraceEvent &e = ring.recent(i);
         std::fprintf(stderr, "  t=%-10llu n%u -> n%u  %-11s gpage=%llx "
                      "li=%u\n",
                      static_cast<unsigned long long>(e.tick), e.src, e.dst,

@@ -47,7 +47,6 @@
 #include "coherence/home_protocol.hh"
 #include "core/config.hh"
 #include "mem/addr.hh"
-#include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace prism {
@@ -101,9 +100,6 @@ class ProtocolOracle
 
     /** Home mapped @p gp in (page-in): memory must hold the latest. */
     void onHomeInstall(NodeId home, GPage gp);
-
-    /** Record a network message into the violation-dump trace ring. */
-    void traceMsg(const TraceEvent &e) { trace_.push(e); }
 
     // --- Quiescent sweep -------------------------------------------------
 
@@ -171,7 +167,6 @@ class ProtocolOracle
     std::unordered_map<GLine, LineShadow> lines_;
     std::vector<std::uint64_t> lastRead_;
 
-    TraceRing trace_;
     std::vector<OracleViolation> violations_;
     std::uint64_t violationCount_ = 0;
     std::uint64_t checksRun_ = 0;

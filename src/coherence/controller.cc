@@ -266,6 +266,16 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
     co_await lineStep(t, e, line_idx);
     ClientEvent landing = ClientEvent::GrantVoid;
     co_await runClientTxn(t.actions, e, frame, line_idx, out, &landing);
+    const Pit::Ref cur = pit_.entry(frame);
+    if (!scoma && (!cur || cur->gpage != gpage) && isDynHome(gpage)) {
+        // The page migrated here while the miss was in flight, and
+        // handleMigrateData retired the LA-NUMA frame: the grant lands
+        // on the home frame's tag, and the access re-translates.
+        const Pit::Ref he = pit_.entry(pit_.frameOf(gpage));
+        co_await lineStep(clientCell(*he, line_idx, landing), he, line_idx);
+        out->source = MissSource::BadFrame;
+        co_return;
+    }
     // The line was Transit until now.  An LA-NUMA view is so by
     // definition (and e may be stale there); an S-COMA tag is, unless
     // a page flush dropped it.
@@ -333,8 +343,7 @@ CoherenceController::runClientTxn(std::uint32_t request, Pit::Ref e,
     if (txn.dataFetched) {
         ++stats_.remoteMisses;
         eq_.snapNote(SnapKind::RemoteMiss);
-        ScopedHistogram &h =
-            txn.threeParty ? latency_.read3 : latency_.read2;
+        Histogram &h = txn.threeParty ? latency_.read3 : latency_.read2;
         h.sample(eq_.now() - t0);
         txn_kind = txn.threeParty ? "read3" : "read2";
         if (cur) {
@@ -823,7 +832,6 @@ CoherenceController::handleWriteback(Msg m)
     // checked against the PIT capability list (Section 3.2).
     if (hf != kInvalidFrame && owner_id != self_ &&
         !pit_.writeAllowed(hf, owner_id)) {
-        pit_.noteRejectedWrite();
         ++stats_.firewallRejects;
         co_return;
     }
@@ -1106,71 +1114,6 @@ CoherenceController::handleMigrateData(Msg m)
         dram_.access(eq_.now());
 
     send(Msg(MsgType::MigrateDone, staticHomeOf_(gp), gp));
-}
-
-void
-CoherenceController::registerMetrics(MetricRegistry &reg)
-{
-    const std::int32_t n = static_cast<std::int32_t>(self_);
-    auto counter = [&](const char *name, ScopedCounter &c,
-                       const char *desc) {
-        reg.bind(MetricLabels{"ctrl", n, name, "count"}, &c, desc);
-    };
-    counter("remoteMisses", stats_.remoteMisses,
-            "misses that fetched data from a remote node");
-    counter("localMemHits", stats_.localMemHits,
-            "misses satisfied by local memory / page cache");
-    counter("upgrades", stats_.upgrades,
-            "write-permission transactions without data fetch");
-    counter("retries", stats_.retries, "bus retries");
-    counter("invalsSent", stats_.invalsSent, "");
-    counter("invalsReceived", stats_.invalsReceived, "");
-    counter("fetchesServed", stats_.fetchesServed, "");
-    counter("nacksSent", stats_.nacksSent, "");
-    counter("writebacksSent", stats_.writebacksSent, "");
-    counter("replaceHintsSent", stats_.replaceHintsSent, "");
-    counter("forwards", stats_.forwards,
-            "misdirected requests forwarded (lazy migration)");
-    counter("homeRequests", stats_.homeRequests, "");
-    counter("migrationsOut", stats_.migrationsOut, "");
-    counter("migrationsIn", stats_.migrationsIn, "");
-    counter("firewallRejects", stats_.firewallRejects, "");
-
-    auto hist = [&](const char *name, ScopedHistogram &h,
-                    const char *desc) {
-        reg.bind(MetricLabels{"ctrl", n, name, "cycles"}, &h, desc);
-    };
-    hist("latency.read2", latency_.read2,
-         "2-party data-fetch transaction latency");
-    hist("latency.read3", latency_.read3,
-         "3-party (owner-forwarded) transaction latency");
-    hist("latency.upgrade", latency_.upgrade,
-         "permission-only upgrade latency");
-    hist("latency.writeback", latency_.writeback,
-         "home-side writeback handling latency");
-    hist("latency.migration", latency_.migration,
-         "migration prep-to-handoff latency");
-
-    // Memory-footprint accounting: what the coherence metadata costs
-    // on this node, sampled when the report is written.  Directory
-    // bytes follow the home blocks' SoA layout (state byte + owner id
-    // + ceil(numNodes/64) sharer words per line); tag bytes are the
-    // architected 2 bits per line of every tagged frame.
-    reg.bind(MetricLabels{"footprint", n, "dirBytes", "bytes"},
-             &gaugeDirBytes_,
-             [this] { return static_cast<double>(pages_.homeBytes()); },
-             "directory entry bytes for pages homed here");
-    reg.bind(MetricLabels{"footprint", n, "dirPages", "pages"},
-             &gaugeDirPages_,
-             [this] { return static_cast<double>(pages_.homePages()); },
-             "pages homed here (directory page count)");
-    reg.bind(MetricLabels{"footprint", n, "pitEntries", "entries"},
-             &gaugePitEntries_,
-             [this] { return static_cast<double>(pit_.size()); },
-             "live PIT entries (frame translations)");
-    reg.bind(MetricLabels{"footprint", n, "tagBytes", "bytes"},
-             &gaugeTagBytes_, [this] { return tagBytesModeled(); },
-             "fine-grain tag bytes (2 bits/line) on S-COMA frames");
 }
 
 double

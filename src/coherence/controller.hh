@@ -133,37 +133,73 @@ class ControllerHost
     virtual void homeKernelAdopt(GPage gp) = 0;
 };
 
-/**
- * Per-node statistics the controller maintains.  Scoped handles: hot
- * paths still do plain integer increments, and once bound via
- * registerMetrics the values are enumerable by label.
- */
+/** Per-node statistics the controller maintains (component "ctrl"). */
 struct ControllerStats {
-    ScopedCounter remoteMisses;   //!< fetched data from a remote node
-    ScopedCounter localMemHits;   //!< misses satisfied by local memory
-    ScopedCounter upgrades;       //!< write permission w/o data fetch
-    ScopedCounter retries;        //!< bus retries (Transit et al.)
-    ScopedCounter invalsSent;
-    ScopedCounter invalsReceived;
-    ScopedCounter fetchesServed;  //!< 3-party interventions served
-    ScopedCounter nacksSent;
-    ScopedCounter writebacksSent;
-    ScopedCounter replaceHintsSent;
-    ScopedCounter forwards;       //!< misdirected requests forwarded
-    ScopedCounter homeRequests;
-    ScopedCounter migrationsOut;
-    ScopedCounter migrationsIn;
-    ScopedCounter firewallRejects;
+    std::uint64_t remoteMisses = 0;   //!< fetched data from a remote node
+    std::uint64_t localMemHits = 0;   //!< misses satisfied by local memory
+    std::uint64_t upgrades = 0;       //!< write permission w/o data fetch
+    std::uint64_t retries = 0;        //!< bus retries (Transit et al.)
+    std::uint64_t invalsSent = 0;
+    std::uint64_t invalsReceived = 0;
+    std::uint64_t fetchesServed = 0;  //!< 3-party interventions served
+    std::uint64_t nacksSent = 0;
+    std::uint64_t writebacksSent = 0;
+    std::uint64_t replaceHintsSent = 0;
+    std::uint64_t forwards = 0;       //!< misdirected requests forwarded
+    std::uint64_t homeRequests = 0;
+    std::uint64_t migrationsOut = 0;
+    std::uint64_t migrationsIn = 0;
+    std::uint64_t firewallRejects = 0;
+};
+
+inline constexpr CounterRow<ControllerStats> kControllerCounters[] = {
+    {"remoteMisses", "count", "misses that fetched data from a remote node",
+     &ControllerStats::remoteMisses},
+    {"localMemHits", "count",
+     "misses satisfied by local memory / page cache",
+     &ControllerStats::localMemHits},
+    {"upgrades", "count",
+     "write-permission transactions without data fetch",
+     &ControllerStats::upgrades},
+    {"retries", "count", "bus retries", &ControllerStats::retries},
+    {"invalsSent", "count", "", &ControllerStats::invalsSent},
+    {"invalsReceived", "count", "", &ControllerStats::invalsReceived},
+    {"fetchesServed", "count", "", &ControllerStats::fetchesServed},
+    {"nacksSent", "count", "", &ControllerStats::nacksSent},
+    {"writebacksSent", "count", "", &ControllerStats::writebacksSent},
+    {"replaceHintsSent", "count", "", &ControllerStats::replaceHintsSent},
+    {"forwards", "count", "misdirected requests forwarded (lazy migration)",
+     &ControllerStats::forwards},
+    {"homeRequests", "count", "", &ControllerStats::homeRequests},
+    {"migrationsOut", "count", "", &ControllerStats::migrationsOut},
+    {"migrationsIn", "count", "", &ControllerStats::migrationsIn},
+    {"firewallRejects", "count", "", &ControllerStats::firewallRejects},
 };
 
 /** Per-transaction-type latency distributions (request to grant). */
 struct ControllerLatency {
-    ScopedHistogram read2{latencyBounds()};     //!< 2-party data fetch
-    ScopedHistogram read3{latencyBounds()};     //!< 3-party data fetch
-    ScopedHistogram upgrade{latencyBounds()};   //!< permission-only
-    ScopedHistogram writeback{latencyBounds()}; //!< home-side acceptance
-    ScopedHistogram migration{latencyBounds()}; //!< prep through handoff
+    Histogram read2{latencyBounds()};     //!< 2-party data fetch
+    Histogram read3{latencyBounds()};     //!< 3-party data fetch
+    Histogram upgrade{latencyBounds()};   //!< permission-only
+    Histogram writeback{latencyBounds()}; //!< home-side acceptance
+    Histogram migration{latencyBounds()}; //!< prep through handoff
 };
+
+inline constexpr HistogramRow<ControllerLatency> kControllerLatency[] = {
+    {"latency.read2", "cycles", "2-party data-fetch transaction latency",
+     &ControllerLatency::read2},
+    {"latency.read3", "cycles",
+     "3-party (owner-forwarded) transaction latency",
+     &ControllerLatency::read3},
+    {"latency.upgrade", "cycles", "permission-only upgrade latency",
+     &ControllerLatency::upgrade},
+    {"latency.writeback", "cycles", "home-side writeback handling latency",
+     &ControllerLatency::writeback},
+    {"latency.migration", "cycles", "migration prep-to-handoff latency",
+     &ControllerLatency::migration},
+};
+
+static_assert(distinctNames(kControllerCounters, kControllerLatency));
 
 /** The coherence controller of one node. */
 class CoherenceController
@@ -181,6 +217,10 @@ class CoherenceController
     PageRecords &pages() { return pages_; }
     const PageRecords &pages() const { return pages_; }
     const ControllerStats &stats() const { return stats_; }
+    const ControllerLatency &latency() const { return latency_; }
+
+    /** Modeled fine-grain tag bytes across live S-COMA frames. */
+    double tagBytesModeled() const;
     const LineGeometry &geometry() const { return geo_; }
 
     // --- Processor side -------------------------------------------------
@@ -297,12 +337,6 @@ class CoherenceController
      */
     NodeId registryLookup(GPage gpage) const;
 
-    /**
-     * Bind this controller's counters and latency histograms into
-     * @p reg under component "ctrl", node self().
-     */
-    void registerMetrics(MetricRegistry &reg);
-
     /** Attach the optional Chrome-trace sink (nullptr to disable). */
     void setTraceSink(TraceSink *t) { trace_ = t; }
 
@@ -316,7 +350,7 @@ class CoherenceController
 
     /**
      * Times this node has looked up client-table cell (@p v, @p e).
-     * Kept outside the metric registry, so reports do not change.
+     * Kept outside the metric tables, so reports do not change.
      */
     std::uint64_t
     clientCellHits(ClientView v, ClientEvent e) const
@@ -525,25 +559,39 @@ class CoherenceController
     ControllerStats stats_;
     ControllerLatency latency_;
 
-    /**
-     * Per-node memory-footprint gauges (component "footprint"),
-     * sampled at report time: directory entry bytes, PIT entries and
-     * modeled fine-grain tag bytes (2 bits per line).  These size the
-     * coherence metadata cost of a machine preset (docs/PERFORMANCE.md
-     * §9); scripts/strip_report.py drops them from byte-identity
-     * comparisons alongside the workload histograms.
-     */
-    ScopedGauge gaugeDirBytes_;
-    ScopedGauge gaugeDirPages_;
-    ScopedGauge gaugePitEntries_;
-    ScopedGauge gaugeTagBytes_;
-
-    /** Modeled fine-grain tag bytes across live S-COMA frames. */
-    double tagBytesModeled() const;
-
     /** Client-cell lookups (clientCellHits). */
     std::uint64_t clientHits_[kNumClientViews][kNumClientEvents] = {};
 };
+
+/**
+ * Per-node memory-footprint gauges (component "footprint"): what the
+ * coherence metadata costs on a node when the report is built.
+ * Directory bytes follow the home blocks' SoA layout (state byte +
+ * owner id + ceil(numNodes/64) sharer words per line); tag bytes are
+ * the architected 2 bits per line of every S-COMA frame.  These size
+ * a machine preset (docs/PERFORMANCE.md §9); scripts/strip_report.py
+ * drops them from byte-identity comparisons alongside the workload
+ * histograms.
+ */
+inline constexpr GaugeRow<CoherenceController> kFootprintGauges[] = {
+    {"dirBytes", "bytes", "directory entry bytes for pages homed here",
+     [](const CoherenceController &c) {
+         return static_cast<double>(c.pages().homeBytes());
+     }},
+    {"dirPages", "pages", "pages homed here (directory page count)",
+     [](const CoherenceController &c) {
+         return static_cast<double>(c.pages().homePages());
+     }},
+    {"pitEntries", "entries", "live PIT entries (frame translations)",
+     [](const CoherenceController &c) {
+         return static_cast<double>(c.pit().size());
+     }},
+    {"tagBytes", "bytes",
+     "fine-grain tag bytes (2 bits/line) on S-COMA frames",
+     [](const CoherenceController &c) { return c.tagBytesModeled(); }},
+};
+
+static_assert(distinctNames(kFootprintGauges));
 
 } // namespace prism
 

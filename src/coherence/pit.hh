@@ -201,12 +201,6 @@ class Pit
      */
     bool writeAllowed(FrameNum frame, NodeId node) const;
 
-    /** Count of wild writes rejected by the firewall. */
-    std::uint64_t rejectedWrites() const { return rejectedWrites_; }
-
-    /** Record a firewall rejection. */
-    void noteRejectedWrite() { ++rejectedWrites_; }
-
     /** Number of live entries. */
     std::size_t size() const { return live_; }
 
@@ -298,7 +292,6 @@ class Pit
     std::size_t live_ = 0;
     LruList fresh_;
     LruList touched_;
-    std::uint64_t rejectedWrites_ = 0;
 };
 
 } // namespace prism

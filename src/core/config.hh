@@ -154,13 +154,11 @@ struct MachineConfig {
     // --- Memory management ----------------------------------------------
     PolicyKind policy = PolicyKind::Scoma;
     /**
-     * Per-node cap on client S-COMA frames; 0 = unlimited.  For the
-     * SCOMA-70 and Dyn-* configurations the experiment runner sets
-     * this per node from a calibration SCOMA run (Section 4.2).
+     * Cap on client S-COMA frames, one entry per node; an empty vector
+     * or a 0 entry means unlimited.  For the SCOMA-70 and Dyn-*
+     * configurations the experiment runner sets it from a calibration
+     * SCOMA run (Section 4.2).
      */
-    std::uint64_t clientFrameCap = 0;
-    /** Optional per-node caps, one per node (overrides clientFrameCap
-     *  when nonempty). */
     std::vector<std::uint64_t> clientFrameCapPerNode;
     /** Extension: map client pages CC-NUMA style, bypassing the PIT. */
     bool ccNumaBypass = false;

@@ -135,17 +135,6 @@ Machine::Machine(const MachineConfig &cfg)
         }
     }
 
-    for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-        nodes_[n]->controller().registerMetrics(registry_);
-        nodes_[n]->kernel().registerMetrics(registry_);
-        for (std::uint32_t p = 0; p < nodes_[n]->numProcs(); ++p) {
-            nodes_[n]->proc(p).registerMetrics(
-                registry_, static_cast<std::int32_t>(n), p);
-        }
-    }
-    net_->registerMetrics(registry_);
-    registry_.seal();
-
     // Optional Chrome tracing: the first machine in the process claims
     // the PRISM_TRACE sink (parallel sweep workers run untraced).
     trace_ = TraceSink::claimFromEnv();
@@ -219,14 +208,12 @@ Machine::route(Msg &&m)
                   "route() delivery capture outgrew the event-callback "
                   "inline buffer; bump kEventCallbackBytes");
     // Always-on last-N message history (a few plain stores per
-    // message), and the oracle's own copy for its violation dumps.
-    const TraceEvent ev{ssh.eq.now(), boxed->gpage, boxed->lineIdx,
-                        static_cast<std::uint16_t>(boxed->type),
-                        static_cast<std::uint16_t>(boxed->src),
-                        static_cast<std::uint16_t>(boxed->dst)};
-    ssh.msgRing.push(ev);
-    if (oracle_)
-        oracle_->traceMsg(ev);
+    // message); the oracle's violation dump reads it too.
+    ssh.msgRing.push(TraceEvent{ssh.eq.now(), boxed->gpage,
+                                boxed->lineIdx,
+                                static_cast<std::uint16_t>(boxed->type),
+                                static_cast<std::uint16_t>(boxed->src),
+                                static_cast<std::uint16_t>(boxed->dst)});
     if (trace_) {
         trace_->instant(msgTypeName(boxed->type), "msg",
                         static_cast<std::int32_t>(boxed->dst),
@@ -478,9 +465,19 @@ Machine::PhaseCounts
 Machine::phaseCounts() const
 {
     PhaseCounts c{};
-    for (std::size_t k = 0; k < kSnapKinds; ++k)
-        c[k] = registry_.sum(kSnapCounters[k].component,
-                             kSnapCounters[k].name);
+    auto add = [&c](SnapKind k, std::uint64_t v) {
+        c[static_cast<std::size_t>(k)] += v;
+    };
+    for (const auto &node : nodes_) {
+        const ControllerStats &cs = node->controller().stats();
+        const KernelStats &ks = node->kernel().stats();
+        add(SnapKind::RemoteMiss, cs.remoteMisses);
+        add(SnapKind::Upgrade, cs.upgrades);
+        add(SnapKind::InvalSent, cs.invalsSent);
+        add(SnapKind::ClientPageOut, ks.clientPageOuts);
+        add(SnapKind::Fault, ks.faults);
+    }
+    add(SnapKind::NetMsg, net_->stats().messages);
     return c;
 }
 
@@ -512,7 +509,7 @@ Machine::recordMark(const SyncOp &op)
 }
 
 RunMetrics
-Machine::metrics()
+Machine::metrics() const
 {
     RunMetrics m;
     const Tick begin = begin_.tick;
@@ -534,43 +531,53 @@ Machine::metrics()
     m.pageFaults = phase(SnapKind::Fault);
     m.networkMessages = phase(SnapKind::NetMsg);
 
-    // Everything below is a label query against the registry — no
-    // field is hand-copied from module structs.
-    m.migrations = registry_.sum("ctrl", "migrationsOut");
-    m.forwards = registry_.sum("ctrl", "forwards");
-    m.references = registry_.sumLeaf("proc", "loads") +
-                   registry_.sumLeaf("proc", "stores");
-
-    registry_.sampleGauges();
-    m.clientScomaPeakPerNode.assign(numNodes(), 0);
+    // Whole-run totals, read from the same fields the report shows.
     std::uint64_t util_frames = 0;
     double util_weighted = 0.0;
-    std::vector<double> node_util(numNodes(), 0.0);
-    std::vector<std::uint64_t> node_frames(numNodes(), 0);
-    for (const auto &g : registry_.gauges()) {
-        if (g.labels.component != "kernel" || g.labels.node < 0)
-            continue;
-        const auto n = static_cast<std::size_t>(g.labels.node);
-        if (g.labels.name == "realFramesPeak") {
-            m.framesAllocated += static_cast<std::uint64_t>(g.value);
-        } else if (g.labels.name == "clientScomaPeak") {
-            m.clientScomaPeakPerNode[n] =
-                static_cast<std::uint64_t>(g.value);
-        } else if (g.labels.name == "realFramesCumulative") {
-            node_frames[n] = static_cast<std::uint64_t>(g.value);
-        } else if (g.labels.name == "avgUtilization") {
-            node_util[n] = g.value;
+    for (const auto &node : nodes_) {
+        const ControllerStats &cs = node->controller().stats();
+        m.migrations += cs.migrationsOut;
+        m.forwards += cs.forwards;
+        for (std::uint32_t p = 0; p < node->numProcs(); ++p) {
+            const ProcStats &ps = node->proc(p).stats();
+            m.references += ps.loads + ps.stores;
         }
-    }
-    for (std::size_t n = 0; n < node_frames.size(); ++n) {
-        util_frames += node_frames[n];
-        util_weighted +=
-            node_util[n] * static_cast<double>(node_frames[n]);
+        const Kernel &k = node->kernel();
+        m.framesAllocated += k.realFramesPeak();
+        m.clientScomaPeakPerNode.push_back(k.clientScomaPeak());
+        util_frames += k.realFramesCumulative();
+        util_weighted += k.averageUtilization() *
+                         static_cast<double>(k.realFramesCumulative());
     }
     m.avgUtilization =
         util_frames ? util_weighted / static_cast<double>(util_frames)
                     : 0.0;
     return m;
+}
+
+void
+Machine::visitMetrics(MetricVisitor &v) const
+{
+    for (NodeId n = 0; n < numNodes(); ++n) {
+        Node &node = *nodes_[n];
+        const auto id = static_cast<std::int32_t>(n);
+        const CoherenceController &c = node.controller();
+        visitTable(v, {"ctrl", id}, kControllerCounters, c.stats());
+        visitTable(v, {"ctrl", id}, kControllerLatency, c.latency());
+        visitTable(v, {"footprint", id}, kFootprintGauges, c);
+        const Kernel &k = node.kernel();
+        visitTable(v, {"kernel", id}, kKernelCounters, k.stats());
+        visitTable(v, {"kernel", id}, kKernelLatency, k.latency());
+        visitTable(v, {"kernel", id}, kKernelGauges, k);
+        for (std::uint32_t p = 0; p < node.numProcs(); ++p) {
+            visitTable(v, {"proc", id, static_cast<std::int32_t>(p)},
+                       kProcCounters, node.proc(p).stats());
+        }
+    }
+    visitTable(v, {"net"}, kNetCounters, net_->stats());
+    visitTable(v, {"net"}, kNetLatency, net_->latency());
+    if (kvLatency_)
+        visitTable(v, {"workload"}, kKvLatency, *kvLatency_);
 }
 
 } // namespace prism

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "coherence/msg.hh"
@@ -116,8 +117,31 @@ class Machine
     IpcServer &ipc() { return ipc_; }
     LockManager &locks() { return locks_; }
     BarrierManager &barriers() { return barriers_; }
-    MetricRegistry &metricRegistry() { return registry_; }
-    const MetricRegistry &metricRegistry() const { return registry_; }
+
+    /** The metric catalog: a view over every module's stats tables. */
+    MetricRegistry metricRegistry() const { return MetricRegistry(*this); }
+
+    /**
+     * Walk every counter, histogram and gauge the machine owns, in
+     * report order: per node the controller's counters, latencies and
+     * footprint gauges, the kernel's counters, latencies and gauges,
+     * and each processor's counters; then the network's counters and
+     * latencies, and the KV latencies once a workload has taken them.
+     */
+    void visitMetrics(MetricVisitor &v) const;
+
+    /**
+     * The KV workload's request-latency histograms, created on the
+     * first call (a KV workload's setup()); the catalog lists them
+     * from then on.
+     */
+    KvLatency &
+    kvLatency()
+    {
+        if (!kvLatency_)
+            kvLatency_.emplace();
+        return *kvLatency_;
+    }
 
     /**
      * Always-on bounded history of recent protocol messages (the
@@ -209,16 +233,16 @@ class Machine
     Tick parallelBeginTick() const { return begin_.tick; }
 
     /**
-     * Aggregate run metrics (see RunMetrics), derived entirely from
-     * the labeled metric registry.  Non-const: refreshes gauge samples.
+     * Aggregate run metrics (see RunMetrics), read from the modules'
+     * stats fields and accessors.
      */
-    RunMetrics metrics();
+    RunMetrics metrics() const;
 
     /** The end mark's tick, else the last program finish. */
     Tick parallelEndTick() const;
 
     /** Build the full structured run report (see obs/report.hh). */
-    RunReport report() { return buildRunReport(*this); }
+    RunReport report() const { return buildRunReport(*this); }
 
     /** Route a protocol message through the network. */
     void route(Msg &&m);
@@ -234,7 +258,7 @@ class Machine
         PhaseCounts counts{};
     };
 
-    /** Current registry totals of the phase-scoped counters. */
+    /** Current totals of the phase-scoped counters, over all nodes. */
     PhaseCounts phaseCounts() const;
 
     /**
@@ -276,7 +300,7 @@ class Machine
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<ProtocolOracle> oracle_;
     RefSink *refSink_ = nullptr;
-    MetricRegistry registry_;
+    std::optional<KvLatency> kvLatency_;
     std::unique_ptr<TraceSink> trace_;
     /** Worker threads for shards 1..N-1 (null in sequential mode). */
     std::unique_ptr<ShardWorkers> workers_;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Aggregated metrics of one simulation run, in the units the paper's
- * tables report.
+ * tables report, and the KV workload's latency table.
  */
 
 #ifndef PRISM_CORE_METRICS_HH
@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/metrics.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace prism {
@@ -48,6 +50,31 @@ struct RunMetrics {
     /** Home migrations completed (migration study). */
     std::uint64_t migrations = 0;
 };
+
+/**
+ * The KV workload's per-op-type request latencies (component
+ * "workload", machine-wide).  The machine owns them and hands them to
+ * the workload at setup() (Machine::kvLatency).
+ */
+struct KvLatency {
+    Histogram read{latencyBounds()};
+    Histogram update{latencyBounds()};
+    Histogram insert{latencyBounds()};
+    Histogram scan{latencyBounds()};
+};
+
+inline constexpr HistogramRow<KvLatency> kKvLatency[] = {
+    {"kv.read.latency", "cycles", "KV read request latency",
+     &KvLatency::read},
+    {"kv.update.latency", "cycles", "KV update request latency",
+     &KvLatency::update},
+    {"kv.insert.latency", "cycles", "KV insert request latency",
+     &KvLatency::insert},
+    {"kv.scan.latency", "cycles", "KV scan request latency",
+     &KvLatency::scan},
+};
+
+static_assert(distinctNames(kKvLatency));
 
 } // namespace prism
 

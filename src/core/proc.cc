@@ -1,7 +1,5 @@
 #include "core/proc.hh"
 
-#include <string>
-
 #include "check/oracle.hh"
 #include "core/machine.hh"
 #include "core/node.hh"
@@ -287,28 +285,6 @@ Proc::fence()
     if (refSink_)
         refSink_->sync(id_, RefOp::Fence, 0);
     return flushTime();
-}
-
-void
-Proc::registerMetrics(MetricRegistry &reg, std::int32_t node,
-                      std::uint32_t lane)
-{
-    const std::string p = "p" + std::to_string(lane) + ".";
-    auto counter = [&](const char *name, ScopedCounter &c,
-                       const char *desc) {
-        reg.bind(MetricLabels{"proc", node, p + name, "count"}, &c, desc);
-    };
-    counter("loads", stats_.loads, "");
-    counter("stores", stats_.stores, "");
-    counter("l1Hits", stats_.l1Hits, "");
-    counter("l2Hits", stats_.l2Hits, "");
-    counter("l2Misses", stats_.l2Misses, "");
-    counter("upgradesLocal", stats_.upgradesLocal,
-            "S->M upgrades resolved on the node bus");
-    counter("tlbRefills", stats_.tlbRefills, "");
-    counter("pageFaults", stats_.pageFaults, "");
-    counter("computeCycles", stats_.computeCycles,
-            "non-memory computation charged");
 }
 
 } // namespace prism

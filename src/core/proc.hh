@@ -39,18 +39,34 @@ class Node;
 class Machine;
 class ProtocolOracle;
 
-/** Per-processor statistics, as labeled scoped handles. */
+/** Per-processor statistics (component "proc", names "p<lane>.*"). */
 struct ProcStats {
-    ScopedCounter loads;
-    ScopedCounter stores;
-    ScopedCounter l1Hits;
-    ScopedCounter l2Hits;
-    ScopedCounter l2Misses;
-    ScopedCounter upgradesLocal; //!< S->M resolved on the node bus
-    ScopedCounter tlbRefills;
-    ScopedCounter pageFaults;
-    ScopedCounter computeCycles;
+    std::uint64_t loads = 0;
+    std::uint64_t stores = 0;
+    std::uint64_t l1Hits = 0;
+    std::uint64_t l2Hits = 0;
+    std::uint64_t l2Misses = 0;
+    std::uint64_t upgradesLocal = 0; //!< S->M resolved on the node bus
+    std::uint64_t tlbRefills = 0;
+    std::uint64_t pageFaults = 0;
+    std::uint64_t computeCycles = 0;
 };
+
+inline constexpr CounterRow<ProcStats> kProcCounters[] = {
+    {"loads", "count", "", &ProcStats::loads},
+    {"stores", "count", "", &ProcStats::stores},
+    {"l1Hits", "count", "", &ProcStats::l1Hits},
+    {"l2Hits", "count", "", &ProcStats::l2Hits},
+    {"l2Misses", "count", "", &ProcStats::l2Misses},
+    {"upgradesLocal", "count", "S->M upgrades resolved on the node bus",
+     &ProcStats::upgradesLocal},
+    {"tlbRefills", "count", "", &ProcStats::tlbRefills},
+    {"pageFaults", "count", "", &ProcStats::pageFaults},
+    {"computeCycles", "count", "non-memory computation charged",
+     &ProcStats::computeCycles},
+};
+
+static_assert(distinctNames(kProcCounters));
 
 /** One simulated processor. */
 class Proc
@@ -194,13 +210,6 @@ class Proc
      * predicted-not-taken branch.
      */
     void setRefSink(RefSink *s) { refSink_ = s; }
-
-    /**
-     * Bind this processor's counters into @p reg under component
-     * "proc", node @p node, names "p<lane>.<counter>".
-     */
-    void registerMetrics(MetricRegistry &reg, std::int32_t node,
-                         std::uint32_t lane);
 
   private:
     struct AccessAwaiter {

@@ -34,6 +34,37 @@ enum class MsgSize : std::uint8_t {
     Page,    //!< carries page-level payload (page-in bulk transfers)
 };
 
+/** Fabric-wide traffic counters (component "net", machine-wide). */
+struct NetStats {
+    std::uint64_t messages = 0;
+    std::uint64_t trafficProxy = 0; //!< NIC occupancy booked
+};
+
+inline constexpr CounterRow<NetStats> kNetCounters[] = {
+    {"messages", "count", "messages sent through the fabric",
+     &NetStats::messages},
+    {"trafficProxy", "cycles", "NIC occupancy booked; proxy for bytes moved",
+     &NetStats::trafficProxy},
+};
+
+/** Send-to-delivery latency per message size class. */
+struct NetLatency {
+    Histogram control{latencyBounds()};
+    Histogram data{latencyBounds()};
+    Histogram page{latencyBounds()};
+};
+
+inline constexpr HistogramRow<NetLatency> kNetLatency[] = {
+    {"latency.control", "cycles", "send-to-delivery, control messages",
+     &NetLatency::control},
+    {"latency.data", "cycles", "send-to-delivery, line-data messages",
+     &NetLatency::data},
+    {"latency.page", "cycles", "send-to-delivery, page-bulk messages",
+     &NetLatency::page},
+};
+
+static_assert(distinctNames(kNetCounters, kNetLatency));
+
 /** The interconnect shared by all nodes. */
 class Network
 {
@@ -76,8 +107,8 @@ class Network
             return;
         }
         const Cycles occ = occupancy(size);
-        ++messages_;
-        bytesProxy_ += occ;
+        ++stats_.messages;
+        stats_.trafficProxy += occ;
         Tick out_done = egress_[src].acquire(eq_.now(), occ) + occ;
         Tick wire = (src == dst) ? 0 : params_.oneWayLatency;
         Tick in_start = ingress_[dst].acquire(out_done + wire, occ);
@@ -103,36 +134,10 @@ class Network
         return 2 * occupancy(size) + (loopback ? 0 : params_.oneWayLatency);
     }
 
-    std::uint64_t messages() const { return messages_; }
-
-    /** Sum of NIC occupancies booked; proxy for bytes moved. */
-    std::uint64_t trafficProxy() const { return bytesProxy_; }
+    const NetStats &stats() const { return stats_; }
+    const NetLatency &latency() const { return latency_; }
 
     const Params &params() const { return params_; }
-
-    /**
-     * Bind the fabric's counters and per-size-class delivery-latency
-     * histograms into @p reg under component "net", machine-wide.
-     */
-    void
-    registerMetrics(MetricRegistry &reg)
-    {
-        reg.bind(MetricLabels{"net", kMachineWide, "messages", "count"},
-                 &messages_, "messages sent through the fabric");
-        reg.bind(MetricLabels{"net", kMachineWide, "trafficProxy",
-                              "cycles"},
-                 &bytesProxy_,
-                 "NIC occupancy booked; proxy for bytes moved");
-        reg.bind(MetricLabels{"net", kMachineWide, "latency.control",
-                              "cycles"},
-                 &deliveryControl_, "send-to-delivery, control messages");
-        reg.bind(MetricLabels{"net", kMachineWide, "latency.data",
-                              "cycles"},
-                 &deliveryData_, "send-to-delivery, line-data messages");
-        reg.bind(MetricLabels{"net", kMachineWide, "latency.page",
-                              "cycles"},
-                 &deliveryPage_, "send-to-delivery, page-bulk messages");
-    }
 
     // --- Sharded mode (sim/shard.hh) ----------------------------------
     //
@@ -198,15 +203,15 @@ class Network
 
     /**
      * Coordinator: fold per-shard message/traffic tallies into the
-     * registry-bound counters (kept exact at every window barrier so
+     * fabric's counters (kept exact at every window barrier so
      * parallel-phase snapshots see current totals).
      */
     void
     foldShardCounters()
     {
         for (ShardTally &t : tallies_) {
-            messages_ += t.messages;
-            bytesProxy_ += t.traffic;
+            stats_.messages += t.messages;
+            stats_.trafficProxy += t.traffic;
             t.messages = 0;
             t.traffic = 0;
         }
@@ -217,9 +222,9 @@ class Network
     foldShardHistograms()
     {
         for (ShardTally &t : tallies_) {
-            deliveryControl_.merge(t.hist[0]);
-            deliveryData_.merge(t.hist[1]);
-            deliveryPage_.merge(t.hist[2]);
+            latency_.control.merge(t.hist[0]);
+            latency_.data.merge(t.hist[1]);
+            latency_.page.merge(t.hist[2]);
             for (Histogram &h : t.hist)
                 h = Histogram(latencyBounds());
         }
@@ -345,15 +350,15 @@ class Network
         return params_.controlOccupancy;
     }
 
-    ScopedHistogram &
+    Histogram &
     delivery(MsgSize size)
     {
         switch (size) {
-          case MsgSize::Control: return deliveryControl_;
-          case MsgSize::Data: return deliveryData_;
-          case MsgSize::Page: return deliveryPage_;
+          case MsgSize::Control: return latency_.control;
+          case MsgSize::Data: return latency_.data;
+          case MsgSize::Page: return latency_.page;
         }
-        return deliveryControl_;
+        return latency_.control;
     }
 
     EventQueue &eq_;
@@ -374,11 +379,8 @@ class Network
     std::vector<Pump> pumps_;
     std::vector<ShardTally> tallies_;
 
-    ScopedCounter messages_;
-    ScopedCounter bytesProxy_;
-    ScopedHistogram deliveryControl_{latencyBounds()};
-    ScopedHistogram deliveryData_{latencyBounds()};
-    ScopedHistogram deliveryPage_{latencyBounds()};
+    NetStats stats_;
+    NetLatency latency_;
 };
 
 } // namespace prism

@@ -1,256 +1,71 @@
 #include "obs/metrics.hh"
 
-#include "sim/logging.hh"
+#include <ostream>
+
+#include "core/machine.hh"
 
 namespace prism {
 
 std::string
-MetricLabels::fullName() const
+MetricLabels::key() const
 {
-    std::string s;
-    if (node >= 0) {
-        s += "node";
-        s += std::to_string(node);
+    std::string s = component;
+    s += '.';
+    if (lane != kNoLane) {
+        s += 'p';
+        s += std::to_string(lane);
         s += '.';
     }
-    s += component;
-    s += '.';
     s += name;
     return s;
 }
 
-ScopedCounter::~ScopedCounter()
+std::string
+MetricLabels::fullName() const
 {
-    if (reg_)
-        reg_->retireCounter(idx_, v_);
+    if (node == kMachineWide)
+        return key();
+    return "node" + std::to_string(node) + "." + key();
 }
 
-ScopedHistogram::~ScopedHistogram()
+std::vector<MetricRegistry::HistogramEntry>
+MetricRegistry::histograms() const
 {
-    if (reg_)
-        reg_->retireHistogram(idx_, h_);
-}
-
-ScopedGauge::~ScopedGauge()
-{
-    if (reg_)
-        reg_->retireGauge(idx_);
-}
-
-MetricRegistry::~MetricRegistry()
-{
-    // Detach live handles so their destructors do not retire into a
-    // dead registry (either side may be destroyed first).
-    for (auto &e : counters_) {
-        if (e.live)
-            const_cast<ScopedCounter *>(e.live)->reg_ = nullptr;
-    }
-    for (auto &e : histograms_) {
-        if (e.live)
-            const_cast<ScopedHistogram *>(e.live)->reg_ = nullptr;
-    }
-    for (auto &e : gauges_) {
-        if (e.live)
-            const_cast<ScopedGauge *>(e.live)->reg_ = nullptr;
-    }
-}
-
-void
-MetricRegistry::checkBindable(const MetricLabels &labels)
-{
-    if (sealed_) {
-        fatal("metric '%s' registered after the registry was sealed",
-              labels.fullName().c_str());
-    }
-    checkUniqueName(labels);
-}
-
-void
-MetricRegistry::checkUniqueName(const MetricLabels &labels)
-{
-    auto [it, inserted] = names_.emplace(labels.fullName(), 1);
-    (void)it;
-    if (!inserted) {
-        fatal("duplicate metric registration '%s'",
-              labels.fullName().c_str());
-    }
-}
-
-void
-MetricRegistry::bind(MetricLabels labels, ScopedCounter *c,
-                     std::string desc)
-{
-    prism_assert(c != nullptr, "bind of null counter");
-    prism_assert(c->reg_ == nullptr, "counter bound twice");
-    checkBindable(labels);
-    c->reg_ = this;
-    c->idx_ = static_cast<std::uint32_t>(counters_.size());
-    counters_.push_back(
-        CounterEntry{std::move(labels), std::move(desc), c, 0});
-}
-
-void
-MetricRegistry::bind(MetricLabels labels, ScopedHistogram *h,
-                     std::string desc)
-{
-    checkBindable(labels);
-    bindHistogram(std::move(labels), h, std::move(desc));
-}
-
-void
-MetricRegistry::bindLate(MetricLabels labels, ScopedHistogram *h,
-                         std::string desc)
-{
-    checkUniqueName(labels);
-    bindHistogram(std::move(labels), h, std::move(desc));
-}
-
-void
-MetricRegistry::bindHistogram(MetricLabels labels, ScopedHistogram *h,
-                              std::string desc)
-{
-    prism_assert(h != nullptr, "bind of null histogram");
-    prism_assert(h->reg_ == nullptr, "histogram bound twice");
-    h->reg_ = this;
-    h->idx_ = static_cast<std::uint32_t>(histograms_.size());
-    HistogramEntry e;
-    e.labels = std::move(labels);
-    e.desc = std::move(desc);
-    e.live = h;
-    histograms_.push_back(std::move(e));
-}
-
-void
-MetricRegistry::bind(MetricLabels labels, ScopedGauge *g,
-                     std::function<double()> fn, std::string desc)
-{
-    prism_assert(g != nullptr, "bind of null gauge");
-    prism_assert(g->reg_ == nullptr, "gauge bound twice");
-    checkBindable(labels);
-    g->reg_ = this;
-    g->idx_ = static_cast<std::uint32_t>(gauges_.size());
-    g->fn_ = std::move(fn);
-    gauges_.push_back(
-        GaugeEntry{std::move(labels), std::move(desc), g, 0.0});
-}
-
-void
-MetricRegistry::seal()
-{
-    prism_assert(!sealed_, "registry sealed twice");
-    counterIndex_.reserve(counters_.size());
-    for (std::uint32_t i = 0; i < counters_.size(); ++i)
-        counterIndex_.emplace(counters_[i].labels.fullName(), i);
-    sealed_ = true;
-}
-
-std::optional<std::uint64_t>
-MetricRegistry::get(const std::string &full_name) const
-{
-    if (sealed_) {
-        auto it = counterIndex_.find(full_name);
-        if (it == counterIndex_.end())
-            return std::nullopt;
-        return counters_[it->second].value();
-    }
-    for (const auto &e : counters_) {
-        if (e.labels.fullName() == full_name)
-            return e.value();
-    }
-    return std::nullopt;
-}
-
-std::uint64_t
-MetricRegistry::value(std::string_view component, std::int32_t node,
-                      std::string_view name) const
-{
-    for (const auto &e : counters_) {
-        if (e.labels.node == node && e.labels.component == component &&
-            e.labels.name == name) {
-            return e.value();
+    struct Collect : MetricVisitor {
+        std::vector<HistogramEntry> out;
+        void
+        histogram(const MetricLabels &at, const Histogram &h) override
+        {
+            out.push_back(HistogramEntry{at, &h});
         }
-    }
-    return 0;
-}
-
-std::uint64_t
-MetricRegistry::sum(std::string_view component,
-                    std::string_view name) const
-{
-    std::uint64_t s = 0;
-    for (const auto &e : counters_) {
-        if (e.labels.component == component && e.labels.name == name)
-            s += e.value();
-    }
-    return s;
-}
-
-std::uint64_t
-MetricRegistry::sumLeaf(std::string_view component,
-                        std::string_view leaf) const
-{
-    std::uint64_t s = 0;
-    for (const auto &e : counters_) {
-        if (e.labels.component != component)
-            continue;
-        const std::string &n = e.labels.name;
-        std::size_t dot = n.rfind('.');
-        std::string_view last =
-            dot == std::string::npos
-                ? std::string_view(n)
-                : std::string_view(n).substr(dot + 1);
-        if (last == leaf)
-            s += e.value();
-    }
-    return s;
-}
-
-void
-MetricRegistry::sampleGauges()
-{
-    for (auto &e : gauges_) {
-        if (e.live)
-            e.value = e.live->fn_();
-    }
+    } c;
+    m_.visitMetrics(c);
+    return std::move(c.out);
 }
 
 void
 MetricRegistry::dump(std::ostream &os) const
 {
-    for (const auto &e : counters_) {
-        os << e.labels.fullName() << " " << e.value();
-        if (!e.desc.empty())
-            os << "  # " << e.desc;
-        os << "\n";
-    }
-}
-
-void
-MetricRegistry::retireCounter(std::uint32_t idx,
-                              std::uint64_t final_value)
-{
-    counters_[idx].live = nullptr;
-    counters_[idx].retired = final_value;
-}
-
-void
-MetricRegistry::retireHistogram(std::uint32_t idx,
-                                const Histogram &final_state)
-{
-    histograms_[idx].live = nullptr;
-    histograms_[idx].retired = final_state;
-}
-
-void
-MetricRegistry::retireGauge(std::uint32_t idx)
-{
-    gauges_[idx].live = nullptr;
+    struct Dump : MetricVisitor {
+        std::ostream &os;
+        explicit Dump(std::ostream &o) : os(o) {}
+        void
+        counter(const MetricLabels &at, std::uint64_t v) override
+        {
+            os << at.fullName() << " " << v;
+            if (*at.desc)
+                os << "  # " << at.desc;
+            os << "\n";
+        }
+    } d(os);
+    m_.visitMetrics(d);
 }
 
 std::vector<std::uint64_t>
 latencyBounds()
 {
     std::vector<std::uint64_t> b;
+    b.reserve(19); // 2^4 .. 2^22
     for (std::uint64_t v = 16; v <= (1ULL << 22); v <<= 1)
         b.push_back(v);
     return b;

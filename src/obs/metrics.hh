@@ -1,265 +1,182 @@
 /**
  * @file
- * Scoped metric registry: the run-report observability layer's core.
+ * Metric tables: the names behind every counter, histogram and gauge
+ * of the run report.
  *
- * Modules own their counters as RAII `ScopedCounter` /
- * `ScopedHistogram` / `ScopedGauge` handles; binding a handle to the
- * machine's `MetricRegistry` attaches {component, node, name, unit}
- * labels so any consumer can aggregate by label (per node, per
- * component, machine-wide) instead of hand-copying fields.  The value
- * lives *inside* the handle, so hot paths still perform a plain
- * `std::uint64_t` increment; registration costs nothing per increment.
- *
- * Lifetime safety (the reason the old `StatRegistry::add(name, const
- * uint64_t*)` API is gone): handle and registry deregister from each
- * other on destruction, in either order.  When a module is torn down
- * before the registry, the handle's destructor retires its final value
- * into the registry, so label queries never chase a dangling pointer.
+ * A module keeps its counters as plain `std::uint64_t` fields and its
+ * latency distributions as `Histogram` fields of a stats struct, and
+ * names each field once in a static table beside the struct: name,
+ * unit, description and member.  A gauge is a table row that calls a
+ * module accessor when it is read.  Hot paths do plain integer adds,
+ * and nothing is bound at run time: the machine owns every stats
+ * object and walks (where, table, object) in one fixed order
+ * (Machine::visitMetrics), so a report, a dump or a snapshot reads the
+ * live fields through the rows and builds a name only to print it.
  */
 
 #ifndef PRISM_OBS_METRICS_HH
 #define PRISM_OBS_METRICS_HH
 
+#include <array>
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <ostream>
+#include <iosfwd>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/stats.hh"
 
 namespace prism {
 
+class Machine;
+
 /** Node label for machine-wide (not per-node) metrics. */
 constexpr std::int32_t kMachineWide = -1;
 
-/** Labels carried by every registered metric. */
+/** Lane label of metrics that belong to no processor. */
+constexpr std::int32_t kNoLane = -1;
+
+/** A metric's name within its component, its unit and description. */
+struct MetricDef {
+    const char *name; //!< dotted name within the component
+    const char *unit; //!< "count", "cycles", "frames", ...
+    const char *desc; //!< one line; "" when the name says it all
+};
+
+/**
+ * Where a table row is reported, and the row's own MetricDef.  The
+ * component is a (short, heap-free) string so that consumers can build
+ * keys as `component + "." + name`.
+ */
 struct MetricLabels {
     std::string component; //!< "ctrl", "kernel", "proc", "net", ...
     std::int32_t node = kMachineWide; //!< node id, or kMachineWide
-    std::string name;      //!< dotted metric name within the component
-    std::string unit;      //!< "count", "cycles", "frames", ...
+    std::int32_t lane = kNoLane; //!< processor: names "p<lane>.<name>"
+    const char *name = "";
+    const char *unit = "";
+    const char *desc = "";
+
+    /** The report key: "ctrl.remoteMisses", "proc.p0.loads". */
+    std::string key() const;
 
     /** Canonical flat name: "node3.ctrl.remoteMisses" / "net.messages". */
     std::string fullName() const;
 };
 
-class MetricRegistry;
-
-/**
- * A module-owned counter.  Unbound it is just a uint64; bound it is
- * enumerable through the registry under its labels.  Increments stay
- * plain integer adds either way.
- */
-class ScopedCounter
+/** Receives each metric of a table walk, in table order. */
+class MetricVisitor
 {
   public:
-    ScopedCounter() = default;
-    ~ScopedCounter();
-
-    ScopedCounter(const ScopedCounter &) = delete;
-    ScopedCounter &operator=(const ScopedCounter &) = delete;
-    ScopedCounter(ScopedCounter &&) = delete;
-    ScopedCounter &operator=(ScopedCounter &&) = delete;
-
-    ScopedCounter &operator++() { ++v_; return *this; }
-    ScopedCounter &operator+=(std::uint64_t d) { v_ += d; return *this; }
-    std::uint64_t value() const { return v_; }
-    operator std::uint64_t() const { return v_; } // NOLINT(google-explicit-constructor)
-
-  private:
-    friend class MetricRegistry;
-    std::uint64_t v_ = 0;
-    MetricRegistry *reg_ = nullptr;
-    std::uint32_t idx_ = 0;
+    virtual void counter(const MetricLabels &, std::uint64_t) {}
+    virtual void histogram(const MetricLabels &, const Histogram &) {}
+    virtual void gauge(const MetricLabels &, double) {}
 };
 
-/** A module-owned latency histogram with registry labels. */
-class ScopedHistogram
+/** A counter row: the metric and its field in stats struct S. */
+template <class S>
+struct CounterRow : MetricDef {
+    std::uint64_t S::*field;
+};
+
+/** A histogram row: the metric and its field in stats struct S. */
+template <class S>
+struct HistogramRow : MetricDef {
+    Histogram S::*field;
+};
+
+/** A gauge row: the metric and the accessor of module M it reads. */
+template <class M>
+struct GaugeRow : MetricDef {
+    double (*read)(const M &);
+};
+
+template <class S>
+void
+visitRow(MetricVisitor &v, const MetricLabels &at, const CounterRow<S> &r,
+         const S &s)
 {
-  public:
-    explicit ScopedHistogram(std::vector<std::uint64_t> bounds)
-        : h_(std::move(bounds))
-    {
+    v.counter(at, s.*r.field);
+}
+
+template <class S>
+void
+visitRow(MetricVisitor &v, const MetricLabels &at,
+         const HistogramRow<S> &r, const S &s)
+{
+    v.histogram(at, s.*r.field);
+}
+
+template <class M>
+void
+visitRow(MetricVisitor &v, const MetricLabels &at, const GaugeRow<M> &r,
+         const M &m)
+{
+    v.gauge(at, r.read(m));
+}
+
+/** Visit every row of @p rows, read from @p obj, reported at @p at. */
+template <class Row, std::size_t N, class Obj>
+void
+visitTable(MetricVisitor &v, MetricLabels at, const Row (&rows)[N],
+           const Obj &obj)
+{
+    for (const Row &r : rows) {
+        at.name = r.name;
+        at.unit = r.unit;
+        at.desc = r.desc;
+        visitRow(v, at, r, obj);
     }
-    ~ScopedHistogram();
-
-    ScopedHistogram(const ScopedHistogram &) = delete;
-    ScopedHistogram &operator=(const ScopedHistogram &) = delete;
-    ScopedHistogram(ScopedHistogram &&) = delete;
-    ScopedHistogram &operator=(ScopedHistogram &&) = delete;
-
-    void sample(std::uint64_t v) { h_.sample(v); }
-
-    /** Accumulate a staged tally with identical bounds (shard fold). */
-    void merge(const Histogram &other) { h_.merge(other); }
-
-    const Histogram &histogram() const { return h_; }
-
-  private:
-    friend class MetricRegistry;
-    Histogram h_;
-    MetricRegistry *reg_ = nullptr;
-    std::uint32_t idx_ = 0;
-};
+}
 
 /**
- * A sampled floating-point metric (peaks, utilization fractions):
- * the registry caches the last sampled value, so reads after the
- * owning module is gone return the final sample instead of calling a
- * dead closure.  Call MetricRegistry::sampleGauges() to refresh.
+ * True when the rows of @p tables (all of one component's tables)
+ * name no metric twice.  Each component static_asserts it beside its
+ * last table, so a duplicate full name fails the build.
  */
-class ScopedGauge
+template <class... Rows, std::size_t... N>
+constexpr bool
+distinctNames(const Rows (&...tables)[N])
 {
-  public:
-    ScopedGauge() = default;
-    ~ScopedGauge();
+    std::array<std::string_view, (N + ...)> names{};
+    std::size_t n = 0;
+    auto add = [&names, &n](const auto &rows) {
+        for (const MetricDef &r : rows)
+            names[n++] = r.name;
+    };
+    (add(tables), ...);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        for (std::size_t j = i + 1; j < names.size(); ++j) {
+            if (names[i] == names[j])
+                return false;
+        }
+    }
+    return true;
+}
 
-    ScopedGauge(const ScopedGauge &) = delete;
-    ScopedGauge &operator=(const ScopedGauge &) = delete;
-    ScopedGauge(ScopedGauge &&) = delete;
-    ScopedGauge &operator=(ScopedGauge &&) = delete;
-
-  private:
-    friend class MetricRegistry;
-    std::function<double()> fn_;
-    MetricRegistry *reg_ = nullptr;
-    std::uint32_t idx_ = 0;
-};
-
-/** The machine's labeled metric registry. */
+/**
+ * The machine's metric catalog: a view over its stats tables that
+ * holds nothing but the machine (Machine::visitMetrics walks them).
+ */
 class MetricRegistry
 {
   public:
-    MetricRegistry() = default;
-    ~MetricRegistry();
+    explicit MetricRegistry(const Machine &m) : m_(m) {}
 
-    MetricRegistry(const MetricRegistry &) = delete;
-    MetricRegistry &operator=(const MetricRegistry &) = delete;
-
-    /**
-     * Bind @p c under @p labels.  Duplicate full names and binding
-     * after seal() are fatal (registration is a construction-time
-     * activity; a duplicate means two modules claimed one identity).
-     */
-    void bind(MetricLabels labels, ScopedCounter *c,
-              std::string desc = "");
-
-    /** Bind a histogram handle under @p labels. */
-    void bind(MetricLabels labels, ScopedHistogram *h,
-              std::string desc = "");
-
-    /**
-     * Bind a *workload-owned* histogram, allowed after seal().  The
-     * registry is sealed when Machine construction finishes, but
-     * workloads attach their metrics (e.g. per-op-type KV latency)
-     * during Workload::setup(), which runs later.  Duplicate full
-     * names remain fatal; only the sealed check is waived, and only
-     * for histograms — the sealed counter index is never invalidated.
-     */
-    void bindLate(MetricLabels labels, ScopedHistogram *h,
-                  std::string desc = "");
-
-    /** Bind a gauge; @p fn is sampled by sampleGauges(). */
-    void bind(MetricLabels labels, ScopedGauge *g,
-              std::function<double()> fn, std::string desc = "");
-
-    /**
-     * Freeze registration and build the by-name index, making get()
-     * O(1) instead of a linear scan.  Called once construction of the
-     * owning machine is complete.
-     */
-    void seal();
-
-    bool sealed() const { return sealed_; }
-
-    /** Counter value by canonical full name. */
-    std::optional<std::uint64_t> get(const std::string &full_name) const;
-
-    /** Counter value for exact (component, node, name); 0 if absent. */
-    std::uint64_t value(std::string_view component, std::int32_t node,
-                        std::string_view name) const;
-
-    /** Sum of @p component 's @p name over every node label. */
-    std::uint64_t sum(std::string_view component,
-                      std::string_view name) const;
-
-    /**
-     * Sum over entries of @p component whose last dotted name segment
-     * is @p leaf (aggregates e.g. per-processor "p0.loads".."p3.loads").
-     */
-    std::uint64_t sumLeaf(std::string_view component,
-                          std::string_view leaf) const;
-
-    /** Refresh every live gauge's cached sample. */
-    void sampleGauges();
-
-    /** Write "fullName value  # desc" lines, registration order. */
-    void dump(std::ostream &os) const;
-
-    std::size_t size() const { return counters_.size(); }
-
-    // --- Enumeration (report building) --------------------------------
-
-    struct CounterEntry {
-        MetricLabels labels;
-        std::string desc;
-        const ScopedCounter *live; //!< nullptr once retired
-        std::uint64_t retired;
-        std::uint64_t value() const { return live ? live->v_ : retired; }
-    };
-
+    /** A histogram and where it is reported. */
     struct HistogramEntry {
         MetricLabels labels;
-        std::string desc;
-        const ScopedHistogram *live;
-        Histogram retired{std::vector<std::uint64_t>{}};
-        const Histogram &
-        histogram() const
-        {
-            return live ? live->h_ : retired;
-        }
+        const Histogram *hist;
+        const Histogram &histogram() const { return *hist; }
     };
 
-    struct GaugeEntry {
-        MetricLabels labels;
-        std::string desc;
-        const ScopedGauge *live;
-        double value; //!< last sample (survives retirement)
-    };
+    /** Every histogram, in catalog order. */
+    std::vector<HistogramEntry> histograms() const;
 
-    const std::vector<CounterEntry> &counters() const { return counters_; }
-    const std::vector<HistogramEntry> &histograms() const
-    {
-        return histograms_;
-    }
-    const std::vector<GaugeEntry> &gauges() const { return gauges_; }
+    /** Write "fullName value  # desc" lines, one per counter. */
+    void dump(std::ostream &os) const;
 
   private:
-    friend class ScopedCounter;
-    friend class ScopedHistogram;
-    friend class ScopedGauge;
-
-    void checkBindable(const MetricLabels &labels);
-    void checkUniqueName(const MetricLabels &labels);
-    void bindHistogram(MetricLabels labels, ScopedHistogram *h,
-                       std::string desc);
-
-    void retireCounter(std::uint32_t idx, std::uint64_t final_value);
-    void retireHistogram(std::uint32_t idx, const Histogram &final_state);
-    void retireGauge(std::uint32_t idx);
-
-    std::vector<CounterEntry> counters_;
-    std::vector<HistogramEntry> histograms_;
-    std::vector<GaugeEntry> gauges_;
-    /** All full names ever bound (duplicate detection, all kinds). */
-    std::unordered_map<std::string, std::uint8_t> names_;
-    /** Sealed O(1) counter lookup: full name -> counters_ index. */
-    std::unordered_map<std::string, std::uint32_t> counterIndex_;
-    bool sealed_ = false;
+    const Machine &m_;
 };
 
 /**

@@ -34,7 +34,7 @@ writeValues(JsonWriter &w, const std::vector<RunReport::Value> &vals)
 } // namespace
 
 RunReport
-buildRunReport(Machine &m)
+buildRunReport(const Machine &m)
 {
     RunReport r;
     r.generatedAt = utcNow();
@@ -52,66 +52,69 @@ buildRunReport(Machine &m)
 
     r.parallelBeginTick = m.parallelBeginTick();
     r.parallelEndTick = m.parallelEndTick();
-    r.metrics = m.metrics(); // also refreshes gauge samples
+    r.metrics = m.metrics();
     r.totalTicks = r.metrics.totalCycles;
 
-    const MetricRegistry &reg = m.metricRegistry();
     r.nodes.resize(m.numNodes());
     for (std::uint32_t n = 0; n < m.numNodes(); ++n)
         r.nodes[n].id = static_cast<std::int32_t>(n);
 
-    for (const auto &e : reg.counters()) {
-        RunReport::Value v{e.labels.component + "." + e.labels.name,
-                           e.labels.unit, e.value()};
-        if (e.labels.node < 0) {
-            r.machineCounters.push_back(std::move(v));
-        } else {
-            r.nodes[static_cast<std::size_t>(e.labels.node)]
-                .counters.push_back(std::move(v));
-        }
-    }
-    for (const auto &g : reg.gauges()) {
-        RunReport::GaugeValue v{
-            g.labels.component + "." + g.labels.name, g.labels.unit,
-            g.value};
-        if (g.labels.node >= 0) {
-            r.nodes[static_cast<std::size_t>(g.labels.node)]
-                .gauges.push_back(std::move(v));
-        }
-    }
+    // Counters and gauges land in their node's section (machine-wide
+    // counters in their own list); histograms of one (component, name)
+    // merge across nodes, in first-appearance order.
+    struct Collect : MetricVisitor {
+        RunReport &r;
+        std::vector<Histogram> merged; //!< parallel to r.histograms
+        std::map<std::string, std::size_t> index;
+        explicit Collect(RunReport &rep) : r(rep) {}
 
-    // Merge histograms of the same (component, name) across nodes,
-    // preserving first-appearance order for deterministic output.
-    std::vector<std::pair<std::string, Histogram>> merged;
-    std::map<std::string, std::size_t> index;
-    std::map<std::string, std::string> units;
-    for (const auto &h : reg.histograms()) {
-        const std::string key =
-            h.labels.component + "." + h.labels.name;
-        auto it = index.find(key);
-        if (it == index.end()) {
-            index.emplace(key, merged.size());
-            units.emplace(key, h.labels.unit);
-            merged.emplace_back(key, h.histogram());
-        } else {
-            merged[it->second].second.merge(h.histogram());
+        std::vector<RunReport::Value> &
+        counters(std::int32_t node)
+        {
+            return node == kMachineWide
+                       ? r.machineCounters
+                       : r.nodes[static_cast<std::size_t>(node)].counters;
         }
-    }
-    for (auto &[key, hist] : merged) {
-        RunReport::HistogramSummary s;
-        const std::size_t dot = key.find('.');
-        s.component = key.substr(0, dot);
-        s.name = key.substr(dot + 1);
-        s.unit = units[key];
-        s.count = hist.count();
-        s.max = hist.max();
-        s.mean = hist.mean();
-        s.p50 = hist.quantile(0.50);
-        s.p95 = hist.quantile(0.95);
-        s.p99 = hist.quantile(0.99);
-        s.bounds = hist.bounds();
-        s.counts = hist.counts();
-        r.histograms.push_back(std::move(s));
+        void
+        counter(const MetricLabels &at, std::uint64_t v) override
+        {
+            counters(at.node).push_back({at.key(), at.unit, v});
+        }
+        void
+        gauge(const MetricLabels &at, double v) override
+        {
+            r.nodes[static_cast<std::size_t>(at.node)].gauges.push_back(
+                {at.key(), at.unit, v});
+        }
+        void
+        histogram(const MetricLabels &at, const Histogram &h) override
+        {
+            auto [it, fresh] = index.try_emplace(at.key(), merged.size());
+            if (!fresh) {
+                merged[it->second].merge(h);
+                return;
+            }
+            merged.push_back(h);
+            RunReport::HistogramSummary s;
+            s.component = at.component;
+            s.name = at.name;
+            s.unit = at.unit;
+            r.histograms.push_back(std::move(s));
+        }
+    } c(r);
+    m.visitMetrics(c);
+
+    for (std::size_t i = 0; i < c.merged.size(); ++i) {
+        const Histogram &h = c.merged[i];
+        RunReport::HistogramSummary &s = r.histograms[i];
+        s.count = h.count();
+        s.max = h.max();
+        s.mean = h.mean();
+        s.p50 = h.quantile(0.50);
+        s.p95 = h.quantile(0.95);
+        s.p99 = h.quantile(0.99);
+        s.bounds = h.bounds();
+        s.counts = h.counts();
     }
     return r;
 }

@@ -1,15 +1,16 @@
 /**
  * @file
  * Structured run reports: a schema-versioned, machine-readable record
- * of one simulation run, derived entirely from the labeled metric
- * registry (no hand-copied counter fields).
+ * of one simulation run, read through the modules' metric tables
+ * (obs/metrics.hh; no hand-copied counter fields).
  *
  * A report carries the machine configuration, the phase timeline, the
- * paper-table metrics, every registered counter broken down per node,
- * sampled gauges, and per-transaction-type latency histograms merged
- * across nodes with p50/p95/p99 quantiles.  writeJson() emits a
- * deterministic JSON document (see docs/OBSERVABILITY.md for the
- * schema); bump kRunReportSchemaVersion on any shape change.
+ * paper-table metrics, every table's counters broken down per node,
+ * gauges read when the report is built, and per-transaction-type
+ * latency histograms merged across nodes with p50/p95/p99 quantiles.
+ * writeJson() emits a deterministic JSON document (see
+ * docs/OBSERVABILITY.md for the schema); bump kRunReportSchemaVersion
+ * on any shape change.
  */
 
 #ifndef PRISM_OBS_REPORT_HH
@@ -56,7 +57,7 @@ struct RunReport {
     Tick parallelEndTick = 0;
     Tick totalTicks = 0;
 
-    /** The paper-table metrics (themselves registry-derived). */
+    /** The paper-table metrics (Machine::metrics). */
     RunMetrics metrics;
 
     /** One named value ("component.name" flat key). */
@@ -72,7 +73,7 @@ struct RunReport {
         double value = 0.0;
     };
 
-    /** Counters and gauges of one node, registration order. */
+    /** Counters and gauges of one node, catalog order. */
     struct NodeSection {
         std::int32_t id = 0;
         std::vector<Value> counters;
@@ -111,11 +112,11 @@ struct RunReport {
 };
 
 /**
- * Snapshot @p m 's registry, configuration and phase marks into a
- * report.  Call while the machine is alive (typically right after the
- * run completes).
+ * Snapshot @p m 's metric tables, configuration and phase marks into
+ * a report.  Call while the machine is alive (typically right after
+ * the run completes).
  */
-RunReport buildRunReport(Machine &m);
+RunReport buildRunReport(const Machine &m);
 
 } // namespace prism
 

@@ -379,9 +379,9 @@ Kernel::pageOutHome(GPage gp)
 std::uint64_t
 Kernel::clientCap() const
 {
-    if (!cfg_.clientFrameCapPerNode.empty())
-        return cfg_.clientFrameCapPerNode[self_];
-    return cfg_.clientFrameCap;
+    return cfg_.clientFrameCapPerNode.empty()
+               ? 0
+               : cfg_.clientFrameCapPerNode[self_];
 }
 
 bool
@@ -655,51 +655,6 @@ Kernel::averageUtilization() const
         return 0.0;
     return static_cast<double>(lines) /
            (static_cast<double>(frames) * lines_per_page);
-}
-
-void
-Kernel::registerMetrics(MetricRegistry &reg)
-{
-    const std::int32_t n = static_cast<std::int32_t>(self_);
-    auto counter = [&](const char *name, ScopedCounter &c,
-                       const char *desc) {
-        reg.bind(MetricLabels{"kernel", n, name, "count"}, &c, desc);
-    };
-    counter("faults", stats_.faults, "page faults handled");
-    counter("faultsPrivate", stats_.faultsPrivate, "");
-    counter("faultsHome", stats_.faultsHome, "");
-    counter("faultsClient", stats_.faultsClient, "");
-    counter("faultsCachedHome", stats_.faultsCachedHome,
-            "client faults served without contacting the home");
-    counter("clientPageOuts", stats_.clientPageOuts, "");
-    counter("homePageOuts", stats_.homePageOuts, "");
-    counter("conversionsToLaNuma", stats_.conversionsToLaNuma, "");
-    counter("conversionsToScoma", stats_.conversionsToScoma, "");
-    counter("pageInRequestsServed", stats_.pageInRequestsServed, "");
-
-    reg.bind(MetricLabels{"kernel", n, "latency.pageIn", "cycles"},
-             &latency_.pageIn, "client page-in round-trip latency");
-    reg.bind(MetricLabels{"kernel", n, "latency.pageOut", "cycles"},
-             &latency_.pageOut, "page-out flush-to-completion latency");
-
-    // Frame accounting is derived state (pool peaks, PIT utilization
-    // scans), so it is exposed as sampled gauges rather than counters.
-    reg.bind(MetricLabels{"kernel", n, "realFramesPeak", "frames"},
-             &gaugeFramesPeak_,
-             [this] { return static_cast<double>(realFramesPeak()); },
-             "peak real page frames allocated");
-    reg.bind(
-        MetricLabels{"kernel", n, "realFramesCumulative", "frames"},
-        &gaugeFramesCumulative_,
-        [this] { return static_cast<double>(realFramesCumulative()); },
-        "cumulative real-frame allocations");
-    reg.bind(MetricLabels{"kernel", n, "clientScomaPeak", "frames"},
-             &gaugeScomaPeak_,
-             [this] { return static_cast<double>(clientScomaPeak()); },
-             "peak client S-COMA frames");
-    reg.bind(MetricLabels{"kernel", n, "avgUtilization", "fraction"},
-             &gaugeAvgUtil_, [this] { return averageUtilization(); },
-             "average fraction of lines accessed per real frame");
 }
 
 } // namespace prism

@@ -34,24 +34,47 @@ namespace prism {
 
 class PagePolicy;
 
-/** Kernel statistics (per node), as labeled scoped handles. */
+/** Kernel statistics (per node, component "kernel"). */
 struct KernelStats {
-    ScopedCounter faults;
-    ScopedCounter faultsPrivate;
-    ScopedCounter faultsHome;
-    ScopedCounter faultsClient;
-    ScopedCounter faultsCachedHome; //!< home-page-status flag hits
-    ScopedCounter clientPageOuts;
-    ScopedCounter homePageOuts;
-    ScopedCounter conversionsToLaNuma;
-    ScopedCounter conversionsToScoma;
-    ScopedCounter pageInRequestsServed;
+    std::uint64_t faults = 0;
+    std::uint64_t faultsPrivate = 0;
+    std::uint64_t faultsHome = 0;
+    std::uint64_t faultsClient = 0;
+    std::uint64_t faultsCachedHome = 0; //!< home-page-status flag hits
+    std::uint64_t clientPageOuts = 0;
+    std::uint64_t homePageOuts = 0;
+    std::uint64_t conversionsToLaNuma = 0;
+    std::uint64_t conversionsToScoma = 0;
+    std::uint64_t pageInRequestsServed = 0;
+};
+
+inline constexpr CounterRow<KernelStats> kKernelCounters[] = {
+    {"faults", "count", "page faults handled", &KernelStats::faults},
+    {"faultsPrivate", "count", "", &KernelStats::faultsPrivate},
+    {"faultsHome", "count", "", &KernelStats::faultsHome},
+    {"faultsClient", "count", "", &KernelStats::faultsClient},
+    {"faultsCachedHome", "count",
+     "client faults served without contacting the home",
+     &KernelStats::faultsCachedHome},
+    {"clientPageOuts", "count", "", &KernelStats::clientPageOuts},
+    {"homePageOuts", "count", "", &KernelStats::homePageOuts},
+    {"conversionsToLaNuma", "count", "", &KernelStats::conversionsToLaNuma},
+    {"conversionsToScoma", "count", "", &KernelStats::conversionsToScoma},
+    {"pageInRequestsServed", "count", "",
+     &KernelStats::pageInRequestsServed},
 };
 
 /** Page-transfer latency distributions (per node). */
 struct KernelLatency {
-    ScopedHistogram pageIn{latencyBounds()};  //!< client fault round-trip
-    ScopedHistogram pageOut{latencyBounds()}; //!< flush through completion
+    Histogram pageIn{latencyBounds()};  //!< client fault round-trip
+    Histogram pageOut{latencyBounds()}; //!< flush through completion
+};
+
+inline constexpr HistogramRow<KernelLatency> kKernelLatency[] = {
+    {"latency.pageIn", "cycles", "client page-in round-trip latency",
+     &KernelLatency::pageIn},
+    {"latency.pageOut", "cycles", "page-out flush-to-completion latency",
+     &KernelLatency::pageOut},
 };
 
 /** One node's kernel. */
@@ -87,6 +110,7 @@ class Kernel
     PageTable &pageTable() { return pt_; }
     CoherenceController &controller() { return *ctrl_; }
     const KernelStats &stats() const { return stats_; }
+    const KernelLatency &latency() const { return latency_; }
     EventQueue &eventQueue() { return eq_; }
 
     // --- Global naming and binding ------------------------------------
@@ -202,12 +226,6 @@ class Kernel
      */
     double averageUtilization() const;
 
-    /**
-     * Bind kernel counters, page-transfer histograms and memory
-     * gauges into @p reg under component "kernel", node self().
-     */
-    void registerMetrics(MetricRegistry &reg);
-
     /** Attach the optional Chrome-trace sink (nullptr to disable). */
     void setTraceSink(TraceSink *t) { trace_ = t; }
 
@@ -267,13 +285,33 @@ class Kernel
 
     KernelStats stats_;
     KernelLatency latency_;
-    /** Gauge handles for the frame-accounting metrics. */
-    ScopedGauge gaugeFramesPeak_;
-    ScopedGauge gaugeFramesCumulative_;
-    ScopedGauge gaugeScomaPeak_;
-    ScopedGauge gaugeAvgUtil_;
     TraceSink *trace_ = nullptr;
 };
+
+/**
+ * Frame accounting is derived state (pool peaks, PIT utilization
+ * scans), so the kernel reports it as gauges rather than counters.
+ */
+inline constexpr GaugeRow<Kernel> kKernelGauges[] = {
+    {"realFramesPeak", "frames", "peak real page frames allocated",
+     [](const Kernel &k) {
+         return static_cast<double>(k.realFramesPeak());
+     }},
+    {"realFramesCumulative", "frames", "cumulative real-frame allocations",
+     [](const Kernel &k) {
+         return static_cast<double>(k.realFramesCumulative());
+     }},
+    {"clientScomaPeak", "frames", "peak client S-COMA frames",
+     [](const Kernel &k) {
+         return static_cast<double>(k.clientScomaPeak());
+     }},
+    {"avgUtilization", "fraction",
+     "average fraction of lines accessed per real frame",
+     [](const Kernel &k) { return k.averageUtilization(); }},
+};
+
+static_assert(distinctNames(kKernelCounters, kKernelLatency,
+                            kKernelGauges));
 
 } // namespace prism
 

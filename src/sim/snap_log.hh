@@ -24,7 +24,10 @@
 
 namespace prism {
 
-/** The phase-scoped counters (RunMetrics' per-phase deltas). */
+/**
+ * The phase-scoped counters (RunMetrics' per-phase deltas), each a
+ * stats field summed over nodes (Machine::phaseCounts).
+ */
 enum class SnapKind : std::uint8_t {
     RemoteMiss,
     Upgrade,
@@ -36,22 +39,6 @@ enum class SnapKind : std::uint8_t {
 
 /** Number of SnapKind values (array sizing). */
 inline constexpr std::size_t kSnapKinds = 6;
-
-/** A phase-scoped counter's registry name, summed over nodes. */
-struct SnapCounter {
-    const char *component;
-    const char *name;
-};
-
-/** Each SnapKind's registry counter, indexed by SnapKind. */
-inline constexpr SnapCounter kSnapCounters[kSnapKinds] = {
-    {"ctrl", "remoteMisses"},     // RemoteMiss
-    {"ctrl", "upgrades"},         // Upgrade
-    {"ctrl", "invalsSent"},       // InvalSent
-    {"kernel", "clientPageOuts"}, // ClientPageOut
-    {"kernel", "faults"},         // Fault
-    {"net", "messages"},          // NetMsg
-};
 
 /** Per-shard log of snapshot-counter increments, in execution order. */
 struct SnapshotLog {

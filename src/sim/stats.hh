@@ -1,9 +1,7 @@
 /**
  * @file
- * Fixed-bucket histogram for latency distributions.
- *
- * (The raw-pointer StatRegistry that used to live here was replaced by
- * the labeled, lifetime-safe MetricRegistry in obs/metrics.hh.)
+ * Fixed-bucket histogram for latency distributions.  The metric
+ * tables of obs/metrics.hh name each one the run report shows.
  */
 
 #ifndef PRISM_SIM_STATS_HH

@@ -114,7 +114,6 @@ calibrationConfig(const MachineConfig &base)
 {
     MachineConfig cfg = base;
     cfg.policy = PolicyKind::Scoma;
-    cfg.clientFrameCap = 0;
     cfg.clientFrameCapPerNode.clear();
     return cfg;
 }
@@ -138,12 +137,10 @@ policyConfig(const MachineConfig &base, PolicyKind pk,
 {
     MachineConfig cfg = base;
     cfg.policy = pk;
-    if (pk == PolicyKind::Scoma || pk == PolicyKind::LaNuma) {
-        cfg.clientFrameCap = 0;
+    if (pk == PolicyKind::Scoma || pk == PolicyKind::LaNuma)
         cfg.clientFrameCapPerNode.clear();
-    } else {
+    else
         cfg.clientFrameCapPerNode = caps;
-    }
     return cfg;
 }
 

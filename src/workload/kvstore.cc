@@ -160,19 +160,7 @@ KvStoreWorkload::setup(Machine &m)
     sampler_.emplace_back(params_.keys, params_.theta);
     tallies_.assign(nprocs, Tally{});
 
-    MetricRegistry &reg = m.metricRegistry();
-    reg.bindLate({"workload", kMachineWide, "kv.read.latency",
-                  "cycles"},
-                 &readLat_, "KV read request latency");
-    reg.bindLate({"workload", kMachineWide, "kv.update.latency",
-                  "cycles"},
-                 &updateLat_, "KV update request latency");
-    reg.bindLate({"workload", kMachineWide, "kv.insert.latency",
-                  "cycles"},
-                 &insertLat_, "KV insert request latency");
-    reg.bindLate({"workload", kMachineWide, "kv.scan.latency",
-                  "cycles"},
-                 &scanLat_, "KV scan request latency");
+    lat_ = &m.kvLatency();
 }
 
 VAddr
@@ -312,10 +300,10 @@ KvStoreWorkload::body(Proc &p, std::uint32_t tid, std::uint32_t nt)
         // Fold the tid-disjoint tallies in tid order (deterministic
         // regardless of scheduling or shard count).
         for (const Tally &t : tallies_) {
-            readLat_.merge(t.read);
-            updateLat_.merge(t.update);
-            insertLat_.merge(t.insert);
-            scanLat_.merge(t.scan);
+            lat_->read.merge(t.read);
+            lat_->update.merge(t.update);
+            lat_->insert.merge(t.insert);
+            lat_->scan.merge(t.scan);
         }
         co_await p.endParallel();
     }

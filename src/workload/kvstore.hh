@@ -17,9 +17,10 @@
  * theta = 0, with optional hot-key churn that rotates the head of the
  * distribution onto fresh keys mid-run.
  *
- * Per-request latency is tallied host-side per op type and published
- * through the metric registry ("workload" component), so --report
- * emits kv.{read,update,insert,scan}.latency with p50/p95/p99.
+ * Per-request latency is tallied host-side per op type and folded
+ * into the machine's KvLatency histograms ("workload" component), so
+ * --report emits kv.{read,update,insert,scan}.latency with
+ * p50/p95/p99.
  */
 
 #ifndef PRISM_WORKLOAD_KVSTORE_HH
@@ -27,7 +28,7 @@
 
 #include <vector>
 
-#include "obs/metrics.hh"
+#include "core/metrics.hh"
 #include "workload/apps.hh"
 #include "workload/workload.hh"
 
@@ -154,11 +155,8 @@ class KvStoreWorkload : public Workload
     };
     std::vector<Tally> tallies_;
 
-    // Machine-wide per-op-type histograms, published via --report.
-    ScopedHistogram readLat_{latencyBounds()};
-    ScopedHistogram updateLat_{latencyBounds()};
-    ScopedHistogram insertLat_{latencyBounds()};
-    ScopedHistogram scanLat_{latencyBounds()};
+    /** The machine's per-op-type histograms (--report), from setup(). */
+    KvLatency *lat_ = nullptr;
 };
 
 /** The KV problem-size preset for @p scale (shared with kv_sweep). */

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/machine.hh"
 #include "workload/workload.hh"
 
@@ -143,7 +145,7 @@ TEST(ControllerUnit, MostInvalidFramePrefersSparseFrames)
     EXPECT_EQ(rig.m.node(1).kernel().mostInvalidClientPage(), rig.gp(2));
 }
 
-TEST(ControllerUnit, StatsRegisteredInMachineRegistry)
+TEST(ControllerUnit, StatsReachTheReportPerNode)
 {
     Rig rig;
     rig.m.run([&](Proc &p) -> CoTask {
@@ -153,18 +155,38 @@ TEST(ControllerUnit, StatsRegisteredInMachineRegistry)
             co_return;
         }(p, rig);
     });
-    auto &reg = rig.m.metricRegistry();
-    EXPECT_TRUE(reg.sealed());
-    EXPECT_GT(reg.size(), 20u);
-    EXPECT_EQ(reg.get("node1.ctrl.remoteMisses"), 1u);
-    EXPECT_EQ(reg.value("ctrl", 1, "remoteMisses"), 1u);
-    EXPECT_EQ(reg.sum("ctrl", "remoteMisses"), 1u);
+    const RunReport r = rig.m.report();
+    auto total = [&r](const std::string &name, std::int32_t only = -1) {
+        std::uint64_t sum = 0;
+        for (const auto &node : r.nodes) {
+            for (const auto &v : node.counters) {
+                if (v.name == name && (only < 0 || node.id == only))
+                    sum += v.value;
+            }
+        }
+        return sum;
+    };
+    EXPECT_EQ(total("ctrl.remoteMisses", 1), 1u);
+    EXPECT_EQ(total("ctrl.remoteMisses"), 1u);
     // One processor fault at the client; the home map-in was served
     // by the page-in protocol, not a local fault.
-    EXPECT_EQ(reg.sum("kernel", "faults"), 1u);
-    EXPECT_EQ(reg.sum("kernel", "pageInRequestsServed"), 1u);
-    // Per-processor counters roll up through the leaf query.
-    EXPECT_GT(reg.sumLeaf("proc", "loads"), 0u);
+    EXPECT_EQ(total("kernel.faults"), 1u);
+    EXPECT_EQ(total("kernel.pageInRequestsServed"), 1u);
+    // Each node's one processor reports under lane 0; references sum
+    // the loads and stores of every processor.
+    EXPECT_GT(total("proc.p0.loads"), 0u);
+    EXPECT_EQ(total("proc.p0.loads") + total("proc.p0.stores"),
+              r.metrics.references);
+    // Gauges read their module's accessor when the report is built.
+    std::map<std::string, double> g1;
+    for (const auto &g : r.nodes[1].gauges)
+        g1[g.name] = g.value;
+    EXPECT_EQ(g1.size(), 8u);
+    EXPECT_EQ(g1["footprint.pitEntries"],
+              static_cast<double>(rig.m.node(1).controller().pit().size()));
+    EXPECT_EQ(g1["kernel.realFramesPeak"],
+              static_cast<double>(rig.m.node(1).kernel().realFramesPeak()));
+    EXPECT_GT(g1["kernel.realFramesPeak"], 0.0);
 }
 
 TEST(ControllerUnit, UpgradeCountsSeparatelyFromRemoteMisses)

@@ -176,7 +176,7 @@ TEST(Kernel, ShootdownClearsMicroTranslationCache)
         }(p, rig);
     });
     Proc &p0 = rig.m.node(0).proc(0);
-    const std::uint64_t refills = p0.stats().tlbRefills.value();
+    const std::uint64_t refills = p0.stats().tlbRefills;
 
     // A kernel-style remap that keeps the frame (page-mode change)
     // shoots the translation down without touching the caches.  The
@@ -191,7 +191,7 @@ TEST(Kernel, ShootdownClearsMicroTranslationCache)
             co_return;
         }(p, rig);
     });
-    EXPECT_EQ(p0.stats().tlbRefills.value(), refills + 1)
+    EXPECT_EQ(p0.stats().tlbRefills, refills + 1)
         << "access after shootdown skipped the page-table walk";
 }
 
@@ -215,7 +215,7 @@ TEST(Kernel, ReaccessAfterPageOutTakesAFreshFault)
     // The mapping is gone; the re-access must fault and install a
     // fresh translation rather than ride any cached one.
     Proc &p0 = rig.m.node(0).proc(0);
-    const std::uint64_t faults = p0.stats().pageFaults.value();
+    const std::uint64_t faults = p0.stats().pageFaults;
     rig.m.run([&](Proc &p) -> CoTask {
         return [](Proc &pp, Rig &r) -> CoTask {
             if (pp.id() == 0)
@@ -223,7 +223,7 @@ TEST(Kernel, ReaccessAfterPageOutTakesAFreshFault)
             co_return;
         }(p, rig);
     });
-    EXPECT_EQ(p0.stats().pageFaults.value(), faults + 1);
+    EXPECT_EQ(p0.stats().pageFaults, faults + 1);
     EXPECT_TRUE(home.pageTable().mapped(rig.va(0).page()));
 }
 

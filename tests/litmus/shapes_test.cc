@@ -183,7 +183,8 @@ TEST_P(Litmus, ForbiddenOutcomesNeverAppear)
                 cfg.procsPerNode = 1;
                 cfg.policy = policy;
                 cfg.protocol = protocol;
-                cfg.clientFrameCap = capped ? 2 : 0;
+                cfg.clientFrameCapPerNode.assign(cfg.numNodes,
+                                                 capped ? 2 : 0);
                 cfg.oracleMode = OracleMode::Continuous;
                 cfg.oracleFatal = true;
                 cfg.netJitterMax = round == 0 ? 0 : 48;

@@ -136,7 +136,7 @@ TEST(Machine, RouteRejectsNothingAndCountsMessages)
         }(p);
     });
     // Page-in request/reply + coherence request/reply at minimum.
-    EXPECT_GE(m.network().messages(), 4u);
+    EXPECT_GE(m.network().stats().messages, 4u);
 }
 
 } // namespace

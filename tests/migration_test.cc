@@ -197,6 +197,60 @@ TEST(Migration, ExplicitRequestMovesCleanPage)
     });
 }
 
+/**
+ * Node 0 maps page P (static home node 1) LA-NUMA and misses on line
+ * 0 while node 1 migrates P to node 0.  At the shorter lags the miss
+ * is forwarded to node 0 as the new home after handleMigrateData
+ * retired node 0's LA-NUMA frame: the grant must land on the home
+ * frame's tag and the access re-translate, or the retried miss asks
+ * the home for a line its directory says node 0 already owns.
+ */
+TEST(Migration, GrantLandingOnAPageThatMigratedHereRetranslates)
+{
+    // With node 2 sharing line 0 the read is granted shared, else
+    // exclusive: both landings occur.
+    for (bool shared : {false, true}) {
+        const ClientEvent grant = shared ? ClientEvent::GrantShared
+                                         : ClientEvent::GrantExclusive;
+        std::uint64_t landed = 0;
+        for (Cycles lag = 0; lag <= 150; lag += 25) {
+            MachineConfig cfg;
+            cfg.numNodes = 4;
+            cfg.procsPerNode = 2;
+            cfg.policy = PolicyKind::LaNuma;
+            cfg.oracleMode = OracleMode::Continuous;
+            Rig rig(cfg);
+            std::uint64_t pnum = 0;
+            while (rig.gp(pnum) % cfg.numNodes != 1)
+                ++pnum;
+            rig.m.run([&](Proc &p) -> CoTask {
+                return [](Proc &pp, Rig &r, std::uint64_t pn, Cycles lag,
+                          bool sh) -> CoTask {
+                    if (pp.id() == 0)
+                        co_await pp.read(r.va(pn, 64));
+                    if (pp.id() == 4 && sh)
+                        co_await pp.read(r.va(pn));
+                    co_await pp.barrier(1);
+                    if (pp.id() == 0)
+                        co_await pp.read(r.va(pn));
+                    if (pp.id() == 2) {
+                        pp.compute(lag);
+                        co_await pp.fence();
+                        r.m.node(1).controller().requestMigration(
+                            r.gp(pn), 0);
+                    }
+                }(p, rig, pnum, lag, shared);
+            });
+            const CoherenceController &c0 = rig.m.node(0).controller();
+            EXPECT_TRUE(c0.isDynHome(rig.gp(pnum))) << "lag " << lag;
+            EXPECT_EQ(rig.m.oracle()->violationCount(), 0u)
+                << "lag " << lag;
+            landed += c0.clientCellHits(ClientView::Invalid, grant);
+        }
+        EXPECT_GT(landed, 0u) << clientEventName(grant);
+    }
+}
+
 /** Page of @p rig's segment statically homed at node 0. */
 std::uint64_t
 pageHomedAtNode0(const Rig &rig)

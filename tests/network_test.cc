@@ -87,7 +87,7 @@ TEST(Network, EgressSerializesBursts)
     // Each successive message waits one more egress occupancy.
     EXPECT_EQ(times[1] - times[0], p.controlOccupancy);
     EXPECT_EQ(times[2] - times[1], p.controlOccupancy);
-    EXPECT_EQ(net.messages(), 3u);
+    EXPECT_EQ(net.stats().messages, 3u);
 }
 
 TEST(Network, TrafficProxyAccumulates)
@@ -98,7 +98,7 @@ TEST(Network, TrafficProxyAccumulates)
     net.send(0, 1, MsgSize::Control, [] {});
     net.send(0, 1, MsgSize::Data, [] {});
     eq.runAll();
-    EXPECT_EQ(net.trafficProxy(), p.controlOccupancy + p.dataOccupancy);
+    EXPECT_EQ(net.stats().trafficProxy, p.controlOccupancy + p.dataOccupancy);
 }
 
 } // namespace

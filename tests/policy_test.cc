@@ -30,7 +30,7 @@ struct Rig {
         cfg.numNodes = 2;
         cfg.procsPerNode = 1;
         cfg.policy = pk;
-        cfg.clientFrameCap = cap;
+        cfg.clientFrameCapPerNode.assign(cfg.numNodes, cap);
         return cfg;
     }
 
@@ -316,7 +316,7 @@ TEST(Policy, DynBothRevertsHotLaNumaPages)
     cfg.numNodes = 2;
     cfg.procsPerNode = 1;
     cfg.policy = PolicyKind::DynBoth;
-    cfg.clientFrameCap = 2;
+    cfg.clientFrameCapPerNode.assign(cfg.numNodes, 2);
     // Tiny processor caches force repeated remote refetches on the
     // LA-NUMA page so its refetch counter climbs quickly.
     cfg.l1Bytes = 512;

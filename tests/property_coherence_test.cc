@@ -196,7 +196,7 @@ TEST_P(CoherenceProperty, RandomTrafficPreservesInvariants)
     cfg.numNodes = 4;
     cfg.procsPerNode = 2;
     cfg.policy = c.policy;
-    cfg.clientFrameCap = c.cap;
+    cfg.clientFrameCapPerNode.assign(cfg.numNodes, c.cap);
     cfg.seed = c.seed;
     cfg.migrationEnabled = c.migrate;
     cfg.migrationThreshold = 32; // migrate aggressively under churn
@@ -248,7 +248,7 @@ TEST(CoherenceSeedSweep, RandomTrafficPreservesInvariants)
     cfg.numNodes = 4;
     cfg.procsPerNode = 2;
     cfg.policy = c.policy;
-    cfg.clientFrameCap = c.cap;
+    cfg.clientFrameCapPerNode.assign(cfg.numNodes, c.cap);
     cfg.seed = c.seed;
     cfg.migrationEnabled = c.migrate;
     cfg.migrationThreshold = 32;

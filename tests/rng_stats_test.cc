@@ -1,15 +1,17 @@
 /**
  * @file
- * Unit tests for the deterministic RNG, the scoped metric registry and
- * the histogram.
+ * Unit tests for the deterministic RNG, the metric tables and catalog,
+ * and the histogram.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <sstream>
 
+#include "core/machine.hh"
 #include "obs/metrics.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -73,126 +75,113 @@ TEST(Rng, ShufflePreservesElements)
     EXPECT_TRUE(std::is_permutation(v.begin(), v.end(), sorted.begin()));
 }
 
-TEST(MetricRegistry, BindQueryAndDump)
+/** A walk that collects every metric's full name, by kind. */
+struct NameWalk : MetricVisitor {
+    std::vector<std::string> counters, histograms, gauges;
+    void
+    counter(const MetricLabels &at, std::uint64_t) override
+    {
+        counters.push_back(at.fullName());
+    }
+    void
+    histogram(const MetricLabels &at, const Histogram &) override
+    {
+        histograms.push_back(at.fullName());
+    }
+    void
+    gauge(const MetricLabels &at, double) override
+    {
+        gauges.push_back(at.fullName());
+    }
+};
+
+struct Pair {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+};
+
+constexpr CounterRow<Pair> kDistinctRows[] = {
+    {"a", "count", "", &Pair::a},
+    {"b", "count", "", &Pair::b},
+};
+constexpr CounterRow<Pair> kDuplicateRows[] = {
+    {"a", "count", "", &Pair::a},
+    {"a", "count", "", &Pair::b},
+};
+
+TEST(MetricTables, DuplicateNameIsRejected)
 {
-    MetricRegistry reg;
-    ScopedCounter a, b;
-    reg.bind(MetricLabels{"ctrl", 0, "misses", "count"}, &a,
-             "remote misses");
-    reg.bind(MetricLabels{"ctrl", 1, "misses", "count"}, &b);
-    a += 5;
-    b += 7;
-    EXPECT_EQ(reg.get("node0.ctrl.misses"), 5u);
-    EXPECT_EQ(reg.get("nope"), std::nullopt);
-    ++a;
-    EXPECT_EQ(reg.get("node0.ctrl.misses"), 6u); // live handle
-    EXPECT_EQ(reg.value("ctrl", 1, "misses"), 7u);
-    EXPECT_EQ(reg.sum("ctrl", "misses"), 13u);
+    // Each component static_asserts distinctNames over its tables, so
+    // a name used twice in one component fails the build.
+    static_assert(distinctNames(kDistinctRows));
+    static_assert(!distinctNames(kDuplicateRows));
+    static_assert(!distinctNames(kDistinctRows, kDistinctRows));
+    EXPECT_FALSE(distinctNames(kDuplicateRows));
+}
+
+TEST(MetricTables, FullNamesLabelNodeAndLane)
+{
+    MetricLabels at{"proc", 3, 1};
+    at.name = "loads";
+    EXPECT_EQ(at.key(), "proc.p1.loads");
+    EXPECT_EQ(at.fullName(), "node3.proc.p1.loads");
+    MetricLabels net{"net"};
+    net.name = "messages";
+    EXPECT_EQ(net.fullName(), "net.messages");
+}
+
+TEST(MetricRegistry, CatalogOfAnEightByFourMachine)
+{
+    MachineConfig cfg; // 8x4
+    Machine m(cfg);
+    NameWalk w;
+    m.visitMetrics(w);
+    // Per node 15 ctrl + 10 kernel + 4 x 9 proc counters, plus 2 net.
+    EXPECT_EQ(w.counters.size(), 8u * (15 + 10 + 4 * 9) + 2);
+    EXPECT_EQ(w.histograms.size(), 8u * (5 + 2) + 3);
+    EXPECT_EQ(w.gauges.size(), 8u * (4 + 4));
+    EXPECT_EQ(w.counters.front(), "node0.ctrl.remoteMisses");
+    EXPECT_EQ(w.counters.back(), "net.trafficProxy");
+    EXPECT_EQ(w.gauges.front(), "node0.footprint.dirBytes");
+
+    // The KV histograms join the catalog once a workload takes them.
+    m.kvLatency().read.sample(40);
+    NameWalk kv;
+    m.visitMetrics(kv);
+    ASSERT_EQ(kv.histograms.size(), w.histograms.size() + 4);
+    EXPECT_EQ(kv.histograms.back(), "workload.kv.scan.latency");
+    const auto hists = m.metricRegistry().histograms();
+    const auto &read = hists[hists.size() - 4];
+    EXPECT_EQ(read.labels.component + "." + read.labels.name,
+              "workload.kv.read.latency");
+    EXPECT_EQ(read.histogram().count(), 1u);
+
+    // No full name repeats across components, nodes and lanes.
+    std::set<std::string> names;
+    for (const auto *list : {&kv.counters, &kv.histograms, &kv.gauges}) {
+        for (const std::string &n : *list)
+            EXPECT_TRUE(names.insert(n).second) << n;
+    }
+}
+
+TEST(MetricRegistry, DumpPrintsEveryCounterWithItsDescription)
+{
+    MachineConfig cfg;
+    cfg.numNodes = 2;
+    cfg.procsPerNode = 2;
+    Machine m(cfg);
     std::ostringstream os;
-    reg.dump(os);
-    EXPECT_NE(os.str().find("node0.ctrl.misses 6"), std::string::npos);
-    EXPECT_NE(os.str().find("# remote misses"), std::string::npos);
-}
-
-TEST(MetricRegistry, SealedGetIsIndexed)
-{
-    MetricRegistry reg;
-    ScopedCounter a;
-    reg.bind(MetricLabels{"ctrl", 3, "remoteMisses", "count"}, &a);
-    EXPECT_FALSE(reg.sealed());
-    reg.seal();
-    EXPECT_TRUE(reg.sealed());
-    a += 2;
-    EXPECT_EQ(reg.get("node3.ctrl.remoteMisses"), 2u);
-    EXPECT_EQ(reg.get("node3.ctrl.nope"), std::nullopt);
-}
-
-TEST(MetricRegistry, HandleOutlivingRegistryIsSafe)
-{
-    ScopedCounter a;
-    {
-        MetricRegistry reg;
-        reg.bind(MetricLabels{"ctrl", 0, "x", "count"}, &a);
-        ++a;
-    }
-    // The registry detached the handle on destruction; the handle
-    // keeps working as a plain counter.
-    ++a;
-    EXPECT_EQ(a.value(), 2u);
-}
-
-TEST(MetricRegistry, RegistryOutlivingHandleRetiresValue)
-{
-    MetricRegistry reg;
-    {
-        ScopedCounter a;
-        reg.bind(MetricLabels{"kernel", 2, "faults", "count"}, &a);
-        a += 41;
-        ++a;
-    }
-    // The handle retired its final value; label queries still answer.
-    EXPECT_EQ(reg.get("node2.kernel.faults"), 42u);
-    EXPECT_EQ(reg.sum("kernel", "faults"), 42u);
-}
-
-TEST(MetricRegistry, SumLeafAggregatesDottedNames)
-{
-    MetricRegistry reg;
-    ScopedCounter p0, p1, other;
-    reg.bind(MetricLabels{"proc", 0, "p0.loads", "count"}, &p0);
-    reg.bind(MetricLabels{"proc", 0, "p1.loads", "count"}, &p1);
-    reg.bind(MetricLabels{"proc", 0, "p0.stores", "count"}, &other);
-    p0 += 3;
-    p1 += 4;
-    other += 100;
-    EXPECT_EQ(reg.sumLeaf("proc", "loads"), 7u);
-    EXPECT_EQ(reg.sumLeaf("proc", "stores"), 100u);
-}
-
-TEST(MetricRegistry, GaugeSamplesAreCachedAcrossRetirement)
-{
-    MetricRegistry reg;
-    double source = 1.5;
-    {
-        ScopedGauge g;
-        reg.bind(MetricLabels{"kernel", 0, "util", "fraction"}, &g,
-                 [&source] { return source; });
-        reg.sampleGauges();
-        source = 2.5;
-        reg.sampleGauges();
-    }
-    ASSERT_EQ(reg.gauges().size(), 1u);
-    EXPECT_DOUBLE_EQ(reg.gauges()[0].value, 2.5);
-}
-
-void
-bindDuplicateMetric()
-{
-    MetricRegistry reg;
-    ScopedCounter a, b;
-    reg.bind(MetricLabels{"ctrl", 0, "misses", "count"}, &a);
-    reg.bind(MetricLabels{"ctrl", 0, "misses", "count"}, &b);
-}
-
-void
-bindAfterSeal()
-{
-    MetricRegistry reg;
-    reg.seal();
-    ScopedCounter a;
-    reg.bind(MetricLabels{"ctrl", 0, "late", "count"}, &a);
-}
-
-TEST(MetricRegistryDeathTest, DuplicateRegistrationIsFatal)
-{
-    EXPECT_EXIT(bindDuplicateMetric(), ::testing::ExitedWithCode(1),
-                "duplicate metric registration");
-}
-
-TEST(MetricRegistryDeathTest, BindAfterSealIsFatal)
-{
-    EXPECT_EXIT(bindAfterSeal(), ::testing::ExitedWithCode(1),
-                "registered after the registry");
+    m.metricRegistry().dump(os);
+    const std::string out = os.str();
+    EXPECT_NE(out.find("node0.ctrl.remoteMisses 0  # misses that fetched "
+                       "data from a remote node\n"),
+              std::string::npos);
+    EXPECT_NE(out.find("node1.proc.p1.loads 0\n"), std::string::npos);
+    EXPECT_NE(out.find("net.messages 0  # messages sent through the "
+                       "fabric\n"),
+              std::string::npos);
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'),
+              2 * (15 + 10 + 2 * 9) + 2);
 }
 
 TEST(Histogram, BucketsAndMoments)

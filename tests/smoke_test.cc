@@ -44,7 +44,8 @@ TEST(Smoke, EveryTinyAppEveryPolicy)
              {PolicyKind::Scoma, PolicyKind::LaNuma, PolicyKind::DynLru}) {
             MachineConfig cfg = tinyConfig();
             cfg.policy = pk;
-            cfg.clientFrameCap = (pk == PolicyKind::Scoma) ? 0 : 24;
+            cfg.clientFrameCapPerNode.assign(
+                cfg.numNodes, pk == PolicyKind::Scoma ? 0 : 24);
             RunMetrics r = runOnce(RunSpec{.machine = cfg}, app);
             EXPECT_GT(r.execCycles, 0u)
                 << app.name << " " << policyName(pk);
