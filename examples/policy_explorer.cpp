@@ -17,6 +17,7 @@
 
 #include "core/env.hh"
 #include "core/machine.hh"
+#include "sim/logging.hh"
 #include "workload/apps.hh"
 #include "workload/workload.hh"
 #include "workload/experiment.hh"
@@ -41,7 +42,10 @@ usage()
         "  --nodes <n> --procs <n>    topology (default 8x4)\n"
         "  --migrate                  enable lazy page migration\n"
         "  --stats                    dump the full per-node counter "
-        "registry\n");
+        "registry\n"
+        "environment:\n"
+        "  PRISM_PROTOCOL=msi|mesi|moesi|mesif  line protocol "
+        "(default mesi)\n");
     std::exit(1);
 }
 
@@ -71,6 +75,14 @@ main(int argc, char **argv)
     double cap_pct = 70.0;
     bool dump_stats = false;
     MachineConfig cfg;
+    // The explorer has no --protocol flag: PRISM_PROTOCOL picks the
+    // line protocol, which the Machine itself never reads.
+    if (const char *v = resolveEnv("PRISM_PROTOCOL")) {
+        if (!protocolFromString(v, &cfg.protocol)) {
+            fatal("unknown PRISM_PROTOCOL '%s' (valid: msi mesi moesi "
+                  "mesif)", v);
+        }
+    }
     for (int i = 3; i < argc; ++i) {
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)

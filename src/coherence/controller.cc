@@ -4,6 +4,8 @@
 
 #include "check/oracle.hh"
 #include "core/env.hh"
+#include "core/machine.hh"
+#include "core/node.hh"
 #include "obs/trace_sink.hh"
 #include "sim/stats.hh"
 
@@ -11,26 +13,30 @@ namespace prism {
 
 #define TRC(gp, li, ...)                                                  \
     do {                                                                  \
-        if (traceMatch(gp, li))                                           \
+        if (log_.match(gp, li))                                           \
             ::prism::warn(__VA_ARGS__);                                   \
     } while (0)
 
-CoherenceController::CoherenceController(
-    NodeId self, const MachineConfig &cfg, EventQueue &eq, Dram &dram,
-    ControllerHost &host, std::function<NodeId(GPage)> static_home_of,
-    std::function<void(Msg &&)> send)
-    : self_(self), cfg_(cfg), eq_(eq), dram_(dram), host_(host),
-      staticHomeOf_(std::move(static_home_of)), sendFn_(std::move(send)),
-      geo_(cfg.lineBytes),
-      pages_(eq, geo_.linesPerPage(), cfg.numNodes),
-      pit_(pages_, cfg.pitLatency, cfg.pitHashExtra),
-      dir_(cfg.dirCacheEntries, cfg.dirCacheHit, cfg.dirCacheMiss),
-      mutationBudget_(cfg.mutationSkipInvals),
-      traceGPage_(parseKnobU64("PRISM_TRACE_GPAGE",
-                               resolveEnv("PRISM_TRACE_GPAGE"),
-                               kInvalidGPage, 0, ~0ULL, 16)),
-      traceLi_(parseKnobU64("PRISM_TRACE_LI", resolveEnv("PRISM_TRACE_LI"),
-                            ~0ULL, 0))
+MsgLogFilter
+MsgLogFilter::fromEnv()
+{
+    return MsgLogFilter{
+        parseKnobU64("PRISM_TRACE_GPAGE", resolveEnv("PRISM_TRACE_GPAGE"),
+                     kInvalidGPage, 0, ~0ULL, 16),
+        parseKnobU64("PRISM_TRACE_LI", resolveEnv("PRISM_TRACE_LI"), ~0ULL,
+                     0)};
+}
+
+CoherenceController::CoherenceController(Node &node)
+    : node_(node), self_(node.id()), cfg_(node.config()),
+      eq_(node.eventQueue()), dram_(node.dram()), geo_(cfg_.lineBytes),
+      pages_(eq_, geo_.linesPerPage(), cfg_.numNodes),
+      pit_(pages_, cfg_.pitLatency, cfg_.pitHashExtra),
+      dir_(cfg_.dirCacheEntries, cfg_.dirCacheHit, cfg_.dirCacheMiss),
+      oracle_(node.machine().oracle()),
+      trace_(node.machine().traceSink()),
+      log_(node.machine().msgLogFilter()),
+      mutationBudget_(cfg_.mutationSkipInvals)
 {
 }
 
@@ -52,7 +58,7 @@ void
 CoherenceController::send(Msg &&m)
 {
     m.src = self_;
-    sendFn_(std::move(m));
+    node_.machine().route(std::move(m));
 }
 
 void
@@ -61,16 +67,17 @@ CoherenceController::forward(Msg &&m)
     ++stats_.forwards;
     NodeId target;
     auto rec = pages_.find(m.gpage);
+    const NodeId static_home = staticHomeOf(m.gpage, cfg_.numNodes);
     if (rec && rec->movedTo != kInvalidNode) {
         target = rec->movedTo;
-    } else if (staticHomeOf_(m.gpage) == self_) {
+    } else if (static_home == self_) {
         prism_assert(rec && rec->registry != kInvalidNode,
                      "static home has no registry entry for forwarded msg");
         target = rec->registry;
         prism_assert(target != self_, "registry points at a node "
                      "without the directory page");
     } else {
-        target = staticHomeOf_(m.gpage);
+        target = static_home;
     }
     m.dst = target;
     send(std::move(m));
@@ -145,7 +152,7 @@ CoherenceController::clientView(const PitEntry &e, std::uint32_t li) const
     const GLine gl = geo_.lineOf(e.gpage, li);
     if (pending_.count(gl) || fillPending_.count(gl))
         return ClientView::NumaTransit;
-    const Mesi held = host_.heldCopy(e.frame, li);
+    const Mesi held = node_.heldCopy(e.frame, li);
     return held == Mesi::Invalid ? ClientView::NumaNone
            : ownerClass(held)    ? ClientView::NumaOwned
                                  : ClientView::NumaShared;
@@ -169,7 +176,7 @@ CoherenceController::lineStep(const ClientTransition &t, const Pit::Ref &e,
 {
     InterventionResult r{eq_.now(), 0};
     if (t.actions & (kCliSnoop | kCliProbe))
-        r = host_.intervene(e->frame, li, t.snoop, eq_.now());
+        r = node_.intervene(e->frame, li, t.snoop, eq_.now());
     if (isTagView(t.next))
         e->tags.set(li, viewTag(t.next));
     if ((t.actions & kCliNoteInval) && oracle_)
@@ -339,13 +346,12 @@ CoherenceController::runClientTxn(std::uint32_t request, Pit::Ref e,
             cur->homeFrameHint = txn.homeFrame;
     }
 
-    const char *txn_kind;
     if (txn.dataFetched) {
         ++stats_.remoteMisses;
         eq_.snapNote(SnapKind::RemoteMiss);
-        Histogram &h = txn.threeParty ? latency_.read3 : latency_.read2;
-        h.sample(eq_.now() - t0);
-        txn_kind = txn.threeParty ? "read3" : "read2";
+        recordTxn(txn.threeParty ? latency_.read3 : latency_.read2, trace_,
+                  txn.threeParty ? "read3" : "read2", "coherence", self_,
+                  line_idx, t0, eq_.now());
         if (cur) {
             ++cur->remoteFetches;
             if (cur->mode == PageMode::Scoma)
@@ -354,12 +360,8 @@ CoherenceController::runClientTxn(std::uint32_t request, Pit::Ref e,
     } else {
         ++stats_.upgrades;
         eq_.snapNote(SnapKind::Upgrade);
-        latency_.upgrade.sample(eq_.now() - t0);
-        txn_kind = "upgrade";
-    }
-    if (trace_) {
-        trace_->span(txn_kind, "coherence", static_cast<std::int32_t>(self_),
-                     static_cast<std::int32_t>(line_idx), t0, eq_.now());
+        recordTxn(latency_.upgrade, trace_, "upgrade", "coherence", self_,
+                  line_idx, t0, eq_.now());
     }
     out->source = MissSource::Remote;
     out->exclusive = txn.exclusive;
@@ -418,7 +420,7 @@ CoherenceController::lineActions(FrameNum frame, std::uint32_t line_idx,
     releaseLine(*e, line_idx, actions & kActWritebackData,
                 (actions & kActRelinquish) ||
                     ((actions & kActWritebackData) &&
-                     host_.heldCopy(frame, line_idx) != Mesi::Invalid));
+                     node_.heldCopy(frame, line_idx) != Mesi::Invalid));
 }
 
 // ---------------------------------------------------------------------
@@ -457,8 +459,9 @@ CoherenceController::becomeHome(PageRecord &rec)
 void
 CoherenceController::installHomeMapping(FrameNum frame, GPage gpage)
 {
+    const NodeId static_home = staticHomeOf(gpage, cfg_.numNodes);
     const Pit::Ref e =
-        pit_.install(frame, gpage, staticHomeOf_(gpage), self_, frame,
+        pit_.install(frame, gpage, static_home, self_, frame,
                      PageMode::Scoma, geo_.linesPerPage(), FgTag::Exclusive);
     PageRecord &rec = *e->page;
     prism_assert(!rec.home, "directory page already present");
@@ -469,7 +472,7 @@ CoherenceController::installHomeMapping(FrameNum frame, GPage gpage)
                       self_, kInvalidNode);
     }
     becomeHome(rec);
-    if (staticHomeOf_(gpage) == self_)
+    if (static_home == self_)
         e->page->registry = self_;
     if (oracle_)
         oracle_->onHomeInstall(self_, gpage);
@@ -489,7 +492,7 @@ CoherenceController::flushClientPage(FrameNum frame)
     for (;;) {
         const bool busy = (e->mode == PageMode::Scoma &&
                            e->tags.anyTransit()) ||
-                          host_.anyBusPending(frame) ||
+                          node_.anyBusPending(frame) ||
                           e->page->pendingLines != 0;
         if (!busy)
             break;
@@ -512,7 +515,7 @@ CoherenceController::clientPageQuiescent(FrameNum frame) const
     const Pit::Ref e = pit_.entry(frame);
     if (!e)
         return true;
-    if (host_.anyBusPending(frame) || host_.anyCachedCopy(frame))
+    if (node_.anyBusPending(frame) || node_.anyCachedCopy(frame))
         return false;
     if (e->mode == PageMode::Scoma &&
         e->tags.count(FgTag::Invalid) != e->tags.lines())
@@ -537,11 +540,12 @@ CoherenceController::removeHomeMapping(FrameNum frame, GPage gpage)
     homeApplyPage(HomeEvent::MigrateFlush, *rec, self_);
     pages_.setHome(rec, nullptr);
     pit_.remove(frame);
-    if (staticHomeOf_(gpage) == self_) {
+    const NodeId static_home = staticHomeOf(gpage, cfg_.numNodes);
+    if (static_home == self_) {
         rec->registry = kInvalidNode;
         pages_.settle(rec);
     } else {
-        Msg m(MsgType::MigrateDone, staticHomeOf_(gpage), gpage);
+        Msg m(MsgType::MigrateDone, static_home, gpage);
         m.aux = 1; // erase-registry sentinel
         send(std::move(m));
     }
@@ -846,12 +850,8 @@ CoherenceController::handleWriteback(Msg m)
         m.keepShared ? HomeEvent::WbKeepShared : HomeEvent::WbRelease;
     homeCommit(homeCell(ev, d, m.gpage, m.lineIdx, owner_id), d, m.gpage,
                m.lineIdx, owner_id, kInvalidNode, m.dirty);
-    latency_.writeback.sample(eq_.now() - t0);
-    if (trace_) {
-        trace_->span("writeback", "coherence",
-                     static_cast<std::int32_t>(self_),
-                     static_cast<std::int32_t>(m.lineIdx), t0, eq_.now());
-    }
+    recordTxn(latency_.writeback, trace_, "writeback", "coherence", self_,
+              m.lineIdx, t0, eq_.now());
 }
 
 FireAndForget
@@ -950,7 +950,7 @@ CoherenceController::handleClientReply(Msg m)
 void
 CoherenceController::requestMigration(GPage gpage, NodeId new_home)
 {
-    Msg m(MsgType::MigrateReq, staticHomeOf_(gpage), gpage);
+    Msg m(MsgType::MigrateReq, staticHomeOf(gpage, cfg_.numNodes), gpage);
     m.aux = new_home;
     send(std::move(m));
 }
@@ -1016,7 +1016,7 @@ CoherenceController::handleMigratePrep(Msg m)
 
     // Wait for local bus-level activity on the frame to drain, then
     // flush local processor copies into the home frame's memory.
-    while (host_.anyBusPending(hf))
+    while (node_.anyBusPending(hf))
         co_await delay(cfg_.retryDelay);
     co_await collectFrame(hf);
 
@@ -1033,14 +1033,11 @@ CoherenceController::handleMigratePrep(Msg m)
     send(std::move(data));
 
     rec->movedTo = new_home;
-    host_.migrationFreeFrame(hf, gp);
+    node_.kernel().migrationFreeFrame(hf, gp);
     pit_.remove(hf);
     ++stats_.migrationsOut;
-    latency_.migration.sample(eq_.now() - t0);
-    if (trace_) {
-        trace_->span("migration", "paging",
-                     static_cast<std::int32_t>(self_), 0, t0, eq_.now());
-    }
+    recordTxn(latency_.migration, trace_, "migration", "paging", self_, 0,
+              t0, eq_.now());
 
     // Release the locks; queued handlers will find the page gone and
     // forward toward the new home.  The tombstone keeps the record.
@@ -1066,7 +1063,7 @@ CoherenceController::handleMigrateData(Msg m)
         // memory, then retire the imaginary frame.
         co_await collectFrame(existing);
         pit_.remove(existing);
-        host_.migrationFreeFrame(existing, gp);
+        node_.kernel().migrationFreeFrame(existing, gp);
     }
 
     const PageRecords::Ref rec = pages_.get(gp);
@@ -1089,10 +1086,10 @@ CoherenceController::handleMigrateData(Msg m)
         // Copies collected above are now home memory.
         if (existing != kInvalidFrame)
             homeApplyPage(HomeEvent::MigrateFlush, *rec, self_);
-        hf = host_.migrationAllocFrame(gp);
+        hf = node_.kernel().migrationAllocFrame(gp);
         prism_assert(hf != kInvalidFrame, "migration frame alloc failed");
         const Pit::Ref e =
-            pit_.install(hf, gp, staticHomeOf_(gp), self_, hf,
+            pit_.install(hf, gp, staticHomeOf(gp, cfg_.numNodes), self_, hf,
                          PageMode::Scoma, geo_.linesPerPage(),
                          FgTag::Invalid);
         // Derive this node's tags from its view of the directory.
@@ -1106,14 +1103,14 @@ CoherenceController::handleMigrateData(Msg m)
         }
     }
     becomeHome(*rec);
-    host_.homeKernelAdopt(gp);
+    node_.kernel().adoptHomePage(gp);
     ++stats_.migrationsIn;
 
     // Charge receipt of the page-sized payload into memory.
     for (int i = 0; i < 8; ++i)
         dram_.access(eq_.now());
 
-    send(Msg(MsgType::MigrateDone, staticHomeOf_(gp), gp));
+    send(Msg(MsgType::MigrateDone, staticHomeOf(gp, cfg_.numNodes), gp));
 }
 
 double

@@ -24,13 +24,19 @@
  * Protocol handlers run as coroutines on the deterministic event
  * queue; controller occupancy, PIT, directory-cache, memory and
  * network timings are charged along the way.
+ *
+ * The controller is one part of a Node and calls the rest directly:
+ * Node::intervene and the node's cache probes for processor copies,
+ * the node's kernel for the frames a migrating page leaves and takes,
+ * and Machine::route for every message it sends.  It reads the
+ * machine's oracle, trace sink and message-log filter once, when it is
+ * built.
  */
 
 #ifndef PRISM_COHERENCE_CONTROLLER_HH
 #define PRISM_COHERENCE_CONTROLLER_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -54,6 +60,7 @@
 
 namespace prism {
 
+class Node;
 class ProtocolOracle;
 class TraceSink;
 
@@ -74,7 +81,7 @@ struct MissResult {
 // (An invalidation that races a non-exclusive reply poisons the
 // transaction; serviceMiss converts that to a Retry outcome.)
 
-/** Outcome of a local processor-cache intervention. */
+/** Outcome of a local processor-cache intervention (Node::intervene). */
 struct InterventionResult {
     Tick done;    //!< tick at which the intervention completes
     /** Union of the copies' transition actions (LineAction flags). */
@@ -82,55 +89,23 @@ struct InterventionResult {
 };
 
 /**
- * Node-side services the controller needs: processor-cache
- * interventions and kernel cooperation for page migration.
- * Implemented by core::Node to keep the coherence layer independent
- * of the machine assembly.
+ * The protocol message-log filter: the controller writes each protocol
+ * decision on a matching line to stderr.  The machine parses it once,
+ * strictly, so a bad value fails fast naming the knob.
  */
-class ControllerHost
-{
-  public:
-    virtual ~ControllerHost() = default;
+struct MsgLogFilter {
+    GPage gpage = kInvalidGPage; //!< kInvalidGPage: log nothing
+    std::uint64_t li = ~0ULL;    //!< ~0: every line of the page
 
-    /**
-     * Raise @p ev (RemoteRead, Inval or Evict) on every local
-     * processor copy of a line of @p frame; each copy moves as the
-     * line table says.  Dirty data, if any, crosses the bus.
-     */
-    virtual InterventionResult intervene(FrameNum frame,
-                                         std::uint32_t line_idx,
-                                         LineEvent ev, Tick at) = 0;
+    /** PRISM_TRACE_GPAGE (hex) and PRISM_TRACE_LI (decimal). */
+    static MsgLogFilter fromEnv();
 
-    /**
-     * True while any node-level bus transaction (miss, upgrade or
-     * cache-to-cache fill) is outstanding on a line of @p frame.
-     * Page flushes must wait for these to drain.
-     */
-    virtual bool anyBusPending(FrameNum frame) const = 0;
-
-    /** True if any local processor cache holds a line of @p frame. */
-    virtual bool anyCachedCopy(FrameNum frame) const = 0;
-
-    /**
-     * The strongest state any local processor cache holds this line
-     * in (Invalid: none), without touching the caches.  It is the
-     * LA-NUMA client view (client_protocol.hh), and it decides whether
-     * a dirty eviction's writeback keeps the node registered as a
-     * sharer (MOESI: peer Shared copies can outlive the Owned copy).
-     */
-    virtual Mesi heldCopy(FrameNum frame, std::uint32_t line_idx) const = 0;
-
-    /** Allocate a real frame to receive a migrating home page. */
-    virtual FrameNum migrationAllocFrame(GPage gp) = 0;
-
-    /** Unmap and free the departing home page's frame. */
-    virtual void migrationFreeFrame(FrameNum frame, GPage gp) = 0;
-
-    /**
-     * The page arrived here by migration, its home block (client set
-     * included) already installed: update the kernel's own state.
-     */
-    virtual void homeKernelAdopt(GPage gp) = 0;
+    bool
+    match(GPage gp, std::uint32_t line) const
+    {
+        return gpage != kInvalidGPage && gp == gpage &&
+               (li == ~0ULL || line == li);
+    }
 };
 
 /** Per-node statistics the controller maintains (component "ctrl"). */
@@ -205,10 +180,11 @@ static_assert(distinctNames(kControllerCounters, kControllerLatency));
 class CoherenceController
 {
   public:
-    CoherenceController(NodeId self, const MachineConfig &cfg,
-                        EventQueue &eq, Dram &dram, ControllerHost &host,
-                        std::function<NodeId(GPage)> static_home_of,
-                        std::function<void(Msg &&)> send);
+    /**
+     * The controller of @p node, built before the node's kernel: it
+     * reads the machine's oracle, trace sink and message-log filter.
+     */
+    explicit CoherenceController(Node &node);
 
     NodeId self() const { return self_; }
     Pit &pit() { return pit_; }
@@ -337,16 +313,10 @@ class CoherenceController
      */
     NodeId registryLookup(GPage gpage) const;
 
-    /** Attach the optional Chrome-trace sink (nullptr to disable). */
-    void setTraceSink(TraceSink *t) { trace_ = t; }
-
     // --- Network side ------------------------------------------------------
 
     /** Deliver a protocol message to this controller. */
     void onMessage(Msg m);
-
-    /** Attach the protocol oracle (Machine construction). */
-    void setOracle(ProtocolOracle *o) { oracle_ = o; }
 
     /**
      * Times this node has looked up client-table cell (@p v, @p e).
@@ -495,13 +465,11 @@ class CoherenceController
     void noteHomeAccess(HomeMeta &hm, const Msg &m);
     void maybeTriggerMigration(PageRecord &rec);
 
+    Node &node_;
     NodeId self_;
     const MachineConfig &cfg_;
     EventQueue &eq_;
     Dram &dram_;
-    ControllerHost &host_;
-    std::function<NodeId(GPage)> staticHomeOf_;
-    std::function<void(Msg &&)> sendFn_;
     LineGeometry geo_;
 
     PageRecords pages_;
@@ -535,26 +503,12 @@ class CoherenceController
         pages_.settle(rec);
     }
 
-    ProtocolOracle *oracle_ = nullptr;
-    TraceSink *trace_ = nullptr;
+    ProtocolOracle *const oracle_; //!< null unless an oracle checks
+    TraceSink *const trace_;       //!< null unless the machine traces
+    const MsgLogFilter log_;
     const ClientProtocol &clientTable_ = ClientProtocol::get();
     /** Remaining invalidations to skip (cfg.mutationSkipInvals). */
     std::uint32_t mutationBudget_ = 0;
-
-    /**
-     * Message-log filter, parsed strictly at construction so a bad
-     * value fails fast: PRISM_TRACE_GPAGE (hex; kInvalidGPage when
-     * unset) and PRISM_TRACE_LI (decimal; ~0 = every line).
-     */
-    GPage traceGPage_;
-    std::uint64_t traceLi_;
-
-    bool
-    traceMatch(GPage gp, std::uint32_t li) const
-    {
-        return traceGPage_ != kInvalidGPage && gp == traceGPage_ &&
-               (traceLi_ == ~0ULL || li == traceLi_);
-    }
 
     ControllerStats stats_;
     ControllerLatency latency_;

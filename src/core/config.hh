@@ -145,9 +145,10 @@ struct MachineConfig {
 
     // --- Intra-node line protocol ----------------------------------------
     /**
-     * Line-protocol scheme for the processor caches and node bus; the
-     * PRISM_PROTOCOL environment variable (msi|mesi|moesi|mesif)
-     * overrides this at Machine construction.
+     * Line-protocol scheme for the processor caches and node bus.  The
+     * Machine reads only this field: the benches resolve their
+     * --protocol flag and the PRISM_PROTOCOL environment variable
+     * (msi|mesi|moesi|mesif) into it before building a machine.
      */
     ProtocolScheme protocol = ProtocolScheme::Mesi;
 

@@ -55,14 +55,6 @@ Machine::Machine(const MachineConfig &cfg)
         }
         cfg_.oracleMode = om;
     }
-    if (const char *env = resolveEnv("PRISM_PROTOCOL")) {
-        ProtocolScheme ps;
-        if (!protocolFromString(env, &ps)) {
-            fatal("unknown PRISM_PROTOCOL '%s' (valid: msi mesi moesi "
-                  "mesif)", env);
-        }
-        cfg_.protocol = ps;
-    }
 
     const Cycles min_occ =
         std::min({cfg_.netCtrlOccupancy, cfg_.netDataOccupancy,
@@ -113,37 +105,25 @@ Machine::Machine(const MachineConfig &cfg)
     np.jitterMax = cfg_.netJitterMax;
     np.jitterSeed = cfg_.jitterSeed;
     net_ = std::make_unique<Network>(eq0, cfg_.numNodes, np);
+
+    // What every node's parts read in their constructors: the page
+    // policy, the oracle, the Chrome-trace sink (the first machine in
+    // the process claims PRISM_TRACE; parallel sweep workers run
+    // untraced) and the message-log filter.
     policy_ = makePolicy(cfg_.policy);
-
-    auto static_home = [this](GPage gp) { return staticHomeOf(gp); };
-    auto sender = [this](Msg &&m) { route(std::move(m)); };
-
-    for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-        nodes_.push_back(std::make_unique<Node>(
-            n, cfg_, shards_[shardOfNode_[n]]->eq, *this, ipc_,
-            static_home, sender));
-        nodes_.back()->kernel().setPolicy(policy_.get());
-    }
-
     if (cfg_.oracleMode != OracleMode::Off) {
         oracle_ = std::make_unique<ProtocolOracle>(*this, cfg_.oracleMode,
                                                    cfg_.oracleFatal);
-        for (auto &node : nodes_) {
-            node->controller().setOracle(oracle_.get());
-            for (std::uint32_t p = 0; p < node->numProcs(); ++p)
-                node->proc(p).setOracle(oracle_.get());
-        }
     }
-
-    // Optional Chrome tracing: the first machine in the process claims
-    // the PRISM_TRACE sink (parallel sweep workers run untraced).
     trace_ = TraceSink::claimFromEnv();
-    if (trace_) {
-        for (NodeId n = 0; n < cfg_.numNodes; ++n) {
+    msgLog_ = MsgLogFilter::fromEnv();
+
+    for (NodeId n = 0; n < cfg_.numNodes; ++n) {
+        nodes_.push_back(std::make_unique<Node>(
+            n, *this, shards_[shardOfNode_[n]]->eq));
+        if (trace_) {
             trace_->processName(static_cast<std::int32_t>(n),
                                 "node" + std::to_string(n));
-            nodes_[n]->controller().setTraceSink(trace_.get());
-            nodes_[n]->kernel().setTraceSink(trace_.get());
         }
     }
 

@@ -6,6 +6,14 @@
  * This is the library's main entry point: construct a Machine from a
  * MachineConfig, create and attach global segments, hand each
  * processor a program coroutine, and run() to completion.
+ *
+ * Construction builds what every node's parts read first (the page
+ * policy, the protocol oracle, the Chrome-trace sink and the message-
+ * log filter), then the nodes, each of which builds its controller,
+ * kernel and processors with a reference to itself; nothing is wired
+ * after construction.  The machine reads cfg.protocol as given: the
+ * benches resolve --protocol and PRISM_PROTOCOL into it.  PRISM_ORACLE
+ * is the one environment override it applies itself.
  */
 
 #ifndef PRISM_CORE_MACHINE_HH
@@ -161,6 +169,15 @@ class Machine
     /** Protocol oracle; nullptr when oracleMode is Off. */
     ProtocolOracle *oracle() { return oracle_.get(); }
 
+    /** The page-mode policy every kernel consults at client faults. */
+    PagePolicy &policy() { return *policy_; }
+
+    /** The Chrome-trace sink; nullptr unless this machine claimed it. */
+    TraceSink *traceSink() { return trace_.get(); }
+
+    /** The protocol message-log filter, parsed once per machine. */
+    const MsgLogFilter &msgLogFilter() const { return msgLog_; }
+
     /**
      * Attach (or with nullptr detach) a reference-stream recorder:
      * segment setup calls report here, and every processor's program
@@ -187,7 +204,7 @@ class Machine
     NodeId
     staticHomeOf(GPage gp) const
     {
-        return static_cast<NodeId>(gp % cfg_.numNodes);
+        return prism::staticHomeOf(gp, cfg_.numNodes);
     }
 
     // --- Global shared memory setup ---------------------------------------
@@ -296,12 +313,15 @@ class Machine
     IpcServer ipc_;
     LockManager locks_;
     BarrierManager barriers_;
+    // Built before the nodes and destroyed after them: their parts
+    // hold these from construction on.
     std::unique_ptr<PagePolicy> policy_;
-    std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<ProtocolOracle> oracle_;
+    std::unique_ptr<TraceSink> trace_;
+    MsgLogFilter msgLog_;
+    std::vector<std::unique_ptr<Node>> nodes_;
     RefSink *refSink_ = nullptr;
     std::optional<KvLatency> kvLatency_;
-    std::unique_ptr<TraceSink> trace_;
     /** Worker threads for shards 1..N-1 (null in sequential mode). */
     std::unique_ptr<ShardWorkers> workers_;
     /** Current window's exclusive limit W+L (set by the coordinator

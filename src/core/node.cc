@@ -4,35 +4,15 @@
 
 namespace prism {
 
-Node::Node(NodeId id, const MachineConfig &cfg, EventQueue &eq,
-           Machine &machine, IpcServer &ipc,
-           std::function<NodeId(GPage)> static_home_of,
-           std::function<void(Msg &&)> send)
-    : id_(id), cfg_(cfg), eq_(eq), geo_(cfg.lineBytes),
-      proto_(LineProtocol::get(cfg.protocol)),
-      bus_(cfg.busAddrCycles, cfg.busDataCycles),
-      dram_(cfg.memAccessCycles)
+Node::Node(NodeId id, Machine &machine, EventQueue &eq)
+    : id_(id), machine_(machine), cfg_(machine.config()), eq_(eq),
+      geo_(cfg_.lineBytes), proto_(LineProtocol::get(cfg_.protocol)),
+      bus_(cfg_.busAddrCycles, cfg_.busDataCycles),
+      dram_(cfg_.memAccessCycles), ctrl_(*this), kernel_(*this)
 {
-    kernel_ = std::make_unique<Kernel>(id, cfg, eq, ipc, static_home_of,
-                                       send);
-    ctrl_ = std::make_unique<CoherenceController>(
-        id, cfg, eq, dram_, *this, static_home_of, std::move(send));
-    kernel_->attachController(ctrl_.get());
-
-    for (std::uint32_t i = 0; i < cfg.procsPerNode; ++i) {
-        ProcId pid = id * cfg.procsPerNode + i;
+    for (std::uint32_t i = 0; i < cfg_.procsPerNode; ++i)
         procs_.push_back(
-            std::make_unique<Proc>(pid, *this, machine, cfg, eq));
-    }
-
-    kernel_->setTlbShootdown([this](VPage vp) {
-        for (auto &p : procs_)
-            p->shootdown(vp);
-    });
-    kernel_->setCacheFlush([this](FrameNum f) {
-        for (auto &p : procs_)
-            p->invalidateFrame(f);
-    });
+            std::make_unique<Proc>(id * cfg_.procsPerNode + i, *this));
 }
 
 DelayAwaiter
@@ -45,9 +25,9 @@ void
 Node::receive(Msg m)
 {
     if (isKernelMsg(m.type))
-        kernel_->receive(std::move(m));
+        kernel_.receive(std::move(m));
     else
-        ctrl_->onMessage(std::move(m));
+        ctrl_.onMessage(std::move(m));
 }
 
 CoTask
@@ -161,8 +141,8 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
             const bool local_copy =
                 requester_state != Mesi::Invalid || peer_supplies;
             MissResult res;
-            co_await ctrl_->serviceMiss(frame, line_idx, true, local_copy,
-                                        &res);
+            co_await ctrl_.serviceMiss(frame, line_idx, true, local_copy,
+                                       &res);
             if (res.source == MissSource::BadFrame)
                 co_return; // caller re-translates and re-faults
             if (res.source == MissSource::Retry) {
@@ -170,7 +150,7 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
                 continue;
             }
             co_await until(bus_.dataPhase(eq_.now()));
-            if (!ctrl_->finishFill(frame, line_idx, store_fill)) {
+            if (!ctrl_.finishFill(frame, line_idx, store_fill)) {
                 co_await delay(cfg_.retryDelay);
                 continue;
             }
@@ -194,13 +174,13 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
                 // the supplier's transition demands.  MOESI's M->O
                 // retains both the dirty data and node ownership, so
                 // nothing reaches the controller.
-                ctrl_->lineActions(frame, line_idx, cur.actions);
+                ctrl_.lineActions(frame, line_idx, cur.actions);
             } else {
                 // A racing remote intervention already downgraded the
                 // copy; reflect any dirty data it held at snoop time.
-                ctrl_->lineActions(frame, line_idx,
-                                   kActRelinquish |
-                                       (peer_dirty ? kActWritebackData : 0));
+                ctrl_.lineActions(frame, line_idx,
+                                  kActRelinquish |
+                                      (peer_dirty ? kActWritebackData : 0));
             }
             requester.fillLine(line_paddr, proto_.peerReadFill());
             co_return;
@@ -228,7 +208,7 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
             co_return;
         }
         MissResult res;
-        co_await ctrl_->serviceMiss(frame, line_idx, false, false, &res);
+        co_await ctrl_.serviceMiss(frame, line_idx, false, false, &res);
         if (res.source == MissSource::BadFrame)
             co_return; // caller re-translates and re-faults
         if (res.source == MissSource::Retry) {
@@ -237,7 +217,7 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
         }
         const Mesi grant = proto_.readFill(res.exclusive);
         co_await until(bus_.dataPhase(eq_.now()));
-        if (!ctrl_->finishFill(frame, line_idx, grant)) {
+        if (!ctrl_.finishFill(frame, line_idx, grant)) {
             co_await delay(cfg_.retryDelay);
             continue;
         }
@@ -248,7 +228,7 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
         // local cache thinks is merely Shared (and could drop
         // silently).
         if (res.exclusive && proto_.demoteExclusiveReadGrant())
-            ctrl_->lineActions(frame, line_idx, kActRelinquish);
+            ctrl_.lineActions(frame, line_idx, kActRelinquish);
         co_return;
     }
 }
@@ -298,22 +278,18 @@ Node::heldCopy(FrameNum frame, std::uint32_t line_idx) const
     return held;
 }
 
-FrameNum
-Node::migrationAllocFrame(GPage gp)
+void
+Node::shootdown(VPage vp)
 {
-    return kernel_->migrationAllocFrame(gp);
+    for (auto &p : procs_)
+        p->shootdown(vp);
 }
 
 void
-Node::migrationFreeFrame(FrameNum frame, GPage gp)
+Node::invalidateFrame(FrameNum frame)
 {
-    kernel_->migrationFreeFrame(frame, gp);
-}
-
-void
-Node::homeKernelAdopt(GPage gp)
-{
-    kernel_->adoptHomePage(gp);
+    for (auto &p : procs_)
+        p->invalidateFrame(frame);
 }
 
 } // namespace prism

@@ -8,9 +8,15 @@
  * supply and downgrade/invalidate each other over the bus): every
  * peer transition and store completion reads the configured
  * line-protocol table (coherence/line_protocol: MSI/MESI/MOESI/MESIF).
- * It is also the
- * ControllerHost through which the coherence controller intervenes in
- * processor caches and cooperates with the kernel for migration.
+ *
+ * Each part holds its Node and reaches the others directly: the
+ * controller intervenes in the processor caches through the node and
+ * hands page frames to and from the kernel for migration, the kernel
+ * programs the controller's PIT and shoots down the node's TLBs and
+ * cache lines, and every processor misses into memAccess.  Parts are
+ * built in that order (controller, kernel, processors), each reading
+ * what it uses of the machine's page policy, oracle, trace sink and
+ * message-log filter once, in its constructor.
  */
 
 #ifndef PRISM_CORE_NODE_HH
@@ -36,17 +42,21 @@ namespace prism {
 class Machine;
 
 /** One compute node. */
-class Node : public ControllerHost
+class Node
 {
   public:
-    Node(NodeId id, const MachineConfig &cfg, EventQueue &eq,
-         Machine &machine, IpcServer &ipc,
-         std::function<NodeId(GPage)> static_home_of,
-         std::function<void(Msg &&)> send);
+    /** A node of @p machine whose events run on @p eq (its shard's). */
+    Node(NodeId id, Machine &machine, EventQueue &eq);
+
+    Node(const Node &) = delete;
+    Node &operator=(const Node &) = delete;
 
     NodeId id() const { return id_; }
-    Kernel &kernel() { return *kernel_; }
-    CoherenceController &controller() { return *ctrl_; }
+    Machine &machine() { return machine_; }
+    const MachineConfig &config() const { return cfg_; }
+    EventQueue &eventQueue() { return eq_; }
+    Kernel &kernel() { return kernel_; }
+    CoherenceController &controller() { return ctrl_; }
     MemoryBus &bus() { return bus_; }
     Dram &dram() { return dram_; }
     Proc &proc(std::uint32_t i) { return *procs_[i]; }
@@ -72,30 +82,57 @@ class Node : public ControllerHost
                      std::uint32_t line_idx, bool write,
                      Mesi requester_state);
 
-    // --- ControllerHost ---------------------------------------------------
+    // --- Controller side ------------------------------------------------
 
+    /**
+     * Raise @p ev (RemoteRead, Inval or Evict) on every local
+     * processor copy of a line of @p frame; each copy moves as the
+     * line table says.  Dirty data, if any, crosses the bus.
+     */
     InterventionResult intervene(FrameNum frame, std::uint32_t line_idx,
-                                 LineEvent ev, Tick at) override;
-    bool anyBusPending(FrameNum frame) const override;
-    bool anyCachedCopy(FrameNum frame) const override;
-    Mesi heldCopy(FrameNum frame, std::uint32_t line_idx) const override;
-    FrameNum migrationAllocFrame(GPage gp) override;
-    void migrationFreeFrame(FrameNum frame, GPage gp) override;
-    void homeKernelAdopt(GPage gp) override;
+                                 LineEvent ev, Tick at);
+
+    /**
+     * True while any node-level bus transaction (miss, upgrade or
+     * cache-to-cache fill) is outstanding on a line of @p frame.
+     * Page flushes must wait for these to drain.
+     */
+    bool anyBusPending(FrameNum frame) const;
+
+    /** True if any local processor cache holds a line of @p frame. */
+    bool anyCachedCopy(FrameNum frame) const;
+
+    /**
+     * The strongest state any local processor cache holds this line
+     * in (Invalid: none), without touching the caches.  It is the
+     * LA-NUMA client view (client_protocol.hh), and it decides whether
+     * a dirty eviction's writeback keeps the node registered as a
+     * sharer (MOESI: peer Shared copies can outlive the Owned copy).
+     */
+    Mesi heldCopy(FrameNum frame, std::uint32_t line_idx) const;
+
+    // --- Kernel side ----------------------------------------------------
+
+    /** Invalidate @p vp in every local processor TLB. */
+    void shootdown(VPage vp);
+
+    /** Invalidate every local processor-cache line of @p frame. */
+    void invalidateFrame(FrameNum frame);
 
   private:
     DelayAwaiter delay(Cycles c) { return DelayAwaiter(eq_, c); }
     DelayAwaiter until(Tick t);
 
     NodeId id_;
+    Machine &machine_;
     const MachineConfig &cfg_;
     EventQueue &eq_;
     LineGeometry geo_;
     const LineProtocol &proto_;
     MemoryBus bus_;
     Dram dram_;
-    std::unique_ptr<Kernel> kernel_;
-    std::unique_ptr<CoherenceController> ctrl_;
+    CoherenceController ctrl_;
+    Kernel kernel_;
     std::vector<std::unique_ptr<Proc>> procs_;
 
     /**

@@ -6,13 +6,14 @@
 
 namespace prism {
 
-Proc::Proc(ProcId id, Node &node, Machine &machine,
-           const MachineConfig &cfg, EventQueue &eq)
-    : id_(id), node_(node), machine_(machine), cfg_(cfg), eq_(eq),
-      geo_(cfg.lineBytes), proto_(LineProtocol::get(cfg.protocol)),
-      l1_(cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes),
-      l2_(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes),
-      tlb_(cfg.tlbEntries)
+Proc::Proc(ProcId id, Node &node)
+    : id_(id), node_(node), machine_(node.machine()),
+      oracle_(machine_.oracle()), cfg_(node.config()),
+      eq_(node.eventQueue()), geo_(cfg_.lineBytes),
+      proto_(LineProtocol::get(cfg_.protocol)),
+      l1_(cfg_.l1Bytes, cfg_.l1Assoc, cfg_.lineBytes),
+      l2_(cfg_.l2Bytes, cfg_.l2Assoc, cfg_.lineBytes),
+      tlb_(cfg_.tlbEntries)
 {
     actor_.rank = id;
 }
@@ -208,9 +209,7 @@ Proc::slowAccess(VAddr va, bool write, std::coroutine_handle<> caller)
             ++stats_.upgradesLocal;
         else
             ++stats_.l2Misses;
-        const Tick t0 = eq_.now();
         co_await node_.memAccess(*this, frame, line_idx, write, held);
-        missLatency_.sample(eq_.now() - t0);
         // Loop: the fill (or a racing invalidation) is re-checked.
     }
     caller.resume();

@@ -12,6 +12,10 @@
  * whatever the shard count.  A run-ahead quantum bounds
  * how far a processor's local clock may drift ahead of simulated time
  * between suspensions.
+ *
+ * A processor is the last part of its Node to be built: it translates
+ * through the node's kernel page table, misses into Node::memAccess,
+ * and reads the machine's oracle once, at construction.
  */
 
 #ifndef PRISM_CORE_PROC_HH
@@ -30,7 +34,6 @@
 #include "obs/metrics.hh"
 #include "sim/event_queue.hh"
 #include "sim/shard.hh"
-#include "sim/stats.hh"
 #include "sim/task.hh"
 
 namespace prism {
@@ -72,15 +75,15 @@ static_assert(distinctNames(kProcCounters));
 class Proc
 {
   public:
-    Proc(ProcId id, Node &node, Machine &machine,
-         const MachineConfig &cfg, EventQueue &eq);
+    /**
+     * Processor @p id of @p node, built after the node's kernel: it
+     * reads the machine's oracle.
+     */
+    Proc(ProcId id, Node &node);
 
     ProcId id() const { return id_; }
     Node &node() { return node_; }
     const ProcStats &stats() const { return stats_; }
-
-    /** Distribution of miss-handling latencies (cycles). */
-    const Histogram &missLatency() const { return missLatency_; }
     Tlb &tlb() { return tlb_; }
     SetAssocCache &l1() { return l1_; }
     SetAssocCache &l2() { return l2_; }
@@ -201,9 +204,6 @@ class Proc
     /** Fill a line after a miss completes (handles victims). */
     void fillLine(std::uint64_t line_paddr, Mesi state);
 
-    /** Attach the protocol oracle (Machine construction). */
-    void setOracle(ProtocolOracle *o) { oracle_ = o; }
-
     /**
      * Attach/detach a reference-stream recorder (Machine::setRefSink).
      * Null (the default) keeps the program-interface hooks to a single
@@ -280,9 +280,9 @@ class Proc
     ProcId id_;
     Node &node_;
     Machine &machine_;
-    ProtocolOracle *oracle_ = nullptr;
-    RefSink *refSink_ = nullptr; //!< non-null only when recording
-    SyncActor actor_;            //!< rank/seq for deterministic sync
+    ProtocolOracle *const oracle_; //!< null unless an oracle checks
+    RefSink *refSink_ = nullptr;   //!< non-null only when recording
+    SyncActor actor_;              //!< rank/seq for deterministic sync
     const MachineConfig &cfg_;
     EventQueue &eq_;
     LineGeometry geo_;
@@ -316,7 +316,6 @@ class Proc
 
     Cycles pendingCycles_ = 0;
     ProcStats stats_;
-    Histogram missLatency_{{25, 50, 100, 200, 400, 800, 1600, 3200}};
 };
 
 } // namespace prism

@@ -16,7 +16,6 @@
 #define PRISM_MEM_ADDR_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/types.hh"
 
@@ -41,6 +40,17 @@ using GLine = std::uint64_t;
 
 /** Sentinel global page. */
 constexpr GPage kInvalidGPage = ~0ULL;
+
+/**
+ * Static home of a global page: round-robin across @p num_nodes.  The
+ * static home anchors the page's registry entry wherever the page's
+ * dynamic home moves (Section 3.5).
+ */
+constexpr NodeId
+staticHomeOf(GPage gp, std::uint32_t num_nodes)
+{
+    return static_cast<NodeId>(gp % num_nodes);
+}
 
 /**
  * First frame number of the imaginary (LA-NUMA) range.  Real frames

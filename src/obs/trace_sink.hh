@@ -14,6 +14,10 @@
  *
  * With PRISM_TRACE unset no sink exists and every recording site is a
  * null-pointer test on a cold path: zero measurable overhead.
+ *
+ * Every finished coherence or paging transaction goes through one
+ * function, recordTxn: it samples the transaction's latency histogram
+ * and, when a sink exists, records the same interval as a span.
  */
 
 #ifndef PRISM_OBS_TRACE_SINK_HH
@@ -25,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace prism {
@@ -95,6 +100,24 @@ class TraceSink
     std::vector<Event> events_;
     std::vector<ProcessMeta> processes_;
 };
+
+/**
+ * A transaction of node @p node that began at @p begin finished at
+ * @p end: sample its latency into @p h and, when tracing (@p sink
+ * non-null), record span @p name of @p category on the node's row,
+ * lane @p lane (the line index, or 0 for a page transfer).
+ */
+inline void
+recordTxn(Histogram &h, TraceSink *sink, std::string_view name,
+          std::string_view category, NodeId node, std::uint32_t lane,
+          Tick begin, Tick end)
+{
+    h.sample(end - begin);
+    if (sink) {
+        sink->span(name, category, static_cast<std::int32_t>(node),
+                   static_cast<std::int32_t>(lane), begin, end);
+    }
+}
 
 } // namespace prism
 

@@ -1,16 +1,18 @@
 #include "os/kernel.hh"
 
+#include "core/machine.hh"
+#include "core/node.hh"
 #include "obs/trace_sink.hh"
 #include "policy/page_policy.hh"
 #include "sim/stats.hh"
 
 namespace prism {
 
-Kernel::Kernel(NodeId self, const MachineConfig &cfg, EventQueue &eq,
-               IpcServer &ipc, std::function<NodeId(GPage)> static_home_of,
-               std::function<void(Msg &&)> send)
-    : self_(self), cfg_(cfg), eq_(eq), ipc_(ipc),
-      staticHomeOf_(std::move(static_home_of)), sendFn_(std::move(send))
+Kernel::Kernel(Node &node)
+    : node_(node), self_(node.id()), cfg_(node.config()),
+      eq_(node.eventQueue()), ipc_(node.machine().ipc()),
+      ctrl_(node.controller()), policy_(node.machine().policy()),
+      trace_(node.machine().traceSink())
 {
 }
 
@@ -18,7 +20,7 @@ void
 Kernel::send(Msg &&m)
 {
     m.src = self_;
-    sendFn_(std::move(m));
+    node_.machine().route(std::move(m));
 }
 
 void
@@ -110,7 +112,7 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
     if (!global) {
         FrameNum f = realPool_.alloc();
         prism_assert(f != kInvalidFrame, "out of private frames");
-        ctrl_->installLocalMapping(f);
+        ctrl_.installLocalMapping(f);
         co_await delay(cfg_.pitCommandCycles);
         pt_.map(vp, f, PageMode::Local);
         *out_frame = f;
@@ -120,10 +122,11 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
     }
 
     // Am I (still) the page's dynamic home, or should I become it?
-    bool home_path = ctrl_->isDynHome(gp);
+    const NodeId static_home = staticHomeOf(gp, cfg_.numNodes);
+    bool home_path = ctrl_.isDynHome(gp);
     NodeId dyn_home_hint = kInvalidNode;
-    if (!home_path && staticHomeOf_(gp) == self_) {
-        NodeId reg = ctrl_->registryLookup(gp);
+    if (!home_path && static_home == self_) {
+        NodeId reg = ctrl_.registryLookup(gp);
         if (reg == kInvalidNode || reg == self_)
             home_path = true; // first mapping: static home becomes home
         else
@@ -152,27 +155,21 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
         PageInWait w(eq_);
         rec->pageIn = &w;
         send(Msg(MsgType::PageInReq,
-                 dyn_home_hint != kInvalidNode ? dyn_home_hint
-                                               : staticHomeOf_(gp),
+                 dyn_home_hint != kInvalidNode ? dyn_home_hint : static_home,
                  gp));
         co_await w.ev.wait();
         rec->pageIn = nullptr;
         ch = CachedHome{w.dynHome, w.homeFrame};
         rec->cachedHome = ch;
-        latency_.pageIn.sample(eq_.now() - pi0);
-        if (trace_) {
-            trace_->span("pageIn", "paging",
-                         static_cast<std::int32_t>(self_), 0, pi0,
-                         eq_.now());
-        }
+        recordTxn(latency_.pageIn, trace_, "pageIn", "paging", self_, 0,
+                  pi0, eq_.now());
     } else {
         // Home-page-status flag is set: no page-in request needed.
         ++stats_.faultsCachedHome;
     }
 
     PageMode mode = PageMode::Scoma;
-    prism_assert(policy_ != nullptr, "no page policy installed");
-    co_await policy_->chooseClientMode(*this, gp, &mode);
+    co_await policy_.chooseClientMode(*this, gp, &mode);
 
     FrameNum f;
     if (mode == PageMode::Scoma) {
@@ -186,8 +183,8 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
     }
 
     // Links an S-COMA frame onto the PIT's page-cache LRU.
-    ctrl_->installClientMapping(f, gp, staticHomeOf_(gp), ch.dynHome,
-                                ch.homeFrame, mode);
+    ctrl_.installClientMapping(f, gp, static_home, ch.dynHome, ch.homeFrame,
+                               mode);
     co_await delay(cfg_.pitCommandCycles);
     pt_.map(vp, f, mode);
     *out_frame = f;
@@ -198,7 +195,7 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
 CoTask
 Kernel::homeMapIn(PageRecords::Ref rec)
 {
-    if (ctrl_->isDynHome(rec->gpage))
+    if (ctrl_.isDynHome(rec->gpage))
         co_return;
     FrameNum f = realPool_.alloc();
     prism_assert(f != kInvalidFrame, "out of frames for home page");
@@ -206,7 +203,7 @@ Kernel::homeMapIn(PageRecords::Ref rec)
         co_await delay(cfg_.diskLatency);
         rec->onDisk = false;
     }
-    ctrl_->installHomeMapping(f, rec->gpage);
+    ctrl_.installHomeMapping(f, rec->gpage);
 }
 
 // ---------------------------------------------------------------------
@@ -218,7 +215,7 @@ Kernel::archiveUtilization(FrameNum f)
 {
     if (f >= kImaginaryFrameBase)
         return; // imaginary frames consume no memory
-    const Pit::Ref e = ctrl_->pit().entry(f);
+    const Pit::Ref e = ctrl_.pit().entry(f);
     if (!e)
         return;
     utilArchivedLines_ += e->accessed.popcount();
@@ -237,14 +234,14 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
         unlockPage(rec);
         co_return; // already paged out
     }
-    if (ctrl_->isDynHome(gp)) {
+    if (ctrl_.isDynHome(gp)) {
         // The page migrated TO us while it was being selected as a
         // victim: our client frame was promoted to the home frame.
         // Home frames are never client-paged-out.
         unlockPage(rec);
         co_return;
     }
-    const Pit::Ref e = ctrl_->pit().entry(f);
+    const Pit::Ref e = ctrl_.pit().entry(f);
     prism_assert(e->mode != PageMode::Local, "pageOutClient on local page");
     const PageMode mode = e->mode;
     const NodeId dyn_home = e->dynHome;
@@ -252,8 +249,7 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
     // Unmap and shoot down local TLBs (node-local only).
     VPage vp = vpageOf(gp);
     pt_.unmap(vp);
-    if (tlbShootdown_)
-        tlbShootdown_(vp);
+    node_.shootdown(vp);
     co_await delay(static_cast<Cycles>(cfg_.tlbShootdownCycles) *
                    cfg_.procsPerNode);
 
@@ -263,8 +259,8 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
     // the same event — after that, late accesses bounce (BadFrame)
     // and re-fault.
     for (;;) {
-        co_await ctrl_->flushClientPage(f);
-        if (ctrl_->isDynHome(gp)) {
+        co_await ctrl_.flushClientPage(f);
+        if (ctrl_.isDynHome(gp)) {
             // A migration promoted our frame to home mid-flush; the
             // flush's writebacks were absorbed by our own (adopted)
             // directory.  Abandon the page-out; local processors
@@ -272,12 +268,12 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
             unlockPage(rec);
             co_return;
         }
-        if (ctrl_->clientPageQuiescent(f))
+        if (ctrl_.clientPageQuiescent(f))
             break;
         co_await delay(cfg_.retryDelay);
     }
     archiveUtilization(f);
-    ctrl_->removeClientMapping(f);
+    ctrl_.removeClientMapping(f);
 
     // Tell the home we no longer cache the page.
     CoEvent ack(eq_);
@@ -301,11 +297,8 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
     ++stats_.clientPageOuts;
     eq_.snapNote(SnapKind::ClientPageOut);
     co_await delay(cfg_.pageOutKernelCycles);
-    latency_.pageOut.sample(eq_.now() - t0);
-    if (trace_) {
-        trace_->span("pageOut", "paging",
-                     static_cast<std::int32_t>(self_), 0, t0, eq_.now());
-    }
+    recordTxn(latency_.pageOut, trace_, "pageOut", "paging", self_, 0, t0,
+              eq_.now());
     unlockPage(rec);
 }
 
@@ -315,7 +308,7 @@ Kernel::pageOutHome(GPage gp)
     const Tick t0 = eq_.now();
     const PageRecords::Ref rec = pages().get(gp);
     co_await rec->pageLock.acquire();
-    if (!ctrl_->isDynHome(gp)) {
+    if (!ctrl_.isDynHome(gp)) {
         unlockPage(rec);
         co_return;
     }
@@ -337,32 +330,27 @@ Kernel::pageOutHome(GPage gp)
 
     // Wait until no protocol handler is mid-transaction on the page's
     // lines, then collect local processor copies and write to disk.
-    while (!ctrl_->homePageQuiescent(gp))
+    while (!ctrl_.homePageQuiescent(gp))
         co_await delay(cfg_.retryDelay);
     FrameNum hf = rec->frame;
     prism_assert(hf != kInvalidFrame, "home page without frame");
-    if (cacheFlush_)
-        cacheFlush_(hf);
+    node_.invalidateFrame(hf);
     co_await delay(cfg_.diskLatency);
 
     VPage vp = vpageOf(gp);
     pt_.unmap(vp);
-    if (tlbShootdown_)
-        tlbShootdown_(vp);
+    node_.shootdown(vp);
     co_await delay(static_cast<Cycles>(cfg_.tlbShootdownCycles) *
                    cfg_.procsPerNode);
 
     archiveUtilization(hf);
-    ctrl_->removeHomeMapping(hf, gp);
+    ctrl_.removeHomeMapping(hf, gp);
     realPool_.release(hf);
     rec->onDisk = true;
     rec->dying = false;
     ++stats_.homePageOuts;
-    latency_.pageOut.sample(eq_.now() - t0);
-    if (trace_) {
-        trace_->span("homePageOut", "paging",
-                     static_cast<std::int32_t>(self_), 0, t0, eq_.now());
-    }
+    recordTxn(latency_.pageOut, trace_, "homePageOut", "paging", self_, 0,
+              t0, eq_.now());
     std::vector<Msg> deferred = std::move(rec->deferredPageIn);
     rec->deferredPageIn.clear();
     unlockPage(rec);
@@ -394,14 +382,14 @@ Kernel::clientCacheFull() const
 GPage
 Kernel::lruClientPage() const
 {
-    const Pit::Ref e = ctrl_->pit().lruVictim();
+    const Pit::Ref e = ctrl_.pit().lruVictim();
     return e ? e->gpage : kInvalidGPage;
 }
 
 GPage
 Kernel::mostInvalidClientPage() const
 {
-    const Pit::Ref e = ctrl_->pit().mostInvalidVictim();
+    const Pit::Ref e = ctrl_.pit().mostInvalidVictim();
     return e ? e->gpage : kInvalidGPage;
 }
 
@@ -424,7 +412,7 @@ CoTask
 Kernel::reconsiderLaNumaPages(std::uint64_t threshold,
                               std::uint32_t max_scan)
 {
-    const Pit &pit = ctrl_->pit();
+    const Pit &pit = ctrl_.pit();
     std::uint32_t scanned = 0;
     while (scanned < max_scan && !laNumaMapped_.empty()) {
         if (reconsiderCursor_ >= laNumaMapped_.size())
@@ -505,9 +493,10 @@ Kernel::onPageInReq(Msg m)
     const NodeId client =
         m.requester != kInvalidNode ? m.requester : m.src;
     m.requester = client;
-    if (!ctrl_->isDynHome(gp)) {
-        if (staticHomeOf_(gp) == self_) {
-            NodeId reg = ctrl_->registryLookup(gp);
+    if (!ctrl_.isDynHome(gp)) {
+        const NodeId static_home = staticHomeOf(gp, cfg_.numNodes);
+        if (static_home == self_) {
+            NodeId reg = ctrl_.registryLookup(gp);
             if (reg != kInvalidNode && reg != self_) {
                 m.dst = reg; // page migrated: forward to dynamic home
                 send(std::move(m));
@@ -515,7 +504,7 @@ Kernel::onPageInReq(Msg m)
             }
             // else: fall through and become the home below
         } else {
-            m.dst = staticHomeOf_(gp); // stale arrival; re-route
+            m.dst = static_home; // stale arrival; re-route
             send(std::move(m));
             co_return;
         }
@@ -545,22 +534,23 @@ Kernel::onPageOutNotice(Msg m)
     const NodeId client =
         m.requester != kInvalidNode ? m.requester : m.src;
     m.requester = client;
-    if (!ctrl_->isDynHome(gp)) {
+    if (!ctrl_.isDynHome(gp)) {
         // Stale dynamic-home knowledge at the client: re-route.
-        if (staticHomeOf_(gp) == self_) {
-            NodeId reg = ctrl_->registryLookup(gp);
+        const NodeId static_home = staticHomeOf(gp, cfg_.numNodes);
+        if (static_home == self_) {
+            NodeId reg = ctrl_.registryLookup(gp);
             prism_assert(reg != kInvalidNode && reg != self_,
                          "page-out notice for an unmapped page");
             m.dst = reg;
         } else {
-            m.dst = staticHomeOf_(gp);
+            m.dst = static_home;
         }
         send(std::move(m));
         co_return;
     }
     // Homed here, so the record is live.
     pages().find(gp)->home->clients.remove(client);
-    Cycles c = ctrl_->homeRemoveClient(gp, client);
+    Cycles c = ctrl_.homeRemoveClient(gp, client);
     co_await delay(c);
 
     send(Msg(MsgType::PageOutNoticeAck, client, gp));
@@ -574,7 +564,7 @@ Kernel::onHomePageOutReq(Msg m)
         // Reset the home-page-status flag (paper Section 3.3).
         rec->cachedHome = CachedHome{};
         if (!rec->pageLock.held() && rec->frame != kInvalidFrame &&
-            !ctrl_->isDynHome(gp)) {
+            !ctrl_.isDynHome(gp)) {
             co_await pageOutClient(gp, false);
         } else {
             pages().settle(rec);
@@ -603,15 +593,13 @@ Kernel::migrationFreeFrame(FrameNum f, GPage gp)
     VPage vp = vpageOf(gp);
     if (pt_.mapped(vp))
         pt_.unmap(vp);
-    if (tlbShootdown_)
-        tlbShootdown_(vp);
-    if (cacheFlush_)
-        cacheFlush_(f);
+    node_.shootdown(vp);
+    node_.invalidateFrame(f);
     archiveUtilization(f);
     if (f >= kImaginaryFrameBase) {
         imagPool_.release(f);
     } else {
-        if (ctrl_->pit().lruErase(f))
+        if (ctrl_.pit().lruErase(f))
             --clientScoma_;
         realPool_.release(f);
     }
@@ -625,7 +613,7 @@ Kernel::adoptHomePage(GPage gp)
     rec->cachedHome = CachedHome{}; // we are the home now
     // If we had a client S-COMA frame it was promoted to the home
     // frame: it no longer counts against the client page cache.
-    if (rec->frame != kInvalidFrame && ctrl_->pit().lruErase(rec->frame))
+    if (rec->frame != kInvalidFrame && ctrl_.pit().lruErase(rec->frame))
         --clientScoma_;
 }
 
@@ -639,7 +627,7 @@ Kernel::averageUtilization() const
     std::uint64_t lines = utilArchivedLines_;
     std::uint64_t frames = utilArchivedFrames_;
     std::uint32_t lines_per_page = 0;
-    const Pit &pit = ctrl_->pit();
+    const Pit &pit = ctrl_.pit();
     for (FrameNum f : pit.allFrames()) {
         if (f >= kImaginaryFrameBase)
             continue;

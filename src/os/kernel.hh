@@ -10,13 +10,17 @@
  * global segments at user-controlled granularity, and invokes the
  * page-mode policy at client page faults.  No kernel ever dereferences
  * another node's physical memory.
+ *
+ * The kernel belongs to one Node and is built after the node's
+ * coherence controller, whose PIT it programs and whose page records
+ * it shares; it shoots down the node's TLBs and cache lines through
+ * the node, and sends its messages through Machine::route.
  */
 
 #ifndef PRISM_OS_KERNEL_HH
 #define PRISM_OS_KERNEL_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -32,7 +36,9 @@
 
 namespace prism {
 
+class Node;
 class PagePolicy;
+class TraceSink;
 
 /** Kernel statistics (per node, component "kernel"). */
 struct KernelStats {
@@ -81,34 +87,16 @@ inline constexpr HistogramRow<KernelLatency> kKernelLatency[] = {
 class Kernel
 {
   public:
-    Kernel(NodeId self, const MachineConfig &cfg, EventQueue &eq,
-           IpcServer &ipc, std::function<NodeId(GPage)> static_home_of,
-           std::function<void(Msg &&)> send);
-
-    /** Wire the node's coherence controller (post-construction). */
-    void attachController(CoherenceController *c) { ctrl_ = c; }
-
-    /** Install the page-mode policy (owned by the machine). */
-    void setPolicy(PagePolicy *p) { policy_ = p; }
-
-    /** Hook: invalidate @p vp in every local processor TLB. */
-    void
-    setTlbShootdown(std::function<void(VPage)> fn)
-    {
-        tlbShootdown_ = std::move(fn);
-    }
-
-    /** Hook: invalidate all local processor-cache lines of a frame. */
-    void
-    setCacheFlush(std::function<void(FrameNum)> fn)
-    {
-        cacheFlush_ = std::move(fn);
-    }
+    /**
+     * The kernel of @p node, built after the node's controller: it
+     * reads the machine's page policy and trace sink.
+     */
+    explicit Kernel(Node &node);
 
     NodeId self() const { return self_; }
     const MachineConfig &config() const { return cfg_; }
     PageTable &pageTable() { return pt_; }
-    CoherenceController &controller() { return *ctrl_; }
+    CoherenceController &controller() { return ctrl_; }
     const KernelStats &stats() const { return stats_; }
     const KernelLatency &latency() const { return latency_; }
     EventQueue &eventQueue() { return eq_; }
@@ -197,10 +185,18 @@ class Kernel
     /** Deliver a kernel-class message. */
     void receive(Msg m);
 
-    // --- Migration cooperation (ControllerHost duties) ----------------------
+    // --- Migration cooperation (called by the controller) ---------------
 
+    /** Allocate a real frame to receive a migrating home page. */
     FrameNum migrationAllocFrame(GPage gp);
+
+    /** Unmap and free frame @p f, which page @p gp leaves. */
     void migrationFreeFrame(FrameNum f, GPage gp);
+
+    /**
+     * @p gp arrived here by migration, its home block (client set
+     * included) already installed: update the kernel's own state.
+     */
     void adoptHomePage(GPage gp);
 
     // --- Memory accounting (Table 3) ------------------------------------
@@ -226,13 +222,10 @@ class Kernel
      */
     double averageUtilization() const;
 
-    /** Attach the optional Chrome-trace sink (nullptr to disable). */
-    void setTraceSink(TraceSink *t) { trace_ = t; }
-
   private:
     /** The node's page records (owned by the controller). */
-    PageRecords &pages() { return ctrl_->pages(); }
-    const PageRecords &pages() const { return ctrl_->pages(); }
+    PageRecords &pages() { return ctrl_.pages(); }
+    const PageRecords &pages() const { return ctrl_.pages(); }
 
     /** Release @p rec's page lock and free the record if now unused. */
     void unlockPage(PageRecords::Ref rec);
@@ -251,16 +244,14 @@ class Kernel
     FireAndForget onPageOutNotice(Msg m);
     FireAndForget onHomePageOutReq(Msg m);
 
+    Node &node_;
     NodeId self_;
     const MachineConfig &cfg_;
     EventQueue &eq_;
     IpcServer &ipc_;
-    std::function<NodeId(GPage)> staticHomeOf_;
-    std::function<void(Msg &&)> sendFn_;
-    std::function<void(VPage)> tlbShootdown_;
-    std::function<void(FrameNum)> cacheFlush_;
-    CoherenceController *ctrl_ = nullptr;
-    PagePolicy *policy_ = nullptr;
+    CoherenceController &ctrl_;
+    PagePolicy &policy_;
+    TraceSink *const trace_; //!< null unless the machine traces
 
     PageTable pt_;
     FramePool realPool_{0};
@@ -285,7 +276,6 @@ class Kernel
 
     KernelStats stats_;
     KernelLatency latency_;
-    TraceSink *trace_ = nullptr;
 };
 
 /**

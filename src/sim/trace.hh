@@ -2,11 +2,11 @@
  * @file
  * Fixed-size ring buffer of recent simulation events.
  *
- * Used by the protocol oracle to dump the message history leading up
- * to an invariant violation: Machine::route records every network
- * message here (when an oracle is active), and the oracle replays the
- * tail to stderr when it reports.  The ring is bounded and written
- * with plain stores, so tracing adds only a few cycles per message.
+ * Machine::route records every network message here, oracle or not
+ * (one ring per shard), and the protocol oracle replays the tail to
+ * stderr when it reports an invariant violation.  The ring is bounded
+ * and written with plain stores, so recording adds only a few cycles
+ * per message.
  */
 
 #ifndef PRISM_SIM_TRACE_HH

@@ -190,10 +190,11 @@ BarnesWorkload::insertBody(Proc &p, std::uint32_t b)
 }
 
 CoTask
-BarnesWorkload::forceOnBody(Proc &p, std::uint32_t b)
+BarnesWorkload::forceOnBody(Proc &p, std::uint32_t b,
+                            std::vector<int> &stack)
 {
     const Vec bp = pos_[b];
-    std::vector<int> stack{0};
+    stack.assign(1, 0);
     double ax = 0, ay = 0, az = 0;
     while (!stack.empty()) {
         const int idx = stack.back();
@@ -270,6 +271,8 @@ BarnesWorkload::body(Proc &p, std::uint32_t tid, std::uint32_t nt)
         co_await p.beginParallel();
     co_await p.barrier(0);
 
+    // This processor's tree-walk stack, reused by every body it visits.
+    std::vector<int> stack;
     for (std::uint32_t it = 0; it < params_.iters; ++it) {
         // 1. Parallel tree build with per-cell locks.
         for (std::uint32_t b = b0; b < b1; ++b)
@@ -293,7 +296,7 @@ BarnesWorkload::body(Proc &p, std::uint32_t tid, std::uint32_t nt)
 
         // 3. Force computation (irregular read sharing).
         for (std::uint32_t b = b0; b < b1; ++b)
-            co_await forceOnBody(p, b);
+            co_await forceOnBody(p, b, stack);
         co_await p.barrier(0);
 
         // 4. Position update (owned bodies).

@@ -69,7 +69,11 @@ class BarnesWorkload : public Workload
     void computeMass(int idx);
 
     CoTask insertBody(Proc &p, std::uint32_t b);
-    CoTask forceOnBody(Proc &p, std::uint32_t b);
+    /**
+     * Walk the tree for body @p b's force on @p stack, the calling
+     * processor's own, so a walk allocates nothing once it has grown.
+     */
+    CoTask forceOnBody(Proc &p, std::uint32_t b, std::vector<int> &stack);
 
     Params params_;
     SimArray bodies_; //!< one record (pos/vel/acc) per body

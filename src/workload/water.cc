@@ -155,10 +155,14 @@ WaterSpaWorkload::body(Proc &p, std::uint32_t tid, std::uint32_t nt)
         co_await p.beginParallel();
     co_await p.barrier(0);
 
+    // The cell list, rebuilt host-side each step (each proc its own
+    // copy; the real app reads positions it already owns for this).
+    // Cleared rather than rebuilt, so a step allocates nothing once
+    // the boxes have grown.
+    std::vector<std::vector<std::uint32_t>> boxlist(boxes);
     for (std::uint32_t it = 0; it < params_.iters; ++it) {
-        // Rebuild the cell list host-side (each proc its own copy; the
-        // real app reads positions it already owns for this).
-        std::vector<std::vector<std::uint32_t>> boxlist(boxes);
+        for (auto &box : boxlist)
+            box.clear();
         for (std::uint32_t i = 0; i < n; ++i)
             boxlist[boxOf(pos_[i], dim)].push_back(i);
 

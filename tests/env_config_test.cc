@@ -4,7 +4,8 @@
  * values and fail fast — naming the valid values — on anything else.
  * Covers PRISM_SCALE / PRISM_APPS (BenchOptions::parse,
  * bench/bench_util.hh) and PRISM_ORACLE (core/config + Machine
- * construction).
+ * construction), and that PRISM_PROTOCOL leaves a Machine's configured
+ * protocol alone.
  */
 
 #include <gtest/gtest.h>
@@ -100,6 +101,22 @@ TEST(EnvConfig, MachineHonorsOracleEnv)
     Machine m(cfg);
     EXPECT_NE(m.oracle(), nullptr);
     unsetenv("PRISM_ORACLE");
+}
+
+TEST(EnvConfig, MachineKeepsItsConfiguredProtocolUnderProtocolEnv)
+{
+    // PRISM_PROTOCOL is a bench knob, resolved by BenchOptions::parse
+    // (flag > env > default); a Machine reads only cfg.protocol, so a
+    // stray variable cannot override --protocol or an explicit field.
+    setenv("PRISM_PROTOCOL", "msi", 1);
+    MachineConfig cfg;
+    cfg.numNodes = 2;
+    cfg.procsPerNode = 1;
+    cfg.protocol = ProtocolScheme::Moesi;
+    Machine m(cfg);
+    unsetenv("PRISM_PROTOCOL");
+    EXPECT_EQ(m.config().protocol, ProtocolScheme::Moesi);
+    EXPECT_EQ(m.report().protocol, "moesi");
 }
 
 TEST(EnvConfig, UnknownOracleEnvFailsFastListingValidNames)

@@ -94,7 +94,8 @@ TEST(Machine, MissLatencyHistogramPopulates)
                               static_cast<std::uint64_t>(l) * 64));
         }(p);
     });
-    const Histogram &h = m.node(1).proc(0).missLatency();
+    // Every one of the 32 lines is a 2-party fetch from home node 0.
+    const Histogram &h = m.node(1).controller().latency().read2;
     EXPECT_EQ(h.count(), 32u);
     // Remote misses land in the hundreds-of-cycles buckets.
     EXPECT_GT(h.mean(), 200.0);
