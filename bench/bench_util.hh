@@ -44,32 +44,6 @@
 namespace prism {
 namespace bench {
 
-inline AppScale
-parseScale(const char *s)
-{
-    if (!std::strcmp(s, "paper"))
-        return AppScale::Paper;
-    if (!std::strcmp(s, "small"))
-        return AppScale::Small;
-    if (!std::strcmp(s, "tiny"))
-        return AppScale::Tiny;
-    std::fprintf(stderr,
-                 "unknown PRISM_SCALE '%s' (valid: paper small tiny)\n",
-                 s);
-    std::exit(1);
-}
-
-inline const char *
-scaleName(AppScale s)
-{
-    switch (s) {
-      case AppScale::Paper: return "paper";
-      case AppScale::Small: return "small";
-      case AppScale::Tiny: return "tiny";
-    }
-    return "?";
-}
-
 /**
  * Apply a comma-separated substring @p filter to the standard app
  * inventory at @p scale: an app is selected when any token appears in
@@ -161,8 +135,12 @@ struct BenchOptions {
         }
 
         BenchOptions o;
-        if (const char *v = resolve(argc, argv, "PRISM_SCALE"))
-            o.scale = parseScale(v);
+        if (const char *v = resolve(argc, argv, "PRISM_SCALE")) {
+            if (!scaleFromString(v, &o.scale)) {
+                fatal("unknown PRISM_SCALE '%s' (valid: paper small "
+                      "tiny)", v);
+            }
+        }
         if (const char *v = resolve(argc, argv, "PRISM_MACHINE")) {
             MachineConfig shape;
             if (!machineFromString(v, &shape)) {

@@ -49,27 +49,17 @@ usage()
     std::exit(1);
 }
 
-static PolicyKind
-parsePolicy(const std::string &s)
-{
-    for (PolicyKind pk :
-         {PolicyKind::Scoma, PolicyKind::LaNuma, PolicyKind::Scoma70,
-          PolicyKind::DynFcfs, PolicyKind::DynUtil, PolicyKind::DynLru,
-          PolicyKind::DynBoth}) {
-        if (s == policyName(pk))
-            return pk;
-    }
-    std::fprintf(stderr, "unknown policy '%s'\n", s.c_str());
-    std::exit(1);
-}
-
 int
 main(int argc, char **argv)
 {
     if (argc < 3)
         usage();
     const std::string app_name = argv[1];
-    const PolicyKind policy = parsePolicy(argv[2]);
+    PolicyKind policy{};
+    if (!policyFromString(argv[2], &policy)) {
+        std::fprintf(stderr, "unknown policy '%s'\n", argv[2]);
+        std::exit(1);
+    }
 
     AppScale scale = AppScale::Small;
     double cap_pct = 70.0;
@@ -91,9 +81,8 @@ main(int argc, char **argv)
         };
         if (!std::strcmp(argv[i], "--scale")) {
             const char *s = next();
-            scale = !std::strcmp(s, "paper")  ? AppScale::Paper
-                    : !std::strcmp(s, "tiny") ? AppScale::Tiny
-                                              : AppScale::Small;
+            if (!scaleFromString(s, &scale))
+                fatal("unknown --scale '%s' (valid: paper small tiny)", s);
         } else if (!std::strcmp(argv[i], "--cap")) {
             cap_pct = parseKnobReal("--cap", next(), 70.0, 0.0, 100.0);
         } else if (!std::strcmp(argv[i], "--l1")) {
@@ -134,10 +123,11 @@ main(int argc, char **argv)
                 cfg.numNodes, cfg.procsPerNode, cfg.l1Bytes,
                 cfg.l2Bytes);
 
+    const double cap_fraction = cap_pct / 100.0;
     auto results = runSweepsParallel(
         RunSpec{.machine = cfg,
                 .policies = {PolicyKind::Scoma, policy},
-                .capFraction = cap_pct / 100.0},
+                .capFraction = cap_fraction},
         {spec});
     const RunMetrics &base = results[0].metrics;
     const RunMetrics &r = results[1].metrics;
@@ -163,11 +153,11 @@ main(int argc, char **argv)
                 base.avgUtilization);
 
     if (dump_stats) {
-        // Re-run the chosen configuration with a live machine and dump
-        // every registered hardware/OS counter.
-        MachineConfig c2 = cfg;
-        c2.policy = policy;
-        Machine m2(c2);
+        // Re-run the chosen configuration, with the caps the sweep
+        // calibrated, on a live machine and dump every registered
+        // hardware/OS counter.
+        Machine m2(
+            policyConfig(cfg, policy, scoma70Caps(base, cap_fraction)));
         auto w2 = spec.make();
         runWorkload(m2, *w2);
         std::printf("\nfull counter registry (%s):\n",

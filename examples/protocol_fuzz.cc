@@ -21,6 +21,7 @@
 
 #include "check/explorer.hh"
 #include "core/env.hh"
+#include "policy/page_policy.hh"
 
 using namespace prism;
 
@@ -36,26 +37,6 @@ usage(const char *argv0)
                  "[--replay SEED:LEN]\n",
                  argv0);
     return 2;
-}
-
-PolicyKind
-policyFromName(const char *name)
-{
-    for (PolicyKind k : {PolicyKind::Scoma, PolicyKind::LaNuma,
-                         PolicyKind::Scoma70, PolicyKind::DynFcfs,
-                         PolicyKind::DynUtil, PolicyKind::DynLru,
-                         PolicyKind::DynBoth}) {
-        if (!std::strcmp(name, policyName(k)))
-            return k;
-    }
-    std::fprintf(stderr, "unknown policy '%s' (valid:", name);
-    for (PolicyKind k : {PolicyKind::Scoma, PolicyKind::LaNuma,
-                         PolicyKind::Scoma70, PolicyKind::DynFcfs,
-                         PolicyKind::DynUtil, PolicyKind::DynLru,
-                         PolicyKind::DynBoth})
-        std::fprintf(stderr, " %s", policyName(k));
-    std::fprintf(stderr, ")\n");
-    std::exit(2);
 }
 
 void
@@ -96,7 +77,13 @@ main(int argc, char **argv)
             rounds = static_cast<std::uint32_t>(
                 parseKnobU64("--rounds", v, 0, 1, ~0U));
         } else if (const char *v = want("--policy")) {
-            opt.policy = policyFromName(v);
+            if (!policyFromString(v, &opt.policy)) {
+                std::fprintf(stderr, "unknown policy '%s' (valid:", v);
+                for (const PolicyRule &r : kPolicyRules)
+                    std::fprintf(stderr, " %s", r.name);
+                std::fprintf(stderr, ")\n");
+                return 2;
+            }
         } else if (const char *v = want("--protocol")) {
             if (!protocolFromString(v, &opt.protocol)) {
                 std::fprintf(stderr,

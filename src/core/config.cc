@@ -4,24 +4,10 @@
 #include <cstring>
 
 #include "mem/addr.hh"
+#include "policy/page_policy.hh"
 #include "sim/logging.hh"
 
 namespace prism {
-
-const char *
-policyName(PolicyKind k)
-{
-    switch (k) {
-      case PolicyKind::Scoma: return "SCOMA";
-      case PolicyKind::LaNuma: return "LANUMA";
-      case PolicyKind::Scoma70: return "SCOMA-70";
-      case PolicyKind::DynFcfs: return "Dyn-FCFS";
-      case PolicyKind::DynUtil: return "Dyn-Util";
-      case PolicyKind::DynLru: return "Dyn-LRU";
-      case PolicyKind::DynBoth: return "Dyn-Both";
-    }
-    return "?";
-}
 
 const char *
 protocolName(ProtocolScheme p)
@@ -153,6 +139,12 @@ validateConfig(const MachineConfig &cfg)
         fatal("clientFrameCapPerNode has %zu entries but numNodes=%u: "
               "give one cap per node, or none",
               cfg.clientFrameCapPerNode.size(), cfg.numNodes);
+    }
+    if (!policyKnown(cfg.policy)) {
+        fatal("policy=%u has no row in kPolicyRules "
+              "(policy/page_policy.hh): valid values are 0..%zu",
+              static_cast<unsigned>(cfg.policy),
+              std::size(kPolicyRules) - 1);
     }
 }
 

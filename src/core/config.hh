@@ -33,8 +33,17 @@ enum class PolicyKind : std::uint8_t {
     DynBoth,  //!< extension: Dyn-LRU + refetch-driven back-conversion
 };
 
-/** Human-readable policy name as used in the paper. */
+/**
+ * Policy name as used in the paper (policy/page_policy.hh holds the
+ * rows it reads).
+ */
 const char *policyName(PolicyKind k);
+
+/**
+ * Parse a policy name as policyName writes it.
+ * @retval false @p s names no policy (out is untouched).
+ */
+bool policyFromString(const char *s, PolicyKind *out);
 
 /**
  * Intra-node line-protocol scheme spoken on each node's bus
@@ -114,7 +123,6 @@ struct MachineConfig {
 
     // --- Core timing ------------------------------------------------
     Cycles l2HitLatency = 12;   //!< L1 miss, L2 hit (Table 1)
-    Cycles l2MissDetect = 6;    //!< L2 tag check before going to the bus
     Cycles busAddrCycles = 4;   //!< address tenure
     Cycles busDataCycles = 8;   //!< 64B line on a 16B-wide half-speed bus
     Cycles memAccessCycles = 18; //!< DRAM line access
@@ -243,10 +251,11 @@ constexpr std::uint32_t kMaxProcs = 64 * 1024;
 /**
  * Fail fast on an impossible config: zero counts, numNodes >
  * kMaxNodes, numProcs() > kMaxProcs, a non-power-of-two directory
- * cache, impossible line, cache or TLB geometry, or a
- * clientFrameCapPerNode not sized to numNodes.  fatal()s naming the
- * field or limit; called at Machine construction so a bad config can
- * never silently corrupt a run.
+ * cache, impossible line, cache or TLB geometry, a
+ * clientFrameCapPerNode not sized to numNodes, or a policy with no
+ * row in kPolicyRules.  fatal()s naming the field or limit; called at
+ * Machine construction so a bad config can never silently corrupt a
+ * run.
  */
 void validateConfig(const MachineConfig &cfg);
 

@@ -106,11 +106,10 @@ Machine::Machine(const MachineConfig &cfg)
     np.jitterSeed = cfg_.jitterSeed;
     net_ = std::make_unique<Network>(eq0, cfg_.numNodes, np);
 
-    // What every node's parts read in their constructors: the page
-    // policy, the oracle, the Chrome-trace sink (the first machine in
-    // the process claims PRISM_TRACE; parallel sweep workers run
-    // untraced) and the message-log filter.
-    policy_ = makePolicy(cfg_.policy);
+    // What every node's parts read in their constructors: the oracle,
+    // the Chrome-trace sink (the first machine in the process claims
+    // PRISM_TRACE; parallel sweep workers run untraced) and the
+    // message-log filter.
     if (cfg_.oracleMode != OracleMode::Off) {
         oracle_ = std::make_unique<ProtocolOracle>(*this, cfg_.oracleMode,
                                                    cfg_.oracleFatal);

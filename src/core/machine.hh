@@ -7,13 +7,15 @@
  * MachineConfig, create and attach global segments, hand each
  * processor a program coroutine, and run() to completion.
  *
- * Construction builds what every node's parts read first (the page
- * policy, the protocol oracle, the Chrome-trace sink and the message-
- * log filter), then the nodes, each of which builds its controller,
- * kernel and processors with a reference to itself; nothing is wired
- * after construction.  The machine reads cfg.protocol as given: the
- * benches resolve --protocol and PRISM_PROTOCOL into it.  PRISM_ORACLE
- * is the one environment override it applies itself.
+ * Construction builds what every node's parts read first (the
+ * protocol oracle, the Chrome-trace sink and the message-log filter),
+ * then the nodes, each of which builds its controller, kernel and
+ * processors with a reference to itself; nothing is wired after
+ * construction.  Each kernel looks its page-mode policy up in
+ * kPolicyRules (policy/page_policy.hh) by cfg.policy.  The machine reads
+ * cfg.protocol as given: the benches resolve --protocol and
+ * PRISM_PROTOCOL into it.  PRISM_ORACLE is the one environment
+ * override it applies itself.
  */
 
 #ifndef PRISM_CORE_MACHINE_HH
@@ -35,7 +37,6 @@
 #include "obs/metrics.hh"
 #include "obs/report.hh"
 #include "os/ipc_server.hh"
-#include "policy/page_policy.hh"
 #include "sim/event_queue.hh"
 #include "sim/shard.hh"
 #include "sim/snap_log.hh"
@@ -168,9 +169,6 @@ class Machine
 
     /** Protocol oracle; nullptr when oracleMode is Off. */
     ProtocolOracle *oracle() { return oracle_.get(); }
-
-    /** The page-mode policy every kernel consults at client faults. */
-    PagePolicy &policy() { return *policy_; }
 
     /** The Chrome-trace sink; nullptr unless this machine claimed it. */
     TraceSink *traceSink() { return trace_.get(); }
@@ -315,7 +313,6 @@ class Machine
     BarrierManager barriers_;
     // Built before the nodes and destroyed after them: their parts
     // hold these from construction on.
-    std::unique_ptr<PagePolicy> policy_;
     std::unique_ptr<ProtocolOracle> oracle_;
     std::unique_ptr<TraceSink> trace_;
     MsgLogFilter msgLog_;

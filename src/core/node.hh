@@ -15,8 +15,8 @@
  * programs the controller's PIT and shoots down the node's TLBs and
  * cache lines, and every processor misses into memAccess.  Parts are
  * built in that order (controller, kernel, processors), each reading
- * what it uses of the machine's page policy, oracle, trace sink and
- * message-log filter once, in its constructor.
+ * what it uses of the machine's oracle, trace sink and message-log
+ * filter once, in its constructor.
  */
 
 #ifndef PRISM_CORE_NODE_HH

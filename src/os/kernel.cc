@@ -3,7 +3,6 @@
 #include "core/machine.hh"
 #include "core/node.hh"
 #include "obs/trace_sink.hh"
-#include "policy/page_policy.hh"
 #include "sim/stats.hh"
 
 namespace prism {
@@ -11,7 +10,7 @@ namespace prism {
 Kernel::Kernel(Node &node)
     : node_(node), self_(node.id()), cfg_(node.config()),
       eq_(node.eventQueue()), ipc_(node.machine().ipc()),
-      ctrl_(node.controller()), policy_(node.machine().policy()),
+      ctrl_(node.controller()), policy_(policyRule(cfg_.policy)),
       trace_(node.machine().traceSink())
 {
 }
@@ -169,7 +168,7 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
     }
 
     PageMode mode = PageMode::Scoma;
-    co_await policy_.chooseClientMode(*this, gp, &mode);
+    co_await chooseClientMode(gp, &mode);
 
     FrameNum f;
     if (mode == PageMode::Scoma) {
@@ -179,7 +178,8 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
             clientScomaPeak_ = clientScoma_;
     } else {
         f = imagPool_.alloc();
-        laNumaMapped_.push_back(gp);
+        if (policy_.revert)
+            laNumaMapped_.push_back(gp);
     }
 
     // Links an S-COMA frame onto the PIT's page-cache LRU.
@@ -363,6 +363,40 @@ Kernel::pageOutHome(GPage gp)
 // ---------------------------------------------------------------------
 // Policy support
 // ---------------------------------------------------------------------
+
+CoTask
+Kernel::chooseClientMode(GPage gp, PageMode *out)
+{
+    if (policy_.laNuma) {
+        *out = cfg_.ccNumaBypass ? PageMode::CcNuma : PageMode::LaNuma;
+        co_return;
+    }
+    // Amortized at fault time: a few LA-NUMA pages per fault.
+    if (policy_.revert)
+        co_await reconsiderLaNumaPages(128, 4);
+    // Sticky: once mapped LA-NUMA the page stays LA-NUMA at this node.
+    if (policy_.adaptive && modeOverride(gp) == PageMode::LaNuma) {
+        *out = PageMode::LaNuma;
+        co_return;
+    }
+    while (clientCacheFull()) {
+        const GPage victim =
+            policy_.victim == PageVictim::Lru ? lruClientPage()
+            : policy_.victim == PageVictim::MostInvalid
+                ? mostInvalidClientPage()
+                : kInvalidGPage;
+        if (victim == kInvalidGPage || pageBusy(victim)) {
+            if (!policy_.adaptive)
+                break; // admit over the cap
+            setModeOverride(gp, PageMode::LaNuma);
+            *out = PageMode::LaNuma;
+            co_return;
+        }
+        // The freed frame backs the faulting page.
+        co_await pageOutClient(victim, policy_.adaptive);
+    }
+    *out = PageMode::Scoma;
+}
 
 std::uint64_t
 Kernel::clientCap() const

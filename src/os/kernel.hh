@@ -7,9 +7,10 @@
  * table and per-mode frame pools, implements the external paging
  * protocol (client page-ins through the home, page-outs with
  * write-back, home-page-status flags), binds virtual segments to
- * global segments at user-controlled granularity, and invokes the
- * page-mode policy at client page faults.  No kernel ever dereferences
- * another node's physical memory.
+ * global segments at user-controlled granularity, and at each client
+ * page fault runs its policy's row of kPolicyRules
+ * (policy/page_policy.hh) in chooseClientMode.  No kernel ever
+ * dereferences another node's physical memory.
  *
  * The kernel belongs to one Node and is built after the node's
  * coherence controller, whose PIT it programs and whose page records
@@ -31,13 +32,13 @@
 #include "os/frame_pool.hh"
 #include "os/ipc_server.hh"
 #include "os/page_table.hh"
+#include "policy/page_policy.hh"
 #include "sim/coro_sync.hh"
 #include "sim/task.hh"
 
 namespace prism {
 
 class Node;
-class PagePolicy;
 class TraceSink;
 
 /** Kernel statistics (per node, component "kernel"). */
@@ -89,7 +90,7 @@ class Kernel
   public:
     /**
      * The kernel of @p node, built after the node's controller: it
-     * reads the machine's page policy and trace sink.
+     * reads the machine's trace sink.
      */
     explicit Kernel(Node &node);
 
@@ -141,17 +142,11 @@ class Kernel
 
     // --- Policy support ----------------------------------------------------
 
-    /** Per-node cap on client S-COMA frames (0 = unlimited). */
-    std::uint64_t clientCap() const;
-
     /**
      * Live client S-COMA frames, counting those whose page-out is
      * still awaiting the home's acknowledgement.
      */
     std::uint64_t clientScomaCount() const { return clientScoma_; }
-
-    /** True if the page cache has reached its cap. */
-    bool clientCacheFull() const;
 
     /**
      * Least-recently-used client S-COMA page that is not busy
@@ -167,15 +162,6 @@ class Kernel
 
     /** Per-page mode override set by adaptive policies. */
     void setModeOverride(GPage gp, PageMode m);
-    PageMode modeOverride(GPage gp) const;
-
-    /**
-     * Dyn-Both extension: scan up to @p max_scan mapped LA-NUMA pages;
-     * any whose remote refetch count exceeds @p threshold is paged out
-     * and reverted to S-COMA for its next fault.
-     */
-    CoTask reconsiderLaNumaPages(std::uint64_t threshold,
-                                 std::uint32_t max_scan);
 
     /** True if the fault/pageout lock for @p gp is currently held. */
     bool pageBusy(GPage gp) const;
@@ -223,6 +209,30 @@ class Kernel
     double averageUtilization() const;
 
   private:
+    /**
+     * Run the policy's row for a client fault on @p gp: page out
+     * victims to make room and choose the page's mode.  Runs on the
+     * faulting processor's coroutine.
+     */
+    CoTask chooseClientMode(GPage gp, PageMode *out);
+
+    /** Per-node cap on client S-COMA frames (0 = unlimited). */
+    std::uint64_t clientCap() const;
+
+    /** True if the page cache has reached its cap. */
+    bool clientCacheFull() const;
+
+    /** @p gp 's mode override (Scoma when none was set). */
+    PageMode modeOverride(GPage gp) const;
+
+    /**
+     * The revert column: scan up to @p max_scan mapped LA-NUMA pages;
+     * any whose remote refetch count reaches @p threshold is paged out
+     * and reverted to S-COMA for its next fault.
+     */
+    CoTask reconsiderLaNumaPages(std::uint64_t threshold,
+                                 std::uint32_t max_scan);
+
     /** The node's page records (owned by the controller). */
     PageRecords &pages() { return ctrl_.pages(); }
     const PageRecords &pages() const { return ctrl_.pages(); }
@@ -250,7 +260,7 @@ class Kernel
     EventQueue &eq_;
     IpcServer &ipc_;
     CoherenceController &ctrl_;
-    PagePolicy &policy_;
+    const PolicyRule &policy_;
     TraceSink *const trace_; //!< null unless the machine traces
 
     PageTable pt_;
@@ -267,7 +277,7 @@ class Kernel
     std::uint64_t clientScoma_ = 0;
     std::uint64_t clientScomaPeak_ = 0;
 
-    /** Mapped LA-NUMA client pages (Dyn-Both reconsideration). */
+    /** Mapped LA-NUMA client pages; only a revert row fills it. */
     std::vector<GPage> laNumaMapped_;
     std::size_t reconsiderCursor_ = 0;
 

@@ -1,128 +1,103 @@
 /**
  * @file
- * Page-mode selection policies (paper Section 4.2).
+ * Page-mode selection policies (paper Section 4.2) as one table.
  *
- * A policy decides, at each client page fault, whether to back the
+ * At each client page fault the kernel decides whether to back the
  * faulting global page with a real S-COMA frame or an imaginary
- * LA-NUMA frame, and may perform paging activity (page-outs, mode
- * conversions) to make room.  Converting a page between modes is a
- * purely node-local decision, exercised only at page-fault time — the
- * run-time policies add no overhead to normal operation.
+ * LA-NUMA frame, and which page a full page cache gives up.  The
+ * paper's configurations differ only in these columns, so each is a
+ * row of kPolicyRules and Kernel::chooseClientMode is the one
+ * interpreter:
+ *
+ *   laNuma    map every client page LA-NUMA (CC-NUMA under
+ *             ccNumaBypass); no other column applies
+ *   capped    the page cache is capped: sweeps size the cap from a
+ *             calibration SCOMA run (Section 4.2)
+ *   victim    the client page a full cache pages out: none, the least
+ *             recently used, or the one with the most Invalid tags
+ *   adaptive  a page-out converts the victim to LA-NUMA at this node,
+ *             and when there is no victim to take (or it is busy) the
+ *             faulting page is mapped LA-NUMA; either stays LA-NUMA
+ *             on later faults.  A row that is not adaptive admits the
+ *             page over the cap instead
+ *   revert    before each fault, scan a few mapped LA-NUMA pages and
+ *             page out any with many remote refetches, so they refault
+ *             S-COMA (Dyn-Both, Section 4.3's future-work remark)
+ *
+ * Converting a page between modes is a purely node-local decision,
+ * exercised only at page-fault time: the run-time policies add no
+ * overhead to normal operation.  policyName and policyFromString
+ * (core/config.hh) read the names from the same rows.
  */
 
 #ifndef PRISM_POLICY_PAGE_POLICY_HH
 #define PRISM_POLICY_PAGE_POLICY_HH
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 
-#include "coherence/page_mode.hh"
 #include "core/config.hh"
-#include "mem/addr.hh"
-#include "sim/task.hh"
 
 namespace prism {
 
-class Kernel;
-
-/** Interface: decide the mode for a faulting client page. */
-class PagePolicy
-{
-  public:
-    virtual ~PagePolicy() = default;
-
-    /**
-     * Choose the page mode for a client fault on @p gp.  Runs on the
-     * faulting processor's coroutine; may page out victims.
-     */
-    virtual CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) = 0;
-
-    /** Policy name as used in the paper. */
-    virtual const char *name() const = 0;
+/** The client page a full page cache gives up. */
+enum class PageVictim : std::uint8_t {
+    None,        //!< none: the page cache never shrinks
+    Lru,         //!< least recently used, not busy (Pit::lruVictim)
+    MostInvalid, //!< most Invalid tags (Pit::mostInvalidVictim)
 };
 
-/** SCOMA: all client pages S-COMA; page cache effectively infinite. */
-class ScomaPolicy : public PagePolicy
-{
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "SCOMA"; }
+/** One page-mode policy: the columns the file comment describes. */
+struct PolicyRule {
+    PolicyKind kind;
+    const char *name; //!< as the paper writes it
+    bool laNuma = false;
+    bool capped = false;
+    PageVictim victim = PageVictim::None;
+    bool adaptive = false;
+    bool revert = false;
 };
 
-/** LANUMA: all client pages LA-NUMA (CC-NUMA behaviour). */
-class LaNumaPolicy : public PagePolicy
-{
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "LANUMA"; }
+/** Every policy, indexed by PolicyKind. */
+inline constexpr PolicyRule kPolicyRules[] = {
+    {.kind = PolicyKind::Scoma, .name = "SCOMA"},
+    {.kind = PolicyKind::LaNuma, .name = "LANUMA", .laNuma = true},
+    {.kind = PolicyKind::Scoma70, .name = "SCOMA-70", .capped = true,
+     .victim = PageVictim::Lru},
+    {.kind = PolicyKind::DynFcfs, .name = "Dyn-FCFS", .capped = true,
+     .adaptive = true},
+    {.kind = PolicyKind::DynUtil, .name = "Dyn-Util", .capped = true,
+     .victim = PageVictim::MostInvalid, .adaptive = true},
+    {.kind = PolicyKind::DynLru, .name = "Dyn-LRU", .capped = true,
+     .victim = PageVictim::Lru, .adaptive = true},
+    {.kind = PolicyKind::DynBoth, .name = "Dyn-Both", .capped = true,
+     .victim = PageVictim::Lru, .adaptive = true, .revert = true},
 };
 
-/**
- * SCOMA-70: S-COMA with a capped page cache; on overflow the
- * least-recently-used client page is paged out (no mode conversion).
- */
-class Scoma70Policy : public PagePolicy
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < std::size(kPolicyRules); ++i) {
+            if (static_cast<std::size_t>(kPolicyRules[i].kind) != i)
+                return false;
+        }
+        return true;
+    }(),
+    "kPolicyRules must list the policies in PolicyKind order");
+
+/** True if @p k has a row (validateConfig refuses a config without). */
+constexpr bool
+policyKnown(PolicyKind k)
 {
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "SCOMA-70"; }
-};
+    return static_cast<std::size_t>(k) < std::size(kPolicyRules);
+}
 
-/**
- * Dyn-FCFS: allocate S-COMA until the page cache fills, then map new
- * pages LA-NUMA.  Pure OS policy; no page-outs, no hardware support.
- */
-class DynFcfsPolicy : public PagePolicy
+/** The row of @p k, which must have one (policyKnown). */
+constexpr const PolicyRule &
+policyRule(PolicyKind k)
 {
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "Dyn-FCFS"; }
-};
-
-/**
- * Dyn-Util: on overflow, query the controller for the client frame
- * with the most Invalid fine-grain tags (skipping Transit frames),
- * convert that page to LA-NUMA, and reallocate its frame.
- */
-class DynUtilPolicy : public PagePolicy
-{
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "Dyn-Util"; }
-};
-
-/**
- * Dyn-LRU: on overflow, page out the least-recently-used client page
- * and convert it to LA-NUMA mode for its future faults.
- */
-class DynLruPolicy : public PagePolicy
-{
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "Dyn-LRU"; }
-};
-
-/**
- * Dyn-Both (extension, Section 4.3's future-work remark): Dyn-LRU
- * plus R-NUMA-style back-conversion — mapped LA-NUMA pages that
- * accumulate many remote refetches are reverted to S-COMA.
- */
-class DynBothPolicy : public PagePolicy
-{
-  public:
-    explicit DynBothPolicy(std::uint64_t refetch_threshold = 128)
-        : refetchThreshold_(refetch_threshold)
-    {
-    }
-
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "Dyn-Both"; }
-
-  private:
-    std::uint64_t refetchThreshold_;
-};
-
-/** Factory: build the policy object for a configuration. */
-std::unique_ptr<PagePolicy> makePolicy(PolicyKind kind);
+    return kPolicyRules[static_cast<std::size_t>(k)];
+}
 
 } // namespace prism
 

@@ -23,6 +23,15 @@ enum class AppScale {
     Tiny,  //!< minimal sizes for unit tests
 };
 
+/** Lower-case scale name (paper|small|tiny). */
+const char *scaleName(AppScale s);
+
+/**
+ * Parse a scale name.
+ * @retval false @p s names no scale (out is untouched).
+ */
+bool scaleFromString(const char *s, AppScale *out);
+
 /** A registered application. */
 struct AppSpec {
     std::string name;

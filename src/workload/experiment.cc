@@ -3,6 +3,7 @@
 #include "core/machine.hh"
 #include "frontend/recorder.hh"
 #include "frontend/trace_workload.hh"
+#include "policy/page_policy.hh"
 #include "sim/logging.hh"
 #include "workload/workload.hh"
 
@@ -137,10 +138,10 @@ policyConfig(const MachineConfig &base, PolicyKind pk,
 {
     MachineConfig cfg = base;
     cfg.policy = pk;
-    if (pk == PolicyKind::Scoma || pk == PolicyKind::LaNuma)
-        cfg.clientFrameCapPerNode.clear();
-    else
+    if (policyRule(pk).capped)
         cfg.clientFrameCapPerNode = caps;
+    else
+        cfg.clientFrameCapPerNode.clear();
     return cfg;
 }
 

@@ -86,7 +86,10 @@ MachineConfig calibrationConfig(const MachineConfig &base);
 std::vector<std::uint64_t> scoma70Caps(const RunMetrics &scoma,
                                        double cap_fraction);
 
-/** Config for policy @p pk given @p base and calibrated @p caps. */
+/**
+ * Config for policy @p pk given @p base and calibrated @p caps: a
+ * capped policy (kPolicyRules) gets @p caps, any other none.
+ */
 MachineConfig policyConfig(const MachineConfig &base, PolicyKind pk,
                            const std::vector<std::uint64_t> &caps);
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/env.hh"
+#include "policy/page_policy.hh"
 #include "sim/logging.hh"
 
 namespace prism {
@@ -104,8 +105,9 @@ runSweepsParallel(const RunSpec &spec, const std::vector<AppSpec> &apps,
         spec.policies.empty() ? paperPolicies() : spec.policies;
     // Only SCOMA and the capped policies need the SCOMA run.
     const bool calibrate =
-        std::any_of(policies.begin(), policies.end(),
-                    [](PolicyKind pk) { return pk != PolicyKind::LaNuma; });
+        std::any_of(policies.begin(), policies.end(), [](PolicyKind pk) {
+            return pk == PolicyKind::Scoma || policyRule(pk).capped;
+        });
     const std::size_t nv = variants.size();
     const std::size_t np = policies.size();
     std::vector<ExperimentResult> out(apps.size() * nv * np);

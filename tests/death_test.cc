@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "coherence/directory.hh"
 #include "coherence/msg.hh"
 #include "coherence/pit.hh"
 #include "core/machine.hh"
 #include "core/sync.hh"
 #include "os/frame_pool.hh"
+#include "policy/page_policy.hh"
 #include "sim/coro_sync.hh"
 #include "sim/event_queue.hh"
 #include "sim/task.hh"
@@ -282,6 +285,17 @@ expectConfigFatal(Edit edit, const char *field)
             Machine m(cfg);
         },
         field);
+}
+
+TEST(Death, PolicyWithoutARowIsFatal)
+{
+    // Each kernel reads its policy's row of kPolicyRules, so a value
+    // past the table must fail before any node is built.
+    expectConfigFatal(
+        [](MachineConfig &c) {
+            c.policy = static_cast<PolicyKind>(std::size(kPolicyRules));
+        },
+        "policy=7 has no row in kPolicyRules");
 }
 
 TEST(Death, LineLargerThanPageIsFatal)

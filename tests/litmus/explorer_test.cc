@@ -201,20 +201,6 @@ loadCorpus(const std::string &path)
     return out;
 }
 
-PolicyKind
-policyFromName(const std::string &name)
-{
-    for (PolicyKind k : {PolicyKind::Scoma, PolicyKind::LaNuma,
-                         PolicyKind::Scoma70, PolicyKind::DynFcfs,
-                         PolicyKind::DynUtil, PolicyKind::DynLru,
-                         PolicyKind::DynBoth}) {
-        if (name == policyName(k))
-            return k;
-    }
-    ADD_FAILURE() << "unknown policy in corpus: " << name;
-    return PolicyKind::Scoma;
-}
-
 /**
  * Regression corpus: every committed shrunk schedule still fails at
  * exactly its shrunk budget (the oracle catches the injected fault),
@@ -232,7 +218,7 @@ TEST(FuzzCorpus, ShrunkSchedulesStillCaught)
                      replayId(e.seed, e.len));
         FuzzOptions opt;
         opt.seed = e.seed;
-        opt.policy = policyFromName(e.policy);
+        ASSERT_TRUE(policyFromString(e.policy.c_str(), &opt.policy));
         ASSERT_TRUE(protocolFromString(e.scheme.c_str(), &opt.protocol));
         opt.totalOps = e.len;
         opt.mutationSkipInvals = e.skipInvals;

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/machine.hh"
+#include "policy/page_policy.hh"
+#include "workload/apps.hh"
+#include "workload/parallel_runner.hh"
 #include "workload/workload.hh"
 
 namespace prism {
@@ -354,6 +358,99 @@ TEST(Policy, DynBothRevertsHotLaNumaPages)
     Kernel &k = m.node(1).kernel();
     EXPECT_GE(k.stats().conversionsToScoma, 1u)
         << "no LA-NUMA page was reverted to S-COMA";
+}
+
+// ---------------------------------------------------------------------
+// The policy table (policy/page_policy.hh)
+// ---------------------------------------------------------------------
+
+TEST(PolicyTable, EachKindHasItsOwnRow)
+{
+    // The paper's names: reports, traces and the fuzz corpus use them.
+    const std::pair<PolicyKind, const char *> kinds[] = {
+        {PolicyKind::Scoma, "SCOMA"},      {PolicyKind::LaNuma, "LANUMA"},
+        {PolicyKind::Scoma70, "SCOMA-70"}, {PolicyKind::DynFcfs, "Dyn-FCFS"},
+        {PolicyKind::DynUtil, "Dyn-Util"}, {PolicyKind::DynLru, "Dyn-LRU"},
+        {PolicyKind::DynBoth, "Dyn-Both"},
+    };
+    ASSERT_EQ(std::size(kPolicyRules), std::size(kinds));
+    for (const auto &[kind, name] : kinds) {
+        ASSERT_TRUE(policyKnown(kind)) << name;
+        EXPECT_EQ(policyRule(kind).kind, kind) << name;
+        EXPECT_STREQ(policyRule(kind).name, name);
+        EXPECT_STREQ(policyName(kind), name);
+    }
+}
+
+TEST(PolicyTable, EveryNameRoundTrips)
+{
+    for (const PolicyRule &r : kPolicyRules) {
+        PolicyKind k = r.kind == PolicyKind::Scoma ? PolicyKind::LaNuma
+                                                    : PolicyKind::Scoma;
+        ASSERT_TRUE(policyFromString(r.name, &k)) << r.name;
+        EXPECT_EQ(k, r.kind) << r.name;
+    }
+}
+
+TEST(PolicyTable, UnknownNamesAreRefused)
+{
+    PolicyKind k = PolicyKind::DynUtil;
+    for (const char *bad : {"", "scoma", "Dyn-lru", "SCOMA-7", "Dyn-Both "})
+        EXPECT_FALSE(policyFromString(bad, &k)) << "'" << bad << "'";
+    EXPECT_FALSE(policyFromString(nullptr, &k));
+    EXPECT_EQ(k, PolicyKind::DynUtil); // untouched
+    EXPECT_FALSE(policyFromString("SCOMA", nullptr));
+}
+
+/** Sum of counter @p name over @p r 's nodes. */
+std::uint64_t
+summed(const RunReport &r, const std::string &name)
+{
+    std::uint64_t sum = 0;
+    for (const auto &node : r.nodes) {
+        for (const auto &v : node.counters) {
+            if (v.name == name)
+                sum += v.value;
+        }
+    }
+    return sum;
+}
+
+/**
+ * Dyn-Both is Dyn-LRU's row plus the revert column: in every tiny app
+ * where no page reverts, the two runs agree in every metric, per-node
+ * counter and histogram.  Tiny Radix is the one app that reaches the
+ * revert path on the default machine (4 pages).
+ */
+TEST(PolicyTable, DynBothIsDynLruUntilAPageReverts)
+{
+    const std::vector<AppSpec> apps = standardApps(AppScale::Tiny);
+    const auto grid = runSweepsParallel(
+        RunSpec{.policies = {PolicyKind::DynLru, PolicyKind::DynBoth},
+                .jobs = 4},
+        apps);
+    ASSERT_EQ(grid.size(), 2 * apps.size());
+    bool saw_radix = false;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const ExperimentResult &lru = grid[2 * a];
+        const ExperimentResult &both = grid[2 * a + 1];
+        ASSERT_EQ(both.policy, PolicyKind::DynBoth);
+        const std::uint64_t reverted =
+            summed(both.report, "kernel.conversionsToScoma");
+        if (apps[a].name == "Radix") {
+            saw_radix = true;
+            EXPECT_GE(reverted, 1u) << "tiny Radix reverted no page";
+        }
+        if (reverted != 0)
+            continue;
+        RunReport expect = lru.report;
+        expect.generatedAt = both.report.generatedAt;
+        expect.policy = both.report.policy;
+        EXPECT_TRUE(expect.toJson() == both.report.toJson())
+            << apps[a].name << ": Dyn-Both ran differently from Dyn-LRU "
+               "without reverting a page";
+    }
+    EXPECT_TRUE(saw_radix);
 }
 
 } // namespace
