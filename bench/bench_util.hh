@@ -36,6 +36,7 @@
 #include "core/env.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
+#include "policy/page_policy.hh"
 #include "sim/logging.hh"
 #include "workload/apps.hh"
 #include "workload/experiment.hh"
@@ -135,17 +136,13 @@ struct BenchOptions {
         }
 
         BenchOptions o;
-        if (const char *v = resolve(argc, argv, "PRISM_SCALE")) {
-            if (!scaleFromString(v, &o.scale)) {
-                fatal("unknown PRISM_SCALE '%s' (valid: paper small "
-                      "tiny)", v);
-            }
-        }
+        if (const char *v = resolve(argc, argv, "PRISM_SCALE"))
+            o.scale = parseKnobEnum<AppScale>("PRISM_SCALE", v);
         if (const char *v = resolve(argc, argv, "PRISM_MACHINE")) {
             MachineConfig shape;
             if (!machineFromString(v, &shape)) {
-                fatal("unknown machine preset '%s' (valid: paper or "
-                      "<nodes>x<procs>, e.g. 128x8)", v);
+                fatal("unknown %s '%s' (valid: paper or <nodes>x<procs>, "
+                      "e.g. 128x8)", knobLabel("PRISM_MACHINE").c_str(), v);
             }
             o.numNodes = shape.numNodes;
             o.procsPerNode = shape.procsPerNode;
@@ -160,13 +157,9 @@ struct BenchOptions {
                                          "PRISM_JOBS_INTRA"),
                                  1);
         if (const char *v = resolve(argc, argv, "PRISM_PROTOCOL"))
-            o.protocol = parseProtocol(v);
-        if (const char *v = resolve(argc, argv, "PRISM_FRONTEND")) {
-            if (!frontendFromString(v, &o.frontend)) {
-                fatal("unknown frontend '%s' (valid: exec record "
-                      "replay)", v);
-            }
-        }
+            o.protocol = parseKnobEnum<ProtocolScheme>("PRISM_PROTOCOL", v);
+        if (const char *v = resolve(argc, argv, "PRISM_FRONTEND"))
+            o.frontend = parseKnobEnum<FrontendKind>("PRISM_FRONTEND", v);
         if (const char *v = resolve(argc, argv, "PRISM_TRACE_FILE"))
             o.traceFile = v;
         o.kvKeys = parseKnobU64("PRISM_KV_KEYS/--kv-keys",
@@ -186,7 +179,7 @@ struct BenchOptions {
              o.frontend == FrontendKind::Replay) &&
             o.traceFile.empty()) {
             fatal("--frontend=%s requires --trace-file (or "
-                  "PRISM_TRACE_FILE)", frontendName(o.frontend));
+                  "PRISM_TRACE_FILE)", enumName(o.frontend));
         }
 
         // Everything not consumed by a registered knob or a common
@@ -306,16 +299,6 @@ struct BenchOptions {
             parseKnobU64(what, s, def, 1, ~0U));
     }
 
-    static ProtocolScheme
-    parseProtocol(const char *s)
-    {
-        ProtocolScheme p;
-        if (!protocolFromString(s, &p))
-            fatal("unknown protocol '%s' (valid: msi mesi moesi mesif)",
-                  s);
-        return p;
-    }
-
     std::vector<std::string> extra_;
 };
 
@@ -327,11 +310,11 @@ banner(const char *what, const BenchOptions &o, bool show_jobs = true)
                 "4KB pages, 64B lines\n",
                 o.numNodes, o.procsPerNode);
     std::printf("# scale: %s (PRISM_SCALE/--scale to change)",
-                scaleName(o.scale));
+                enumName(o.scale));
     if (show_jobs)
         std::printf("; jobs: %u (PRISM_JOBS/--jobs to change)", o.jobs);
     if (o.frontend != FrontendKind::Exec) {
-        std::printf("; frontend: %s (%s)", frontendName(o.frontend),
+        std::printf("; frontend: %s (%s)", enumName(o.frontend),
                     o.traceFile.c_str());
     }
     std::printf("\n\n");
@@ -348,7 +331,7 @@ printInventory(const BenchOptions &opts, const std::vector<AppSpec> &apps,
                                    "data sets",
                const char *column = "Application")
 {
-    std::printf("%s (%s scale)\n\n", title, scaleName(opts.scale));
+    std::printf("%s (%s scale)\n\n", title, enumName(opts.scale));
     std::printf("%-12s %s\n", column, "Problem Size");
     for (const auto &app : apps) {
         auto w = app.make();
@@ -363,7 +346,7 @@ printPolicyHeader(const char *column, const std::vector<PolicyKind> &policies,
 {
     std::printf("%-12s", column);
     for (PolicyKind pk : policies)
-        std::printf(" %10s", policyName(pk));
+        std::printf(" %10s", enumName(pk));
     std::printf("  %s\n", note);
 }
 
@@ -417,14 +400,14 @@ writeBenchReport(const std::string &path, const char *bench,
     w.kv("schema", "prism.bench_report");
     w.kv("schemaVersion", kRunReportSchemaVersion);
     w.kv("bench", bench);
-    w.kv("scale", scaleName(opts.scale));
-    w.kv("frontend", frontendName(opts.frontend));
+    w.kv("scale", enumName(opts.scale));
+    w.kv("frontend", enumName(opts.frontend));
     w.key("runs");
     w.beginArray();
     for (const ExperimentResult &r : runs) {
         w.beginObject();
         w.kv("app", r.app);
-        w.kv("policy", policyName(r.policy));
+        w.kv("policy", enumName(r.policy));
         if (!r.variant.empty())
             w.kv("variant", r.variant);
         w.key("report");

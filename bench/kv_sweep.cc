@@ -26,7 +26,7 @@ using namespace prism;
 std::string
 variantTag(KvMix mix, double theta)
 {
-    std::string tag = kvMixName(mix);
+    std::string tag = enumName(mix);
     if (theta == 0.0) {
         tag += "-u";
     } else {
@@ -60,13 +60,8 @@ main(int argc, char **argv)
 
     std::vector<KvMix> mixes = {KvMix::A, KvMix::B, KvMix::C,
                                 KvMix::D, KvMix::E};
-    if (!opts.kvMix.empty()) {
-        KvMix only;
-        if (!kvMixFromString(opts.kvMix.c_str(), &only))
-            fatal("unknown KV mix '%s' (valid: a b c d e)",
-                  opts.kvMix.c_str());
-        mixes = {only};
-    }
+    if (!opts.kvMix.empty())
+        mixes = {parseKnobEnum<KvMix>("PRISM_KV_MIX", opts.kvMix.c_str())};
     std::vector<double> thetas = {0.0, 0.6, 0.9, 0.99};
     if (opts.kvTheta >= 0.0)
         thetas = {opts.kvTheta};

@@ -43,7 +43,7 @@ main()
     std::printf("page 0 homed at node 0 (frame %llu); directory line 0 "
                 "state: %s\n",
                 (unsigned long long)hf,
-                dirStateName(home.dirLine(gp0, 0).state()));
+                enumName(home.dirLine(gp0, 0).state()));
 
     // Arm the firewall: only nodes 0 and 1 may write this page.
     home.pit().entry(hf)->capabilities.add(0);
@@ -67,7 +67,7 @@ main()
     std::printf("  firewall rejects: %llu\n",
                 (unsigned long long)home.stats().firewallRejects);
     std::printf("  directory line 0 state: %s (unchanged)\n",
-                dirStateName(home.dirLine(gp0, 0).state()));
+                enumName(home.dirLine(gp0, 0).state()));
 
     // A legitimate writeback from node 1 — first make node 1 the
     // owner of line 1, then let its eviction write back normally.
@@ -81,7 +81,7 @@ main()
     });
     std::printf("\nnode 1 (capable) took ownership of line 1: "
                 "directory state %s, owner %u\n",
-                dirStateName(home.dirLine(gp0, 1).state()),
+                enumName(home.dirLine(gp0, 1).state()),
                 home.dirLine(gp0, 1).owner());
     std::printf("rejected writes total: %llu (only the wild ones)\n",
                 (unsigned long long)home.stats().firewallRejects);

@@ -17,6 +17,7 @@
 
 #include "core/env.hh"
 #include "core/machine.hh"
+#include "policy/page_policy.hh"
 #include "sim/logging.hh"
 #include "workload/apps.hh"
 #include "workload/workload.hh"
@@ -55,11 +56,7 @@ main(int argc, char **argv)
     if (argc < 3)
         usage();
     const std::string app_name = argv[1];
-    PolicyKind policy{};
-    if (!policyFromString(argv[2], &policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", argv[2]);
-        std::exit(1);
-    }
+    const PolicyKind policy = parseKnobEnum<PolicyKind>("policy", argv[2]);
 
     AppScale scale = AppScale::Small;
     double cap_pct = 70.0;
@@ -67,12 +64,8 @@ main(int argc, char **argv)
     MachineConfig cfg;
     // The explorer has no --protocol flag: PRISM_PROTOCOL picks the
     // line protocol, which the Machine itself never reads.
-    if (const char *v = resolveEnv("PRISM_PROTOCOL")) {
-        if (!protocolFromString(v, &cfg.protocol)) {
-            fatal("unknown PRISM_PROTOCOL '%s' (valid: msi mesi moesi "
-                  "mesif)", v);
-        }
-    }
+    if (const char *v = resolveEnv("PRISM_PROTOCOL"))
+        cfg.protocol = parseKnobEnum<ProtocolScheme>("PRISM_PROTOCOL", v);
     for (int i = 3; i < argc; ++i) {
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
@@ -80,9 +73,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (!std::strcmp(argv[i], "--scale")) {
-            const char *s = next();
-            if (!scaleFromString(s, &scale))
-                fatal("unknown --scale '%s' (valid: paper small tiny)", s);
+            scale = parseKnobEnum<AppScale>("PRISM_SCALE", next());
         } else if (!std::strcmp(argv[i], "--cap")) {
             cap_pct = parseKnobReal("--cap", next(), 70.0, 0.0, 100.0);
         } else if (!std::strcmp(argv[i], "--l1")) {
@@ -119,7 +110,7 @@ main(int argc, char **argv)
 
     std::printf("app=%s policy=%s cap=%.0f%% machine=%ux%u "
                 "L1=%u L2=%u\n\n",
-                app_name.c_str(), policyName(policy), cap_pct,
+                app_name.c_str(), enumName(policy), cap_pct,
                 cfg.numNodes, cfg.procsPerNode, cfg.l1Bytes,
                 cfg.l2Bytes);
 
@@ -136,7 +127,7 @@ main(int argc, char **argv)
         std::printf("  %-22s %14llu   (SCOMA: %llu)\n", name,
                     (unsigned long long)v, (unsigned long long)b);
     };
-    std::printf("metrics under %s:\n", policyName(policy));
+    std::printf("metrics under %s:\n", enumName(policy));
     row("exec cycles", r.execCycles, base.execCycles);
     row("remote misses", r.remoteMisses, base.remoteMisses);
     row("upgrades", r.upgrades, base.upgrades);
@@ -161,7 +152,7 @@ main(int argc, char **argv)
         auto w2 = spec.make();
         runWorkload(m2, *w2);
         std::printf("\nfull counter registry (%s):\n",
-                    policyName(policy));
+                    enumName(policy));
         std::ostringstream os;
         m2.metricRegistry().dump(os);
         std::fputs(os.str().c_str(), stdout);

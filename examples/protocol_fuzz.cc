@@ -39,6 +39,23 @@ usage(const char *argv0)
     return 2;
 }
 
+/**
+ * Flag @p flag's value @p v as an E.  An unknown name is a usage error:
+ * it names the flag and every valid value, and exits 2.
+ */
+template <typename E>
+E
+parseFlag(const char *flag, const char *v)
+{
+    E e{};
+    if (!enumFromString(v, &e)) {
+        std::fprintf(stderr, "fatal: %s\n",
+                     unknownKnobValue<E>(flag, v).c_str());
+        std::exit(2);
+    }
+    return e;
+}
+
 void
 dumpViolations(const FuzzResult &r)
 {
@@ -77,21 +94,9 @@ main(int argc, char **argv)
             rounds = static_cast<std::uint32_t>(
                 parseKnobU64("--rounds", v, 0, 1, ~0U));
         } else if (const char *v = want("--policy")) {
-            if (!policyFromString(v, &opt.policy)) {
-                std::fprintf(stderr, "unknown policy '%s' (valid:", v);
-                for (const PolicyRule &r : kPolicyRules)
-                    std::fprintf(stderr, " %s", r.name);
-                std::fprintf(stderr, ")\n");
-                return 2;
-            }
+            opt.policy = parseFlag<PolicyKind>("--policy", v);
         } else if (const char *v = want("--protocol")) {
-            if (!protocolFromString(v, &opt.protocol)) {
-                std::fprintf(stderr,
-                             "unknown protocol '%s' (valid: msi mesi "
-                             "moesi mesif)\n",
-                             v);
-                return 2;
-            }
+            opt.protocol = parseFlag<ProtocolScheme>("PRISM_PROTOCOL", v);
         } else if (const char *v = want("--jitter")) {
             opt.jitterMax = static_cast<std::uint32_t>(
                 parseKnobU64("--jitter", v, 0, 0, ~0U));

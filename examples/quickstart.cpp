@@ -111,7 +111,7 @@ main()
         const bool scoma = e->mode == PageMode::Scoma;
         std::printf("  node %u: frame %llu, mode %s, %u/%u lines "
                     "valid\n",
-                    n, (unsigned long long)f, pageModeName(e->mode),
+                    n, (unsigned long long)f, enumName(e->mode),
                     scoma ? e->tags.lines() - e->tags.count(FgTag::Invalid)
                           : 0,
                     scoma ? e->tags.lines() : 0);

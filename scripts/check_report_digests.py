@@ -1,27 +1,35 @@
 #!/usr/bin/env python3
-"""Check that the sweep benches still simulate byte-identically.
+"""Check that the sweep benches still simulate and print byte-identically.
 
 Usage: check_report_digests.py <bench-binary-dir> <digest-file>
 
 Each non-comment line of the digest file is
 
-    <sha256>  <bench> [args...]
+    <report-sha256>  <stdout-sha256>  <bench> [args...]
 
 The script runs `<bench-binary-dir>/<bench> [args...] --report <tmp>`
 at PRISM_SCALE=tiny (other PRISM_* knobs except PRISM_JOBS are
-cleared), strips the report with strip_report.py's
-canonicalization and compares the sha256 of the result (the same bytes
-`strip_report.py <tmp>` prints) with the committed digest.  Any
-mismatch fails the check and names the config.
+cleared) and checks two digests against the committed ones:
 
-With PRISM_UPDATE_GOLDEN set, the digest column is rewritten in place
-instead — the explicit re-baseline path after an intentional change to
-simulated behaviour.
+- the report's: the sha256 of the report stripped with
+  strip_report.py's canonicalization (the same bytes
+  `strip_report.py <tmp>` prints);
+- the printed tables': the sha256 of the bench's stdout without its
+  `# wrote report:` line (it names the temporary path) and without the
+  banner's `; jobs: N (...)` note (the worker count changes nothing
+  else the bench prints).
+
+Any mismatch fails the check and names the config and the digest.
+
+With PRISM_UPDATE_GOLDEN set, both digest columns are rewritten in
+place instead: the explicit re-baseline path after an intentional
+change to simulated behaviour or to a printed table.
 """
 
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,21 +37,36 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from strip_report import strip  # noqa: E402
 
+JOBS_NOTE = re.compile(r"; jobs: \d+ \(PRISM_JOBS/--jobs to change\)")
 
-def stripped_digest(bench_dir, argv, tmp):
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def printed_tables(stdout):
+    """The bench's stdout minus what varies between identical runs."""
+    lines = [JOBS_NOTE.sub("", line) for line in stdout.splitlines(True)
+             if not line.startswith("# wrote report:")]
+    return "".join(lines)
+
+
+def digests(bench_dir, argv, tmp):
     path = os.path.join(tmp, "report.json")
     # Only the config line picks the run: other PRISM_* knobs in the
     # caller's environment (shards, protocol, machine, ...) are dropped.
-    # PRISM_JOBS stays; reports are the same at every worker count.
+    # PRISM_JOBS stays; reports and tables are the same at every worker
+    # count.
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("PRISM_") or k == "PRISM_JOBS"}
     env["PRISM_SCALE"] = "tiny"
     env.setdefault("PRISM_JOBS", "2")
     cmd = [os.path.join(bench_dir, argv[0])] + argv[1:] + ["--report", path]
-    subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
+    run = subprocess.run(cmd, env=env, check=True, stdout=subprocess.PIPE,
+                         text=True)
     with open(path) as f:
         text = json.dumps(strip(json.load(f)), indent=1, sort_keys=True)
-    return hashlib.sha256((text + "\n").encode()).hexdigest()
+    return sha256(text + "\n"), sha256(printed_tables(run.stdout))
 
 
 def main():
@@ -60,14 +83,19 @@ def main():
             if not line.strip() or line.startswith("#"):
                 out.append(line)
                 continue
-            want, config = line.split(None, 1)
-            got = stripped_digest(bench_dir, config.split(), tmp)
-            if got != want and not update:
-                print(f"MISMATCH {config}: {got} (golden {want})")
+            want_report, want_stdout, config = line.split(None, 2)
+            got_report, got_stdout = digests(bench_dir, config.split(), tmp)
+            wrong = [f"{what} {got} (golden {want})"
+                     for what, got, want in
+                     (("report", got_report, want_report),
+                      ("stdout", got_stdout, want_stdout))
+                     if got != want]
+            if wrong and not update:
+                print(f"MISMATCH {config}: " + "; ".join(wrong))
                 bad += 1
             else:
                 print(f"ok       {config}")
-            out.append(f"{got}  {config}")
+            out.append(f"{got_report}  {got_stdout}  {config}")
     if update:
         with open(digest_file, "w") as f:
             f.write("\n".join(out) + "\n")

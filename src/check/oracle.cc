@@ -75,7 +75,7 @@ ProtocolOracle::dumpTrace() const
         std::fprintf(stderr, "  t=%-10llu n%u -> n%u  %-11s gpage=%llx "
                      "li=%u\n",
                      static_cast<unsigned long long>(e.tick), e.src, e.dst,
-                     msgTypeName(static_cast<MsgType>(e.kind)),
+                     enumName(static_cast<MsgType>(e.kind)),
                      static_cast<unsigned long long>(e.gpage), e.lineIdx);
     }
 }
@@ -367,7 +367,7 @@ ProtocolOracle::sweepQuiescent()
                             report(gp, li,
                                    fmt("valid tag %s at non-owner node "
                                        "%u (owner %u)",
-                                       fgTagName(tag), n, d.owner()));
+                                       enumName(tag), n, d.owner()));
                         if (cached != Mesi::Invalid)
                             report(gp, li,
                                    fmt("cached copy at non-owner node "
@@ -388,7 +388,7 @@ ProtocolOracle::sweepQuiescent()
                         report(gp, li,
                                fmt("%s proc copy at node %u under "
                                    "Shared dir state",
-                                   mesiName(cached), n));
+                                   enumName(cached), n));
                     // Value: a sharer's copy must be the latest.
                     if (sh && tag != FgTag::Invalid &&
                         sh->view[n] != sh->seq)
@@ -406,7 +406,7 @@ ProtocolOracle::sweepQuiescent()
                         report(gp, li,
                                fmt("valid tag %s at node %u under "
                                    "Uncached dir state",
-                                   fgTagName(tag), n));
+                                   enumName(tag), n));
                     if (cached != Mesi::Invalid)
                         report(gp, li,
                                fmt("cached copy at node %u under "
@@ -419,7 +419,7 @@ ProtocolOracle::sweepQuiescent()
                     !(d.state() == DirState::Owned && d.owner() == n)) {
                     report(gp, li,
                            fmt("%s proc copy at node %u without node "
-                               "ownership", mesiName(cached), n));
+                               "ownership", enumName(cached), n));
                 }
             }
             if (!sh)

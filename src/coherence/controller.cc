@@ -162,10 +162,9 @@ const ClientTransition &
 CoherenceController::clientCell(ClientView v, ClientEvent ev, GPage gpage,
                                 std::uint32_t li)
 {
-    const ClientTransition &t = clientTable_.on(v, ev);
-    ++clientHits_[static_cast<unsigned>(v)][static_cast<unsigned>(ev)];
+    const ClientTransition &t = kClientTable.on(v, ev, clientHits_);
     TRC(gpage, li, "n%u %s %s -> %s actions=%#x t=%llu", self_,
-        clientViewName(v), clientEventName(ev), clientViewName(t.next),
+        enumName(v), enumName(ev), enumName(t.next),
         t.actions, (unsigned long long)eq_.now());
     return t;
 }
@@ -573,7 +572,7 @@ CoherenceController::onMessage(Msg m)
         GLine gl = geo_.lineOf(m.gpage, m.lineIdx);
         HomeWait *const *wait = homeWaits_.find(gl);
         prism_assert(wait, "%s without a waiting home transaction",
-                     msgTypeName(m.type));
+                     enumName(m.type));
         if (m.type == MsgType::FetchNack)
             (*wait)->nacked = true;
         else
@@ -623,7 +622,7 @@ CoherenceController::onMessage(Msg m)
         return;
       default:
         panic("kernel message %s delivered to controller",
-              msgTypeName(m.type));
+              enumName(m.type));
     }
 }
 
@@ -632,10 +631,10 @@ CoherenceController::homeCell(HomeEvent ev, Directory::LineRef d,
                               GPage gpage, std::uint32_t li, NodeId sender)
 {
     const HomeView v = homeView(d, sender, self_);
-    const HomeTransition &t = HomeProtocol::get().on(v, ev);
+    const HomeTransition &t = kHomeTable.on(v, ev, homeHits_);
     TRC(gpage, li, "home%u %s %s from n%u -> %s actions=%#x owner=%u sh=%s "
-        "t=%llu", self_, homeViewName(v), homeEventName(ev), sender,
-        homeNextName(t.next), t.actions, d.owner(),
+        "t=%llu", self_, enumName(v), enumName(ev), sender,
+        enumName(t.next), t.actions, d.owner(),
         d.sharers().toString().c_str(), (unsigned long long)eq_.now());
     return t;
 }
@@ -658,7 +657,7 @@ CoherenceController::homeApplyPage(HomeEvent ev, PageRecord &rec,
                                    NodeId sender)
 {
     prism_assert(rec.home, "home %s on a page not homed here",
-                 homeEventName(ev));
+                 enumName(ev));
     for (std::uint32_t i = 0; i < geo_.linesPerPage(); ++i) {
         const Directory::LineRef d(rec, i);
         homeCommit(homeCell(ev, d, rec.gpage, i, sender), d, rec.gpage, i,
@@ -926,7 +925,7 @@ CoherenceController::handleClientReply(Msg m)
     if (m.type != MsgType::InvAck)
         co_await occupy(cfg_.ctrlOverhead);
     ClientTxn *const *txn = pending_.find(geo_.lineOf(m.gpage, m.lineIdx));
-    prism_assert(txn, "%s without a transaction", msgTypeName(m.type));
+    prism_assert(txn, "%s without a transaction", enumName(m.type));
     ClientTxn *t = *txn;
     if (m.type == MsgType::InvAck) {
         t->latch.arrive();

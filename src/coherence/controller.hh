@@ -325,8 +325,14 @@ class CoherenceController
     std::uint64_t
     clientCellHits(ClientView v, ClientEvent e) const
     {
-        return clientHits_[static_cast<unsigned>(v)]
-                          [static_cast<unsigned>(e)];
+        return clientHits_(v, e);
+    }
+
+    /** Times this node has looked up home-table cell (@p v, @p e). */
+    std::uint64_t
+    homeCellHits(HomeView v, HomeEvent e) const
+    {
+        return homeHits_(v, e);
     }
 
   private:
@@ -506,15 +512,15 @@ class CoherenceController
     ProtocolOracle *const oracle_; //!< null unless an oracle checks
     TraceSink *const trace_;       //!< null unless the machine traces
     const MsgLogFilter log_;
-    const ClientProtocol &clientTable_ = ClientProtocol::get();
     /** Remaining invalidations to skip (cfg.mutationSkipInvals). */
     std::uint32_t mutationBudget_ = 0;
 
     ControllerStats stats_;
     ControllerLatency latency_;
 
-    /** Client-cell lookups (clientCellHits). */
-    std::uint64_t clientHits_[kNumClientViews][kNumClientEvents] = {};
+    /** Cell lookups (clientCellHits, homeCellHits). */
+    ClientTable::Hits clientHits_;
+    HomeTable::Hits homeHits_;
 };
 
 /**

@@ -2,17 +2,6 @@
 
 namespace prism {
 
-const char *
-dirStateName(DirState s)
-{
-    switch (s) {
-      case DirState::Uncached: return "U";
-      case DirState::Shared: return "S";
-      case DirState::Owned: return "O";
-    }
-    return "?";
-}
-
 Directory::Directory(std::uint32_t cache_entries, Cycles hit_cycles,
                      Cycles miss_cycles)
     : hitCycles_(hit_cycles), missCycles_(miss_cycles),

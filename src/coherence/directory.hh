@@ -28,6 +28,7 @@
 
 #include "coherence/page_record.hh"
 #include "coherence/sharer_set.hh"
+#include "core/table.hh"
 #include "mem/addr.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -44,8 +45,9 @@ enum class DirState : std::uint8_t {
     Owned,
 };
 
-/** Human-readable state name. */
-const char *dirStateName(DirState s);
+template <>
+inline constexpr std::array kNames<DirState> = {"U", "S", "O"};
+static_assert(namedThrough(DirState::Owned));
 
 static_assert(static_cast<int>(DirState::Uncached) == 0,
               "a new HomeBlock's zeroed state bytes read as Uncached");

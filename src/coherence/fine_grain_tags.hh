@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/table.hh"
 #include "sim/logging.hh"
 
 namespace prism {
@@ -30,18 +31,9 @@ enum class FgTag : std::uint8_t {
     Transit,
 };
 
-/** Human-readable tag name. */
-inline const char *
-fgTagName(FgTag t)
-{
-    switch (t) {
-      case FgTag::Invalid: return "I";
-      case FgTag::Shared: return "S";
-      case FgTag::Exclusive: return "E";
-      case FgTag::Transit: return "T";
-    }
-    return "?";
-}
+template <>
+inline constexpr std::array kNames<FgTag> = {"I", "S", "E", "T"};
+static_assert(namedThrough(FgTag::Transit));
 
 /**
  * The tag array of one S-COMA page frame.  It keeps a count per tag

@@ -6,11 +6,12 @@
  * dynamic home, whose full-map directory decides what a request, a
  * writeback, a client page-out or a migration does to a line (paper
  * Section 3).  This module states that decision once, in the mold of
- * the intra-node line protocol (line_protocol.hh): an immutable table
- * maps (HomeView, HomeEvent) to a HomeTransition {actions, next
- * directory state, oracle hook}.  Illegal cells are explicit — tryOn()
- * returns nullptr and on() panics naming the cell — e.g. a request
- * from the line's current owner.
+ * the intra-node line protocol (line_protocol.hh): kHomeTable, a
+ * CellTable (core/table.hh) built at compile time, maps (HomeView,
+ * HomeEvent) to a HomeTransition {actions, next directory state,
+ * oracle hook}.  Illegal cells are explicit — tryOn() returns nullptr
+ * and on() panics naming the cell — e.g. a request from the line's
+ * current owner.
  *
  * The view is the directory line as seen from the event's sender:
  * Shared splits on whether the sender is in the sharer set, Owned on
@@ -32,6 +33,7 @@
 #include <cstdint>
 
 #include "coherence/directory.hh"
+#include "core/table.hh"
 
 namespace prism {
 
@@ -64,8 +66,16 @@ enum class HomeEvent : std::uint8_t {
 constexpr std::uint32_t kNumHomeViews = 6;
 constexpr std::uint32_t kNumHomeEvents = 7;
 
-const char *homeViewName(HomeView v);
-const char *homeEventName(HomeEvent e);
+template <>
+inline constexpr std::array kNames<HomeView> = {
+    "Uncached",  "SharedSender", "SharedOther",
+    "OwnedHome", "OwnedSender",  "OwnedOther"};
+template <>
+inline constexpr std::array kNames<HomeEvent> = {
+    "ReqS",      "ReqX",       "Upgrade",     "WbKeepShared",
+    "WbRelease", "ClientGone", "MigrateFlush"};
+static_assert(kNames<HomeView>.size() == kNumHomeViews &&
+              kNames<HomeEvent>.size() == kNumHomeEvents);
 
 /**
  * Work a cell asks of the interpreter, performed in declaration order.
@@ -108,7 +118,11 @@ enum class HomeNext : std::uint8_t {
     RemoveSender,
 };
 
-const char *homeNextName(HomeNext n);
+template <>
+inline constexpr std::array kNames<HomeNext> = {
+    "Same",         "Uncached",       "SenderOwns", "AddSender",
+    "SenderShares", "OwnerAndSender", "DropSender", "RemoveSender"};
+static_assert(namedThrough(HomeNext::RemoveSender));
 
 /**
  * The shadow-value rule a transition reports to the protocol oracle
@@ -132,32 +146,88 @@ struct HomeTransition {
     bool legal = false;
 };
 
-/** The home protocol: one immutable table (get()). */
-class HomeProtocol
-{
-  public:
-    static const HomeProtocol &get();
+using HomeTable = CellTable<HomeView, HomeEvent, HomeTransition>;
 
-    /** The cell for (v, e), or nullptr if it is illegal. */
-    const HomeTransition *
-    tryOn(HomeView v, HomeEvent e) const
-    {
-        const HomeTransition &t =
-            table_[static_cast<unsigned>(v)][static_cast<unsigned>(e)];
-        return t.legal ? &t : nullptr;
+/** The home protocol's table. */
+constexpr HomeTable
+homeTable()
+{
+    using V = HomeView;
+    using E = HomeEvent;
+    using N = HomeNext;
+    using H = HomeHook;
+    HomeTable t{"home"};
+
+    // --- Requests ------------------------------------------------------
+    // An uncached line is granted with ownership even to a read (the
+    // requester may fill it exclusive).  A write to a shared line
+    // invalidates the other sharers and grants ownership; an owned
+    // line is recalled from the home's own copy (2-party) or fetched
+    // from the remote owner (3-party), and a read leaves the old owner
+    // sharing with the requester.  OwnedSender stays illegal: a node
+    // never re-requests a line it owns.
+    for (E e : {E::ReqS, E::ReqX, E::Upgrade}) {
+        const bool write = e != E::ReqS;
+        const N granted = write ? N::SenderOwns : N::OwnerAndSender;
+        t.set(V::Uncached, e,
+              {kHomeReplyData, N::SenderOwns, H::GrantFromMemory});
+        for (V v : {V::SharedSender, V::SharedOther}) {
+            t.set(v, e,
+                  {std::uint8_t(kHomeReplyData |
+                                (write ? kHomeInvalSharers : 0)),
+                   write ? N::SenderOwns : N::AddSender,
+                   H::GrantFromMemory});
+        }
+        t.set(V::OwnedHome, e,
+              {kHomeRecallSelf | kHomeReplyData, granted, H::ServeSelfOwned});
+        t.set(V::OwnedOther, e, {kHomeFetchOwner, granted, H::None});
+    }
+    // An upgrading sharer still holds the data: permission only.
+    t.set(V::SharedSender, E::Upgrade,
+          {kHomeInvalSharers | kHomeReplyUpgAck, N::SenderOwns,
+           H::UpgradeGrant});
+
+    // --- Writebacks ----------------------------------------------------
+    // Only the owner's own writeback moves the line.  One arriving at
+    // an Uncached line lost a race with nothing newer (ownership moves
+    // only through this serialized home), so its dirty data is still
+    // the latest and is collected.  Anywhere else it is stale: dropped.
+    for (E e : {E::WbKeepShared, E::WbRelease}) {
+        t.set(V::OwnedSender, e,
+              {kHomeCollectDirty,
+               e == E::WbKeepShared ? N::SenderShares : N::Uncached,
+               H::WritebackAccepted});
+        t.set(V::Uncached, e, {kHomeCollectDirty, N::Same, H::LateWriteback});
+        for (V v : {V::SharedSender, V::SharedOther, V::OwnedHome,
+                    V::OwnedOther})
+            t.set(v, e, {0, N::Same, H::None});
     }
 
-    /** The cell for (v, e); panics naming it if it is illegal. */
-    const HomeTransition &on(HomeView v, HomeEvent e) const;
+    // --- Client page-out and migration flush ----------------------------
+    // A departing client leaves every sharer set.  An Owned(client) line
+    // is left alone: the client's page-out flush put its Writeback (or
+    // ReplaceHint) in flight before the PageOutNotice, so under
+    // pairwise-FIFO delivery it is already in the home's pipeline and
+    // performs the release carrying the data.  Resetting the line here
+    // would let a racing request read stale memory while that writeback
+    // still pays its occupancy delays; until it lands, requests take the
+    // 3-party path and retry on FetchNack.  A migration flush (the
+    // sender is the home itself) also folds the sender's owned lines
+    // into memory, so a home-owned line shows as OwnedSender there.
+    for (V v : {V::Uncached, V::OwnedHome, V::OwnedSender, V::OwnedOther})
+        t.set(v, E::ClientGone, {0, N::Same, H::None});
+    for (V v : {V::SharedSender, V::SharedOther}) {
+        t.set(v, E::ClientGone, {0, N::DropSender, H::None});
+        t.set(v, E::MigrateFlush, {0, N::DropSender, H::None});
+    }
+    t.set(V::Uncached, E::MigrateFlush, {0, N::Same, H::None});
+    t.set(V::OwnedSender, E::MigrateFlush,
+          {0, N::Uncached, H::MigrateFlush});
+    t.set(V::OwnedOther, E::MigrateFlush, {0, N::Same, H::None});
+    return t;
+}
 
-  private:
-    HomeProtocol();
-
-    void set(HomeView v, HomeEvent e, std::uint8_t actions, HomeNext next,
-             HomeHook hook);
-
-    HomeTransition table_[kNumHomeViews][kNumHomeEvents];
-};
+inline constexpr HomeTable kHomeTable = homeTable();
 
 /** Classify line @p d as seen from @p sender at home node @p home. */
 HomeView homeView(const Directory::LineRef &d, NodeId sender, NodeId home);

@@ -6,6 +6,10 @@
  * paging protocol, and lazy page migration.  Frame-number hints are
  * piggybacked on messages so the receiving PIT can usually avoid the
  * hash reverse translation (paper Section 3.2).
+ *
+ * Each message type is a row of kMsgRules: its name, its network size
+ * class (a writeback's depends on whether it carries dirty data) and
+ * whether the OS kernel or the coherence controller handles it.
  */
 
 #ifndef PRISM_COHERENCE_MSG_HH
@@ -14,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/table.hh"
 #include "mem/addr.hh"
 #include "net/network.hh"
 #include "sim/types.hh"
@@ -58,11 +63,60 @@ enum class MsgType : std::uint8_t {
     MigrateDone,  //!< new dyn home -> static home: registry update
 };
 
-/** Human-readable message-type name. */
-const char *msgTypeName(MsgType t);
+/** One message type: the columns the file comment describes. */
+struct MsgRule {
+    MsgType type;
+    const char *name;
+    MsgSize size = MsgSize::Control; //!< network size class
+    bool dirtyData = false; //!< Data-sized when it carries dirty data
+    bool kernel = false;    //!< the OS kernel handles it, not the controller
+};
 
-/** True for message types handled by the OS kernel, not the controller. */
-bool isKernelMsg(MsgType t);
+/** Every message type, indexed by MsgType. */
+inline constexpr MsgRule kMsgRules[] = {
+    {.type = MsgType::ReqS, .name = "ReqS"},
+    {.type = MsgType::ReqX, .name = "ReqX"},
+    {.type = MsgType::Upgrade, .name = "Upgrade"},
+    {.type = MsgType::Writeback, .name = "Writeback", .dirtyData = true},
+    {.type = MsgType::ReplaceHint, .name = "ReplaceHint"},
+    {.type = MsgType::Data, .name = "Data", .size = MsgSize::Data},
+    {.type = MsgType::UpgAck, .name = "UpgAck"},
+    {.type = MsgType::Inv, .name = "Inv"},
+    {.type = MsgType::Fetch, .name = "Fetch"},
+    {.type = MsgType::DataFwd, .name = "DataFwd", .size = MsgSize::Data},
+    {.type = MsgType::XferNotice, .name = "XferNotice", .dirtyData = true},
+    {.type = MsgType::FetchNack, .name = "FetchNack"},
+    {.type = MsgType::InvAck, .name = "InvAck"},
+    {.type = MsgType::PageInReq, .name = "PageInReq", .kernel = true},
+    {.type = MsgType::PageInRep, .name = "PageInRep", .kernel = true},
+    {.type = MsgType::PageOutNotice, .name = "PageOutNotice",
+     .kernel = true},
+    {.type = MsgType::PageOutNoticeAck, .name = "PageOutNoticeAck",
+     .kernel = true},
+    {.type = MsgType::HomePageOutReq, .name = "HomePageOutReq",
+     .kernel = true},
+    {.type = MsgType::HomePageOutAck, .name = "HomePageOutAck",
+     .kernel = true},
+    {.type = MsgType::MigrateReq, .name = "MigrateReq"},
+    {.type = MsgType::MigratePrep, .name = "MigratePrep"},
+    {.type = MsgType::MigrateData, .name = "MigrateData",
+     .size = MsgSize::Page},
+    {.type = MsgType::MigrateDone, .name = "MigrateDone"},
+};
+
+static_assert(rowsInOrder(kMsgRules, &MsgRule::type),
+              "kMsgRules must list the types in MsgType order");
+
+template <>
+inline constexpr const auto &kNames<MsgType> = kMsgRules;
+static_assert(namedThrough(MsgType::MigrateDone));
+
+/** The row of message type @p t. */
+constexpr const MsgRule &
+msgRule(MsgType t)
+{
+    return kMsgRules[static_cast<std::size_t>(t)];
+}
 
 /** A protocol message. */
 struct Msg {
@@ -101,8 +155,13 @@ struct Msg {
     /** Bulk payload (migration: directory + kernel metadata). */
     std::shared_ptr<void> payload;
 
-    /** Network size class of this message type. */
-    MsgSize sizeClass() const;
+    /** Network size class of this message (its type's row). */
+    MsgSize
+    sizeClass() const
+    {
+        const MsgRule &r = msgRule(type);
+        return dirty && r.dirtyData ? MsgSize::Data : r.size;
+    }
 };
 
 } // namespace prism

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "core/table.hh"
+
 namespace prism {
 
 /** The behaviour the controller applies to a page frame. */
@@ -39,18 +41,10 @@ enum class PageMode : std::uint8_t {
     CcNuma,
 };
 
-/** Human-readable mode name. */
-inline const char *
-pageModeName(PageMode m)
-{
-    switch (m) {
-      case PageMode::Local: return "local";
-      case PageMode::Scoma: return "s-coma";
-      case PageMode::LaNuma: return "la-numa";
-      case PageMode::CcNuma: return "cc-numa";
-    }
-    return "?";
-}
+template <>
+inline constexpr std::array kNames<PageMode> = {"local", "s-coma",
+                                                "la-numa", "cc-numa"};
+static_assert(namedThrough(PageMode::CcNuma));
 
 /** True for modes that back a globally shared page at a client/home. */
 inline bool

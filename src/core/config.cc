@@ -9,65 +9,6 @@
 
 namespace prism {
 
-const char *
-protocolName(ProtocolScheme p)
-{
-    switch (p) {
-      case ProtocolScheme::Msi: return "msi";
-      case ProtocolScheme::Mesi: return "mesi";
-      case ProtocolScheme::Moesi: return "moesi";
-      case ProtocolScheme::Mesif: return "mesif";
-    }
-    return "?";
-}
-
-bool
-protocolFromString(const char *s, ProtocolScheme *out)
-{
-    if (!s || !out)
-        return false;
-    for (ProtocolScheme p :
-         {ProtocolScheme::Msi, ProtocolScheme::Mesi, ProtocolScheme::Moesi,
-          ProtocolScheme::Mesif}) {
-        if (!std::strcmp(s, protocolName(p))) {
-            *out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
-oracleModeName(OracleMode m)
-{
-    switch (m) {
-      case OracleMode::Off: return "off";
-      case OracleMode::Quiescent: return "quiescent";
-      case OracleMode::Continuous: return "continuous";
-    }
-    return "?";
-}
-
-bool
-oracleModeFromString(const char *s, OracleMode *out)
-{
-    if (!s || !out)
-        return false;
-    if (!std::strcmp(s, "off")) {
-        *out = OracleMode::Off;
-        return true;
-    }
-    if (!std::strcmp(s, "quiescent")) {
-        *out = OracleMode::Quiescent;
-        return true;
-    }
-    if (!std::strcmp(s, "continuous")) {
-        *out = OracleMode::Continuous;
-        return true;
-    }
-    return false;
-}
-
 namespace {
 
 /**

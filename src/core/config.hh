@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/table.hh"
 #include "sim/types.hh"
 
 namespace prism {
@@ -34,16 +35,10 @@ enum class PolicyKind : std::uint8_t {
 };
 
 /**
- * Policy name as used in the paper (policy/page_policy.hh holds the
- * rows it reads).
+ * Policy name as used in the paper: enumName(k), whose names are the
+ * rows of kPolicyRules (policy/page_policy.hh).
  */
 const char *policyName(PolicyKind k);
-
-/**
- * Parse a policy name as policyName writes it.
- * @retval false @p s names no policy (out is untouched).
- */
-bool policyFromString(const char *s, PolicyKind *out);
 
 /**
  * Intra-node line-protocol scheme spoken on each node's bus
@@ -69,14 +64,10 @@ enum class ProtocolScheme : std::uint8_t {
     Mesif,
 };
 
-/** Lower-case scheme name (msi|mesi|moesi|mesif). */
-const char *protocolName(ProtocolScheme p);
-
-/**
- * Parse a protocol-scheme name.
- * @retval false @p s names no scheme (out is untouched).
- */
-bool protocolFromString(const char *s, ProtocolScheme *out);
+template <>
+inline constexpr std::array kNames<ProtocolScheme> = {"msi", "mesi",
+                                                      "moesi", "mesif"};
+static_assert(namedThrough(ProtocolScheme::Mesif));
 
 /**
  * Protocol-oracle checking level (src/check).
@@ -93,14 +84,10 @@ enum class OracleMode : std::uint8_t {
     Continuous,
 };
 
-/** Human-readable oracle-mode name (off|quiescent|continuous). */
-const char *oracleModeName(OracleMode m);
-
-/**
- * Parse an oracle-mode name.
- * @retval false @p s names no mode (out is untouched).
- */
-bool oracleModeFromString(const char *s, OracleMode *out);
+template <>
+inline constexpr std::array kNames<OracleMode> = {"off", "quiescent",
+                                                  "continuous"};
+static_assert(namedThrough(OracleMode::Continuous));
 
 /** Full machine configuration. */
 struct MachineConfig {

@@ -87,6 +87,15 @@ findEnvKnobByFlag(const char *flag)
     return nullptr;
 }
 
+std::string
+knobLabel(const char *knob)
+{
+    const EnvKnob *k = findEnvKnob(knob);
+    if (!k || !k->flag)
+        return knob;
+    return std::string(k->env) + "/" + k->flag;
+}
+
 const char *
 resolveEnv(const char *env)
 {

@@ -39,6 +39,13 @@ const EnvKnob *findEnvKnob(const char *env);
 const EnvKnob *findEnvKnobByFlag(const char *flag);
 
 /**
+ * How an error names knob @p knob: "PRISM_X/--x" for a registered knob
+ * with a flag, "PRISM_X" for an env-only one, and @p knob itself for a
+ * name the registry lacks (a tool's own flag, e.g. "--policy").
+ */
+std::string knobLabel(const char *knob);
+
+/**
  * getenv() restricted to registered knobs: panics when @p env is not
  * in the registry (the variable would otherwise silently bypass the
  * --help table and the flag > env > default precedence rule).

@@ -47,14 +47,8 @@ Machine::Machine(const MachineConfig &cfg)
       barriers_(cfg.numProcs(), cfg.barrierCycles)
 {
     validateConfig(cfg_);
-    if (const char *env = resolveEnv("PRISM_ORACLE")) {
-        OracleMode om;
-        if (!oracleModeFromString(env, &om)) {
-            fatal("unknown PRISM_ORACLE '%s' (valid: off quiescent "
-                  "continuous)", env);
-        }
-        cfg_.oracleMode = om;
-    }
+    if (const char *env = resolveEnv("PRISM_ORACLE"))
+        cfg_.oracleMode = parseKnobEnum<OracleMode>("PRISM_ORACLE", env);
 
     const Cycles min_occ =
         std::min({cfg_.netCtrlOccupancy, cfg_.netDataOccupancy,
@@ -194,7 +188,7 @@ Machine::route(Msg &&m)
                                 static_cast<std::uint16_t>(boxed->src),
                                 static_cast<std::uint16_t>(boxed->dst)});
     if (trace_) {
-        trace_->instant(msgTypeName(boxed->type), "msg",
+        trace_->instant(enumName(boxed->type), "msg",
                         static_cast<std::int32_t>(boxed->dst),
                         static_cast<std::int32_t>(boxed->lineIdx),
                         ssh.eq.now());

@@ -6,7 +6,7 @@ namespace prism {
 
 Node::Node(NodeId id, Machine &machine, EventQueue &eq)
     : id_(id), machine_(machine), cfg_(machine.config()), eq_(eq),
-      geo_(cfg_.lineBytes), proto_(LineProtocol::get(cfg_.protocol)),
+      geo_(cfg_.lineBytes), proto_(lineProtocol(cfg_.protocol)),
       bus_(cfg_.busAddrCycles, cfg_.busDataCycles),
       dram_(cfg_.memAccessCycles), ctrl_(*this), kernel_(*this)
 {
@@ -24,7 +24,7 @@ Node::until(Tick t)
 void
 Node::receive(Msg m)
 {
-    if (isKernelMsg(m.type))
+    if (msgRule(m.type).kernel)
         kernel_.receive(std::move(m));
     else
         ctrl_.onMessage(std::move(m));

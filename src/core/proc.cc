@@ -10,7 +10,7 @@ Proc::Proc(ProcId id, Node &node)
     : id_(id), node_(node), machine_(node.machine()),
       oracle_(machine_.oracle()), cfg_(node.config()),
       eq_(node.eventQueue()), geo_(cfg_.lineBytes),
-      proto_(LineProtocol::get(cfg_.protocol)),
+      proto_(lineProtocol(cfg_.protocol)),
       l1_(cfg_.l1Bytes, cfg_.l1Assoc, cfg_.lineBytes),
       l2_(cfg_.l2Bytes, cfg_.l2Assoc, cfg_.lineBytes),
       tlb_(cfg_.tlbEntries)

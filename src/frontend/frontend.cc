@@ -1,37 +1,11 @@
 #include "frontend/frontend.hh"
 
-#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
 #include "sim/logging.hh"
 
 namespace prism {
-
-const char *
-frontendName(FrontendKind k)
-{
-    switch (k) {
-      case FrontendKind::Exec: return "exec";
-      case FrontendKind::Record: return "record";
-      case FrontendKind::Replay: return "replay";
-    }
-    return "?";
-}
-
-bool
-frontendFromString(const char *s, FrontendKind *out)
-{
-    if (!std::strcmp(s, "exec"))
-        *out = FrontendKind::Exec;
-    else if (!std::strcmp(s, "record"))
-        *out = FrontendKind::Record;
-    else if (!std::strcmp(s, "replay"))
-        *out = FrontendKind::Replay;
-    else
-        return false;
-    return true;
-}
 
 std::string
 tracePathFor(const std::string &base, const std::string &app,

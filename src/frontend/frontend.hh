@@ -17,14 +17,16 @@
 
 #include <string>
 
+#include "core/table.hh"
+
 namespace prism {
 
 enum class FrontendKind { Exec, Record, Replay };
 
-const char *frontendName(FrontendKind k);
-
-/** @retval false when @p s names no frontend. */
-bool frontendFromString(const char *s, FrontendKind *out);
+template <>
+inline constexpr std::array kNames<FrontendKind> = {"exec", "record",
+                                                    "replay"};
+static_assert(namedThrough(FrontendKind::Replay));
 
 /**
  * The .ptrace path for @p app under a bench's --trace-file argument

@@ -4,20 +4,6 @@
 
 namespace prism {
 
-const char *
-mesiName(Mesi s)
-{
-    switch (s) {
-      case Mesi::Invalid: return "I";
-      case Mesi::Shared: return "S";
-      case Mesi::Exclusive: return "E";
-      case Mesi::Modified: return "M";
-      case Mesi::Owned: return "O";
-      case Mesi::Forward: return "F";
-    }
-    return "?";
-}
-
 SetAssocCache::SetAssocCache(std::uint32_t size_bytes, std::uint32_t assoc,
                              std::uint32_t line_bytes)
     : assoc_(assoc), lineBytes_(line_bytes),

@@ -25,6 +25,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/table.hh"
 #include "mem/addr.hh"
 #include "sim/flat_map.hh"
 #include "sim/logging.hh"
@@ -54,8 +55,10 @@ enum class LineState : std::uint8_t {
 /** Historical alias: most of the simulator predates the widening. */
 using Mesi = LineState;
 
-/** Human-readable name of a line state. */
-const char *mesiName(Mesi s);
+template <>
+inline constexpr std::array kNames<LineState> = {"I", "S", "E",
+                                                 "M", "O", "F"};
+static_assert(namedThrough(LineState::Forward));
 
 /**
  * Access-permission strength, for merging the L1/L2 views of a line:

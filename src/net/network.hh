@@ -31,7 +31,7 @@ namespace prism {
 enum class MsgSize : std::uint8_t {
     Control, //!< header-only protocol message
     Data,    //!< carries one cache line
-    Page,    //!< carries page-level payload (page-in bulk transfers)
+    Page,    //!< carries a migrating page (MigrateData)
 };
 
 /** Fabric-wide traffic counters (component "net", machine-wide). */

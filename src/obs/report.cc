@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/machine.hh"
+#include "policy/page_policy.hh"
 #include "obs/json.hh"
 
 namespace prism {
@@ -42,8 +43,8 @@ buildRunReport(const Machine &m)
     const MachineConfig &cfg = m.config();
     r.numNodes = cfg.numNodes;
     r.procsPerNode = cfg.procsPerNode;
-    r.policy = policyName(cfg.policy);
-    r.protocol = protocolName(cfg.protocol);
+    r.policy = enumName(cfg.policy);
+    r.protocol = enumName(cfg.protocol);
     r.seed = cfg.seed;
     r.l1Bytes = cfg.l1Bytes;
     r.l2Bytes = cfg.l2Bytes;

@@ -515,7 +515,7 @@ Kernel::receive(Msg m)
       }
       default:
         panic("coherence message %s delivered to kernel",
-              msgTypeName(m.type));
+              enumName(m.type));
     }
 }
 

@@ -26,8 +26,9 @@
  *
  * Converting a page between modes is a purely node-local decision,
  * exercised only at page-fault time: the run-time policies add no
- * overhead to normal operation.  policyName and policyFromString
- * (core/config.hh) read the names from the same rows.
+ * overhead to normal operation.  The rows are PolicyKind's name table
+ * (kNames, core/table.hh): enumName and enumFromString read their
+ * names.
  */
 
 #ifndef PRISM_POLICY_PAGE_POLICY_HH
@@ -75,15 +76,12 @@ inline constexpr PolicyRule kPolicyRules[] = {
      .victim = PageVictim::Lru, .adaptive = true, .revert = true},
 };
 
-static_assert(
-    [] {
-        for (std::size_t i = 0; i < std::size(kPolicyRules); ++i) {
-            if (static_cast<std::size_t>(kPolicyRules[i].kind) != i)
-                return false;
-        }
-        return true;
-    }(),
-    "kPolicyRules must list the policies in PolicyKind order");
+static_assert(rowsInOrder(kPolicyRules, &PolicyRule::kind),
+              "kPolicyRules must list the policies in PolicyKind order");
+
+template <>
+inline constexpr const auto &kNames<PolicyKind> = kPolicyRules;
+static_assert(namedThrough(PolicyKind::DynBoth));
 
 /** True if @p k has a row (validateConfig refuses a config without). */
 constexpr bool

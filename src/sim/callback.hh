@@ -143,8 +143,9 @@ class InlineCallback
 /**
  * Inline storage for event callbacks.  The largest capture scheduled
  * anywhere in src/ is Machine::route's message-delivery closure
- * (a Machine* plus a pooled Msg*, 16 bytes — static-asserted at the
- * capture site); 48 bytes leaves headroom for tests and benches.
+ * (a Machine*, the destination shard's message pool and the boxed
+ * Msg's unique_ptr, 24 bytes — static-asserted at the capture site);
+ * 48 bytes leaves headroom for tests and benches.
  */
 inline constexpr std::size_t kEventCallbackBytes = 48;
 

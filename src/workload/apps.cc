@@ -1,7 +1,5 @@
 #include "workload/apps.hh"
 
-#include <cstring>
-
 #include "sim/logging.hh"
 #include "workload/barnes.hh"
 #include "workload/fft.hh"
@@ -25,31 +23,6 @@ spec(std::string name, P params)
 }
 
 } // namespace
-
-const char *
-scaleName(AppScale s)
-{
-    switch (s) {
-      case AppScale::Paper: return "paper";
-      case AppScale::Small: return "small";
-      case AppScale::Tiny: return "tiny";
-    }
-    return "?";
-}
-
-bool
-scaleFromString(const char *s, AppScale *out)
-{
-    if (!s || !out)
-        return false;
-    for (AppScale a : {AppScale::Paper, AppScale::Small, AppScale::Tiny}) {
-        if (!std::strcmp(s, scaleName(a))) {
-            *out = a;
-            return true;
-        }
-    }
-    return false;
-}
 
 std::vector<AppSpec>
 standardApps(AppScale scale)

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/table.hh"
 #include "workload/workload.hh"
 
 namespace prism {
@@ -23,14 +24,9 @@ enum class AppScale {
     Tiny,  //!< minimal sizes for unit tests
 };
 
-/** Lower-case scale name (paper|small|tiny). */
-const char *scaleName(AppScale s);
-
-/**
- * Parse a scale name.
- * @retval false @p s names no scale (out is untouched).
- */
-bool scaleFromString(const char *s, AppScale *out);
+template <>
+inline constexpr std::array kNames<AppScale> = {"paper", "small", "tiny"};
+static_assert(namedThrough(AppScale::Tiny));
 
 /** A registered application. */
 struct AppSpec {

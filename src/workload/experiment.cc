@@ -38,7 +38,7 @@ runExec(MachineConfig cfg, const AppSpec &app, RunReport *report,
     if (report) {
         *report = m.report();
         if (rec_out) {
-            report->frontend = frontendName(FrontendKind::Record);
+            report->frontend = enumName(FrontendKind::Record);
             report->traceWorkload = (*rec_out)->workload;
             report->traceOps = (*rec_out)->totalOps();
         }
@@ -56,7 +56,7 @@ runReplay(const MachineConfig &cfg,
     RunMetrics r = runWorkload(m, w);
     if (report) {
         *report = m.report();
-        report->frontend = frontendName(FrontendKind::Replay);
+        report->frontend = enumName(FrontendKind::Replay);
         report->traceWorkload = w.trace().workload;
         report->traceOps = w.trace().totalOps();
     }

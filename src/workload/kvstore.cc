@@ -41,34 +41,6 @@ mixRatios(KvMix m)
 
 } // namespace
 
-const char *
-kvMixName(KvMix m)
-{
-    switch (m) {
-      case KvMix::A: return "A";
-      case KvMix::B: return "B";
-      case KvMix::C: return "C";
-      case KvMix::D: return "D";
-      case KvMix::E: return "E";
-    }
-    return "?";
-}
-
-bool
-kvMixFromString(const char *s, KvMix *out)
-{
-    if (!s || s[0] == '\0' || s[1] != '\0')
-        return false;
-    switch (s[0]) {
-      case 'a': case 'A': *out = KvMix::A; return true;
-      case 'b': case 'B': *out = KvMix::B; return true;
-      case 'c': case 'C': *out = KvMix::C; return true;
-      case 'd': case 'D': *out = KvMix::D; return true;
-      case 'e': case 'E': *out = KvMix::E; return true;
-    }
-    return false;
-}
-
 ZipfianSampler::ZipfianSampler(std::uint64_t n, double theta)
     : n_(n), theta_(theta)
 {
@@ -113,7 +85,7 @@ KvStoreWorkload::sizeDesc() const
                   "%llu keys x %llu reqs, mix %s, zipf %.2f",
                   static_cast<unsigned long long>(params_.keys),
                   static_cast<unsigned long long>(params_.requests),
-                  kvMixName(params_.mix), params_.theta);
+                  enumName(params_.mix), params_.theta);
     return buf;
 }
 

@@ -43,10 +43,12 @@ enum class KvMix : std::uint8_t {
     E, //!< short scans:  95% scan /  5% insert
 };
 
-const char *kvMixName(KvMix m);
-
-/** @retval false when @p s ("a".."e"/"A".."E") names no mix. */
-bool kvMixFromString(const char *s, KvMix *out);
+template <>
+inline constexpr std::array kNames<KvMix> = {"A", "B", "C", "D", "E"};
+static_assert(namedThrough(KvMix::E));
+/** The PRISM_KV_MIX registry row spells the mixes in lower case. */
+template <>
+inline constexpr bool kFoldCase<KvMix> = true;
 
 /**
  * Seedable Zipfian rank sampler (Gray et al.'s algorithm, as used by

@@ -96,7 +96,7 @@ runSweepsParallel(const RunSpec &spec, const std::vector<AppSpec> &apps,
             fatal("--frontend %s shares one trace per app across the "
                   "sweep, but machine '%s' has %u processors and '%s' "
                   "has %u; pick one shape with --machine",
-                  frontendName(spec.frontend), v0.label.c_str(),
+                  enumName(spec.frontend), v0.label.c_str(),
                   v0.machine.numProcs(), v.label.c_str(),
                   v.machine.numProcs());
         }

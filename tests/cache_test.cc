@@ -139,10 +139,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Cache, MesiNames)
 {
-    EXPECT_STREQ(mesiName(Mesi::Invalid), "I");
-    EXPECT_STREQ(mesiName(Mesi::Modified), "M");
-    EXPECT_STREQ(mesiName(Mesi::Owned), "O");
-    EXPECT_STREQ(mesiName(Mesi::Forward), "F");
+    EXPECT_STREQ(enumName(Mesi::Invalid), "I");
+    EXPECT_STREQ(enumName(Mesi::Modified), "M");
+    EXPECT_STREQ(enumName(Mesi::Owned), "O");
+    EXPECT_STREQ(enumName(Mesi::Forward), "F");
 }
 
 // The tag store is protocol-agnostic payload storage: the widened

@@ -42,7 +42,7 @@ namespace prism {
 void
 PrintTo(ClientView v, std::ostream *os)
 {
-    *os << clientViewName(v);
+    *os << enumName(v);
 }
 
 namespace {
@@ -223,12 +223,12 @@ isNumaView(V v)
 
 TEST(ClientProtocol, ExhaustiveCellEnumeration)
 {
-    const ClientProtocol &p = ClientProtocol::get();
+    const ClientTable &p = kClientTable;
     std::uint32_t legal = 0;
     for (V v : kViews) {
         for (E e : kEvents) {
-            SCOPED_TRACE(std::string(clientEventName(e)) + " on " +
-                         clientViewName(v));
+            SCOPED_TRACE(std::string(enumName(e)) + " on " +
+                         enumName(v));
             const ClientTransition *t = p.tryOn(v, e);
             auto it = expected().find({v, e});
             if (it == expected().end()) {
@@ -241,7 +241,7 @@ TEST(ClientProtocol, ExhaustiveCellEnumeration)
             EXPECT_EQ(t->next, it->second.next);
             if (t->actions & (SN | PB)) {
                 EXPECT_EQ(t->snoop, it->second.snoop)
-                    << lineEventName(t->snoop);
+                    << enumName(t->snoop);
             }
             // A cell stays within its frame kind: S-COMA rows name a
             // tag, LA-NUMA rows a LA-NUMA view, Local rows Local.
@@ -266,7 +266,7 @@ TEST(ClientProtocol, ExhaustiveCellEnumeration)
 
 TEST(ClientProtocol, IllegalCellsDie)
 {
-    const ClientProtocol &p = ClientProtocol::get();
+    const ClientTable &p = kClientTable;
     std::uint32_t illegal = 0;
     for (V v : kViews) {
         for (E e : kEvents) {
@@ -275,8 +275,8 @@ TEST(ClientProtocol, IllegalCellsDie)
             ++illegal;
             EXPECT_DEATH((void)p.on(v, e),
                          std::string("illegal client transition: ") +
-                             clientEventName(e) + " on " +
-                             clientViewName(v));
+                             enumName(e) + " on " +
+                             enumName(v));
         }
     }
     EXPECT_EQ(illegal, kNumClientViews * kNumClientEvents - 96);
@@ -288,7 +288,7 @@ TEST(ClientProtocol, TagViewsAreTheFineGrainTags)
                     FgTag::Transit}) {
         EXPECT_TRUE(isTagView(tagView(t)));
         EXPECT_EQ(viewTag(tagView(t)), t);
-        EXPECT_STREQ(clientViewName(tagView(t)),
+        EXPECT_STREQ(enumName(tagView(t)),
                      t == FgTag::Invalid     ? "Invalid"
                      : t == FgTag::Shared    ? "Shared"
                      : t == FgTag::Exclusive ? "Exclusive"
@@ -724,7 +724,7 @@ TEST_P(ClientEngine, ScenarioRaisesItsCells)
 {
     const Scenario &s = scenarios()[GetParam().scenario];
     const Mode mode = GetParam().mode;
-    const ClientProtocol &proto = ClientProtocol::get();
+    const ClientTable &proto = kClientTable;
     Rig rig(mode, s.scheme);
     for (const Step &st : s.setup)
         rig.run(st);
@@ -766,7 +766,7 @@ TEST_P(ClientEngine, ScenarioRaisesItsCells)
             const auto it = want.find(c);
             EXPECT_EQ(rig.ctrl(s.subject).clientCellHits(v, e) - before[c],
                       it == want.end() ? 0u : it->second)
-                << clientEventName(e) << " on " << clientViewName(v);
+                << enumName(e) << " on " << enumName(v);
         }
     }
 
@@ -785,7 +785,7 @@ TEST_P(ClientEngine, ScenarioRaisesItsCells)
         }
     } else if (last.next != V::Local) {
         EXPECT_EQ(rig.view(s.subject), last.next)
-            << "the line ends in " << clientViewName(rig.view(s.subject));
+            << "the line ends in " << enumName(rig.view(s.subject));
     }
 
     // The counters the test line's actions move.
@@ -836,8 +836,8 @@ TEST(ClientEngineCoverage, EveryLegalCellIsDrivenOrARace)
         }
     }
     for (const auto &[cell, exp] : expected()) {
-        SCOPED_TRACE(std::string(clientEventName(cell.second)) + " on " +
-                     clientViewName(cell.first));
+        SCOPED_TRACE(std::string(enumName(cell.second)) + " on " +
+                     enumName(cell.first));
         const bool race = races().count(cell) != 0;
         EXPECT_NE(driven.count(cell) != 0, race)
             << (race ? "driven, yet listed as a race"

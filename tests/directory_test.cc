@@ -174,10 +174,10 @@ TEST(FineGrainTags, FillResets)
 
 TEST(DirectoryNames, StateNames)
 {
-    EXPECT_STREQ(dirStateName(DirState::Uncached), "U");
-    EXPECT_STREQ(dirStateName(DirState::Shared), "S");
-    EXPECT_STREQ(dirStateName(DirState::Owned), "O");
-    EXPECT_STREQ(fgTagName(FgTag::Transit), "T");
+    EXPECT_STREQ(enumName(DirState::Uncached), "U");
+    EXPECT_STREQ(enumName(DirState::Shared), "S");
+    EXPECT_STREQ(enumName(DirState::Owned), "O");
+    EXPECT_STREQ(enumName(FgTag::Transit), "T");
 }
 
 } // namespace

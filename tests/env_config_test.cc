@@ -44,9 +44,22 @@ TEST(EnvConfig, UnknownScaleFailsFastListingValidNames)
 {
     setenv("PRISM_SCALE", "medium", 1);
     EXPECT_EXIT(parseEnv(), ::testing::ExitedWithCode(1),
-                "unknown PRISM_SCALE 'medium' \\(valid: paper small "
-                "tiny\\)");
+                "unknown PRISM_SCALE/--scale 'medium' \\(valid: paper "
+                "small tiny\\)");
     unsetenv("PRISM_SCALE");
+}
+
+TEST(EnvConfig, UnknownScaleFlagNamesBothSpellings)
+{
+    // The value came from the flag, and the message names the knob by
+    // both of its spellings, not by the environment variable alone.
+    unsetenv("PRISM_SCALE");
+    char name[] = "bench", flag[] = "--scale", value[] = "huge";
+    char *argv[] = {name, flag, value, nullptr};
+    EXPECT_EXIT(bench::BenchOptions::parse(3, argv),
+                ::testing::ExitedWithCode(1),
+                "fatal: unknown PRISM_SCALE/--scale 'huge' \\(valid: paper "
+                "small tiny\\)");
 }
 
 TEST(EnvConfig, AppsFilterSelectsBySubstring)
@@ -74,20 +87,20 @@ TEST(EnvConfig, UnmatchedAppsFilterFailsFastListingValidNames)
 TEST(EnvConfig, OracleModeParserAcceptsAllNames)
 {
     OracleMode m = OracleMode::Off;
-    EXPECT_TRUE(oracleModeFromString("off", &m));
+    EXPECT_TRUE(enumFromString("off", &m));
     EXPECT_EQ(m, OracleMode::Off);
-    EXPECT_TRUE(oracleModeFromString("quiescent", &m));
+    EXPECT_TRUE(enumFromString("quiescent", &m));
     EXPECT_EQ(m, OracleMode::Quiescent);
-    EXPECT_TRUE(oracleModeFromString("continuous", &m));
+    EXPECT_TRUE(enumFromString("continuous", &m));
     EXPECT_EQ(m, OracleMode::Continuous);
-    EXPECT_FALSE(oracleModeFromString("sometimes", &m));
-    EXPECT_FALSE(oracleModeFromString("", &m));
-    EXPECT_FALSE(oracleModeFromString(nullptr, &m));
+    EXPECT_FALSE(enumFromString("sometimes", &m));
+    EXPECT_FALSE(enumFromString("", &m));
+    EXPECT_FALSE(enumFromString(nullptr, &m));
 
     for (OracleMode mode : {OracleMode::Off, OracleMode::Quiescent,
                             OracleMode::Continuous}) {
         OracleMode back = OracleMode::Off;
-        ASSERT_TRUE(oracleModeFromString(oracleModeName(mode), &back));
+        ASSERT_TRUE(enumFromString(enumName(mode), &back));
         EXPECT_EQ(back, mode);
     }
 }

@@ -14,7 +14,9 @@
  * line at 4 and at 130 nodes (the sharer set spills past one word)
  * and must land on the expected line and keep the directory
  * invariants: Owned => a valid owner and no sharers; Shared => at
- * least one sharer and no owner; Uncached => neither.
+ * least one sharer and no owner; Uncached => neither.  Last, a 4x2
+ * machine reaches three cells through the running controller
+ * (CoherenceController::homeCellHits).
  */
 
 #include <cstdint>
@@ -28,7 +30,9 @@
 
 #include "coherence/home_protocol.hh"
 #include "coherence/page_record.hh"
+#include "core/machine.hh"
 #include "sim/event_queue.hh"
+#include "workload/workload.hh"
 
 namespace prism {
 namespace {
@@ -132,12 +136,12 @@ expected()
 
 TEST(HomeProtocol, ExhaustiveCellEnumeration)
 {
-    const HomeProtocol &p = HomeProtocol::get();
+    const HomeTable &p = kHomeTable;
     std::uint32_t legal = 0;
     for (V v : kViews) {
         for (E e : kEvents) {
-            SCOPED_TRACE(std::string(homeEventName(e)) + " on " +
-                         homeViewName(v));
+            SCOPED_TRACE(std::string(enumName(e)) + " on " +
+                         enumName(v));
             const HomeTransition *t = p.tryOn(v, e);
             auto it = expected().find({v, e});
             if (it == expected().end()) {
@@ -148,8 +152,8 @@ TEST(HomeProtocol, ExhaustiveCellEnumeration)
             ++legal;
             EXPECT_EQ(t->actions, it->second.actions);
             EXPECT_EQ(t->next, it->second.next)
-                << homeNextName(t->next) << " vs "
-                << homeNextName(it->second.next);
+                << enumName(t->next) << " vs "
+                << enumName(it->second.next);
             EXPECT_EQ(t->hook, it->second.hook);
             EXPECT_NE(t->next, N::RemoveSender);
             // A grant makes the sender owner exactly for writes and
@@ -166,7 +170,7 @@ TEST(HomeProtocol, ExhaustiveCellEnumeration)
 
 TEST(HomeProtocol, IllegalCellsDie)
 {
-    const HomeProtocol &p = HomeProtocol::get();
+    const HomeTable &p = kHomeTable;
     std::uint32_t illegal = 0;
     for (V v : kViews) {
         for (E e : kEvents) {
@@ -175,7 +179,7 @@ TEST(HomeProtocol, IllegalCellsDie)
             ++illegal;
             EXPECT_DEATH((void)p.on(v, e),
                          std::string("illegal home transition: ") +
-                             homeEventName(e) + " on " + homeViewName(v));
+                             enumName(e) + " on " + enumName(v));
         }
     }
     // A request from the line's owner (three events) and a migration
@@ -310,15 +314,15 @@ applyEveryCell(std::uint32_t nodes, NodeId home, NodeId sender, NodeId other)
     PageRecords pages(eq, 4, nodes);
     const PageRecords::Ref rec = pages.get(1);
     pages.setHome(rec, pages.newHome());
-    const HomeProtocol &p = HomeProtocol::get();
+    const HomeTable &p = kHomeTable;
     std::uint32_t applied = 0;
     for (const auto &[cell, exp] : expected()) {
         const auto [v, e] = cell;
         // A migration flush is the home folding its own copies.
         const NodeId from = e == E::MigrateFlush ? home : sender;
         for (const LineValue &before : linesFor(v, home, from, other)) {
-            SCOPED_TRACE(std::string(homeEventName(e)) + " on " +
-                         homeViewName(v) + " at " +
+            SCOPED_TRACE(std::string(enumName(e)) + " on " +
+                         enumName(v) + " at " +
                          std::to_string(nodes) + " nodes");
             Directory::LineRef d(*rec, 0);
             write(d, before);
@@ -355,6 +359,62 @@ TEST(HomeProtocol, RemoveSenderLeavesTheStateForTheFinalWrite)
     applyHomeNext(d, N::RemoveSender, 70, kInvalidNode);
     EXPECT_EQ(d.state(), DirState::Shared);
     EXPECT_TRUE(d.noSharers());
+}
+
+/** Processor @p who reads or writes @p va; the others do nothing. */
+CoTask
+accessBy(Proc &p, ProcId who, VAddr va, bool write)
+{
+    if (p.id() != who)
+        co_return;
+    if (write)
+        co_await p.write(va);
+    else
+        co_await p.read(va);
+}
+
+TEST(HomeProtocol, MachineReachesThreePartySharerAndPageOutCells)
+{
+    // Line 0 of page 1, homed at node 1; processors 2k and 2k+1 are
+    // node k.
+    MachineConfig cfg;
+    cfg.numNodes = 4;
+    cfg.procsPerNode = 2;
+    cfg.oracleMode = OracleMode::Continuous;
+    Machine m(cfg);
+    const std::uint64_t gsid = m.shmget(1, 4 * kPageBytes);
+    m.shmatAll(kSharedVsid, gsid);
+    const GPage gp = (gsid << kPageNumBits) | 1;
+    const VAddr va = makeVAddr(kSharedVsid, 1, 0);
+    const CoherenceController &home = m.node(1).controller();
+    auto hits = [&](V v, E e) { return home.homeCellHits(v, e); };
+    auto access = [&](ProcId who, bool write) {
+        m.run([&](Proc &p) { return accessBy(p, who, va, write); });
+    };
+
+    access(0, true); // node 0 owns the line
+    EXPECT_EQ(hits(V::OwnedOther, E::ReqS), 0u);
+    access(4, false); // 3-party read: node 0 supplies node 2
+    EXPECT_GE(hits(V::OwnedOther, E::ReqS), 1u);
+
+    // Node 2 pages its copy out and leaves the sharer set.
+    EXPECT_EQ(hits(V::SharedSender, E::ClientGone), 0u);
+    bool paged_out = false;
+    auto page_out = [&]() -> FireAndForget {
+        co_await m.node(2).kernel().pageOutClient(gp, false);
+        paged_out = true;
+    };
+    page_out();
+    m.eventQueue().runAll();
+    ASSERT_TRUE(paged_out);
+    EXPECT_EQ(hits(V::SharedSender, E::ClientGone), 1u);
+
+    // Node 3 writes the line node 0 still shares: node 0 is
+    // invalidated.
+    EXPECT_EQ(hits(V::SharedOther, E::ReqX), 0u);
+    access(6, true);
+    EXPECT_EQ(hits(V::SharedOther, E::ReqX), 1u);
+    EXPECT_EQ(m.node(0).controller().stats().invalsReceived, 1u);
 }
 
 } // namespace

@@ -41,7 +41,7 @@ namespace prism {
 void
 PrintTo(LineState s, std::ostream *os)
 {
-    *os << mesiName(s);
+    *os << enumName(s);
 }
 
 namespace {
@@ -236,8 +236,8 @@ struct Cell {
 void
 PrintTo(const Cell &c, std::ostream *os)
 {
-    *os << protocolName(c.scheme) << " " << mesiName(c.row) << " x "
-        << lineEventName(c.ev);
+    *os << enumName(c.scheme) << " " << enumName(c.row) << " x "
+        << enumName(c.ev);
 }
 
 std::vector<Cell>
@@ -247,7 +247,7 @@ legalCells()
     for (ProtocolScheme scheme :
          {ProtocolScheme::Msi, ProtocolScheme::Mesi, ProtocolScheme::Moesi,
           ProtocolScheme::Mesif}) {
-        const LineProtocol &p = LineProtocol::get(scheme);
+        const LineProtocol &p = lineProtocol(scheme);
         for (LineState row : kRows) {
             for (LineEvent ev : kEvents) {
                 if (p.tryOn(row, ev))
@@ -265,7 +265,7 @@ class LineEngine : public ::testing::TestWithParam<Cell>
 TEST_P(LineEngine, CellMatchesTable)
 {
     const Cell c = GetParam();
-    const LineProtocol &proto = LineProtocol::get(c.scheme);
+    const LineProtocol &proto = lineProtocol(c.scheme);
     const Transition &t = proto.on(c.row, c.ev);
     const bool supply = t.actions & kActSupplyData;
     const bool wb = t.actions & kActWritebackData;
@@ -290,7 +290,7 @@ TEST_P(LineEngine, CellMatchesTable)
     };
 
     EXPECT_EQ(rig.state(kP0), t.next)
-        << "processor 0 ends in " << mesiName(rig.state(kP0));
+        << "processor 0 ends in " << enumName(rig.state(kP0));
 
     switch (c.ev) {
       case LineEvent::LocalStore:
@@ -379,9 +379,9 @@ TEST_P(LineEngine, CellMatchesTable)
 INSTANTIATE_TEST_SUITE_P(
     AllCells, LineEngine, ::testing::ValuesIn(legalCells()),
     [](const ::testing::TestParamInfo<Cell> &info) {
-        return std::string(protocolName(info.param.scheme)) + "_" +
-               mesiName(info.param.row) + "_" +
-               lineEventName(info.param.ev);
+        return std::string(enumName(info.param.scheme)) + "_" +
+               enumName(info.param.row) + "_" +
+               enumName(info.param.ev);
     });
 
 } // namespace

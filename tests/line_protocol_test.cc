@@ -164,14 +164,14 @@ class LineProtocolConformance
 TEST_P(LineProtocolConformance, ExhaustivePairEnumeration)
 {
     const ProtocolScheme scheme = GetParam();
-    const LineProtocol &p = LineProtocol::get(scheme);
+    const LineProtocol &p = lineProtocol(scheme);
     const Table expected = expectedTable(scheme);
 
     std::size_t defined_seen = 0;
     for (LineState s : kStates) {
         for (LineEvent e : kEvents) {
-            SCOPED_TRACE(std::string(p.name()) + ": " + mesiName(s) +
-                         " x " + lineEventName(e));
+            SCOPED_TRACE(std::string(p.name) + ": " + enumName(s) +
+                         " x " + enumName(e));
             const Transition *t = p.tryOn(s, e);
             auto it = expected.find({s, e});
             if (it == expected.end()) {
@@ -183,8 +183,8 @@ TEST_P(LineProtocolConformance, ExhaustivePairEnumeration)
             ASSERT_NE(t, nullptr)
                 << "transition expected but undefined (silent hole)";
             EXPECT_EQ(t->next, it->second.next)
-                << "next state: got " << mesiName(t->next)
-                << ", want " << mesiName(it->second.next);
+                << "next state: got " << enumName(t->next)
+                << ", want " << enumName(it->second.next);
             EXPECT_EQ(t->actions, it->second.actions)
                 << "actions: got " << unsigned(t->actions) << ", want "
                 << unsigned(it->second.actions);
@@ -198,7 +198,7 @@ TEST_P(LineProtocolConformance, ExhaustivePairEnumeration)
 TEST_P(LineProtocolConformance, IllegalPairsDie)
 {
     const ProtocolScheme scheme = GetParam();
-    const LineProtocol &p = LineProtocol::get(scheme);
+    const LineProtocol &p = lineProtocol(scheme);
     const Table expected = expectedTable(scheme);
 
     std::size_t illegal = 0;
@@ -207,8 +207,8 @@ TEST_P(LineProtocolConformance, IllegalPairsDie)
             if (expected.count({s, e}))
                 continue;
             ++illegal;
-            SCOPED_TRACE(std::string(p.name()) + ": " + mesiName(s) +
-                         " x " + lineEventName(e));
+            SCOPED_TRACE(std::string(p.name) + ": " + enumName(s) +
+                         " x " + enumName(e));
             EXPECT_DEATH((void)p.on(s, e), "illegal");
         }
     }
@@ -221,17 +221,17 @@ TEST_P(LineProtocolConformance, IllegalPairsDie)
 /** Closure: every defined transition lands in a valid state. */
 TEST_P(LineProtocolConformance, TransitionsStayInValidStates)
 {
-    const LineProtocol &p = LineProtocol::get(GetParam());
+    const LineProtocol &p = lineProtocol(GetParam());
     for (LineState s : kStates) {
         for (LineEvent e : kEvents) {
             const Transition *t = p.tryOn(s, e);
             if (!t)
                 continue;
             EXPECT_TRUE(p.stateValid(s))
-                << mesiName(s) << " has transitions but is not valid";
+                << enumName(s) << " has transitions but is not valid";
             EXPECT_TRUE(p.stateValid(t->next))
-                << mesiName(s) << " x " << lineEventName(e)
-                << " lands in invalid state " << mesiName(t->next);
+                << enumName(s) << " x " << enumName(e)
+                << " lands in invalid state " << enumName(t->next);
         }
     }
 }
@@ -250,10 +250,10 @@ TEST(LineProtocolStates, ValidStateSetsMatchSchemes)
         {ProtocolScheme::Mesif, {I, S, E, M, F}},
     };
     for (const Case &c : cases) {
-        const LineProtocol &p = LineProtocol::get(c.scheme);
+        const LineProtocol &p = lineProtocol(c.scheme);
         for (LineState s : kStates) {
             EXPECT_EQ(p.stateValid(s), c.states.count(s) != 0)
-                << p.name() << ": " << mesiName(s);
+                << p.name << ": " << enumName(s);
         }
     }
 }
@@ -261,28 +261,28 @@ TEST(LineProtocolStates, ValidStateSetsMatchSchemes)
 /** Fill policy: what misses install, per scheme. */
 TEST(LineProtocolFill, FillPolicyPerScheme)
 {
-    const LineProtocol &msi = LineProtocol::get(ProtocolScheme::Msi);
+    const LineProtocol &msi = lineProtocol(ProtocolScheme::Msi);
     EXPECT_EQ(msi.readFill(true), S);
     EXPECT_EQ(msi.readFill(false), S);
     EXPECT_EQ(msi.peerReadFill(), S);
     EXPECT_TRUE(msi.demoteExclusiveReadGrant());
     EXPECT_EQ(msi.writeFill(), M);
 
-    const LineProtocol &mesi = LineProtocol::get(ProtocolScheme::Mesi);
+    const LineProtocol &mesi = lineProtocol(ProtocolScheme::Mesi);
     EXPECT_EQ(mesi.readFill(true), E);
     EXPECT_EQ(mesi.readFill(false), S);
     EXPECT_EQ(mesi.peerReadFill(), S);
     EXPECT_FALSE(mesi.demoteExclusiveReadGrant());
     EXPECT_EQ(mesi.writeFill(), M);
 
-    const LineProtocol &moesi = LineProtocol::get(ProtocolScheme::Moesi);
+    const LineProtocol &moesi = lineProtocol(ProtocolScheme::Moesi);
     EXPECT_EQ(moesi.readFill(true), E);
     EXPECT_EQ(moesi.readFill(false), S);
     EXPECT_EQ(moesi.peerReadFill(), S);
     EXPECT_FALSE(moesi.demoteExclusiveReadGrant());
     EXPECT_EQ(moesi.writeFill(), M);
 
-    const LineProtocol &mesif = LineProtocol::get(ProtocolScheme::Mesif);
+    const LineProtocol &mesif = lineProtocol(ProtocolScheme::Mesif);
     EXPECT_EQ(mesif.readFill(true), E);
     EXPECT_EQ(mesif.readFill(false), F);
     EXPECT_EQ(mesif.peerReadFill(), F);
@@ -297,7 +297,7 @@ TEST(LineProtocolFill, FillPolicyPerScheme)
  */
 TEST(LineProtocolMesi, EncodesPreTableBehaviour)
 {
-    const LineProtocol &p = LineProtocol::get(ProtocolScheme::Mesi);
+    const LineProtocol &p = lineProtocol(ProtocolScheme::Mesi);
 
     // A snoop read of M supplies, writes back and relinquishes.
     const Transition &mr = p.on(M, LineEvent::SnoopRead);
@@ -329,7 +329,7 @@ TEST(LineProtocolMesi, EncodesPreTableBehaviour)
 /** Dirty data is never dropped: every exit from M/O moves the data. */
 TEST_P(LineProtocolConformance, DirtyDataNeverSilentlyDropped)
 {
-    const LineProtocol &p = LineProtocol::get(GetParam());
+    const LineProtocol &p = lineProtocol(GetParam());
     for (LineState s : {M, O}) {
         if (!p.stateValid(s))
             continue;
@@ -339,8 +339,8 @@ TEST_P(LineProtocolConformance, DirtyDataNeverSilentlyDropped)
                 continue; // stays dirty somewhere
             EXPECT_TRUE(t->actions &
                         (kActSupplyData | kActWritebackData))
-                << p.name() << ": " << mesiName(s) << " x "
-                << lineEventName(e) << " drops dirty data";
+                << p.name << ": " << enumName(s) << " x "
+                << enumName(e) << " drops dirty data";
         }
     }
 }
@@ -348,7 +348,7 @@ TEST_P(LineProtocolConformance, DirtyDataNeverSilentlyDropped)
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, LineProtocolConformance, ::testing::ValuesIn(kSchemes),
     [](const ::testing::TestParamInfo<ProtocolScheme> &info) {
-        return std::string(protocolName(info.param));
+        return std::string(enumName(info.param));
     });
 
 } // namespace

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "check/explorer.hh"
+#include "policy/page_policy.hh"
 
 namespace prism {
 namespace {
@@ -99,7 +100,7 @@ TEST(FuzzProtocolSweep, CleanUnderJitterAndPageFlips)
     std::uint64_t seed = 1;
     if (const char *env = std::getenv("PRISM_FUZZ_PROTOCOL")) {
         ProtocolScheme ps;
-        ASSERT_TRUE(protocolFromString(env, &ps))
+        ASSERT_TRUE(enumFromString(env, &ps))
             << "bad PRISM_FUZZ_PROTOCOL '" << env << "'";
         schemes.push_back(ps);
     } else {
@@ -130,7 +131,7 @@ TEST(FuzzProtocolSweep, CleanUnderJitterAndPageFlips)
             opt.clientFrameCap = seed % 2 ? 0 : 2;
             FuzzResult r = runFuzzCase(opt, opt.totalOps);
             EXPECT_FALSE(r.failed)
-                << protocolName(scheme) << " seed " << seed << " at "
+                << enumName(scheme) << " seed " << seed << " at "
                 << w.nodes << "x" << w.procsPerNode << ": "
                 << r.firstViolation;
             EXPECT_GT(r.checksRun, 0u);
@@ -163,7 +164,7 @@ TEST(FuzzProtocolSweep, MutationCaughtUnderEveryScheme)
                     caught = true;
             }
             EXPECT_TRUE(caught)
-                << protocolName(scheme) << " at " << opt.numNodes << "x"
+                << enumName(scheme) << " at " << opt.numNodes << "x"
                 << opt.procsPerNode
                 << ": no seed in 1..10 exposed the skipped invalidation";
         }
@@ -218,8 +219,8 @@ TEST(FuzzCorpus, ShrunkSchedulesStillCaught)
                      replayId(e.seed, e.len));
         FuzzOptions opt;
         opt.seed = e.seed;
-        ASSERT_TRUE(policyFromString(e.policy.c_str(), &opt.policy));
-        ASSERT_TRUE(protocolFromString(e.scheme.c_str(), &opt.protocol));
+        ASSERT_TRUE(enumFromString(e.policy.c_str(), &opt.policy));
+        ASSERT_TRUE(enumFromString(e.scheme.c_str(), &opt.protocol));
         opt.totalOps = e.len;
         opt.mutationSkipInvals = e.skipInvals;
         EXPECT_TRUE(runFuzzCase(opt, e.len).failed)

@@ -128,7 +128,7 @@ outcomePermitted(ProtocolScheme scheme, const char *shape)
         return false;
     }
     ADD_FAILURE() << "no expectation row for protocol "
-                  << protocolName(scheme);
+                  << enumName(scheme);
     return false;
 }
 
@@ -224,7 +224,7 @@ TEST_P(Litmus, ForbiddenOutcomesNeverAppear)
                         << ": forbidden outcome [" << regs[0] << ","
                         << regs[1] << "," << regs[2] << "," << regs[3]
                         << "] under " << policyName(policy) << "/"
-                        << protocolName(protocol);
+                        << enumName(protocol);
                 }
                 ASSERT_EQ(m.oracle()->violationCount(), 0u);
             }
@@ -245,7 +245,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<LitmusParam> &info) {
         std::string name = policyName(std::get<0>(info.param));
         name += '_';
-        name += protocolName(std::get<1>(info.param));
+        name += enumName(std::get<1>(info.param));
         for (auto &ch : name) {
             if (ch == '-')
                 ch = '_';

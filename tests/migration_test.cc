@@ -247,7 +247,7 @@ TEST(Migration, GrantLandingOnAPageThatMigratedHereRetranslates)
                 << "lag " << lag;
             landed += c0.clientCellHits(ClientView::Invalid, grant);
         }
-        EXPECT_GT(landed, 0u) << clientEventName(grant);
+        EXPECT_GT(landed, 0u) << enumName(grant);
     }
 }
 

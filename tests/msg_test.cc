@@ -15,11 +15,11 @@ TEST(Msg, KernelMessageClassification)
     for (MsgType t : {MsgType::PageInReq, MsgType::PageInRep,
                       MsgType::PageOutNotice, MsgType::PageOutNoticeAck,
                       MsgType::HomePageOutReq, MsgType::HomePageOutAck})
-        EXPECT_TRUE(isKernelMsg(t)) << msgTypeName(t);
+        EXPECT_TRUE(msgRule(t).kernel) << enumName(t);
     for (MsgType t : {MsgType::ReqS, MsgType::ReqX, MsgType::Upgrade,
                       MsgType::Data, MsgType::Inv, MsgType::Fetch,
                       MsgType::Writeback, MsgType::MigrateReq})
-        EXPECT_FALSE(isKernelMsg(t)) << msgTypeName(t);
+        EXPECT_FALSE(msgRule(t).kernel) << enumName(t);
 }
 
 TEST(Msg, SizeClasses)
@@ -48,7 +48,7 @@ TEST(Msg, SizeClasses)
 TEST(Msg, EveryTypeHasAName)
 {
     for (int t = 0; t <= static_cast<int>(MsgType::MigrateDone); ++t) {
-        const char *n = msgTypeName(static_cast<MsgType>(t));
+        const char *n = enumName(static_cast<MsgType>(t));
         EXPECT_STRNE(n, "?") << "type " << t;
     }
 }

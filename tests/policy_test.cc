@@ -387,7 +387,7 @@ TEST(PolicyTable, EveryNameRoundTrips)
     for (const PolicyRule &r : kPolicyRules) {
         PolicyKind k = r.kind == PolicyKind::Scoma ? PolicyKind::LaNuma
                                                     : PolicyKind::Scoma;
-        ASSERT_TRUE(policyFromString(r.name, &k)) << r.name;
+        ASSERT_TRUE(enumFromString(r.name, &k)) << r.name;
         EXPECT_EQ(k, r.kind) << r.name;
     }
 }
@@ -396,10 +396,10 @@ TEST(PolicyTable, UnknownNamesAreRefused)
 {
     PolicyKind k = PolicyKind::DynUtil;
     for (const char *bad : {"", "scoma", "Dyn-lru", "SCOMA-7", "Dyn-Both "})
-        EXPECT_FALSE(policyFromString(bad, &k)) << "'" << bad << "'";
-    EXPECT_FALSE(policyFromString(nullptr, &k));
+        EXPECT_FALSE(enumFromString(bad, &k)) << "'" << bad << "'";
+    EXPECT_FALSE(enumFromString(nullptr, &k));
     EXPECT_EQ(k, PolicyKind::DynUtil); // untouched
-    EXPECT_FALSE(policyFromString("SCOMA", nullptr));
+    EXPECT_FALSE(enumFromString<PolicyKind>("SCOMA", nullptr));
 }
 
 /** Sum of counter @p name over @p r 's nodes. */

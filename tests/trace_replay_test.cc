@@ -318,10 +318,10 @@ TEST(TraceReplay, CommittedFixtureReplaysUnderEveryProtocol)
         RunReport r1, r2;
         const RunMetrics m1 = run(&r1);
         run(&r2);
-        EXPECT_GT(m1.execCycles, 0u) << protocolName(ps);
-        EXPECT_GT(m1.references, 0u) << protocolName(ps);
+        EXPECT_GT(m1.execCycles, 0u) << enumName(ps);
+        EXPECT_GT(m1.references, 0u) << enumName(ps);
         EXPECT_EQ(strippedJson(r1), strippedJson(r2))
-            << protocolName(ps);
+            << enumName(ps);
     }
 }
 
@@ -370,10 +370,10 @@ TEST(TraceReplay, CommittedKvFixtureReplaysDeterministically)
         RunReport r1, r2;
         const RunMetrics m1 = run(&r1);
         run(&r2);
-        EXPECT_GT(m1.execCycles, 0u) << protocolName(ps);
-        EXPECT_GT(m1.references, 0u) << protocolName(ps);
+        EXPECT_GT(m1.execCycles, 0u) << enumName(ps);
+        EXPECT_GT(m1.references, 0u) << enumName(ps);
         EXPECT_EQ(strippedJson(r1), strippedJson(r2))
-            << protocolName(ps);
+            << enumName(ps);
     }
 }
 #endif
